@@ -42,34 +42,43 @@ def _pool_size():
 
 
 def _map(fn, items):
+    """fn: item -> (row, failure or None); (rows, failures) in item order."""
     workers = _pool_size()
     if workers == 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        out = [fn(it) for it in items]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(fn, items))
+    return [row for row, _ in out], [f for _, f in out if f]
 
 
 # ---------------------------------------------------------------------------
 # experiment implementations: params dict + seed -> (rows, failures)
 # ---------------------------------------------------------------------------
 
+def _check_lebesgue_table(p):
+    trig.get_method(p["method"])
+    if not (isinstance(p["nmin"], int) and isinstance(p["nmax"], int)
+            and 0 <= p["nmin"] <= p["nmax"]
+            and isinstance(p["tol"], float) and p["tol"] > 0):
+        raise InvalidArgument("need integers 0 <= nmin <= nmax and tol > 0")
+
+
 def _exp_lebesgue_table(p, seed):
     method = trig.get_method(p["method"])
-    failures = []
 
     def one(n):
         try:
             s = lebesgue.lebesgue_constant(method, n, tol=p["tol"])
             return {"method": method.name, "n": n, "value": s.value,
-                    "quad_error": s.quad_error}
+                    "quad_error": s.quad_error}, None
         except ConvergenceFailure as e:
-            failures.append(f"n={n}: {e}")
             return {"method": method.name, "n": n,
                     "value": float(e.best_estimate or math.nan),
-                    "quad_error": float(e.error_estimate or math.nan)}
+                    "quad_error": float(e.error_estimate or math.nan)}, \
+                f"n={n}: {e}"
 
-    rows = _map(one, range(p["nmin"], p["nmax"] + 1))
-    return rows, failures
+    return _map(one, range(p["nmin"], p["nmax"] + 1))
 
 
 def _exp_kolmogorov_fit(p, seed):
@@ -271,7 +280,6 @@ def _body_from_params(p):
 
 def _exp_indicator_zeros(p, seed):
     body = _body_from_params(p)
-    failures = []
 
     def one(i):
         phi = np.pi * i / p["phis"]
@@ -279,15 +287,14 @@ def _exp_indicator_zeros(p, seed):
         try:
             r = ftlab.zero_curve(body, p["p"], phi)
         except NotFound as e:
-            failures.append(f"phi={phi:g}: {e}")
             return {"phi": phi, "r_p": math.nan, "d_phi": d,
                     "product": math.nan, "lower": 2 * p["p"] * np.pi,
-                    "upper": 2 * (p["p"] + 1) * np.pi}
+                    "upper": 2 * (p["p"] + 1) * np.pi}, f"phi={phi:g}: {e}"
         return {"phi": phi, "r_p": r, "d_phi": d, "product": d * r,
-                "lower": 2 * p["p"] * np.pi, "upper": 2 * (p["p"] + 1) * np.pi}
+                "lower": 2 * p["p"] * np.pi,
+                "upper": 2 * (p["p"] + 1) * np.pi}, None
 
-    rows = _map(one, range(p["phis"]))
-    return rows, failures
+    return _map(one, range(p["phis"]))
 
 
 def _exp_comparison_ratio(p, seed):
@@ -312,19 +319,20 @@ def _exp_comparison_ratio(p, seed):
 
 
 class Experiment:
-    def __init__(self, fn, description, claims, defaults, columns):
+    def __init__(self, fn, description, claims, defaults, columns, check=None):
         self.fn = fn
         self.description = description
         self.claims = claims
         self.defaults = defaults
         self.columns = columns
+        self.check = check      # raises NotFound/InvalidArgument on bad params
 
 
 REGISTRY = {
     "lebesgue-table": Experiment(
         _exp_lebesgue_table, "operator norms of a summability mean",
         "4", {"method": "dirichlet", "nmin": 1, "nmax": 64, "tol": 1e-9},
-        ["method", "n", "value", "quad_error"]),
+        ["method", "n", "value", "quad_error"], check=_check_lebesgue_table),
     "kolmogorov-fit": Experiment(
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
         "4.1", {"r": 1, "nmin": 64, "nmax": 1024},
@@ -431,6 +439,8 @@ def build_config(experiment, tokens, file_params=None, seed=0):
         if want in (int, float) and isinstance(val, (int, float)):
             val = want(val)
         params[key] = val
+    if spec.check is not None:
+        spec.check(params)
     return {"experiment": experiment, "params": params, "seed": int(seed)}
 
 

@@ -3,10 +3,17 @@ deviations over the bounded-derivative classes, two-dimensional rhombic and
 hyperbolic kernels, and asymptotic-law fitting.
 
 The operator norm of a polynomial mean on continuous periodic functions is
-(1/2pi) times the L1 norm of its kernel.  For real kernels that integral is
-computed exactly: the kernel is a trigonometric polynomial, its zeros are
-located by a dense scan plus vectorized Newton/bisection polishing, and
-|K| is integrated piecewise through the closed-form antiderivative."""
+(1/2pi) times the L1 norm of its kernel.  For real kernels (Hermitian
+weights) that integral is computed exactly by one engine in O(M log M) time
+and O(M) memory, M a power of two >= 32(K+1) for degree K, after the
+periodic Chebfun of Wright, Javed, Montanari and Trefethen (SIAM J. Sci.
+Comput. 2015): FFTs sample the kernel, its scaled derivatives and its
+antiderivative on the M-grid, sign changes are bracketed there, each zero
+is polished by safeguarded Newton on the cell's Taylor polynomial, and |K|
+is integrated piecewise from the antiderivative's Taylor data at the zeros.
+The error bound has three terms: zero mislocation, the Taylor remainder
+(from Bernstein's inequality) and rounding.  The deviation over W^r runs
+the same engine on the tail kernel, a polynomial minus a cosine sum."""
 
 from dataclasses import dataclass
 import math
@@ -40,143 +47,154 @@ class AsymptoticFit:
 # exact L1 norm of a trigonometric polynomial
 # ---------------------------------------------------------------------------
 
-def _eval_trig(coeffs, kmax, t):
-    """sum_k c_k e^{ikt} at points t (coeffs indexed -kmax..kmax)."""
-    k = np.arange(-kmax, kmax + 1)
-    return np.exp(1j * np.outer(t, k)) @ coeffs
+UNIT_ROUNDOFF = 2.0 ** -53
+# rounding error of one FFT stage relative to the magnitudes entering it:
+# eta = mu + gamma_4 (sqrt(2) + mu) with twiddle factors accurate to mu = u
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1)
+FFT_STAGE_ERROR = 7.0 * UNIT_ROUNDOFF
+POLISH_STEPS = 16
 
 
-def _antiderivative(coeffs, kmax, t):
-    """Antiderivative of sum c_k e^{ikt}: c_0 t + sum_{k!=0} c_k e^{ikt}/(ik)."""
-    k = np.arange(-kmax, kmax + 1)
-    a = np.zeros_like(coeffs)
-    nz = k != 0
-    a[nz] = coeffs[nz] / (1j * k[nz])
-    c0 = coeffs[kmax]
-    return np.exp(1j * np.outer(t, k)) @ a + c0 * t
+def _grid_samples(a, m):
+    """(real samples of sum a_k e^{ikx} on the M-grid, bound on the rounding
+    error of each sample).  Every output of a radix-2 FFT reaches each input
+    along one path of unit-modulus twiddles, so log2(M) stages err by at most
+    eta * sum|a_k| in total; two more eta cover forming the a_k."""
+    vals = synthesize(TrigCoefficients((a.size - 1) // 2, a), m).values.real
+    return vals, (math.log2(m) + 2) * FFT_STAGE_ERROR * float(np.sum(np.abs(a)))
 
 
-def _refine_zeros(f_df, lo, hi, flo, max_iter=16):
-    """Polish bracketed simple zeros by safeguarded Newton iteration.
+def _horner(taylor, s):
+    """(p(s), p'(s)) columnwise for p(s) = sum_j taylor[j] s^j."""
+    p, dp = taylor[-1], np.zeros_like(s)
+    for row in taylor[-2::-1]:
+        dp = dp * s + p
+        p = p * s + row
+    return p, dp
 
-    f_df(x) must return (f(x), f'(x)) elementwise; sign bookkeeping is done
-    via signbit so endpoint values of exactly 0.0 stay on the positive side.
-    The best point seen per zero is kept (a converged iterate that lands on
-    a bracket endpoint must not be discarded by the safeguard).
-    Returns (zeros, residuals, per-zero integration error bounds)."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = np.array(flo, dtype=float)
-    x = 0.5 * (lo + hi)
-    best_x = x.copy()
-    best_f = np.full_like(x, np.inf)
-    best_df = np.ones_like(x)
-    for _ in range(max_iter):
-        fx, dfx = f_df(x)
-        better = np.abs(fx) < np.abs(best_f)
-        best_x = np.where(better, x, best_x)
-        best_f = np.where(better, fx, best_f)
-        best_df = np.where(better, dfx, best_df)
-        same = np.signbit(fx) == np.signbit(flo)
-        lo = np.where(same, x, lo)
-        flo = np.where(same, fx, flo)
-        hi = np.where(same, hi, x)
+
+def _polish(taylor, floor):
+    """Safeguarded Newton on the cell polynomials p(s) = sum_j taylor[j] s^j,
+    each with a sign change on [0, 1].  Keeps the best point seen per cell
+    (a converged iterate on a bracket end must not be lost to the safeguard)
+    and stops once every |p| is below `floor`, the accuracy of p as a
+    stand-in for the function.  Returns (s, |p(s)|, |p'(s)|, bracket width)."""
+    lo, hi, plo = np.zeros(taylor.shape[1]), np.ones(taylor.shape[1]), taylor[0]
+    s = np.full_like(lo, 0.5)
+    best_s, best_p, best_dp = s, np.full_like(lo, np.inf), np.ones_like(lo)
+    for _ in range(POLISH_STEPS):
+        p, dp = _horner(taylor, s)
+        better = np.abs(p) < best_p
+        best_s = np.where(better, s, best_s)
+        best_p = np.where(better, np.abs(p), best_p)
+        best_dp = np.where(better, np.abs(dp), best_dp)
+        if np.all(best_p <= floor):
+            break
+        # signbit keeps values of exactly 0.0 on the positive side
+        same = np.signbit(p) == np.signbit(plo)
+        lo = np.where(same, s, lo)
+        plo = np.where(same, p, plo)
+        hi = np.where(same, hi, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - fx / dfx
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        x = np.where(bad, 0.5 * (lo + hi), xn)
-    resid = np.abs(best_f)
-    # mislocation <= min(bracket width, resid/|f'|); the induced error in
-    # the piecewise-sign integral is at most resid times that
-    with np.errstate(divide="ignore", invalid="ignore"):
-        misloc = np.minimum(hi - lo, resid / np.maximum(np.abs(best_df), 1e-300))
-    return best_x, resid, resid * misloc
+            sn = s - p / dp
+        bad = ~np.isfinite(sn) | (sn < lo) | (sn > hi)
+        s = np.where(bad, 0.5 * (lo + hi), sn)
+    return best_s, best_p, best_dp, hi - lo
 
 
-def _scan_brackets(values, grid):
-    """Sign-change brackets of sampled values (open grid, no wraparound)."""
-    idx = np.nonzero(np.signbit(values[:-1]) != np.signbit(values[1:]))[0]
-    return grid[idx], grid[idx + 1], values[idx]
+def _piecewise_l1(c, oversample, poly=(0.0,)):
+    """(int_{-pi}^{pi} |f(x)| dx, certified error bound) for the real function
+    f(x) = sum_k c_k e^{ikx} + poly(x + pi), c Hermitian of degree K, poly
+    in ascending powers.  Sign changes are scanned on x_i = -pi + ih,
+    h = 2pi/M, M = 2^m >= max(64, 2 * oversample * (K+1)), closed at
+    x_M = pi by the limit from the left (the periodic wrap when poly = 0);
+    d_j = f^(j)(x_i) h^j / j!, j <= J, are a bracketing cell's Taylor data
+    and F(x) = c_0 x + P(x) + Q(x + pi), P periodic, Q' = poly, is the
+    antiderivative.  Error terms: mislocation, sum over zeros of rho * delta
+    (rho bounds |f| at the polished point, delta its distance to the zero);
+    Taylor remainder, |f - p| <= R = (Kh)^{J+1}/(J+1)! sum|c_k| on a cell
+    (J least with R <= u sum|c_k|), so each F(zero) is off by at most hR;
+    rounding in the FFT samples, the polynomial and Taylor evaluations and
+    the final sum."""
+    u = UNIT_ROUNDOFF
+    kmax = (c.size - 1) // 2
+    k = np.arange(-kmax, kmax + 1)
+    m = 1 << max(6, int(math.ceil(math.log2(oversample * 2 * (kmax + 1)))))
+    h = TWO_PI / m
+    order, rem = 0, kmax * h
+    while rem > u:
+        order += 1
+        rem *= kmax * h / (order + 1)
+    taylor_rem = rem * float(np.sum(np.abs(c)))
+    poly = np.asarray(poly, dtype=float)
+    ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1)))
+    order = max(order, poly.size - 1)
+    # |p|(2pi + h) bounds sum_j |p^(j)(t)| h^j / j! for 0 <= t <= 2pi
+    err_poly = (2 * poly.size + 2) * u * float(_polyval(np.abs(poly), TWO_PI + h))
+    err_ipoly = (2 * ipoly.size + 2) * u * float(_polyval(np.abs(ipoly), TWO_PI + h))
+
+    t = h * np.arange(m + 1)                          # x + pi
+    trig_vals, err_data = _grid_samples(c, m)
+    vals = np.append(trig_vals, trig_vals[0]) + _polyval(poly, t)
+    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
+    ti = t[idx]
+
+    taylor = np.zeros((order + 1, idx.size))
+    taylor[0] = trig_vals[idx]
+    a, dpoly = c, poly                                # dpoly = poly^(j) / j!
+    for j in range(order + 1):
+        if j and idx.size:
+            a = a * (1j * h / j) * k
+            sampled, err = _grid_samples(a, m)
+            taylor[j] = sampled[idx]
+            err_data += err
+        taylor[j] += h ** j * _polyval(dpoly, ti)
+        dpoly = dpoly[1:] * np.arange(1, dpoly.size) / (j + 1)
+    abs_taylor = np.sum(np.abs(taylor), axis=0)
+    noise = taylor_rem + err_data + err_poly + (2 * order + 2) * u * abs_taylor
+    s, resid, slope, width = _polish(taylor, noise)
+    rho = resid + noise
+    with np.errstate(divide="ignore"):
+        delta = h * np.minimum(width, rho / slope)
+    mislocation = float(np.sum(rho * delta))
+
+    # F at -pi, at each zero, and at pi
+    anti = np.divide(c, 1j * k, out=np.zeros_like(c), where=k != 0)
+    p_vals, err_anti = _grid_samples(anti, m)
+    c0 = c[kmax].real
+    integ, _ = _horner(taylor / np.arange(1, order + 2)[:, None], s)
+    parts = np.array([
+        np.concatenate(([-np.pi], ti - np.pi, [np.pi])) * c0,
+        np.concatenate(([p_vals[0]], p_vals[idx], [p_vals[0]])),
+        _polyval(ipoly, np.concatenate(([0.0], ti, [TWO_PI]))),
+        np.concatenate(([0.0], h * s * integ, [0.0])),
+    ])
+    value = math.fsum(np.abs(np.diff(np.sum(parts, axis=0))))
+    scale = np.sum(np.abs(parts), axis=0) + np.concatenate(
+        ([0.0], h * abs_taylor, [0.0]))
+    point_err = (err_anti + h * (err_data + err_poly) + err_ipoly
+                 + (2 * order + 8) * u * scale)
+    rounding = 2.0 * float(np.sum(point_err)) + 2.0 * u * value
+    return value, mislocation + 2.0 * idx.size * h * taylor_rem + rounding
 
 
 def trig_poly_l1(coeffs, oversample=16):
     """(L1 norm over one period, certified error bound) for a real-valued
-    trigonometric polynomial given by complex coefficients c_{-K}..c_K."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    kmax = (coeffs.size - 1) // 2
-    m = 1 << max(6, int(math.ceil(math.log2(oversample * 2 * (kmax + 1)))))
-    samples = synthesize(TrigCoefficients(kmax, coeffs), m).values.real
-    grid = -np.pi + TWO_PI * np.arange(m + 1) / m      # close the period
-    vals = np.concatenate([samples, samples[:1]])
-    lo, hi, flo = _scan_brackets(vals, grid)
-
-    k = np.arange(-kmax, kmax + 1)
-
-    def f_df(x):
-        e = np.exp(1j * np.outer(x, k))
-        return (e @ coeffs).real, (e @ (1j * k * coeffs)).real
-
-    zeros, _, err_terms = _refine_zeros(f_df, lo, hi, flo)
-    pieces = np.concatenate(([-np.pi], np.sort(zeros), [np.pi]))
-    anti = _antiderivative(coeffs, kmax, pieces).real
-    value = float(np.sum(np.abs(np.diff(anti))))
-    err = float(np.sum(err_terms)) + 1e-15 * np.sum(np.abs(coeffs)) * TWO_PI
-    return value, err
-
-
-def _panel_l1(f, a, b, n_osc, tol, max_refine=14):
-    """Adaptive panel Gauss for int_a^b |f|, panels aligned to n_osc
-    oscillations; used for complex-valued kernels where |f| is only
-    piecewise smooth."""
-    g16 = np.polynomial.legendre.leggauss(16)
-    g32 = np.polynomial.legendre.leggauss(32)
-
-    def quad(rule, lo, hi):
-        x, w = rule
-        pts = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        return 0.5 * (hi - lo) * np.dot(w, np.abs(f(pts)))
-
-    edges = np.linspace(a, b, max(8, 2 * (n_osc + 1)) + 1)
-    panels = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    for _ in range(max_refine):
-        vals, errs = [], []
-        for lo, hi in panels:
-            v32 = quad(g32, lo, hi)
-            vals.append(v32)
-            errs.append(abs(v32 - quad(g16, lo, hi)))
-        total_err = sum(errs)
-        if total_err <= tol:
-            return sum(vals), total_err
-        # split the worst quarter of panels
-        order = np.argsort(errs)[::-1]
-        split = set(order[: max(1, len(panels) // 4)])
-        new = []
-        for i, (lo, hi) in enumerate(panels):
-            if i in split:
-                mid = 0.5 * (lo + hi)
-                new += [(lo, mid), (mid, hi)]
-            else:
-                new.append((lo, hi))
-        panels = new
-    raise ConvergenceFailure("panel budget exhausted", best_estimate=sum(vals),
-                             error_estimate=total_err)
+    trigonometric polynomial given by Hermitian coefficients c_{-K}..c_K
+    (c_{-k} = conj c_k); see `_piecewise_l1` for the method and the bound."""
+    c = TrigCoefficients((np.size(coeffs) - 1) // 2, coeffs)
+    if not c.is_real_valued():
+        raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
+    value, err = _piecewise_l1(c.c, oversample)
+    # |f| and |Re f| differ by at most |Im f| <= sum|c_k - conj c_{-k}| / 2
+    return value, err + np.pi * float(np.sum(np.abs(c.c - np.conj(c.c[::-1]))))
 
 
 def lebesgue_constant(method, n, tol=1e-9):
     """Operator norm of the mean at index n: (1/2pi) int |K_n(t)| dt."""
-    if n < 0:
-        raise InvalidArgument("index must be nonnegative")
-    if not tol > 0:
-        raise InvalidArgument("tolerance must be positive")
-    w = method.weights(n)
-    band = (w.size - 1) // 2
-    if method.complex_weights:
-        def f(pts):
-            return _eval_trig(w, band, pts)
-
-        value, err = _panel_l1(f, -np.pi, np.pi, band + 1, tol * TWO_PI)
-        return LebesgueSample(n, value / TWO_PI, err / TWO_PI)
-    value, err = trig_poly_l1(w)
+    if n < 0 or not tol > 0:
+        raise InvalidArgument("need index n >= 0 and tolerance tol > 0")
+    value, err = trig_poly_l1(method.weights(n))
     if err / TWO_PI > tol:
         raise ConvergenceFailure("requested tolerance not certified",
                                  best_estimate=value / TWO_PI,
@@ -282,39 +300,12 @@ def kolmogorov_deviation(r, n, tol=1e-9):
     the L1 norm of the conjugate-tail kernel over a period."""
     if r < 1 or n < 0:
         raise InvalidArgument("need r >= 1 and n >= 0")
-    poly = _full_series_poly(r)
-    ipoly = np.array([0.0] + [c / (j + 1) for j, c in enumerate(poly)])
-    k = np.arange(1, n + 1) if n else np.array([], dtype=float)
-
-    def g(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _polyval(poly, t)
-        if n:
-            out = out - np.cos(np.outer(t, k) - r * np.pi / 2) @ (1.0 / k ** r)
-        return out
-
-    def anti(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _polyval(ipoly, t)
-        if n:
-            out = out - np.sin(np.outer(t, k) - r * np.pi / 2) @ (1.0 / k ** (r + 1))
-        return out
-
-    def dg(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _polyval(np.arange(1, poly.size) * poly[1:], t)
-        if n:
-            out = out + np.sin(np.outer(t, k) - r * np.pi / 2) @ (1.0 / k ** (r - 1))
-        return out
-
-    scan = max(256, 16 * (n + 1))
-    eps = 1e-9  # stay inside the open period (jump at 0 for r=1)
-    t = np.linspace(eps, TWO_PI - eps, scan + 1)
-    lo, hi, flo = _scan_brackets(g(t), t)
-    zeros, _, err_terms = _refine_zeros(lambda x: (g(x), dg(x)), lo, hi, flo)
-    pieces = np.concatenate(([0.0], np.sort(zeros), [TWO_PI]))
-    total = float(np.sum(np.abs(np.diff(anti(pieces)))))
-    err = float(np.sum(err_terms)) + 1e-14 * (n + 1)
+    # on (0, 2pi) the tail kernel is poly(t) - sum_{k<=n} cos(kt - r pi/2)/k^r;
+    # in x = t - pi the cosine sum has c_{+-k} = (-1)^k e^{-+i r pi/2} / 2k^r
+    k = np.arange(1, n + 1)
+    half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** r)
+    c = np.concatenate((np.conj(half[::-1]), [0.0], half))
+    total, err = _piecewise_l1(c, 16, _full_series_poly(r))
     if err / np.pi > tol:
         raise ConvergenceFailure("zero polishing failed", best_estimate=total / np.pi,
                                  error_estimate=err / np.pi)
@@ -464,6 +455,6 @@ def lebesgue_function(method, n, x):
     p = np.arange(-n, n + 1)
     xp = TWO_PI * p / (2 * n + 1)
     w = method.weights(n)
-    band = (w.size - 1) // 2
-    vals = _eval_trig(w, band, x - xp)
+    k = np.arange(w.size) - (w.size - 1) // 2
+    vals = np.exp(1j * np.outer(x - xp, k)) @ w
     return float(np.sum(np.abs(vals))) / (2 * n + 1)

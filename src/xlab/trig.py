@@ -180,7 +180,6 @@ class SummabilityMethod:
     weight_fn: object = None
     profile: object = None
     support: float = 1.0
-    complex_weights: bool = False
 
     def band(self, n):
         """Largest |k| carrying a (non-negligible) weight at index n."""
@@ -208,7 +207,7 @@ class SummabilityMethod:
         else:
             w = np.asarray(self.weight_fn(n, k), dtype=complex)
             w[absk > self.band(n)] = 0.0
-        return w if self.complex_weights else w.real.astype(complex)
+        return w
 
 
 def _cesaro_coeffs(alpha, n):
@@ -286,11 +285,11 @@ def rogosinski():
 
 
 def bernstein():
-    # 0.5*(S_n(.) + S_n(.+pi/n)); the shift makes the multiplier complex
+    # 0.5*(S_n(.) + S_n(.+pi/n)): complex but Hermitian multipliers, so the
+    # kernel is real (the Rogosinski kernel shifted by pi/2n)
     return SummabilityMethod(
         "bernstein", MATRIX,
-        weight_fn=lambda n, k: 0.5 * (1.0 + np.exp(1j * k * np.pi / n)),
-        complex_weights=True)
+        weight_fn=lambda n, k: 0.5 * (1.0 + np.exp(1j * k * np.pi / n)))
 
 
 def vallee_poussin():

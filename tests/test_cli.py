@@ -43,6 +43,14 @@ class TestExitCodes:
         assert lines[1] == "method,n,value,quad_error"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("bad", [["method=nosuch"], ["nmin=-1"],
+                                     ["nmin=5", "nmax=2"]])
+    def test_bad_lebesgue_table_params(self, bad, capsys):
+        assert run_main(["lebesgue-table", *bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_numeric_failure_exit(self, tmp_path):
         out = tmp_path / "t.csv"
         code = run_main(["lebesgue-table", "method=dirichlet", "nmin=1",
@@ -61,6 +69,17 @@ class TestDeterminism:
         la = a.read_text().splitlines()[1:]
         lb = b.read_text().splitlines()[1:]
         assert la == lb
+
+    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
+        texts = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("XLAB_THREADS", threads)
+            out = tmp_path / f"t{threads}.csv"
+            assert run_main(["lebesgue-table", "nmax=40", "tol=1e-30",
+                             "--out", str(out)]) == 1
+            texts.append(out.read_text().splitlines()[1:])
+        assert texts[0] == texts[1]
+        assert sum(line.startswith("# failure") for line in texts[0]) == 40
 
     def test_seed_changes_rows(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,10 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xlab import lebesgue as lb
 from xlab import trig
 from xlab.errors import InvalidArgument
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def fejer_dirichlet(n):
+    """(L_n, rounding bound) from Fejer's closed form
+    L_n = 1/(2n+1) + (2/pi) sum_{k=1}^n tan(pi k/(2n+1))/k.
+
+    First order in the unit roundoff u: x = pi*k/(2n+1) is formed with
+    relative error 3u (pi, the product, the quotient), which tan amplifies
+    by its condition number 2x/sin(2x); tan itself (1 ulp, 2u) and the
+    division by k add 3u.  fsum is correctly rounded (u), 2/pi carries 2u
+    and the product and the two additions u each: 4u more of the sum, and
+    2u of the whole value cover the 1/(2n+1) term and the last addition."""
+    m = 2 * n + 1
+    terms, bound = [], 0.0
+    for k in range(1, n + 1):
+        x = math.pi * k / m
+        t = math.tan(x) / k
+        terms.append(t)
+        bound += abs(t) * (3.0 * UNIT_ROUNDOFF * 2.0 * x / math.sin(2.0 * x)
+                           + 7.0 * UNIT_ROUNDOFF)
+    value = 1.0 / m + (2.0 / math.pi) * math.fsum(terms)
+    return value, (2.0 / math.pi) * bound + 2.0 * UNIT_ROUNDOFF * value
 
 
 class TestLebesgueConstant:
@@ -42,7 +67,7 @@ class TestLebesgueConstant:
 
     def test_bernstein_matches_rogosinski(self):
         # the half-shift average is the symmetric average's kernel shifted,
-        # so their norms agree; exercises the complex-weight path
+        # so their norms agree; exercises complex Hermitian weights
         for n in (4, 9):
             b = lb.lebesgue_constant(trig.bernstein(), n).value
             r = lb.lebesgue_constant(trig.rogosinski(), n).value
@@ -61,6 +86,45 @@ class TestLebesgueConstant:
             riemann = trig.grid_norm(k, trig.GridNorm(1)) / (2 * np.pi)
             exact = lb.lebesgue_constant(trig.dirichlet(), n).value
             assert abs(riemann - exact) < 1e-6
+
+    def test_non_hermitian_coefficients_rejected(self):
+        with pytest.raises(InvalidArgument):
+            lb.trig_poly_l1(np.array([0.0, 1.0, 1j]))
+
+    def test_bound_covers_nearly_hermitian_coefficients(self):
+        # accepted by the reality check, but Im f = 2e-6 cos t is not zero
+        from scipy import integrate
+        c = np.array([1 + 1e-6j, 1.0, 1 + 1e-6j])
+        value, err = lb.trig_poly_l1(c)
+        k = np.arange(-1, 2)
+        ref, ref_err = integrate.quad(lambda t: abs(np.exp(1j * k * t) @ c),
+                                      -np.pi, np.pi, limit=200, epsabs=1e-14)
+        assert abs(value - ref) <= err + ref_err
+
+
+class TestOraclesAtScale:
+    @pytest.mark.parametrize("n", [1, 17, 1024, 8192, 65536])
+    def test_dirichlet_against_fejer_closed_form(self, n):
+        value, err = lb.trig_poly_l1(trig.dirichlet().weights(n))
+        ref, rounding = fejer_dirichlet(n)
+        assert abs(value / (2 * np.pi) - ref) <= err / (2 * np.pi) + rounding
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_bernstein_equals_rogosinski(self, n):
+        b = lb.lebesgue_constant(trig.bernstein(), n)
+        r = lb.lebesgue_constant(trig.rogosinski(), n)
+        assert abs(b.value - r.value) <= b.quad_error + r.quad_error
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from(trig.method_catalog()), st.integers(1, 300),
+           st.floats(0.0, 2 * np.pi, exclude_max=True))
+    def test_shift_leaves_norm_unchanged(self, method, n, tau):
+        # w_k e^{ik tau} is the kernel translated by tau: same L1 norm
+        w = method.weights(n)
+        k = np.arange(w.size) - (w.size - 1) // 2
+        v0, e0 = lb.trig_poly_l1(w)
+        v1, e1 = lb.trig_poly_l1(w * np.exp(1j * k * tau))
+        assert abs(v0 - v1) <= e0 + e1
 
 
 class TestFits:
@@ -208,6 +272,17 @@ class TestIndependentQuadratureOracle:
 
             ref, ref_err = integrate.quad(absk, -np.pi, np.pi, limit=400)
             assert abs(value - ref) < 1e-8 + 10 * ref_err
+
+    def test_kolmogorov_deviation_against_scipy(self):
+        from scipy import integrate
+        for r, n in ((1, 3), (2, 5), (3, 2)):
+            value = lb.kolmogorov_deviation(r, n)
+
+            def absg(t):
+                return abs(lb.tail_kernel(r, n, np.array([t]))[0])
+
+            ref, ref_err = integrate.quad(absg, 0.0, 2 * np.pi, limit=400)
+            assert abs(value - ref / np.pi) < 1e-8 + 10 * ref_err
 
     def test_random_polynomials_against_riemann(self):
         rng = np.random.default_rng(23)

@@ -64,6 +64,26 @@ def _check_lebesgue_table(p):
         raise InvalidArgument("need integers 0 <= nmin <= nmax and tol > 0")
 
 
+def _check_grid(p, points=1):
+    """The grid nmin, 2nmin, ... <= nmax; at least `points` points."""
+    if not (isinstance(p["nmin"], int) and isinstance(p["nmax"], int)
+            and 1 <= p["nmin"] and p["nmin"] << (points - 1) <= p["nmax"]):
+        raise InvalidArgument(f"need integers nmin >= 1, nmax >= {1 << (points - 1)}*nmin")
+    return lebesgue.geometric_grid(p["nmin"], p["nmax"])
+
+
+def _check_kolmogorov_fit(p):
+    if not (_check_grid(p, 2) and isinstance(p["r"], int) and p["r"] >= 1):
+        raise InvalidArgument("need an integer r >= 1")
+
+
+def _check_hyperbolic_fit(p):
+    nmax = lebesgue.HYPERBOLIC_NMAX
+    if not (isinstance(p["alpha"], float) and p["alpha"] >= 1
+            and _check_grid(p, 2)[-1] <= nmax):
+        raise InvalidArgument(f"need alpha >= 1 and grid points n <= {nmax}")
+
+
 def _exp_lebesgue_table(p, seed):
     method = trig.get_method(p["method"])
 
@@ -146,13 +166,8 @@ def _exp_moduli(p, seed):
 
 def _exp_two_sided(p, seed):
     rows = []
-    n = p["nmin"]
-    ns = []
-    while n <= p["nmax"]:
-        ns.append(n)
-        n *= 2
     for name, f in corpus.jackson_corpus(p["m"]):
-        for n in ns:
+        for n in lebesgue.geometric_grid(p["nmin"], p["nmax"]):
             r = smoothness.jackson_two_sided(f, p["r"], n)
             rows.append({"f_id": name, "r": p["r"], "n": n,
                          "approx_error": r["approx_error"],
@@ -336,11 +351,13 @@ REGISTRY = {
     "kolmogorov-fit": Experiment(
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
         "4.1", {"r": 1, "nmin": 64, "nmax": 1024},
-        ["r", "n", "value", "slope", "intercept", "fit_residual"]),
+        ["r", "n", "value", "slope", "intercept", "fit_residual"],
+        check=_check_kolmogorov_fit),
     "hyperbolic-fit": Experiment(
         _exp_hyperbolic_fit, "hyperbolic-cross kernel norm exponent",
         "4.4a", {"alpha": 1.0, "nmin": 256, "nmax": 4096},
-        ["alpha", "n", "value", "slope", "fit_residual"]),
+        ["alpha", "n", "value", "slope", "fit_residual"],
+        check=_check_hyperbolic_fit),
     "duality-fuzz": Experiment(
         _exp_duality_fuzz, "exhaustive check of both pairing identities",
         "1.13", {"maxlen": 6},
@@ -352,7 +369,8 @@ REGISTRY = {
     "two-sided-report": Experiment(
         _exp_two_sided, "approximation error against the modulus, per corpus",
         "5.1, 5.2b", {"r": 1, "nmin": 16, "nmax": 256, "m": 2048},
-        ["f_id", "r", "n", "approx_error", "modulus", "ratio"]),
+        ["f_id", "r", "n", "approx_error", "modulus", "ratio"],
+        check=_check_grid),
     "posdef-report": Experiment(
         _exp_posdef_report, "positive-definiteness evidence per profile",
         "7.1, 7.4, 7.6", {"trials": 1000},

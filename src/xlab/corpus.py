@@ -7,9 +7,7 @@ not reorder or silently change entries.
 
 import numpy as np
 
-from .trig import SampledFunction
-
-_TWO_PI = 2.0 * np.pi
+from .trig import TWO_PI, SampledFunction
 
 
 def _lacunary(x, levels=7):
@@ -41,7 +39,7 @@ _PERIODIC = {
     "sharp_smooth": lambda x: np.arctan(8 * np.sin(x)),
     "beat": lambda x: np.sin(x) * np.cos(7 * x),
     "cusp_pair": lambda x: np.abs(np.sin(x)) + 0.5 * np.abs(np.sin(3 * x)),
-    "shifted_triangle": lambda x: np.abs(np.mod(x + 1.0 + np.pi, _TWO_PI) - np.pi),
+    "shifted_triangle": lambda x: np.abs(np.mod(x + 1.0 + np.pi, TWO_PI) - np.pi),
     "flat_top": lambda x: np.minimum(1.0, 2 * np.abs(np.sin(x))),
     "slow_sine": lambda x: np.sin(x / 1.0) ** 3,
     "ripple": lambda x: 0.2 * np.sin(17 * x) + np.cos(2 * x),
@@ -105,7 +103,7 @@ _DYADIC = {
     "linear": lambda x: x,
     "tent": lambda x: np.abs(x - 0.5),
     "quadratic": lambda x: x * (1.0 - x),
-    "sin2pi": lambda x: np.sin(_TWO_PI * x),
+    "sin2pi": lambda x: np.sin(TWO_PI * x),
     "exp": np.exp,
     "takagi": _takagi,
     "step_half": lambda x: (x < 0.5).astype(float),
@@ -113,10 +111,6 @@ _DYADIC = {
     "cos_cusp": lambda x: np.abs(np.cos(np.pi * x)) ** 1.5,
     "sqrt": np.sqrt,
 }
-
-
-def dyadic_ids():
-    return list(_DYADIC)
 
 
 def dyadic_corpus(bits=10):

@@ -13,10 +13,14 @@ is polished by safeguarded Newton on the cell's Taylor polynomial, and |K|
 is integrated piecewise from the antiderivative's Taylor data at the zeros.
 The error bound has three terms: zero mislocation, the Taylor remainder
 (from Bernstein's inequality) and rounding.  The deviation over W^r runs
-the same engine on the tail kernel, a polynomial minus a cosine sum."""
+the same engine on the tail kernel, a polynomial minus a cosine sum.  The 2-D
+norms sum |K| over the quarter torus in one blocked pass, with closed-form
+Dirichlet factors and the coarse estimate read off the even sub-grid."""
 
 from dataclasses import dataclass
+import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -226,6 +230,8 @@ def fit_power_model(ns, values):
 
 
 def geometric_grid(nmin, nmax):
+    if nmin < 1:
+        raise InvalidArgument("need nmin >= 1")
     out = []
     n = nmin
     while n <= nmax:
@@ -284,17 +290,6 @@ def tail_kernel(r, n, t):
     return full - partial
 
 
-def tail_kernel_direct(r, n, t, terms=200000):
-    """Direct accelerated summation of the tail (test oracle): plain sum of
-    `terms` terms followed by one arithmetic-mean (Abel-type) stabilization
-    of the sequence of partial sums."""
-    t = float(t)
-    k = np.arange(n + 1, n + 1 + terms)
-    parts = np.cumsum(np.cos(k * t - r * np.pi / 2) / k ** r)
-    window = parts[-terms // 4:]
-    return float(np.mean(window))
-
-
 def kolmogorov_deviation(r, n, tol=1e-9):
     """sup over the unit W^r class of ||f - S_n f||_inf, via (1/pi) times
     the L1 norm of the conjugate-tail kernel over a period."""
@@ -316,53 +311,71 @@ def kolmogorov_deviation(r, n, tol=1e-9):
 # two-dimensional kernels
 # ---------------------------------------------------------------------------
 
-def _cosine_sum_factor(x, freqs, const):
-    out = np.full(x.size, float(const))
-    if len(freqs):
-        # accumulate in frequency chunks to bound the cos matrix size
-        freqs = np.asarray(freqs, dtype=float)
-        step = max(1, (1 << 22) // x.size)
-        for s in range(0, freqs.size, step):
-            out = out + 2.0 * np.cos(np.outer(x, freqs[s:s + step])).sum(axis=1)
+BLOCK_ENTRIES = 1 << 20         # |K| entries per block of the 2-D pass (8 MB)
+HYPERBOLIC_NMAX = 4096
+
+
+def _factors(h, const, lo, hi):
+    """Rows const + 2 sum_{k=lo}^{hi} cos kx (no sum if hi < lo) on x_i = pi i/h,
+    i = 0..h, by the Dirichlet closed form (sin((hi+1/2)x) - sin((lo-1/2)x))
+    / sin(x/2) = 2 cos((lo+hi)x/2) sin((hi-lo+1)x/2) / sin(x/2), each angle an
+    integer multiple of pi/2h reduced exactly; 2(hi - lo + 1) at x = 0."""
+    const, lo, hi = (np.reshape(v, (-1, 1)) for v in (const, lo, hi))
+    i = np.arange(h + 1)
+    step = np.pi / (2 * h)
+    out = np.cos(step * ((lo + hi) * i % (4 * h)))
+    out *= np.sin(step * ((hi - lo + 1) * i % (4 * h)))
+    out[:, 1:] *= 2.0 / np.sin(step * i[1:])
+    out[:, :1] = 2.0 * (hi - lo + 1)
+    out += const
     return out
 
 
-def _grouped_l1_2d(groups, m1, m2):
-    """(1/4pi^2) int int |sum_g A_g(x1) B_g(x2)| dx by a uniform Riemann sum
-    on an m1 x m2 full-period grid; each factor pair is given as cosine
-    frequency lists (a_freqs, a_const, b_freqs, b_const).
+def _fold_weights(h):
+    """Trapezoidal fold weights on the quarter grid 0..h (column 0) and on
+    its even sub-grid, the quarter grid of half the resolution (column 1)."""
+    w = np.where(np.arange(h + 1) % h, 2.0, 1.0)
+    return np.column_stack((w, np.where(np.arange(h + 1) % 2, 0.0, w)))
 
-    The kernel is even in each variable separately, so only the quarter
-    grid [0, pi] x [0, pi] is evaluated, with trapezoidal fold weights."""
-    h1, h2 = m1 // 2, m2 // 2
-    x1 = np.pi * np.arange(h1 + 1) / h1
-    x2 = np.pi * np.arange(h2 + 1) / h2
-    amat = np.stack([_cosine_sum_factor(x1, g[0], g[1]) for g in groups], axis=1)
-    bmat = np.stack([_cosine_sum_factor(x2, g[2], g[3]) for g in groups], axis=0)
-    w1 = np.full(h1 + 1, 2.0)
-    w1[0] = w1[-1] = 1.0
-    w2 = np.full(h2 + 1, 2.0)
-    w2[0] = w2[-1] = 1.0
-    total = 0.0
-    chunk = max(1, (1 << 25) // (h2 + 1))
-    for start in range(0, h1 + 1, chunk):
-        block = np.abs(amat[start:start + chunk] @ bmat)
-        total += float(w1[start:start + chunk] @ block @ w2)
-    return total / (m1 * m2)
+
+def _grouped_l1_2d(groups, n1, n2, oversample):
+    """(fine, coarse) uniform Riemann sums of (1/4pi^2) int int
+    |sum_g A_g(x1) B_g(x2)| dx on the m1 x m2 full-period grid,
+    m = 2 oversample (n + 1), and on its even sub-grid; a group
+    (lo1, hi1, c1, deg, c2) has the factors A = c1 + 2 sum_{k=lo1}^{hi1} cos k x1,
+    B = c2 + 2 sum_{k=1}^{deg} cos k x2.  K is even in each variable, so one
+    blocked pass over the quarter grid [0, pi]^2 folds |K| with both weights."""
+    if not (isinstance(oversample, numbers.Integral) and oversample > 0
+            and oversample % 2 == 0):
+        raise InvalidArgument("oversample must be a positive even integer")
+    lo1, hi1, c1, deg, c2 = (np.array(v) for v in zip(*groups))
+    h1, h2 = oversample * (n1 + 1), oversample * (n2 + 1)
+    amat, bmat = _factors(h1, c1, lo1, hi1).T, _factors(h2, c2, 1, deg)
+    w1, w2 = _fold_weights(h1), _fold_weights(h2)
+    rows = min(h1 + 1, max(1, BLOCK_ENTRIES // (h2 + 1)))
+    totals = np.zeros(2)
+    for start in range(0, h1 + 1, rows):
+        block = amat[start:start + rows] @ bmat
+        np.abs(block, out=block)
+        totals += np.sum(w1[start:start + rows] * (block @ w2), axis=0)
+    return totals[0] / (4 * h1 * h2), totals[1] / (h1 * h2)
+
+
+def _degree_groups(k1s, degree, c):
+    """One group (lo1, hi1, const1, deg, const2) per run of k1 in k1s of equal
+    x2-degree, a k1 range since the degree is monotone in k1; c = 1 when the
+    index set holds the axes (k = 0), so k1 = 0 enters as const1."""
+    groups = []
+    for deg, run in itertools.groupby(k1s, degree):
+        run = list(run)
+        groups.append((max(run[0], 1), run[-1], c if run[0] == 0 else 0.0, deg, c))
+    return groups
 
 
 def _rhombic_groups(n1, n2):
     """Group the rhombus |k1|/n1 + |k2|/n2 <= 1 by x2-degree."""
-    by_deg = {}
-    for k1 in range(0, n1 + 1):
-        deg = int(math.floor(n2 * (1.0 - k1 / n1) + 1e-12))
-        by_deg.setdefault(deg, []).append(k1)
-    groups = []
-    for deg, k1s in sorted(by_deg.items()):
-        pos = [k for k in k1s if k > 0]
-        const = 1.0 if 0 in k1s else 0.0
-        groups.append((pos, const, list(range(1, deg + 1)), 1.0))
-    return groups
+    return _degree_groups(range(n1 + 1), lambda k1: int(
+        math.floor(n2 * (1.0 - k1 / n1) + 1e-12)), 1.0)
 
 
 def rhombic_lebesgue(n1, n2, tol=1e-3, oversample=8):
@@ -373,30 +386,15 @@ def rhombic_lebesgue(n1, n2, tol=1e-3, oversample=8):
         raise InvalidArgument("need n2 a positive multiple of n1")
     if n1 > 64:
         raise InvalidArgument("cost guard: n1 <= 64")
-    groups = _rhombic_groups(n1, n2)
-    m1 = oversample * 2 * (n1 + 1)
-    m2 = oversample * 2 * (n2 + 1)
-    coarse = _grouped_l1_2d(groups, m1 // 2, m2 // 2)
-    fine = _grouped_l1_2d(groups, m1, m2)
+    fine, coarse = _grouped_l1_2d(_rhombic_groups(n1, n2), n1, n2, oversample)
     return LebesgueSample((n1, n2), fine, abs(fine - coarse))
 
 
 def _hyperbolic_groups(alpha, n):
     """Group {k1 >= 1, k2 >= 1, k1^alpha * k2 <= n} by the k2 degree."""
-    by_deg = {}
-    k1 = 1
-    while k1 ** alpha <= n:
-        deg = int(math.floor(n / k1 ** alpha + 1e-12))
-        if deg >= 1:
-            by_deg.setdefault(deg, []).append(k1)
-        k1 += 1
-    return [(k1s, 0.0, list(range(1, deg + 1)), 0.0)
-            for deg, k1s in sorted(by_deg.items())]
-
-
-def hyperbolic_lattice_size(alpha, n):
-    return 4 * sum(int(math.floor(n / k1 ** alpha + 1e-12))
-                   for k1 in range(1, int(n ** (1.0 / alpha) + 1e-9) + 1))
+    return _degree_groups(
+        itertools.takewhile(lambda k1: k1 ** alpha <= n, itertools.count(1)),
+        lambda k1: int(math.floor(n / k1 ** alpha + 1e-12)), 0.0)
 
 
 def hyperbolic_l1(alpha, n, oversample=None):
@@ -404,23 +402,20 @@ def hyperbolic_l1(alpha, n, oversample=None):
     (both coordinate axes excluded from the index set)."""
     if alpha < 1:
         raise InvalidArgument("need alpha >= 1")
-    if hyperbolic_lattice_size(alpha, n) > 10 ** 6:
+    groups = _hyperbolic_groups(alpha, n)
+    if 4 * sum((g[1] - g[0] + 1) * g[3] for g in groups) > 10 ** 6:
         raise InvalidArgument("cost guard: kernel support exceeds 1e6 points")
     if oversample is None:
         oversample = 4 if n > 1024 else 8
-    groups = _hyperbolic_groups(alpha, n)
-    kmax1 = int(n ** (1.0 / alpha) + 1e-9)
-    m1 = oversample * 2 * (kmax1 + 1)
-    m2 = oversample * 2 * (n + 1)
-    coarse = _grouped_l1_2d(groups, m1 // 2, m2 // 2)
-    fine = _grouped_l1_2d(groups, m1, m2)
+    fine, coarse = _grouped_l1_2d(groups, int(n ** (1.0 / alpha) + 1e-9), n,
+                                  oversample)
     return fine, abs(fine - coarse)
 
 
 def hyperbolic_exponent(alpha, nset):
     """Log-log slope fit of the hyperbolic kernel norms over nset."""
-    if any(n > 4096 for n in nset):
-        raise InvalidArgument("cost guard: n <= 4096")
+    if any(n > HYPERBOLIC_NMAX for n in nset):
+        raise InvalidArgument(f"cost guard: n <= {HYPERBOLIC_NMAX}")
     values = [hyperbolic_l1(alpha, n)[0] for n in nset]
     c, s, resid = fit_power_model(nset, values)
     return AsymptoticFit("c*n^s", (c, s), resid), list(nset), values

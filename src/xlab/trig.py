@@ -210,7 +210,7 @@ class SummabilityMethod:
         return w
 
 
-def _cesaro_coeffs(alpha, n):
+def cesaro_numbers(alpha, n):
     """A_j^alpha = binom(j+alpha, j) for j = 0..n, by the stable recursion."""
     a = np.empty(n + 1)
     a[0] = 1.0
@@ -231,7 +231,7 @@ def fejer():
 
 def cesaro(alpha):
     def w(n, k):
-        a = _cesaro_coeffs(alpha, n)
+        a = cesaro_numbers(alpha, n)
         idx = n - np.abs(k)
         out = np.zeros(len(k))
         inside = idx >= 0

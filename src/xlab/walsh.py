@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
+from .trig import cesaro_numbers
 
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int8)
 
@@ -110,18 +111,10 @@ def partial_sum(coeffs, n, bits):
     return ifwt(c, bits).values
 
 
-def _cesaro_numbers(alpha, n):
-    a = np.empty(n + 1)
-    a[0] = 1.0
-    for j in range(1, n + 1):
-        a[j] = a[j - 1] * (j + alpha) / j
-    return a
-
-
 def cesaro_multipliers(n, alpha):
     """(C,alpha) multipliers lambda_k = A^alpha_{n-1-k} / A^alpha_n applied
     to c_k, k < n; alpha = 1 is the arithmetic mean of S_0..S_n."""
-    a = _cesaro_numbers(alpha, n)
+    a = cesaro_numbers(alpha, n)
     lam = np.zeros(n + 1)
     lam[:n] = a[n - 1 :: -1] / a[n]
     return lam[:n]

@@ -51,6 +51,23 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("bad", [
+        ["hyperbolic-fit", "nmin=0"],
+        ["kolmogorov-fit", "nmin=0"],
+        ["kolmogorov-fit", "nmin=-1", "nmax=8"],
+        ["two-sided-report", "nmin=0"],
+        ["hyperbolic-fit", "nmin=16", "nmax=8"],
+        ["kolmogorov-fit", "nmin=8", "nmax=8"],
+        ["hyperbolic-fit", "alpha=0.5"],
+        ["hyperbolic-fit", "nmax=8192"],
+        ["kolmogorov-fit", "r=0"],
+    ])
+    def test_bad_fit_params(self, bad, capsys):
+        assert run_main(bad) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_numeric_failure_exit(self, tmp_path):
         out = tmp_path / "t.csv"
         code = run_main(["lebesgue-table", "method=dirichlet", "nmin=1",

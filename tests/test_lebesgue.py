@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,17 @@ from xlab import trig
 from xlab.errors import InvalidArgument
 
 UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def tail_kernel_direct(r, n, t, terms=200000):
+    """Direct accelerated summation of the tail (test oracle): plain sum of
+    `terms` terms followed by one arithmetic-mean (Abel-type) stabilization
+    of the sequence of partial sums."""
+    t = float(t)
+    k = np.arange(n + 1, n + 1 + terms)
+    parts = np.cumsum(np.cos(k * t - r * np.pi / 2) / k ** r)
+    window = parts[-terms // 4:]
+    return float(np.mean(window))
 
 
 def fejer_dirichlet(n):
@@ -145,6 +157,12 @@ class TestFits:
         with pytest.raises(InvalidArgument):
             lb.classical_lebesgue_fit(8, 16)
 
+    def test_geometric_grid(self):
+        assert lb.geometric_grid(3, 24) == [3, 6, 12, 24]
+        for nmin in (0, -1):            # doubling from 0 or below never ends
+            with pytest.raises(InvalidArgument):
+                lb.geometric_grid(nmin, 8)
+
 
 class TestKolmogorovDeviation:
     def test_no_terms_closed_form(self):
@@ -154,7 +172,7 @@ class TestKolmogorovDeviation:
     def test_tail_oracle(self):
         for (r, n, t) in ((1, 5, 0.7), (2, 8, 1.1), (3, 3, 2.3)):
             closed = lb.tail_kernel(r, n, np.array([t]))[0]
-            direct = lb.tail_kernel_direct(r, n, t)
+            direct = tail_kernel_direct(r, n, t)
             assert abs(closed - direct) < 1e-6
 
     def test_monotone_in_n(self):
@@ -213,6 +231,85 @@ class TestHyperbolic:
     def test_synthetic_slope(self):
         fit, _, _ = lb.hyperbolic_exponent(2.0, [64, 128])
         assert math.isfinite(fit.params[1])
+
+
+def torus_mean_abs(index_set, m1, m2):
+    """Mean of |sum_{k in index_set} e^{i k.x}| over the full m1 x m2 grid
+    of the torus, term by term (no grouping, folding or closed form)."""
+    x1 = 2 * np.pi * np.arange(m1)[:, None] / m1
+    x2 = 2 * np.pi * np.arange(m2)[None, :] / m2
+    kern = np.zeros((m1, m2))
+    for k1, k2 in index_set:            # symmetric sets: the sines cancel
+        kern += np.cos(k1 * x1 + k2 * x2)
+    return float(np.mean(np.abs(kern)))
+
+
+class TestTwoDimensionalPass:
+    @pytest.mark.parametrize("lo,hi", [(1, 1), (37, 41), (1, 4096)])
+    def test_closed_form_factor_against_cosine_sums(self, lo, hi):
+        # the quarter grid of hyperbolic_l1(1.0, 4096): x_i = pi i/h
+        u, h = UNIT_ROUNDOFF, 4 * 4097
+        row = lb._factors(h, 0.0, lo, hi)[0]
+        # a cos or sin of an angle below 2pi that carries relative error 3u
+        # (pi, the product, the quotient), plus 1 ulp for the function
+        e = (6 * math.pi + 1) * u
+        for i in (0, 1, 2, 3, 1000, h // 3, h // 2, h - 1, h):
+            want = math.fsum(2.0 * math.cos(math.pi * (k * i % (2 * h)) / h)
+                             for k in range(lo, hi + 1))
+            tol = 2 * (hi - lo + 1) * e + u * abs(want)         # the oracle
+            if i:
+                # cos * sin errs by 2e + u, 2/sin(x/2) by 6u relative
+                tol += 2 * (2 * e + u) / math.sin(math.pi * i / (2 * h)) \
+                    + 6 * u * abs(want)
+            assert abs(row[i] - want) <= tol, (i, row[i] - want, tol)
+
+    @pytest.mark.parametrize("groups,n1,n2,oversample", [
+        (lb._hyperbolic_groups(1.0, 64), 64, 64, 8),
+        (lb._hyperbolic_groups(1.0, 64), 64, 64, 4),
+        (lb._hyperbolic_groups(2.0, 128), 11, 128, 8),
+        (lb._rhombic_groups(4, 8), 4, 8, 8),
+        (lb._rhombic_groups(3, 9), 3, 9, 4),
+    ])
+    def test_coarse_estimate_equals_half_grid_sum(self, groups, n1, n2,
+                                                  oversample):
+        fine, coarse = lb._grouped_l1_2d(groups, n1, n2, oversample)
+        half, _ = lb._grouped_l1_2d(groups, n1, n2, oversample // 2)
+        assert fine != coarse
+        assert abs(coarse - half) <= 1e-13 * half
+
+    def test_rhombic_against_dense_torus(self):
+        s = lb.rhombic_lebesgue(2, 4)       # oversample 8: m = 16 (n + 1)
+        ks = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-4, 5)
+              if 2 * abs(k1) + abs(k2) <= 4]
+        fine = torus_mean_abs(ks, 48, 80)
+        coarse = torus_mean_abs(ks, 24, 40)
+        assert abs(s.value - fine) <= 1e-13 * fine
+        assert abs(s.quad_error - abs(fine - coarse)) <= 1e-13 * fine
+
+    def test_hyperbolic_against_dense_torus(self):
+        v, err = lb.hyperbolic_l1(2.0, 32)  # kmax1 = 5, oversample 8
+        ks = [(k1, k2) for k1 in range(-5, 6) for k2 in range(-32, 33)
+              if k1 and k2 and k1 * k1 * abs(k2) <= 32]
+        fine = torus_mean_abs(ks, 96, 528)
+        coarse = torus_mean_abs(ks, 48, 264)
+        assert abs(v - fine) <= 1e-13 * fine
+        assert abs(err - abs(fine - coarse)) <= 1e-13 * fine
+
+    @pytest.mark.parametrize("oversample", [3, 5, 0, -2])
+    def test_oversample_must_be_positive_even(self, oversample):
+        with pytest.raises(InvalidArgument):
+            lb.hyperbolic_l1(1.0, 16, oversample=oversample)
+        with pytest.raises(InvalidArgument):
+            lb.rhombic_lebesgue(2, 4, oversample=oversample)
+
+    def test_peak_memory(self):
+        tracemalloc.start()
+        try:
+            lb.hyperbolic_l1(1.0, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestFourierLagrange:

@@ -122,7 +122,6 @@ def _exp_hyperbolic_fit(p, seed):
 
 def _exp_duality_fuzz(p, seed):
     import itertools
-    rng = np.random.default_rng(seed)
     rows, failures = [], []
     entries = (-2.0, -1.0, 0.0, 1.0, 2.0)
     for length in range(1, p["maxlen"] + 1):
@@ -139,10 +138,6 @@ def _exp_duality_fuzz(p, seed):
             failures.append(f"length {length}: gaps {worst_a:g}, {worst_c:g}")
         rows.append({"length": length, "count": count,
                      "max_gap_astar": worst_a, "max_gap_cesaro": worst_c})
-    # spot-check the randomized lower-bound sweep on a few sequences
-    for _ in range(10):
-        beta = rng.integers(-2, 3, size=p["maxlen"]).astype(float)
-        seqspaces.duality_identity_astar(beta, rng=rng, samples=50)
     return rows, failures
 
 
@@ -313,23 +308,15 @@ def _exp_indicator_zeros(p, seed):
 
 
 def _exp_comparison_ratio(p, seed):
-    a = trig.get_method(p["a"])
-    b = trig.get_method(p["b"])
-    rows = []
-    worst = 0.0
-    for name, f in corpus.comparison_corpus(p["m"]):
-        c = trig.compute_coefficients(f, p["m"] // 2 - 1)
-        for n in range(1, p["nmax"] + 1):
-            ea = trig.approximation_error(a, n, c, p["m"])
-            eb = trig.approximation_error(b, n, c, p["m"])
-            ratio = 1.0 if ea == eb == 0.0 else (
-                math.inf if eb == 0.0 else ea / eb)
-            worst = max(worst, ratio, 1.0 / ratio if ratio > 0 else math.inf)
-            if n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-                rows.append({"f_id": name, "n": n, "err_a": ea, "err_b": eb,
-                             "ratio": ratio})
-    for row in rows:
-        row["band_constant"] = worst
+    names, fset = zip(*corpus.comparison_corpus(p["m"]))
+    band, table = trig.comparison_ratio(trig.get_method(p["a"]),
+                                        trig.get_method(p["b"]),
+                                        fset, p["nmax"], p["m"])
+    rows = [{"f_id": name, "n": n, "err_a": float(errs[n - 1, 0]),
+             "err_b": float(errs[n - 1, 1]), "ratio": float(errs[n - 1, 2]),
+             "band_constant": band}
+            for name, errs in zip(names, table)
+            for n in (1, 2, 4, 8, 16, 32, 64, 128, 256) if n <= p["nmax"]]
     return rows, []
 
 

@@ -9,8 +9,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from .errors import ConvergenceFailure, InvalidArgument, NotFound
-
-TWO_PI = 2.0 * np.pi
+from .trig import TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +326,16 @@ def indicator_ft(body, u):
     return complex(total / (1j * nu ** 2))
 
 
+def _bracketed_root(f, ts, vals, which=0):
+    """The which-th sign change of the scan vals = f(ts), refined by Brent's
+    method; None if the scan has no such sign change."""
+    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
+    if len(idx) <= which:
+        return None
+    i = idx[which]
+    return optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
+
+
 def zero_curve(body, p, phi, scan_points=96):
     """p-th positive zero r_p(phi) of t -> indicator_ft(body, t e(phi)).
 
@@ -348,12 +357,10 @@ def zero_curve(body, p, phi, scan_points=96):
     lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
     ts = np.linspace(lo, hi, scan_points)
     vals = np.array([f(t) for t in ts])
-    sign = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    if len(sign) == 0:
+    root = _bracketed_root(f, ts, vals)
+    if root is None:
         raise NotFound(f"no sign change in ({lo:g}, {hi:g}) for p={p}",
                        trace=list(zip(ts.tolist(), vals.tolist())))
-    i = sign[0]
-    root = optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
     if not lo < root < hi:
         raise NotFound("root escaped the bracket", trace=[(root, f(root))])
     return float(root)
@@ -371,8 +378,8 @@ def _mcmahon(nu, p):
 
 
 def bessel_zero(nu, p):
-    """p-th positive zero of J_nu: McMahon start refined by Newton, with a
-    bracketing scan as the safeguard; residual certified <= 1e-10."""
+    """p-th positive zero of J_nu: the p-th sign change of a scan sized by
+    McMahon's expansion, refined by Brent; residual certified <= 1e-10."""
     if not 0 <= nu <= 5:
         raise InvalidArgument("order restricted to [0, 5]")
     if not 1 <= p <= 20:
@@ -380,31 +387,12 @@ def bessel_zero(nu, p):
     # all positive zeros exceed nu; scan brackets so the p-th is identified
     upper = _mcmahon(nu, p + 2) + 2.0
     ts = np.arange(max(nu, 1e-3), upper, np.pi / 16)
-    vals = special.jv(nu, ts)
-    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    if len(idx) < p:
+    z = _bracketed_root(lambda t: special.jv(nu, t), ts, special.jv(nu, ts),
+                        which=p - 1)
+    if z is None:
         raise ConvergenceFailure("bracketing scan found too few zeros")
-    lo, hi = ts[idx[p - 1]], ts[idx[p - 1] + 1]
-    z = _mcmahon(nu, p)
-    if not lo < z < hi:
-        z = 0.5 * (lo + hi)
-    for _ in range(60):
-        fz = special.jv(nu, z)
-        dfz = 0.5 * (special.jv(nu - 1, z) - special.jv(nu + 1, z))
-        step = fz / dfz
-        zn = z - step
-        if not lo < zn < hi:
-            zn = 0.5 * (lo + hi)
-        if special.jv(nu, zn) * special.jv(nu, lo) > 0:
-            lo = zn
-        else:
-            hi = zn
-        if abs(zn - z) < 1e-15 * z:
-            z = zn
-            break
-        z = zn
     if abs(special.jv(nu, z)) > 1e-10:
-        raise ConvergenceFailure("Newton residual above 1e-10", best_estimate=z)
+        raise ConvergenceFailure("residual above 1e-10", best_estimate=z)
     return float(z)
 
 

@@ -286,7 +286,7 @@ def tail_kernel(r, n, t):
     if n == 0:
         return full
     k = np.arange(1, n + 1)
-    partial = np.cos(np.outer(t, k) - r * np.pi / 2) @ (1.0 / k ** r)
+    partial = np.cos(np.outer(t, k) - r * np.pi / 2) @ (1.0 / k ** float(r))
     return full - partial
 
 
@@ -298,7 +298,7 @@ def kolmogorov_deviation(r, n, tol=1e-9):
     # on (0, 2pi) the tail kernel is poly(t) - sum_{k<=n} cos(kt - r pi/2)/k^r;
     # in x = t - pi the cosine sum has c_{+-k} = (-1)^k e^{-+i r pi/2} / 2k^r
     k = np.arange(1, n + 1)
-    half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** r)
+    half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** float(r))
     c = np.concatenate((np.conj(half[::-1]), [0.0], half))
     total, err = _piecewise_l1(c, 16, _full_series_poly(r))
     if err / np.pi > tol:
@@ -400,8 +400,8 @@ def _hyperbolic_groups(alpha, n):
 def hyperbolic_l1(alpha, n, oversample=None):
     """(L1/(2pi)^2, error estimate) for the hyperbolic-cross kernel
     (both coordinate axes excluded from the index set)."""
-    if alpha < 1:
-        raise InvalidArgument("need alpha >= 1")
+    if alpha < 1 or n < 1:
+        raise InvalidArgument("need alpha >= 1 and n >= 1")
     groups = _hyperbolic_groups(alpha, n)
     if 4 * sum((g[1] - g[0] + 1) * g[3] for g in groups) > 10 ** 6:
         raise InvalidArgument("cost guard: kernel support exceeds 1e6 points")

@@ -88,27 +88,19 @@ def cesaro_sup(beta):
     return float(avgs[nstar]), nstar
 
 
-def duality_identity_astar(beta, rng=None, samples=200):
+def duality_identity_astar(beta):
     """Both sides of sup_{alpha in tail-sup ball} |sum alpha_k beta_k|.
 
     The right-hand side is the best Cesaro average of |beta|; the flat
     extremal alpha_k = sign(beta_k)/(n*+1), k <= n*, attains it with
-    tail-sup sum exactly one.  A randomized sweep of the unit ball is
-    thrown in as a sanity check; it can never exceed the extremal value.
+    tail-sup sum exactly one.
     """
     b = _arr(beta)
     rhs, nstar = cesaro_sup(b)
     alpha = np.zeros_like(b)
     if rhs > 0:
         alpha[: nstar + 1] = np.sign(b[: nstar + 1]) / (nstar + 1)
-    attained = float(abs(np.dot(alpha, b)))
-    lhs = attained
-    if rng is not None:
-        for _ in range(samples):
-            cand = rng.standard_normal(b.size)
-            s = _astar_sum(cand)
-            if s > 0:
-                lhs = max(lhs, float(abs(np.dot(cand / s, b))))
+    lhs = float(abs(np.dot(alpha, b)))
     return {"lhs": lhs, "rhs": rhs, "extremal_alpha": alpha}
 
 
@@ -134,28 +126,15 @@ def _prefix_ball_max(weights):
     return total, b
 
 
-def duality_identity_cesaro(alpha, rng=None, samples=200):
+def duality_identity_cesaro(alpha):
     """Both sides of sup_{beta in Cesaro ball} |sum alpha_k beta_k|.
 
     rhs is the sum of tail sups of |alpha|; lhs is the exact linear-program
-    maximum over the Cesaro unit ball (vertices include the single spike
-    (n+1)e_n and the all-ones prefix patterns), plus a randomized sweep.
+    maximum over the Cesaro unit ball, by the greedy polymatroid allocation.
     """
     a = _arr(alpha)
-    rhs = _astar_sum(a)
-    value, b = _prefix_ball_max(np.abs(a))
-    lhs = float(value)
-    # spike candidates (n+1) e_n, and sign-matched prefix of ones
-    for n in range(a.size):
-        lhs = max(lhs, (n + 1) * abs(a[n]))
-    lhs = max(lhs, float(np.sum(np.abs(a))))
-    if rng is not None:
-        for _ in range(samples):
-            cand = rng.standard_normal(a.size)
-            sup, _ = cesaro_sup(cand) if np.any(cand) else (0.0, 0)
-            if sup > 0:
-                lhs = max(lhs, float(abs(np.dot(cand / sup, a))))
-    return {"lhs": lhs, "rhs": rhs}
+    value, _ = _prefix_ball_max(np.abs(a))
+    return {"lhs": float(value), "rhs": _astar_sum(a)}
 
 
 def empirical_pairing_constants(p, samples, seed=0, maxlen=64):

@@ -9,8 +9,7 @@ Conventions used throughout the package:
   discretely as c_k = (1/M) sum_j f(x_j) e^{-ik x_j} (exact for
   trigonometric polynomials of degree < M/2),
 * a summability method is a rule k -> lambda_{n,k} multiplying the
-  coefficients; either an explicit triangular matrix or a generator
-  profile evaluated at k/n.
+  coefficients, zero beyond a band proportional to n.
 """
 
 from dataclasses import dataclass
@@ -159,26 +158,18 @@ def grid_norm(f, norm=GridNorm(math.inf)):
 # summability methods
 # ---------------------------------------------------------------------------
 
-MATRIX = "matrix"
-GENERATOR = "generator"
-
-
 @dataclass(frozen=True)
 class SummabilityMethod:
-    """A multiplier rule lambda_{n,k}.
+    """A multiplier rule lambda_{n,k}, zero for |k| > band(n).
 
-    kind      : MATRIX (explicit rule, zero for |k|>support*n) or GENERATOR
-                (profile phi evaluated at k/n, phi(0)=1 for regular methods).
-    weight_fn : for MATRIX, callable (n, |k| array) -> weights.
-    profile   : for GENERATOR, callable on |x| >= 0, zero beyond `support`.
-    support   : band of the method in units of n (1.0 for classical means,
-                2.0 for de la Vallee Poussin, inf for Abel-Poisson).
+    rule    : callable (n, integer array k) -> weights, lambda_{n,0} = 1
+              for regular methods.
+    support : band of the method in units of n (1.0 for classical means,
+              2.0 for de la Vallee Poussin, inf for Abel-Poisson).
     """
 
     name: str
-    kind: str
-    weight_fn: object = None
-    profile: object = None
+    rule: object
     support: float = 1.0
 
     def band(self, n):
@@ -187,7 +178,7 @@ class SummabilityMethod:
             return 0
         if math.isinf(self.support):
             # geometric decay cutoff for Abel-Poisson type rules
-            r = float(np.abs(self.weight_fn(n, np.array([1.0]))[0]))
+            r = float(np.abs(self.rule(n, np.array([1]))[0]))
             if r <= 0.0:
                 return 0
             return max(1, int(math.ceil(math.log(1e-17) / math.log(r))))
@@ -198,15 +189,10 @@ class SummabilityMethod:
         if kmax is None:
             kmax = self.band(n)
         k = np.arange(-kmax, kmax + 1)
-        absk = np.abs(k).astype(float)
         if n == 0:
-            w = np.where(absk == 0, 1.0, 0.0).astype(complex)
-        elif self.kind == GENERATOR:
-            w = np.asarray(self.profile(absk / n), dtype=complex)
-            w[absk > self.support * n] = 0.0
-        else:
-            w = np.asarray(self.weight_fn(n, k), dtype=complex)
-            w[absk > self.band(n)] = 0.0
+            return np.where(k == 0, 1.0, 0.0).astype(complex)
+        w = np.asarray(self.rule(n, k), dtype=complex)
+        w[np.abs(k) > self.band(n)] = 0.0
         return w
 
 
@@ -220,13 +206,12 @@ def cesaro_numbers(alpha, n):
 
 
 def dirichlet():
-    return SummabilityMethod("dirichlet", MATRIX,
-                             weight_fn=lambda n, k: np.ones_like(k, dtype=float))
+    return SummabilityMethod("dirichlet",
+                             lambda n, k: np.ones_like(k, dtype=float))
 
 
 def fejer():
-    return SummabilityMethod("fejer", MATRIX,
-                             weight_fn=lambda n, k: 1.0 - np.abs(k) / (n + 1.0))
+    return SummabilityMethod("fejer", lambda n, k: 1.0 - np.abs(k) / (n + 1.0))
 
 
 def cesaro(alpha):
@@ -238,7 +223,7 @@ def cesaro(alpha):
         out[inside] = a[idx[inside]] / a[n]
         return out
 
-    return SummabilityMethod(f"cesaro({alpha:g})", MATRIX, weight_fn=w)
+    return SummabilityMethod(f"cesaro({alpha:g})", w)
 
 
 def abel_poisson(r=None):
@@ -252,53 +237,46 @@ def abel_poisson(r=None):
             rn = 1.0 - 1.0 / max(n, 1)
             return rn ** np.abs(k).astype(float)
 
-        return SummabilityMethod("abel-poisson", MATRIX, weight_fn=w,
-                                 support=math.inf)
+        return SummabilityMethod("abel-poisson", w, support=math.inf)
     if not 0 <= r < 1:
         raise InvalidArgument("Abel-Poisson radius must lie in [0,1)")
 
     def w(n, k):
         return float(r) ** np.abs(k).astype(float)
 
-    return SummabilityMethod(f"abel-poisson({r:g})", MATRIX, weight_fn=w,
-                             support=math.inf)
+    return SummabilityMethod(f"abel-poisson({r:g})", w, support=math.inf)
 
 
 def riesz(alpha, delta):
-    def phi(x):
-        return np.clip(1.0 - np.abs(x) ** alpha, 0.0, None) ** delta
+    def w(n, k):
+        return np.clip(1.0 - (np.abs(k) / n) ** alpha, 0.0, None) ** delta
 
-    return SummabilityMethod(f"riesz({alpha:g},{delta:g})", GENERATOR, profile=phi)
+    return SummabilityMethod(f"riesz({alpha:g},{delta:g})", w)
 
 
 def bochner_riesz(delta):
-    m = riesz(2.0, delta)
-    return SummabilityMethod(f"bochner-riesz({delta:g})", GENERATOR,
-                             profile=m.profile)
+    return SummabilityMethod(f"bochner-riesz({delta:g})",
+                             riesz(2.0, delta).rule)
 
 
 def rogosinski():
     # 0.5*(S_n(.+pi/2n) + S_n(.-pi/2n)) as the multiplier cos(k pi / 2n)
     return SummabilityMethod(
-        "rogosinski", MATRIX,
-        weight_fn=lambda n, k: np.cos(np.abs(k) * np.pi / (2.0 * n)))
+        "rogosinski", lambda n, k: np.cos(np.abs(k) * np.pi / (2.0 * n)))
 
 
 def bernstein():
     # 0.5*(S_n(.) + S_n(.+pi/n)): complex but Hermitian multipliers, so the
     # kernel is real (the Rogosinski kernel shifted by pi/2n)
     return SummabilityMethod(
-        "bernstein", MATRIX,
-        weight_fn=lambda n, k: 0.5 * (1.0 + np.exp(1j * k * np.pi / n)))
+        "bernstein", lambda n, k: 0.5 * (1.0 + np.exp(1j * k * np.pi / n)))
 
 
 def vallee_poussin():
-    def phi(x):
-        ax = np.abs(x)
-        return np.clip(np.minimum(1.0, 2.0 - ax), 0.0, 1.0)
+    def w(n, k):
+        return np.clip(np.minimum(1.0, 2.0 - np.abs(k) / n), 0.0, 1.0)
 
-    return SummabilityMethod("vallee-poussin", GENERATOR, profile=phi,
-                             support=2.0)
+    return SummabilityMethod("vallee-poussin", w, support=2.0)
 
 
 def method_catalog():
@@ -387,18 +365,19 @@ def approximation_error(method, n, c, m, p=math.inf):
 
 
 def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
-    """Worst ratio of approximation errors of two regular methods.
+    """Two-sided band constant of two regular methods, and its table.
 
-    max over f in fset, 1 <= n <= nmax of ||f - A_n f|| / ||f - B_n f||,
-    with 0/0 counted as 1 and x/0 as +inf.
+    table[i, n-1] = (||f_i - A_n f_i||, ||f_i - B_n f_i||, ratio) for
+    1 <= n <= nmax, the ratio with 0/0 counted as 1 and x/0 as +inf; the
+    band is the max of max(ratio, 1/ratio) over the table (0 if empty).
     """
     for method in (method_a, method_b):
         lam0 = method.weights(1, kmax=0)[0]
         if abs(lam0 - 1.0) > 1e-12:
             raise InvalidArgument(f"{method.name} is not regular "
                                   "(weight at k=0 differs from 1)")
-    worst = 0.0
-    for f in fset:
+    table = np.empty((len(fset), max(nmax, 0), 3))
+    for i, f in enumerate(fset):
         c = compute_coefficients(f, m // 2 - 1)
         for n in range(1, nmax + 1):
             ea = approximation_error(method_a, n, c, m)
@@ -407,5 +386,8 @@ def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
                 ratio = 1.0 if ea == 0.0 else math.inf
             else:
                 ratio = ea / eb
-            worst = max(worst, ratio)
-    return worst
+            table[i, n - 1] = ea, eb, ratio
+    with np.errstate(divide="ignore"):
+        ratios = table[..., 2]
+        band = np.max(np.maximum(ratios, 1.0 / ratios), initial=0.0)
+    return float(band), table

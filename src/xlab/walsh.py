@@ -198,21 +198,19 @@ def dyadic_shift_modulus(f, n):
     return best
 
 
-def averaged_block_modulus(f, n, k_cap=60):
+def averaged_block_modulus(f, n):
     """Omega_n: sup over k >= n of (1/2^(k+1)) sum_{nu=0}^k 2^(nu-1) times
     ||f - f(. (+) 2^-(n+1))||_inf.
 
-    The weight sum telescopes to (2^(k+1)-1)/2^(k+2), increasing in k, so
-    the sup is evaluated at the cap (one ulp below the limit 1/2)."""
+    The weight sum telescopes to (2^(k+1)-1)/2^(k+2), increasing in k to
+    the limit 1/2, so the sup is half the shift norm."""
     b = f.bits
     if not 0 <= n < b:
         raise InvalidArgument("need 0 <= n < bits")
     shift = 1 << (b - n - 1)
     j = np.arange(1 << b)
     delta = float(np.max(np.abs(f.values - f.values[j ^ shift])))
-    weight = max((2.0 ** (k + 1) - 1.0) / 2.0 ** (k + 2)
-                 for k in range(n, k_cap))
-    return weight * delta
+    return 0.5 * delta
 
 
 def walsh_moduli(f, n):

@@ -263,18 +263,9 @@ def test_criterion_12_indicator_zeros():
 
 
 def test_criterion_13_method_equivalence():
-    fejer = trig.fejer()
-    ap = trig.abel_poisson()
-    worst = 0.0
-    for name, f in corpus.comparison_corpus(1024):
-        c = trig.compute_coefficients(f, 511)
-        for n in range(1, 257):
-            ea = trig.approximation_error(fejer, n, c, 1024)
-            eb = trig.approximation_error(ap, n, c, 1024)
-            if ea == eb == 0.0:
-                continue
-            ratio = math.inf if eb == 0 else ea / eb
-            worst = max(worst, ratio, 1.0 / ratio if ratio > 0 else math.inf)
+    fset = [f for _, f in corpus.comparison_corpus(1024)]
+    worst, _ = trig.comparison_ratio(trig.fejer(), trig.abel_poisson(), fset,
+                                     256, m=1024)
     ok = worst <= 10.0
     _report(13, ok, f"recorded band constant C={worst:.3f} <= 10 over the "
             f"corpus, n <= 256")

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -184,3 +186,45 @@ class TestExperimentOutputs:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) >= 14
+
+
+# sha256 of the CSV text below the timestamp line, one small run per
+# experiment (euler-maclaurin-check is left out: it takes seconds even at
+# rmax=0); a refactor that should not move any number must keep these
+GOLDEN_ROWS = [
+    ("lebesgue-table", ["method=bernstein", "nmax=24"],
+     "e9df77b200e683ca3d00764cf9c104b907020192a2f52b446de7d20720a0b869"),
+    ("kolmogorov-fit", ["r=2", "nmin=16", "nmax=128"],
+     "2ba2a43ed47ff76b4f9c897621e8740713e84a287ed7ff54dec9492bc4dbc72b"),
+    ("hyperbolic-fit", ["nmin=16", "nmax=64"],
+     "3681d887abfbd028d843edc53f972a9f26b36141a0116a8c13c342756137bfc8"),
+    ("duality-fuzz", ["maxlen=4"],
+     "d5b1fa861f4cce4587fa78915b38888de20e64996affde6f81c28a347f0b0e76"),
+    ("moduli", ["m=256"],
+     "5e0b6218acb16ad6115b0698a30cc4f9059f2aa80c2b83d275efb5e0bdc3d806"),
+    ("two-sided-report", ["nmin=16", "nmax=64", "m=512"],
+     "1db5e62c113791038f19a0f2d4d074e9c56334eeb5116bd0e4390abc0a83505a"),
+    ("posdef-report", ["trials=100"],
+     "a3441256b2ff969ca33f5ac19d04b54b6b0580a3ae8a47d640e77bca3c5c051f"),
+    ("aspline", ["n=2"],
+     "f201dd9ae856ea04054ec98ae52f5c4601b5338232da359a1fd091c91442c272"),
+    ("schoenberg", ["trials=200"],
+     "4ac100e6e12a0455e923bf994944f1c03d313a5aa876140b7c52fff8b87e9765"),
+    ("walsh-regularity", ["nmax=64"],
+     "ed2581c1648a31e564c7b053f0163e03e37ee47b02ca645beb02185481f10371"),
+    ("walsh-moduli", ["bits=6"],
+     "02423c902eff997a203b8f678faa5dbd1660b6721759d63363cff1a1269d2069"),
+    ("indicator-zeros", ["body=ellipse", "phis=8"],
+     "fa386cb2ed0253dc16b68f8fd6d47d031e37815c3afc30cbd21a35e9c4cc123d"),
+    ("comparison-ratio", ["a=rogosinski", "nmax=16", "m=128"],
+     "dd00bf82438c3e9b95fe1a66bfadd943601894096e5bcb4216d0862c76056248"),
+]
+
+
+@pytest.mark.parametrize("experiment,tokens,digest", GOLDEN_ROWS,
+                         ids=[case[0] for case in GOLDEN_ROWS])
+def test_golden_row_digest(experiment, tokens, digest):
+    buf = io.StringIO()
+    cli.write_csv(cli.run(cli.build_config(experiment, tokens)), buf)
+    rows = buf.getvalue().split("\n", 1)[1]
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest

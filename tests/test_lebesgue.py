@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from xlab import lebesgue as lb
 from xlab import trig
-from xlab.errors import InvalidArgument
+from xlab.errors import ConvergenceFailure, InvalidArgument
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -188,6 +188,12 @@ class TestKolmogorovDeviation:
             v = lb.kolmogorov_deviation(1, n) * n / math.log(n)
             assert 0.3 <= v <= 0.65
 
+    def test_large_power_fails_on_tolerance(self):
+        # 1024^7 >= 2^63: the coefficients must not wrap around in int64;
+        # the honest error bound then exceeds the default tolerance
+        with pytest.raises(ConvergenceFailure):
+            lb.kolmogorov_deviation(7, 1024)
+
 
 class TestRhombic:
     def test_tiny_case(self):
@@ -227,6 +233,11 @@ class TestHyperbolic:
     def test_lattice_guard(self):
         with pytest.raises(InvalidArgument):
             lb.hyperbolic_exponent(1.0, [8192])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_index_set_rejected(self, n):
+        with pytest.raises(InvalidArgument):
+            lb.hyperbolic_l1(1.0, n)
 
     def test_synthetic_slope(self):
         fit, _, _ = lb.hyperbolic_exponent(2.0, [64, 128])

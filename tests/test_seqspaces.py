@@ -103,8 +103,12 @@ class TestDualityAstar:
     def test_randomized_never_exceeds(self):
         rng = np.random.default_rng(4)
         beta = np.array([1.0, -2.0, 0.0, 2.0])
-        r = sq.duality_identity_astar(beta, rng=rng, samples=500)
-        assert r["lhs"] <= r["rhs"] + 1e-12
+        r = sq.duality_identity_astar(beta)
+        lhs = r["lhs"]
+        for _ in range(500):
+            cand = rng.standard_normal(beta.size)
+            lhs = max(lhs, float(abs(np.dot(cand / sq._astar_sum(cand), beta))))
+        assert lhs <= r["rhs"] + 1e-12
 
 
 class TestDualityCesaro:
@@ -126,6 +130,20 @@ class TestDualityCesaro:
                 a = np.array(tup, dtype=float)
                 r = sq.duality_identity_cesaro(a)
                 assert abs(r["lhs"] - r["rhs"]) <= 1e-9, tup
+
+    def test_ball_points_never_exceed(self):
+        # spikes (n+1) e_n, the sign-matched prefix of ones and random
+        # points of the Cesaro unit ball stay below the greedy maximum
+        rng = np.random.default_rng(8)
+        for alpha in (np.array([1.0, -2.0, 0.0, 2.0]), rng.standard_normal(7)):
+            lhs = sq.duality_identity_cesaro(alpha)["lhs"]
+            points = [(n + 1) * np.eye(alpha.size)[n] for n in range(alpha.size)]
+            points.append(np.sign(alpha))
+            for _ in range(500):
+                cand = rng.standard_normal(alpha.size)
+                points.append(cand / sq.cesaro_sup(cand)[0])
+            for beta in points:
+                assert abs(np.dot(beta, alpha)) <= lhs * (1 + 1e-12)
 
     def test_against_linear_program(self):
         # the greedy allocation must match the LP optimum over the

@@ -146,21 +146,21 @@ class TestCatalog:
 class TestComparison:
     def test_same_method_is_one(self):
         fs = [sampled(np.sin, 128), sampled(lambda x: np.abs(np.sin(x)), 128)]
-        r = trig.comparison_ratio(trig.fejer(), trig.fejer(), fs, 8, m=128)
+        r, _ = trig.comparison_ratio(trig.fejer(), trig.fejer(), fs, 8, m=128)
         assert abs(r - 1.0) < 1e-12
 
     def test_fejer_vs_abel_poisson_finite(self):
         fs = [sampled(lambda x: np.abs(np.sin(x)), 256), sampled(np.sin, 256)]
-        r = trig.comparison_ratio(trig.fejer(), trig.abel_poisson(), fs, 32,
-                                  m=256)
+        r, _ = trig.comparison_ratio(trig.fejer(), trig.abel_poisson(), fs, 32,
+                                     m=256)
         assert math.isfinite(r)
 
     def test_dirichlet_vs_fejer_grows(self):
         # slowly decaying coefficients: partial sums beat the average by
         # a factor growing with n
         f = sampled(lambda x: np.abs(x) ** 1.5, 512)
-        lo = trig.comparison_ratio(trig.fejer(), trig.dirichlet(), [f], 4, m=512)
-        hi = trig.comparison_ratio(trig.fejer(), trig.dirichlet(), [f], 64, m=512)
+        lo, _ = trig.comparison_ratio(trig.fejer(), trig.dirichlet(), [f], 4, m=512)
+        hi, _ = trig.comparison_ratio(trig.fejer(), trig.dirichlet(), [f], 64, m=512)
         assert hi > lo
 
 
@@ -186,8 +186,7 @@ class TestEdgeCases:
 
     def test_nonregular_comparison_rejected(self):
         halved = trig.SummabilityMethod(
-            "halved", trig.MATRIX,
-            weight_fn=lambda n, k: np.full(len(k), 0.5))
+            "halved", lambda n, k: np.full(len(k), 0.5))
         f = sampled(np.sin, 64)
         with pytest.raises(InvalidArgument):
             trig.comparison_ratio(halved, trig.fejer(), [f], 4, m=64)

@@ -4,12 +4,14 @@ Usage:  xlab <experiment-id> key=value ... [--out PATH] [--format csv|json]
         [--seed K] [--config FILE]
 
 Parameters are plain key=value tokens; a config file may supply defaults
-(one `key = value` per line, '#' comments).  Reruns with identical config
-and seed produce byte-identical output up to the timestamp header line.
-The worker pool size is capped by the XLAB_THREADS environment variable.
+(one `key = value` per line, '#' comments); each token goes through the
+parser its experiment declares for the key before any work starts.  Reruns
+with identical config and seed produce byte-identical output up to the
+timestamp header line; XLAB_THREADS caps the worker pool size.
 """
 
 import argparse
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -56,34 +58,6 @@ def _map(fn, items):
 # experiment implementations: params dict + seed -> (rows, failures)
 # ---------------------------------------------------------------------------
 
-def _check_lebesgue_table(p):
-    trig.get_method(p["method"])
-    if not (isinstance(p["nmin"], int) and isinstance(p["nmax"], int)
-            and 0 <= p["nmin"] <= p["nmax"]
-            and isinstance(p["tol"], float) and p["tol"] > 0):
-        raise InvalidArgument("need integers 0 <= nmin <= nmax and tol > 0")
-
-
-def _check_grid(p, points=1):
-    """The grid nmin, 2nmin, ... <= nmax; at least `points` points."""
-    if not (isinstance(p["nmin"], int) and isinstance(p["nmax"], int)
-            and 1 <= p["nmin"] and p["nmin"] << (points - 1) <= p["nmax"]):
-        raise InvalidArgument(f"need integers nmin >= 1, nmax >= {1 << (points - 1)}*nmin")
-    return lebesgue.geometric_grid(p["nmin"], p["nmax"])
-
-
-def _check_kolmogorov_fit(p):
-    if not (_check_grid(p, 2) and isinstance(p["r"], int) and p["r"] >= 1):
-        raise InvalidArgument("need an integer r >= 1")
-
-
-def _check_hyperbolic_fit(p):
-    nmax = lebesgue.HYPERBOLIC_NMAX
-    if not (isinstance(p["alpha"], float) and p["alpha"] >= 1
-            and _check_grid(p, 2)[-1] <= nmax):
-        raise InvalidArgument(f"need alpha >= 1 and grid points n <= {nmax}")
-
-
 def _exp_lebesgue_table(p, seed):
     method = trig.get_method(p["method"])
 
@@ -103,12 +77,18 @@ def _exp_lebesgue_table(p, seed):
 
 def _exp_kolmogorov_fit(p, seed):
     ns = lebesgue.geometric_grid(p["nmin"], p["nmax"])
-    vals = [lebesgue.kolmogorov_deviation(p["r"], n) for n in ns]
+    vals, failures = [], []
+    for n in ns:
+        try:
+            vals.append(lebesgue.kolmogorov_deviation(p["r"], n))
+        except ConvergenceFailure as e:
+            vals.append(e.best_estimate)
+            failures.append(f"n={n}: {e}")
     scaled = [v * n ** p["r"] for v, n in zip(vals, ns)]
     c, d, resid = lebesgue.fit_log_model(ns, scaled)
     rows = [{"r": p["r"], "n": n, "value": v, "slope": c, "intercept": d,
              "fit_residual": resid} for n, v in zip(ns, vals)]
-    return rows, []
+    return rows, failures
 
 
 def _exp_hyperbolic_fit(p, seed):
@@ -142,7 +122,7 @@ def _exp_duality_fuzz(p, seed):
 
 
 def _parse_h_list(spec_str):
-    return [np.pi / int(tok) for tok in str(spec_str).split(";")]
+    return [np.pi / int(tok) for tok in spec_str.split(";")]
 
 
 def _exp_moduli(p, seed):
@@ -220,12 +200,12 @@ def _exp_aspline(p, seed):
 
 
 def _exp_schoenberg(p, seed):
-    pval = math.inf if str(p["p"]) in ("inf", "oo") else float(p["p"])
+    pval = math.inf if p["p"] in ("inf", "oo") else float(p["p"])
     r = posdef_splines.schoenberg_check(p["m"], pval, p["alpha"],
                                         trials=p["trials"], seed=seed)
     witness = "" if r["witness"] is None else ";".join(
         ",".join(format(x, ".6g") for x in pt) for pt in r["witness"])
-    rows = [{"m": p["m"], "p": str(p["p"]), "alpha": p["alpha"],
+    rows = [{"m": p["m"], "p": p["p"], "alpha": p["alpha"],
              "trials": p["trials"], "seed": seed,
              "min_eig": r["min_eig_found"], "witness": witness}]
     return rows, []
@@ -276,16 +256,12 @@ def _exp_euler_maclaurin(p, seed):
 
 
 def _body_from_params(p):
-    kind = p["body"]
-    if kind == "disc":
+    if p["body"] == "disc":
         return ftlab.ConvexBody2D.disc(p["radius"])
-    if kind == "ellipse":
+    if p["body"] == "ellipse":
         return ftlab.ConvexBody2D.ellipse(p["a"], p["b"])
-    if kind == "square":
-        s = p["radius"]
-        return ftlab.ConvexBody2D.polygon(
-            [[-s, -s], [s, -s], [s, s], [-s, s]])
-    raise InvalidArgument(f"unknown body {kind!r}")
+    s = p["radius"]
+    return ftlab.ConvexBody2D.polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
 
 
 def _exp_indicator_zeros(p, seed):
@@ -320,97 +296,134 @@ def _exp_comparison_ratio(p, seed):
     return rows, []
 
 
-class Experiment:
-    def __init__(self, fn, description, claims, defaults, columns, check=None):
-        self.fn = fn
-        self.description = description
-        self.claims = claims
-        self.defaults = defaults
-        self.columns = columns
-        self.check = check      # raises NotFound/InvalidArgument on bad params
+def _number(cast, lo=-math.inf, hi=math.inf, strict=False):
+    """Parser of a finite int or float in [lo, hi], or in (lo, hi] if strict."""
+    def parse(token):
+        try:
+            value = cast(token)
+        except ValueError:
+            raise InvalidArgument(f"not {'an int' if cast is int else 'a float'}")
+        if not (-math.inf < value < math.inf and value <= hi
+                and (lo < value if strict else lo <= value)):
+            raise InvalidArgument(f"not in {'(' if strict else '['}{lo}, {hi}"
+                                  + ("]" if hi < math.inf else ")"))
+        return value
+    return parse
 
+
+def _one_of(valid):
+    """Parser of a name kept as typed: in `valid`, or taken by valid(token)."""
+    def parse(token):
+        if callable(valid):
+            valid(token)
+        elif token not in valid:
+            raise InvalidArgument(f"not one of {', '.join(valid)}")
+        return token
+    return parse
+
+
+def _grid_size(token):
+    m = _number(int, trig.GRID_MIN)(token)
+    if not trig._is_power_of_two(m):
+        raise InvalidArgument("not a power of two")
+    return m
+
+
+_METHOD, _FLOAT = _one_of(trig.get_method), _number(float)
+_COUNT, _INDEX = _number(int, 0), _number(int, 1)
+_POSITIVE = _number(float, 0, strict=True)
+# params: key -> (default, parser); check: (rule on two keys, failure message)
+Experiment = collections.namedtuple(
+    "Experiment", "fn description claims params columns check", defaults=(None,))
 
 REGISTRY = {
     "lebesgue-table": Experiment(
-        _exp_lebesgue_table, "operator norms of a summability mean",
-        "4", {"method": "dirichlet", "nmin": 1, "nmax": 64, "tol": 1e-9},
-        ["method", "n", "value", "quad_error"], check=_check_lebesgue_table),
+        _exp_lebesgue_table, "operator norms of a summability mean", "4",
+        {"method": ("dirichlet", _METHOD), "nmin": (1, _COUNT),
+         "nmax": (64, _COUNT), "tol": (1e-9, _POSITIVE)},
+        ["method", "n", "value", "quad_error"],
+        (lambda p: p["nmin"] <= p["nmax"], "need nmin <= nmax")),
     "kolmogorov-fit": Experiment(
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
-        "4.1", {"r": 1, "nmin": 64, "nmax": 1024},
+        "4.1", {"r": (1, _INDEX), "nmin": (64, _INDEX), "nmax": (1024, _INDEX)},
         ["r", "n", "value", "slope", "intercept", "fit_residual"],
-        check=_check_kolmogorov_fit),
+        (lambda p: 2 * p["nmin"] <= p["nmax"], "need 2*nmin <= nmax")),
     "hyperbolic-fit": Experiment(
-        _exp_hyperbolic_fit, "hyperbolic-cross kernel norm exponent",
-        "4.4a", {"alpha": 1.0, "nmin": 256, "nmax": 4096},
+        _exp_hyperbolic_fit, "hyperbolic-cross kernel norm exponent", "4.4a",
+        {"alpha": (1.0, _number(float, 1)), "nmin": (256, _INDEX), "nmax": (4096, _INDEX)},
         ["alpha", "n", "value", "slope", "fit_residual"],
-        check=_check_hyperbolic_fit),
+        (lambda p: 2 * p["nmin"] <= p["nmax"] and lebesgue.geometric_grid(
+            p["nmin"], p["nmax"])[-1] <= lebesgue.HYPERBOLIC_NMAX,
+         f"need 2*nmin <= nmax and grid points <= {lebesgue.HYPERBOLIC_NMAX}")),
     "duality-fuzz": Experiment(
         _exp_duality_fuzz, "exhaustive check of both pairing identities",
-        "1.13", {"maxlen": 6},
+        "1.13", {"maxlen": (6, _INDEX)},
         ["length", "count", "max_gap_astar", "max_gap_cesaro"]),
     "moduli": Experiment(
-        _exp_moduli, "moduli of smoothness and their integral average",
-        "5.3", {"f": "all", "r": 1, "m": 1024, "hdenoms": "16;8;4;2"},
-        ["f_id", "r", "h", "omega", "omega_tilde"]),
+        _exp_moduli, "moduli of smoothness and their integral average", "5.3",
+        {"f": ("all", _one_of(lambda t: t == "all" or corpus.periodic(t))),
+         "r": (1, _INDEX), "m": (1024, _grid_size),
+         "hdenoms": ("16;8;4;2", _one_of(lambda t: [_INDEX(d) for d in t.split(";")]))},
+        ["f_id", "r", "h", "omega", "omega_tilde"],
+        (lambda p: all(2 * int(d) <= p["m"] for d in p["hdenoms"].split(";")),
+         "need every hdenom <= m/2: a step pi/hdenom spans a grid cell 2pi/m")),
     "two-sided-report": Experiment(
         _exp_two_sided, "approximation error against the modulus, per corpus",
-        "5.1, 5.2b", {"r": 1, "nmin": 16, "nmax": 256, "m": 2048},
+        "5.1, 5.2b", {"r": (1, _INDEX), "nmin": (16, _INDEX),
+                      "nmax": (256, _INDEX), "m": (2048, _grid_size)},
         ["f_id", "r", "n", "approx_error", "modulus", "ratio"],
-        check=_check_grid),
+        (lambda p: p["r"] <= p["nmin"] <= p["nmax"], "need r <= nmin <= nmax")),
     "posdef-report": Experiment(
         _exp_posdef_report, "positive-definiteness evidence per profile",
-        "7.1, 7.4, 7.6", {"trials": 1000},
+        "7.1, 7.4, 7.6", {"trials": (1000, _COUNT)},
         ["profile", "claim", "evidence", "value", "ok"]),
     "aspline": Experiment(
-        _exp_aspline, "maximal-smoothness two-piece spline coefficients",
-        "7.6", {"n": 3},
+        _exp_aspline, "maximal-smoothness two-piece spline coefficients", "7.6",
+        {"n": (3, _number(int, *posdef_splines.A_SPLINE_N_RANGE))},
         ["n", "j", "coeff", "ft_min", "ft_argmin"]),
     "schoenberg": Experiment(
-        _exp_schoenberg, "Gram search for exp(-||x||_p^alpha)",
-        "7.14", {"m": 2, "p": "3", "alpha": 1.0, "trials": 10000},
+        _exp_schoenberg, "Gram search for exp(-||x||_p^alpha)", "7.14",
+        {"m": (2, _number(int, *posdef_splines.SCHOENBERG_DIMS)),  # consecutive
+         "p": ("3", _one_of(lambda t: t in ("inf", "oo")
+                            or _number(float, 2, strict=True)(t))),
+         "alpha": (1.0, _number(float, 0)), "trials": (10000, _COUNT)},
         ["m", "p", "alpha", "trials", "seed", "min_eig", "witness"]),
     "walsh-regularity": Experiment(
         _exp_walsh_regularity, "kernel norms of shifted partial-sum averages",
-        "8.2", {"alpha": 0.5, "beta": 0.5, "nu": 1.0, "nmax": 1024},
+        "8.2", {"alpha": (0.5, _FLOAT), "beta": (0.5, _FLOAT), "nu": (1.0, _FLOAT),
+                "nmax": (1024, _number(int, 2))},    # two octaves to compare
         ["alpha", "beta", "nu", "n", "lc"]),
     "walsh-moduli": Experiment(
-        _exp_walsh_moduli, "dyadic moduli against Cesaro approximation",
-        "8.5, 8.6", {"bits": 10, "alpha": 1.0},
+        _exp_walsh_moduli, "dyadic moduli against Cesaro approximation", "8.5, 8.6",
+        {"bits": (10, _number(int, *walsh.BITS_RANGE)), "alpha": (1.0, _POSITIVE)},
         ["f_id", "n", "N", "Omega_n", "omega_n", "cesaro_error"]),
     "euler-maclaurin-check": Experiment(
-        _exp_euler_maclaurin, "normalized residual of the oscillatory-sum formula",
-        "1.3", {"n": 1, "rmax": 2},
+        _exp_euler_maclaurin, "normalized residual of the oscillatory-sum formula", "1.3",
+        {"n": (1, _COUNT), "rmax": (2, _number(int, 0, ftlab.EULER_MACLAURIN_RMAX))},
         ["family", "param", "x", "r", "abs_theta", "variation"]),
     "indicator-zeros": Experiment(
         _exp_indicator_zeros, "zero curve of a convex-body indicator transform",
-        "1.12", {"body": "disc", "radius": 1.0, "a": 1.0, "b": 0.5,
-                 "p": 1, "phis": 64},
+        "1.12", {"body": ("disc", _one_of(("disc", "ellipse", "square"))),
+                 "radius": (1.0, _POSITIVE), "a": (1.0, _POSITIVE),
+                 "b": (0.5, _POSITIVE), "p": (1, _INDEX), "phis": (64, _INDEX)},
         ["phi", "r_p", "d_phi", "product", "lower", "upper"]),
     "comparison-ratio": Experiment(
         _exp_comparison_ratio, "worst error ratio of two summability methods",
-        "2.14", {"a": "fejer", "b": "abel-poisson", "nmax": 256, "m": 1024},
+        "2.14", {"a": ("fejer", _METHOD), "b": ("abel-poisson", _METHOD),
+                 "nmax": (256, _INDEX), "m": (1024, _grid_size)},
         ["f_id", "n", "err_a", "err_b", "ratio", "band_constant"]),
 }
 
 
 def list_experiments():
-    return [{"id": k, "description": e.description, "claims": e.claims}
+    return [{"id": k, "description": e.description, "claims": e.claims,
+             "params": {key: default for key, (default, _) in e.params.items()}}
             for k, e in sorted(REGISTRY.items())]
 
 
 # ---------------------------------------------------------------------------
 # config handling and the driver
 # ---------------------------------------------------------------------------
-
-def _parse_value(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
 
 def parse_config_file(path):
     out = {}
@@ -422,7 +435,7 @@ def parse_config_file(path):
             if "=" not in line:
                 raise InvalidArgument(f"malformed config line: {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = _parse_value(val)
+            out[key] = val
     return out
 
 
@@ -430,22 +443,22 @@ def build_config(experiment, tokens, file_params=None, seed=0):
     if experiment not in REGISTRY:
         raise NotFound(f"unknown experiment {experiment!r}")
     spec = REGISTRY[experiment]
-    params = dict(spec.defaults)
+    params = {key: default for key, (default, _) in spec.params.items()}
     merged = dict(file_params or {})
     for tok in tokens:
         if "=" not in tok:
             raise InvalidArgument(f"parameters must be key=value, got {tok!r}")
         key, val = tok.split("=", 1)
-        merged[key] = _parse_value(val)
-    for key, val in merged.items():
-        if key not in spec.defaults:
+        merged[key] = val
+    for key, token in merged.items():
+        if key not in spec.params:
             raise InvalidArgument(f"unknown key {key!r} for {experiment}")
-        want = type(spec.defaults[key])
-        if want in (int, float) and isinstance(val, (int, float)):
-            val = want(val)
-        params[key] = val
-    if spec.check is not None:
-        spec.check(params)
+        try:
+            params[key] = spec.params[key][1](token)
+        except (InvalidArgument, NotFound) as e:
+            raise InvalidArgument(f"{key}={token}: {e}") from None
+    if spec.check and not spec.check[0](params):
+        raise InvalidArgument(spec.check[1])
     return {"experiment": experiment, "params": params, "seed": int(seed)}
 
 
@@ -510,6 +523,7 @@ def main(argv=None):
     if args.experiment in (None, "list"):
         for entry in list_experiments():
             print(f"{entry['id']:24s} {entry['claims']:12s} {entry['description']}")
+            print(" " * 24, *(f"{k}={v}" for k, v in entry["params"].items()))
         return 0
 
     try:

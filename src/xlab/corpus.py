@@ -7,6 +7,7 @@ not reorder or silently change entries.
 
 import numpy as np
 
+from .errors import NotFound
 from .trig import TWO_PI, SampledFunction
 
 
@@ -54,7 +55,7 @@ def periodic(name):
     try:
         return _PERIODIC[name]
     except KeyError:
-        raise KeyError(f"unknown corpus function {name!r}")
+        raise NotFound(f"unknown corpus function {name!r}") from None
 
 
 def sampled(name, m=1024):

@@ -11,6 +11,8 @@ from scipy import integrate, optimize, special
 from .errors import ConvergenceFailure, InvalidArgument, NotFound
 from .trig import TWO_PI
 
+EULER_MACLAURIN_RMAX = 4
+
 
 # ---------------------------------------------------------------------------
 # the correction function h(x) = 1/x - cot(x/2)/2 and its derivatives
@@ -172,8 +174,8 @@ def euler_maclaurin_sum(f, n, r, x, tol=1e-6):
     """
     if x == 0 or abs(x) > np.pi:
         raise InvalidArgument("need 0 < |x| <= pi")
-    if r < 0 or r > 4:
-        raise InvalidArgument("correction order supported up to 4")
+    if not 0 <= r <= EULER_MACLAURIN_RMAX:
+        raise InvalidArgument(f"correction order supported up to {EULER_MACLAURIN_RMAX}")
     big = n + 1e6
     decay = np.max([abs(f.deriv(np.array([big]), p)[0]) for p in range(r + 1)])
     if not decay < 1e-6:

@@ -301,8 +301,8 @@ def kolmogorov_deviation(r, n, tol=1e-9):
     half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** float(r))
     c = np.concatenate((np.conj(half[::-1]), [0.0], half))
     total, err = _piecewise_l1(c, 16, _full_series_poly(r))
-    if err / np.pi > tol:
-        raise ConvergenceFailure("zero polishing failed", best_estimate=total / np.pi,
+    if err / np.pi > tol or not err < total:
+        raise ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
                                  error_estimate=err / np.pi)
     return total / np.pi
 

@@ -18,6 +18,9 @@ from scipy import special
 from .errors import ConvergenceFailure, IndeterminateGrid, InvalidArgument
 from .ftlab import cos_transform_boundary, poly_boundary_derivs, radial_ft
 
+A_SPLINE_N_RANGE = (2, 6)
+SCHOENBERG_DIMS = (2, 3)
+
 
 # ---------------------------------------------------------------------------
 # Gram matrices
@@ -196,8 +199,8 @@ def a_spline_exact(n):
     n=3 on, but it is an integer matrix, so exact elimination settles the
     uniqueness question and makes the contact residuals exactly zero."""
     from fractions import Fraction
-    if not 2 <= n <= 6:
-        raise InvalidArgument("family computed for n in [2, 6]")
+    if not A_SPLINE_N_RANGE[0] <= n <= A_SPLINE_N_RANGE[1]:
+        raise InvalidArgument(f"family computed for n in {list(A_SPLINE_N_RANGE)}")
     rows, rhs = _a_spline_system(n)
     size = len(rhs)
     a = [[Fraction(x) for x in row] + [Fraction(b)]
@@ -397,7 +400,7 @@ def schoenberg_check(m, p, alpha, trials=10000, seed=0, max_points=12):
     drawn at log-uniform random scales (violations of the small-scale
     distance-matrix kind only surface when the linear term dominates).
     Returns the most negative eigenvalue found and its witness."""
-    if m not in (2, 3):
+    if m not in SCHOENBERG_DIMS:
         raise InvalidArgument("dimension m in {2, 3}")
     if not (p > 2):
         raise InvalidArgument("exponent p > 2 (use math.inf for the max norm)")

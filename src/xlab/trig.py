@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidArgument, NotFound
 
 TWO_PI = 2.0 * np.pi
+GRID_MIN = 4
 
 
 def _is_power_of_two(m):
@@ -40,8 +41,8 @@ class SampledFunction:
         v = np.asarray(self.values)
         if v.ndim != 1:
             raise InvalidArgument("values must be one-dimensional")
-        if v.size < 4 or not _is_power_of_two(v.size):
-            raise InvalidArgument("grid size must be a power of two >= 4")
+        if v.size < GRID_MIN or not _is_power_of_two(v.size):
+            raise InvalidArgument(f"grid size must be a power of two >= {GRID_MIN}")
         if not np.all(np.isfinite(v)):
             raise InvalidArgument("values must be finite")
         object.__setattr__(self, "values", v)

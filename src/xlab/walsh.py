@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .trig import cesaro_numbers
 
+BITS_RANGE = (2, 16)
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int8)
 
 
@@ -24,8 +25,8 @@ class DyadicSignal:
     bits: int
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 16:
-            raise InvalidArgument("bits restricted to [2, 16]")
+        if not BITS_RANGE[0] <= self.bits <= BITS_RANGE[1]:
+            raise InvalidArgument(f"bits restricted to {list(BITS_RANGE)}")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (1 << self.bits,):
             raise InvalidArgument("length must be exactly 2^bits")
@@ -146,7 +147,7 @@ def br_means_regularity(alpha, beta, nu, nmax, bits=None):
     bounded: the top-octave maximum does not exceed 1.2x the previous
     octave's maximum."""
     if bits is None:
-        bits = min(16, int(np.ceil(np.log2(nmax))) + 4)
+        bits = min(BITS_RANGE[1], int(np.ceil(np.log2(nmax))) + 4)
     m = 1 << bits
     j = np.arange(m)
     d = np.zeros(m)       # D_n accumulated incrementally

@@ -45,14 +45,8 @@ class TestExitCodes:
         assert lines[1] == "method,n,value,quad_error"
         assert len(lines) == 6
 
-    @pytest.mark.parametrize("bad", [["method=nosuch"], ["nmin=-1"],
-                                     ["nmin=5", "nmax=2"]])
-    def test_bad_lebesgue_table_params(self, bad, capsys):
-        assert run_main(["lebesgue-table", *bad]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
+    # every bad parameter exits 2 with one error line before any work; a
+    # "--config" entry is followed by the text of the config file
     @pytest.mark.parametrize("bad", [
         ["hyperbolic-fit", "nmin=0"],
         ["kolmogorov-fit", "nmin=0"],
@@ -63,12 +57,55 @@ class TestExitCodes:
         ["hyperbolic-fit", "alpha=0.5"],
         ["hyperbolic-fit", "nmax=8192"],
         ["kolmogorov-fit", "r=0"],
+        ["lebesgue-table", "method=nosuch"],
+        ["lebesgue-table", "nmin=-1"],
+        ["lebesgue-table", "nmin=5", "nmax=2"],
+        ["lebesgue-table", "tol=inf"],
+        ["lebesgue-table", "nmax=1e3"],
+        ["indicator-zeros", "body=foo"],
+        ["indicator-zeros", "phis=0"],
+        ["indicator-zeros", "p=0"],
+        ["indicator-zeros", "body=ellipse", "b=0"],
+        ["moduli", "f=nosuch"],
+        ["moduli", "hdenoms=0"],
+        ["moduli", "m=16"],
+        ["moduli", "m=5"],
+        ["walsh-moduli", "bits=20"],
+        ["walsh-moduli", "alpha=0"],
+        ["schoenberg", "p=2"],
+        ["schoenberg", "p=abc"],
+        ["aspline", "n=9"],
+        ["duality-fuzz", "maxlen=0"],
+        ["duality-fuzz", "maxlen=2.5"],
+        ["duality-fuzz", "--config", "maxlen = 2.5"],
+        ["posdef-report", "trials=-1"],
+        ["walsh-regularity", "nmax=0"],
+        ["walsh-regularity", "alpha=x"],
+        ["comparison-ratio", "a=nosuch"],
+        ["euler-maclaurin-check", "rmax=-1"],
+        ["two-sided-report", "r=3", "nmin=1", "nmax=2"],
     ])
-    def test_bad_fit_params(self, bad, capsys):
+    def test_bad_fit_params(self, bad, capsys, tmp_path):
+        keys = [t.split("=")[0].strip() for t in bad if "=" in t]
+        if "--config" in bad:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(bad[-1] + "\n")
+            bad = [*bad[:-1], str(cfg)]
         assert run_main(bad) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert any(key in err for key in keys)
+
+    def test_kolmogorov_fit_failure_exit(self, tmp_path):
+        # r=4: the bound at n = 512 and 1024 is not below the value itself;
+        # both rows keep the best estimate and get a failure line
+        out = tmp_path / "t.csv"
+        assert run_main(["kolmogorov-fit", "r=4", "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 + 5 + 2 and lines[-3].startswith("4,1024,3.07")
+        assert lines[-2].startswith("# failure: n=512: ")
+        assert lines[-1].startswith("# failure: n=1024: ")
 
     def test_numeric_failure_exit(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -107,6 +144,26 @@ class TestDeterminism:
         run_main(["schoenberg", "m=2", "p=3", "trials=100", "--seed", "2",
                   "--out", str(b)])
         assert a.read_text().splitlines()[2] != b.read_text().splitlines()[2]
+
+    # content_hash(build_config(id, [])) pinned at the defaults; a schema
+    # change must not move these
+    GOLDEN_HASHES = {
+        "aspline": "7515ffa9a95604c8", "comparison-ratio": "4fd225597eb2bfda",
+        "duality-fuzz": "bb3df26e352a30b1", "euler-maclaurin-check": "a3160451532eb485",
+        "hyperbolic-fit": "430e1fe5c8efe52d", "indicator-zeros": "dd96d63ba2a4fff8",
+        "kolmogorov-fit": "7ff1f69932cd525d", "lebesgue-table": "b742719ae0448d7a",
+        "moduli": "cc0681b8da868925", "posdef-report": "8547c92d53503a5b",
+        "schoenberg": "eb154c3b332c72a3", "two-sided-report": "93ededb207bd86d7",
+        "walsh-moduli": "9943e899352ec28f", "walsh-regularity": "c299e627f5fc873c",
+    }
+
+    def test_golden_config_hashes(self):
+        got = {e: cli.content_hash(cli.build_config(e, []))
+               for e in cli.REGISTRY}
+        assert got == self.GOLDEN_HASHES
+        # a token spelled like the default hashes like the default
+        assert cli.content_hash(cli.build_config("schoenberg", ["p=3"])) \
+            == self.GOLDEN_HASHES["schoenberg"]
 
     def test_hash_tracks_config(self):
         c1 = cli.build_config("lebesgue-table", ["nmax=5"], seed=0)

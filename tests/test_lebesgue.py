@@ -194,6 +194,13 @@ class TestKolmogorovDeviation:
         with pytest.raises(ConvergenceFailure):
             lb.kolmogorov_deviation(7, 1024)
 
+    @pytest.mark.parametrize("r,n", [(4, 1024), (8, 64)])
+    def test_bound_not_below_value_fails(self, r, n):
+        # bounds 4.7e-10 and 4.3e-11 pass the absolute tol but exceed the
+        # values 3.1e-12 and 7.3e-14 themselves
+        with pytest.raises(ConvergenceFailure):
+            lb.kolmogorov_deviation(r, n)
+
 
 class TestRhombic:
     def test_tiny_case(self):

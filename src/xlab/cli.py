@@ -264,6 +264,10 @@ def _body_from_params(p):
     return ftlab.ConvexBody2D.polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
 
 
+def _narrowest_width(p):
+    return 2 * (min(p["a"], p["b"]) if p["body"] == "ellipse" else p["radius"])
+
+
 def _exp_indicator_zeros(p, seed):
     body = _body_from_params(p)
 
@@ -347,7 +351,9 @@ REGISTRY = {
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
         "4.1", {"r": (1, _INDEX), "nmin": (64, _INDEX), "nmax": (1024, _INDEX)},
         ["r", "n", "value", "slope", "intercept", "fit_residual"],
-        (lambda p: 2 * p["nmin"] <= p["nmax"], "need 2*nmin <= nmax")),
+        (lambda p: 2 * p["nmin"] <= p["nmax"] and p["r"] * math.log(
+            max(p["nmax"], trig.TWO_PI)) < math.log(sys.float_info.max),
+         "need 2*nmin <= nmax and nmax**r, (2pi)**r inside the float range")),
     "hyperbolic-fit": Experiment(
         _exp_hyperbolic_fit, "hyperbolic-cross kernel norm exponent", "4.4a",
         {"alpha": (1.0, _number(float, 1)), "nmin": (256, _INDEX), "nmax": (4096, _INDEX)},
@@ -372,7 +378,10 @@ REGISTRY = {
         "5.1, 5.2b", {"r": (1, _INDEX), "nmin": (16, _INDEX),
                       "nmax": (256, _INDEX), "m": (2048, _grid_size)},
         ["f_id", "r", "n", "approx_error", "modulus", "ratio"],
-        (lambda p: p["r"] <= p["nmin"] <= p["nmax"], "need r <= nmin <= nmax")),
+        (lambda p: p["r"] <= p["nmin"] <= p["nmax"] and trig.TWO_PI
+         * lebesgue.geometric_grid(p["nmin"], p["nmax"])[-1] <= p["m"],
+         "need r <= nmin <= nmax and 2pi*n <= m for the largest grid n: "
+         "the step 1/n spans a grid cell 2pi/m")),
     "posdef-report": Experiment(
         _exp_posdef_report, "positive-definiteness evidence per profile",
         "7.1, 7.4, 7.6", {"trials": (1000, _COUNT)},
@@ -406,7 +415,11 @@ REGISTRY = {
         "1.12", {"body": ("disc", _one_of(("disc", "ellipse", "square"))),
                  "radius": (1.0, _POSITIVE), "a": (1.0, _POSITIVE),
                  "b": (0.5, _POSITIVE), "p": (1, _INDEX), "phis": (64, _INDEX)},
-        ["phi", "r_p", "d_phi", "product", "lower", "upper"]),
+        ["phi", "r_p", "d_phi", "product", "lower", "upper"],
+        (lambda p: 2 * (p["p"] + 1) * np.pi / _narrowest_width(p)
+         <= ftlab.INDICATOR_FT_UMAX,
+         f"need 2(p+1)pi/width <= {ftlab.INDICATOR_FT_UMAX:g}, the transform's "
+         "|u| cap, for width 2*radius, or 2*min(a, b) for an ellipse")),
     "comparison-ratio": Experiment(
         _exp_comparison_ratio, "worst error ratio of two summability methods",
         "2.14", {"a": ("fejer", _METHOD), "b": ("abel-poisson", _METHOD),

@@ -1,6 +1,6 @@
 """Oscillatory-sum discretization with certified residual, Fourier
 transforms of indicator functions of convex planar bodies with zero-curve
-tracing, Bessel-zero utilities, and radial Fourier transforms."""
+tracing, and radial Fourier transforms."""
 
 from dataclasses import dataclass
 import math
@@ -12,6 +12,7 @@ from .errors import ConvergenceFailure, InvalidArgument, NotFound
 from .trig import TWO_PI
 
 EULER_MACLAURIN_RMAX = 4
+INDICATOR_FT_UMAX = 1e3          # largest |u| at which indicator_ft evaluates
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +307,8 @@ def indicator_ft(body, u):
     theorem), 2*pi*R*J_1(R|u|)/|u| for discs, affine pullback for ellipses."""
     u = np.asarray(u, dtype=float)
     nu = float(np.hypot(u[0], u[1]))
-    if nu > 1e3 + 1e-9:
-        raise InvalidArgument("|u| capped at 1e3")
+    if nu > INDICATOR_FT_UMAX + 1e-9:
+        raise InvalidArgument(f"|u| capped at {INDICATOR_FT_UMAX:g}")
     if nu < 1e-6:
         return complex(body.area())
     if body.kind == "disc":
@@ -326,16 +327,6 @@ def indicator_ft(body, u):
     phases = np.exp(1j * (v @ u))
     total = np.sum(cross * phases * _phi1(w))
     return complex(total / (1j * nu ** 2))
-
-
-def _bracketed_root(f, ts, vals, which=0):
-    """The which-th sign change of the scan vals = f(ts), refined by Brent's
-    method; None if the scan has no such sign change."""
-    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    if len(idx) <= which:
-        return None
-    i = idx[which]
-    return optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
 
 
 def zero_curve(body, p, phi, scan_points=96):
@@ -359,43 +350,16 @@ def zero_curve(body, p, phi, scan_points=96):
     lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
     ts = np.linspace(lo, hi, scan_points)
     vals = np.array([f(t) for t in ts])
-    root = _bracketed_root(f, ts, vals)
-    if root is None:
+    # the first sign change of the scan, refined by Brent's method
+    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
+    if not idx.size:
         raise NotFound(f"no sign change in ({lo:g}, {hi:g}) for p={p}",
                        trace=list(zip(ts.tolist(), vals.tolist())))
+    i = idx[0]
+    root = optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
     if not lo < root < hi:
         raise NotFound("root escaped the bracket", trace=[(root, f(root))])
     return float(root)
-
-
-# ---------------------------------------------------------------------------
-# Bessel zeros
-# ---------------------------------------------------------------------------
-
-def _mcmahon(nu, p):
-    beta = (p + 0.5 * nu - 0.25) * np.pi
-    mu = 4.0 * nu ** 2
-    return beta - (mu - 1) / (8 * beta) \
-        - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
-
-
-def bessel_zero(nu, p):
-    """p-th positive zero of J_nu: the p-th sign change of a scan sized by
-    McMahon's expansion, refined by Brent; residual certified <= 1e-10."""
-    if not 0 <= nu <= 5:
-        raise InvalidArgument("order restricted to [0, 5]")
-    if not 1 <= p <= 20:
-        raise InvalidArgument("zero index restricted to [1, 20]")
-    # all positive zeros exceed nu; scan brackets so the p-th is identified
-    upper = _mcmahon(nu, p + 2) + 2.0
-    ts = np.arange(max(nu, 1e-3), upper, np.pi / 16)
-    z = _bracketed_root(lambda t: special.jv(nu, t), ts, special.jv(nu, ts),
-                        which=p - 1)
-    if z is None:
-        raise ConvergenceFailure("bracketing scan found too few zeros")
-    if abs(special.jv(nu, z)) > 1e-10:
-        raise ConvergenceFailure("residual above 1e-10", best_estimate=z)
-    return float(z)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +440,3 @@ def cos_transform_boundary(d0, d1, r):
         sign = -sign
     return 2.0 * out
 
-
-def cos_transform_poly(coeffs, r):
-    """2 int_0^1 p(s) cos(rs) ds for a polynomial p (ascending coeffs)."""
-    d0, d1 = poly_boundary_derivs(np.asarray(coeffs, dtype=float))
-    return cos_transform_boundary(d0, d1, r)

@@ -25,7 +25,8 @@ import numbers
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidArgument
-from .trig import (TWO_PI, TrigCoefficients, compute_coefficients,
+# compute_coefficients is unused here: perfbench's tracer test patches this copy
+from .trig import (TWO_PI, TrigCoefficients, compute_coefficients,  # noqa: F401
                    synthesize)
 
 
@@ -279,17 +280,6 @@ def _polyval(coeffs, t):
     return out
 
 
-def tail_kernel(r, n, t):
-    """sum_{k>n} cos(kt - r*pi/2)/k^r for t in (0, 2pi), in closed form."""
-    t = np.asarray(t, dtype=float)
-    full = _polyval(_full_series_poly(r), t)
-    if n == 0:
-        return full
-    k = np.arange(1, n + 1)
-    partial = np.cos(np.outer(t, k) - r * np.pi / 2) @ (1.0 / k ** float(r))
-    return full - partial
-
-
 def kolmogorov_deviation(r, n, tol=1e-9):
     """sup over the unit W^r class of ||f - S_n f||_inf, via (1/pi) times
     the L1 norm of the conjugate-tail kernel over a period."""
@@ -419,37 +409,3 @@ def hyperbolic_exponent(alpha, nset):
     values = [hyperbolic_l1(alpha, n)[0] for n in nset]
     c, s, resid = fit_power_model(nset, values)
     return AsymptoticFit("c*n^s", (c, s), resid), list(nset), values
-
-
-# ---------------------------------------------------------------------------
-# discrete (Fourier-Lagrange) coefficients and the Lebesgue function
-# ---------------------------------------------------------------------------
-
-def _resample(f, points):
-    """Values of the trigonometric interpolant of f at arbitrary points."""
-    c = compute_coefficients(f, f.size // 2 - 1)
-    k = np.arange(-c.degree, c.degree + 1)
-    return np.exp(1j * np.outer(points, k)) @ c.c
-
-
-def fourier_lagrange_coeffs(f, n):
-    """Rectangle-rule coefficients from the 2n+1 equally spaced samples
-    x_p = 2*pi*p/(2n+1); equals the integral coefficients exactly for
-    trigonometric polynomials of degree <= n."""
-    p = np.arange(-n, n + 1)
-    xp = TWO_PI * p / (2 * n + 1)
-    fp = _resample(f, xp)
-    k = np.arange(-n, n + 1)
-    c = np.exp(-1j * np.outer(k, xp)) @ fp / (2 * n + 1)
-    return TrigCoefficients(n, c)
-
-
-def lebesgue_function(method, n, x):
-    """Norm of the point-evaluation functional of the discrete mean:
-    (1/(2n+1)) sum_p |sum_k lambda_{n,k} e^{ik(x-x_p)}|."""
-    p = np.arange(-n, n + 1)
-    xp = TWO_PI * p / (2 * n + 1)
-    w = method.weights(n)
-    k = np.arange(w.size) - (w.size - 1) // 2
-    vals = np.exp(1j * np.outer(x - xp, k)) @ w
-    return float(np.sum(np.abs(vals))) / (2 * n + 1)

@@ -62,16 +62,6 @@ def gram_min_eig(spec):
     return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
 
 
-def second_difference_check(f, x, y):
-    """The necessary inequality |f(x+y) - 2f(x) + f(x-y)| <= 2 Re(f(0)-f(y))
-    satisfied by every positive definite function."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lhs = abs(f(x + y) - 2.0 * f(x) + f(x - y))
-    rhs = 2.0 * np.real(f(np.zeros_like(x)) - f(y))
-    return {"lhs": float(lhs), "rhs": float(rhs), "ok": bool(lhs <= rhs + 1e-12)}
-
-
 # ---------------------------------------------------------------------------
 # radial profiles
 # ---------------------------------------------------------------------------

@@ -1,30 +1,16 @@
 """Sequence-space norms and exact duality identities.
 
-Four scales appear: the plain p-sum norm, the sum-of-tail-sups norm, the
-sup-of-Cesaro-averages norm h_p, and its companion b_p built from averaged
-tails.  Finite sequences are zero-extended, which makes every tail
-expression a finite computation.
+Three scales appear: the sum-of-tail-sups norm, the sup-of-Cesaro-averages
+norm h_p, and its companion b_p built from averaged tails.  Finite
+sequences are zero-extended, which makes every tail expression a finite
+computation.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .errors import InvalidArgument
-
-
-@dataclass(frozen=True)
-class PExponent:
-    p: float
-
-    def __post_init__(self):
-        if not self.p > 0:
-            raise InvalidArgument("exponent must be positive")
-
-
-def _p(p):
-    return p.p if isinstance(p, PExponent) else float(p)
 
 
 def _arr(c):
@@ -36,19 +22,12 @@ def _arr(c):
     return a
 
 
-def ap_norm(c, p):
-    """(sum_k |c_k|^p)^(1/p); a quasinorm for p < 1."""
-    p = _p(p)
-    a = np.abs(_arr(c))
-    return float(np.sum(a ** p) ** (1.0 / p))
-
-
 def astar_norm(c, p):
     """(sum_n sup_{k>=n} |c_k|^p)^(1/p) over the one-sided index set.
 
     Order sensitive: a late large entry is counted by every earlier tail.
     """
-    p = _p(p)
+    p = float(p)
     a = np.abs(_arr(c)) ** p
     suffix = np.maximum.accumulate(a[::-1])[::-1]
     return float(np.sum(suffix) ** (1.0 / p))
@@ -56,7 +35,7 @@ def astar_norm(c, p):
 
 def hp_norm(y, p):
     """sup_n ((1/n) sum_{k=1..n} |y_k|^p)^(1/p), sequences 1-indexed."""
-    p = _p(p)
+    p = float(p)
     a = np.abs(_arr(y)) ** p
     csum = np.cumsum(a)
     n = np.arange(1, a.size + 1)
@@ -65,19 +44,11 @@ def hp_norm(y, p):
 
 def bp_norm(x, p):
     """sum_n ((1/n) sum_{k>=n} |x_k|^p)^(1/p) with zero-extended tails."""
-    p = _p(p)
+    p = float(p)
     a = np.abs(_arr(x)) ** p
     tails = np.cumsum(a[::-1])[::-1]
     n = np.arange(1, a.size + 1)
     return float(np.sum((tails / n) ** (1.0 / p)))
-
-
-def _astar_sum(alpha):
-    """sum_n sup_{k>=n} |alpha_k| (the p=1 tail-sup functional)."""
-    a = np.abs(np.asarray(alpha, dtype=float))
-    if a.size == 0:
-        return 0.0
-    return float(np.sum(np.maximum.accumulate(a[::-1])[::-1]))
 
 
 def cesaro_sup(beta):
@@ -134,7 +105,7 @@ def duality_identity_cesaro(alpha):
     """
     a = _arr(alpha)
     value, _ = _prefix_ball_max(np.abs(a))
-    return {"lhs": float(value), "rhs": _astar_sum(a)}
+    return {"lhs": float(value), "rhs": astar_norm(a, 1)}
 
 
 def empirical_pairing_constants(p, samples, seed=0, maxlen=64):
@@ -146,7 +117,7 @@ def empirical_pairing_constants(p, samples, seed=0, maxlen=64):
     pairing) / ||y||_{h_q}; gamma3 symmetrically.  Candidates are the unit
     spikes (their norms have closed forms) and the conjugate-power vector.
     """
-    p = _p(p)
+    p = float(p)
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
     j = np.arange(1, maxlen + 1)
@@ -182,7 +153,7 @@ def empirical_pairing_constants(p, samples, seed=0, maxlen=64):
 
 def hp_bp_holder_check(x, y, p):
     """Pairing |sum x_k y_k| against the product ||x||_{b_p} ||y||_{h_q}."""
-    p = _p(p)
+    p = float(p)
     if not p > 1:
         raise InvalidArgument("the pairing bound needs p in (1, inf)")
     q = p / (p - 1.0)

@@ -79,12 +79,6 @@ def linearized_modulus(f, spec):
     return grid_norm(avg, GridNorm(spec.p))
 
 
-def modulus_profile(f, r, h_list, p=math.inf):
-    """(omega_r, omega~_r) at each h in h_list."""
-    return [(modulus(f, ModulusSpec(r, h, p)),
-             linearized_modulus(f, ModulusSpec(r, h, p))) for h in h_list]
-
-
 def jackson_two_sided(f, r, n, method=None):
     """Approximation error of the realization method against omega_r(f; 1/n).
 
@@ -107,7 +101,7 @@ def jackson_two_sided(f, r, n, method=None):
 def spectral_derivative(c, order):
     """Coefficients of the order-th derivative: c_k -> (ik)^order c_k."""
     out = c.copy()
-    k = out.indices()
+    k = np.arange(-out.degree, out.degree + 1)
     out.c = out.c * (1j * k) ** order
     return out
 

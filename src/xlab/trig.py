@@ -51,11 +51,6 @@ class SampledFunction:
     def size(self):
         return self.values.size
 
-    @property
-    def grid(self):
-        m = self.values.size
-        return -np.pi + TWO_PI * np.arange(m) / m
-
     @classmethod
     def from_callable(cls, f, m):
         x = -np.pi + TWO_PI * np.arange(m) / m
@@ -89,33 +84,11 @@ class TrigCoefficients:
                 raise InvalidArgument("coefficient array must have length 2*degree+1")
             self.c = c
 
-    def coeff(self, k):
-        """c_k, zero outside the stored band."""
-        if abs(k) > self.degree:
-            return 0j
-        return self.c[k + self.degree]
-
-    def set_coeff(self, k, value):
-        if abs(k) > self.degree:
-            raise InvalidArgument("index outside band")
-        self.c[k + self.degree] = value
-
-    def indices(self):
-        return np.arange(-self.degree, self.degree + 1)
-
     def is_real_valued(self, tol=1e-12):
         return np.allclose(self.c, np.conj(self.c[::-1]), atol=tol)
 
     def copy(self):
         return TrigCoefficients(self.degree, self.c.copy())
-
-    @classmethod
-    def from_dict(cls, entries):
-        deg = max((abs(k) for k in entries), default=0)
-        out = cls(deg)
-        for k, v in entries.items():
-            out.set_coeff(k, v)
-        return out
 
 
 def compute_coefficients(f, n):
@@ -216,6 +189,9 @@ def fejer():
 
 
 def cesaro(alpha):
+    if not -1 < alpha < math.inf:
+        raise InvalidArgument("Cesaro order must be finite and > -1")
+
     def w(n, k):
         a = cesaro_numbers(alpha, n)
         idx = n - np.abs(k)
@@ -249,6 +225,9 @@ def abel_poisson(r=None):
 
 
 def riesz(alpha, delta):
+    if not (0 < alpha < math.inf and 0 <= delta < math.inf):
+        raise InvalidArgument("Riesz parameters need finite alpha > 0, delta >= 0")
+
     def w(n, k):
         return np.clip(1.0 - (np.abs(k) / n) ** alpha, 0.0, None) ** delta
 
@@ -256,6 +235,8 @@ def riesz(alpha, delta):
 
 
 def bochner_riesz(delta):
+    if not 0 <= delta < math.inf:
+        raise InvalidArgument("Bochner-Riesz order must be finite and >= 0")
     return SummabilityMethod(f"bochner-riesz({delta:g})",
                              riesz(2.0, delta).rule)
 
@@ -278,21 +259,6 @@ def vallee_poussin():
         return np.clip(np.minimum(1.0, 2.0 - np.abs(k) / n), 0.0, 1.0)
 
     return SummabilityMethod("vallee-poussin", w, support=2.0)
-
-
-def method_catalog():
-    """Representatives of every supported summability family."""
-    return [
-        dirichlet(),
-        fejer(),
-        cesaro(0.5),
-        abel_poisson(0.5),
-        riesz(2.0, 1.0),
-        bochner_riesz(1.0),
-        rogosinski(),
-        bernstein(),
-        vallee_poussin(),
-    ]
 
 
 _FACTORIES = {
@@ -330,20 +296,6 @@ def get_method(name):
     if nargs == -1 and len(args) > 1:
         raise NotFound(f"method {s!r} takes at most one parameter")
     return factory(*args)
-
-
-def kernel(method, n, m):
-    """Kernel K_n(t) = sum_k lambda_{n,k} e^{ikt} sampled on the M-grid.
-
-    K_n(0) equals the weight sum; for Dirichlet this is 2n+1.
-    """
-    if n < 0:
-        raise InvalidArgument("index n must be nonnegative")
-    band = method.band(n)
-    if m < 2 * (band + 1):
-        raise InvalidArgument(f"grid of size {m} too coarse for band {band}")
-    w = method.weights(n)
-    return synthesize(TrigCoefficients(band, w), m)
 
 
 def apply_means(method, n, c):

@@ -32,11 +32,6 @@ class DyadicSignal:
             raise InvalidArgument("length must be exactly 2^bits")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_callable(cls, f, bits):
-        x = np.arange(1 << bits) / float(1 << bits)
-        return cls(np.asarray(f(x), dtype=float), bits)
-
 
 def bit_reverse(j, bits):
     j = np.asarray(j)
@@ -45,23 +40,6 @@ def bit_reverse(j, bits):
         out = (out << 1) | (j & 1)
         j = j >> 1
     return out
-
-
-def dyadic_add(j, l, bits):
-    """Group operation on B-bit dyadic rationals: bitwise XOR."""
-    j = np.asarray(j)
-    l = np.asarray(l)
-    if np.any(j < 0) or np.any(j >= 1 << bits) or np.any(l < 0) or np.any(l >= 1 << bits):
-        raise InvalidArgument("indices must be B-bit words")
-    return j ^ l
-
-
-def walsh_fn(n, j, bits):
-    """Value in {+1,-1} of the n-th Paley-Walsh function at j/2^bits."""
-    if not 0 <= n < (1 << bits) or not 0 <= j < (1 << bits):
-        raise InvalidArgument("indices must be B-bit words")
-    pop = int(_POP16[n & int(bit_reverse(j, bits))])
-    return 1 - 2 * (pop & 1)
 
 
 def walsh_row(n, bits):
@@ -103,13 +81,6 @@ def ifwt(coeffs, bits=None):
         c = full
     vals = _fwht(c[bit_reverse(np.arange(1 << bits), bits)])
     return DyadicSignal(vals, bits)
-
-
-def partial_sum(coeffs, n, bits):
-    """S_n = sum_{k<n} c_k psi_k as sampled values."""
-    c = np.zeros(1 << bits)
-    c[:n] = np.asarray(coeffs)[:n]
-    return ifwt(c, bits).values
 
 
 def cesaro_multipliers(n, alpha):

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from xlab import cli
+from xlab import cli, smoothness, trig
+from xlab.errors import InvalidArgument
 
 
 def run_main(args):
@@ -84,6 +85,15 @@ class TestExitCodes:
         ["comparison-ratio", "a=nosuch"],
         ["euler-maclaurin-check", "rmax=-1"],
         ["two-sided-report", "r=3", "nmin=1", "nmax=2"],
+        ["kolmogorov-fit", "r=110"],
+        ["kolmogorov-fit", "r=400"],
+        ["lebesgue-table", "method=cesaro(-1)"],
+        ["lebesgue-table", "method=riesz(nan,1)"],
+        ["lebesgue-table", "method=bochner-riesz(-1)"],
+        ["comparison-ratio", "a=cesaro(-1)"],
+        ["two-sided-report", "nmax=512"],
+        ["indicator-zeros", "p=400"],
+        ["indicator-zeros", "radius=0.001"],
     ])
     def test_bad_fit_params(self, bad, capsys, tmp_path):
         keys = [t.split("=")[0].strip() for t in bad if "=" in t]
@@ -96,6 +106,20 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert any(key in err for key in keys)
+
+    def test_two_sided_grid_rule_agrees_with_step_check(self):
+        # the rule 2pi*n <= m against the run-time check of a step 1/n on the
+        # m-grid, on both sides of the boundary n = floor(m/2pi)
+        rule = cli.REGISTRY["two-sided-report"].check[0]
+        for m in (2 ** j for j in range(3, 21)):
+            f = trig.SampledFunction(np.zeros(m))
+            for n in (int(m / (2 * np.pi)), int(m / (2 * np.pi)) + 1):
+                try:
+                    smoothness._steps_within(f, 1.0 / n)
+                    fits = True
+                except InvalidArgument:
+                    fits = False
+                assert rule({"r": 1, "nmin": n, "nmax": n, "m": m}) == fits, (m, n)
 
     def test_kolmogorov_fit_failure_exit(self, tmp_path):
         # r=4: the bound at n = 512 and 1024 is not below the value itself;

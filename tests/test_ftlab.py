@@ -141,29 +141,6 @@ class TestZeroCurve:
             ft.zero_curve(tri, 1, 0.0)
 
 
-class TestBesselZero:
-    def test_half_order_closed_form(self):
-        assert abs(ft.bessel_zero(0.5, 1) - np.pi) < 1e-12
-        assert abs(ft.bessel_zero(0.5, 7) - 7 * np.pi) < 1e-10
-
-    def test_tabulated(self):
-        assert abs(ft.bessel_zero(1, 1) - 3.8317060) < 1e-6
-        assert abs(ft.bessel_zero(0, 1) - 2.4048256) < 1e-6
-
-    def test_residuals(self):
-        # nu = 4.75, p = 8 once ended in a residual failure
-        for nu in (0.0, 0.5, 1.7, 3.3, 4.75, 5.0):
-            for p in (1, 4, 8, 20):
-                z = ft.bessel_zero(nu, p)
-                assert abs(special.jv(nu, z)) <= 1e-10
-
-    def test_matches_scipy_integer_orders(self):
-        for nu in (0, 1, 2, 4):
-            zs = special.jn_zeros(nu, 6)
-            for p in range(1, 7):
-                assert abs(ft.bessel_zero(nu, p) - zs[p - 1]) < 1e-9
-
-
 class TestRadialFT:
     def test_zero_frequency_volume(self):
         prof = lambda s: np.ones_like(s)
@@ -187,7 +164,8 @@ class TestRadialFT:
         coeffs = [0.2, -1.0, 0.5, 1.5]
         prof = lambda s: np.polynomial.polynomial.polyval(s, coeffs)
         for r in (3.0, 12.0, 45.0):
-            a = ft.cos_transform_poly(coeffs, r)
+            d0, d1 = ft.poly_boundary_derivs(np.asarray(coeffs, dtype=float))
+            a = ft.cos_transform_boundary(d0, d1, r)
             b = ft.radial_ft(prof, 1, r)
             assert abs(a - b) < 1e-10
 

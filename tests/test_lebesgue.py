@@ -8,8 +8,37 @@ from hypothesis import given, settings, strategies as st
 from xlab import lebesgue as lb
 from xlab import trig
 from xlab.errors import ConvergenceFailure, InvalidArgument
+from xlab.lebesgue import _full_series_poly, _polyval
+from xlab.trig import (abel_poisson, bernstein, bochner_riesz, cesaro,
+                       dirichlet, fejer, riesz, rogosinski, vallee_poussin)
 
 UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def method_catalog():
+    """Representatives of every supported summability family."""
+    return [
+        dirichlet(),
+        fejer(),
+        cesaro(0.5),
+        abel_poisson(0.5),
+        riesz(2.0, 1.0),
+        bochner_riesz(1.0),
+        rogosinski(),
+        bernstein(),
+        vallee_poussin(),
+    ]
+
+
+def tail_kernel(r, n, t):
+    """sum_{k>n} cos(kt - r*pi/2)/k^r for t in (0, 2pi), in closed form."""
+    t = np.asarray(t, dtype=float)
+    full = _polyval(_full_series_poly(r), t)
+    if n == 0:
+        return full
+    k = np.arange(1, n + 1)
+    partial = np.cos(np.outer(t, k) - r * np.pi / 2) @ (1.0 / k ** float(r))
+    return full - partial
 
 
 def tail_kernel_direct(r, n, t, terms=200000):
@@ -63,7 +92,7 @@ class TestLebesgueConstant:
 
     def test_projection_lower_bound(self):
         # operator norm dominates the weight of the constant term
-        for method in trig.method_catalog():
+        for method in method_catalog():
             for n in (0, 1, 4, 9):
                 lam0 = abs(method.weights(n)[method.band(n)])
                 s = lb.lebesgue_constant(method, n)
@@ -94,7 +123,7 @@ class TestLebesgueConstant:
         # Riemann L1 of the sampled kernel agrees with the certified value
         m = 1 << 20
         for n in (1, 5, 17, 64):
-            k = trig.kernel(trig.dirichlet(), n, m)
+            k = trig.synthesize(trig.TrigCoefficients(n, trig.dirichlet().weights(n)), m)
             riemann = trig.grid_norm(k, trig.GridNorm(1)) / (2 * np.pi)
             exact = lb.lebesgue_constant(trig.dirichlet(), n).value
             assert abs(riemann - exact) < 1e-6
@@ -128,7 +157,7 @@ class TestOraclesAtScale:
         assert abs(b.value - r.value) <= b.quad_error + r.quad_error
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    @given(st.sampled_from(trig.method_catalog()), st.integers(1, 300),
+    @given(st.sampled_from(method_catalog()), st.integers(1, 300),
            st.floats(0.0, 2 * np.pi, exclude_max=True))
     def test_shift_leaves_norm_unchanged(self, method, n, tau):
         # w_k e^{ik tau} is the kernel translated by tau: same L1 norm
@@ -171,7 +200,7 @@ class TestKolmogorovDeviation:
 
     def test_tail_oracle(self):
         for (r, n, t) in ((1, 5, 0.7), (2, 8, 1.1), (3, 3, 2.3)):
-            closed = lb.tail_kernel(r, n, np.array([t]))[0]
+            closed = tail_kernel(r, n, np.array([t]))[0]
             direct = tail_kernel_direct(r, n, t)
             assert abs(closed - direct) < 1e-6
 
@@ -330,47 +359,6 @@ class TestTwoDimensionalPass:
         assert peak < 64 * 2 ** 20
 
 
-class TestFourierLagrange:
-    def test_first_harmonic(self):
-        f = trig.SampledFunction.from_callable(lambda x: np.exp(1j * x), 256)
-        c = lb.fourier_lagrange_coeffs(f, 2)
-        assert abs(c.coeff(1) - 1.0) < 1e-12
-
-    def test_aliasing(self):
-        f = trig.SampledFunction.from_callable(lambda x: np.exp(3j * x), 256)
-        c = lb.fourier_lagrange_coeffs(f, 1)
-        assert abs(c.coeff(0) - 1.0) < 1e-12  # 3 = 0 mod 3
-
-    def test_constant(self):
-        f = trig.SampledFunction(np.full(64, 2.5 + 0j))
-        assert abs(lb.fourier_lagrange_coeffs(f, 3).coeff(0) - 2.5) < 1e-13
-
-    def test_matches_integral_coeffs_on_polynomials(self):
-        rng = np.random.default_rng(7)
-        c = trig.TrigCoefficients(3, rng.standard_normal(7)
-                                  + 1j * rng.standard_normal(7))
-        f = trig.synthesize(c, 128)
-        out = lb.fourier_lagrange_coeffs(f, 5)
-        for k in range(-3, 4):
-            assert abs(out.coeff(k) - c.coeff(k)) < 1e-12
-
-
-class TestLebesgueFunction:
-    def test_fejer_bounded_by_one(self):
-        for x in (0.0, 0.3, 2.5):
-            assert lb.lebesgue_function(trig.fejer(), 6, x) <= 1 + 1e-9
-
-    def test_dirichlet_at_origin(self):
-        assert lb.lebesgue_function(trig.dirichlet(), 8, 0.0) >= 1 - 1e-12
-
-    def test_log_growth_at_half_node(self):
-        ns = [8, 16, 32, 64]
-        vals = [lb.lebesgue_function(trig.dirichlet(), n, np.pi / (2 * n + 1))
-                for n in ns]
-        c, d, _ = lb.fit_log_model(ns, vals)
-        assert abs(c - 2 / np.pi) / (2 / np.pi) < 0.3
-
-
 class TestIndependentQuadratureOracle:
     def test_trig_poly_l1_against_scipy(self):
         # adaptive quadrature of |K| is a fully independent route
@@ -394,7 +382,7 @@ class TestIndependentQuadratureOracle:
             value = lb.kolmogorov_deviation(r, n)
 
             def absg(t):
-                return abs(lb.tail_kernel(r, n, np.array([t]))[0])
+                return abs(tail_kernel(r, n, np.array([t]))[0])
 
             ref, ref_err = integrate.quad(absg, 0.0, 2 * np.pi, limit=400)
             assert abs(value - ref / np.pi) < 1e-8 + 10 * ref_err

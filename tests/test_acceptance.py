@@ -8,10 +8,15 @@ import math
 import time
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from xlab import corpus, ftlab, lebesgue as lb, posdef_splines as ps
 from xlab import seqspaces as sq, smoothness as sm, trig, walsh as w
+
+# the unit tests of the K-functional and the spline families; pytest puts
+# tests/ on sys.path
+import test_posdef_splines as unit_ps
+import test_smoothness as unit_sm
 
 FOUR_OVER_PI2 = 4.0 / np.pi ** 2
 
@@ -271,94 +276,40 @@ def test_criterion_13_method_equivalence():
             f"corpus, n <= 256")
 
 
+def _report_unit_checks(idx, checks):
+    """Run every test method of each unit-test class and report its passes
+    next to the library names the class checks."""
+    parts, failed = [], []
+    for cls, checked in checks.items():
+        names = sorted(n for n in vars(cls) if n.startswith("test_"))
+        bad = []
+        for name in names:
+            try:
+                getattr(cls(), name)()
+            except AssertionError:
+                bad.append(f"{cls.__name__}.{name}")
+        parts.append(f"{', '.join(c.__name__ for c in checked)}: "
+                     f"{len(names) - len(bad)}/{len(names)} of {cls.__name__}")
+        failed += bad
+    _report(idx, not failed, "; ".join(parts)
+            + (f"; failed: {', '.join(failed)}" if failed else ""))
+
+
 def test_criterion_14_k_functional():
     # the realization never exceeds its competitors g = 0 and g = the
     # interpolant, vanishes on constants, and stays within a band of the
     # averaged modulus
-    f = corpus.sampled("exp_cos", 256)
-    k_zero = sm.k_functional(f, sm.KFunctionalSpec(0.5, 2))
-    below_zero = k_zero <= trig.grid_norm(f) + 1e-12
-    rng = np.random.default_rng(13)
-    c = trig.TrigCoefficients(4, rng.standard_normal(9))
-    f = trig.synthesize(c, 256)
-    deriv = trig.grid_norm(trig.synthesize(
-        sm.spectral_derivative(trig.compute_coefficients(f, 8), 2), 256))
-    below_self = sm.k_functional(f, sm.KFunctionalSpec(1.0, 2)) <= deriv + 1e-9
-    f = trig.SampledFunction(np.full(64, 5.0))
-    constant = max(sm.k_functional(f, sm.KFunctionalSpec(t, 2))
-                   for t in (1.0, 0.25, 0.03))
-    # frozen corpus constants: k/omega~_2 observed within [1.1, 3.3]
-    f = corpus.sampled("sin", 1024)
-    t = 1.0 / 16
-    k = sm.k_functional(f, sm.KFunctionalSpec(t, 2))
-    w = sm.linearized_modulus(f, sm.ModulusSpec(2, t))
-    ok = below_zero and below_self and constant < 1e-12 and 1.0 <= k / w <= 3.5
-    _report(14, ok, f"K <= ||f|| (g = 0): {below_zero}, K <= ||f''|| "
-            f"(g = f): {below_self}, constants {constant:.1e} < 1e-12, "
-            f"sin: K/omega~_2 = {k / w:.3f} in [1, 3.5]")
+    _report_unit_checks(14, {unit_sm.TestKFunctional:
+                             (sm.k_functional, sm.KFunctionalSpec)})
 
 
 def test_criterion_15_splines_and_shifts():
-    # B-splines: indicator, hat peak, unit mass, nonnegative transform of
-    # the odd degrees (an even power of sinc), scaled to [0, 1] support
-    b_ok = (ps.b_spline(0, 0.0) == 1.0 and ps.b_spline(0, 0.6) == 0.0
-            and abs(ps.b_spline(1, 0.0) - 1.0) < 1e-14)
-    for n in (2, 5, 9, 12):
-        v, err = integrate.quad(lambda x: ps.b_spline(n, x),
-                                -(n + 1) / 2, (n + 1) / 2, limit=300)
-        b_ok &= abs(v - 1.0) < 1e-10
-    for n in (1, 3):
-        scale = (n + 1) / 2.0
-        prof = lambda s: ps.b_spline(n, scale * s)
-        knots = tuple(np.arange(1, n + 2) / (n + 1.0))
-        r = np.linspace(0, 60, 400)
-        vals = [ftlab.radial_ft(prof, 1, ri, knots=knots) for ri in r]
-        b_ok &= min(vals) >= -1e-9
-    # e-splines: n = 1 is the hat, support [0, 1), and the profile is the
-    # (n-1)-th derivative of t^(n-3/2)(1-sqrt(t))^n (finite differences)
-    s = np.array([0.0, 0.25, 0.5, 0.9, 1.0, 1.7])
-    e_ok = (np.allclose(ps.e_spline(1, s), np.clip(1 - s, 0, None))
-            and ps.e_spline(4, 1.0) == 0.0 and ps.e_spline(4, 2.3) == 0.0)
-    for n in (2, 3):
-        t0 = 0.25
-        h = 1e-4 if n == 2 else 2e-3
-
-        def base(t):
-            return t ** (n - 1.5) * (1 - np.sqrt(t)) ** n
-
-        if n == 2:
-            deriv = (base(t0 + h) - base(t0 - h)) / (2 * h)
-        else:
-            deriv = (base(t0 + h) - 2 * base(t0) + base(t0 - h)) / h ** 2
-        want = math.sqrt(t0) * deriv
-        got = ps.e_spline(n, math.sqrt(t0))
-        e_ok &= abs(got - want) < 1e-6 * max(1, abs(want))
-    # e~-splines: support [-1, 1], the indicator's self-convolution at n = 0,
-    # and a nonnegative transform (convolution theorem: a squared modulus
-    # up to sign)
-    te_ok = (ps.tilde_e_spline(3, 1.0) == 0.0 and ps.tilde_e_spline(3, -1.2) == 0.0
-             and abs(ps.tilde_e_spline(0, 0.0) - 1.0) < 1e-14
-             and abs(ps.tilde_e_spline(0, 0.5) - 0.5) < 1e-14)
-    for n in (1, 2, 3):
-        prof = lambda s: ps.tilde_e_spline(n, s)
-        r = np.linspace(0, 40, 300)
-        vals = [ftlab.radial_ft(prof, 1, ri) for ri in r]
-        te_ok &= min(vals) >= -1e-8
-    # shift approximation by the a-spline of order 2: exact on a member of
-    # the span and on zero, and at least second order for a Gaussian
-    prof = ps.a_spline(2)
-    out = ps.shift_approx(lambda x: prof(np.abs(x)), 2, 0.5, 6)
-    shift_ok = out["sup_error"] <= 1e-10 and abs(out["coeffs"][6] - 1.0) < 1e-8
-    out = ps.shift_approx(lambda x: np.zeros_like(x), 2, 0.5, 4)
-    shift_ok &= np.max(np.abs(out["coeffs"])) == 0.0
-    errs = []
-    for h in (0.25, 0.125, 0.0625):
-        out = ps.shift_approx(lambda x: np.exp(-x * x), 2, h,
-                              int(round(5.0 / h)))
-        errs.append(out["sup_error"])
-    slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    shift_ok &= all(s >= 2.0 for s in slopes) and errs[0] > errs[1] > errs[2]
-    ok = b_ok and e_ok and te_ok and shift_ok
-    _report(15, ok, f"B-splines: {b_ok}, e-splines: {e_ok}, e~-splines: "
-            f"{te_ok}, shift approximation exact on its span, Gaussian "
-            f"orders {slopes[0]:.2f}, {slopes[1]:.2f} >= 2: {shift_ok}")
+    # B-splines: indicator, hat peak, unit mass, nonnegative transform of the
+    # odd degrees; e-splines: the hat at n = 1, support, finite differences;
+    # e~-splines: support, the indicator's self-convolution, nonnegative
+    # transform; shift approximation: exact on its span and on zero, at least
+    # second order for a Gaussian
+    _report_unit_checks(15, {unit_ps.TestBSpline: (ps.b_spline,),
+                             unit_ps.TestESpline: (ps.e_spline,),
+                             unit_ps.TestTildeESpline: (ps.tilde_e_spline,),
+                             unit_ps.TestShiftApprox: (ps.shift_approx,)})

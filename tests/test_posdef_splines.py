@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from xlab import ftlab
 from xlab import posdef_splines as ps
@@ -59,6 +60,31 @@ class TestPolya:
                 assert eig >= -1e-8 * len(pts)
 
 
+class TestBSpline:
+    def test_indicator(self):
+        assert ps.b_spline(0, 0.0) == 1.0
+        assert ps.b_spline(0, 0.6) == 0.0
+
+    def test_hat_peak(self):
+        assert abs(ps.b_spline(1, 0.0) - 1.0) < 1e-14
+
+    def test_unit_mass(self):
+        for n in (2, 5, 9, 12):
+            v, err = integrate.quad(lambda x: ps.b_spline(n, x),
+                                    -(n + 1) / 2, (n + 1) / 2, limit=300)
+            assert abs(v - 1.0) < 1e-10
+
+    def test_odd_degree_transform_nonnegative(self):
+        # scaled to [0,1] support; transform of an even power of sinc
+        for n in (1, 3):
+            scale = (n + 1) / 2.0
+            prof = lambda s: ps.b_spline(n, scale * s)
+            knots = tuple(np.arange(1, n + 2) / (n + 1.0))
+            r = np.linspace(0, 60, 400)
+            vals = [ftlab.radial_ft(prof, 1, ri, knots=knots) for ri in r]
+            assert min(vals) >= -1e-9
+
+
 class TestASpline:
     def test_closed_form_n2(self):
         prof = ps.a_spline(2)
@@ -96,11 +122,78 @@ class TestASpline:
             assert abs(quad_val - ibp_val) <= 1e-7 * max(abs(ibp_val), 1e-12)
 
 
+class TestESpline:
+    def test_first_is_hat(self):
+        s = np.array([0.0, 0.25, 0.5, 0.9, 1.0, 1.7])
+        assert np.allclose(ps.e_spline(1, s), np.clip(1 - s, 0, None))
+
+    def test_support(self):
+        assert ps.e_spline(4, 1.0) == 0.0
+        assert ps.e_spline(4, 2.3) == 0.0
+
+    def test_against_finite_differences(self):
+        # differentiate t^(n-3/2)(1-sqrt(t))^n numerically, n-1 times
+        for n in (2, 3):
+            t0 = 0.25
+            h = 1e-4 if n == 2 else 2e-3
+
+            def base(t):
+                return t ** (n - 1.5) * (1 - np.sqrt(t)) ** n
+
+            if n == 2:
+                deriv = (base(t0 + h) - base(t0 - h)) / (2 * h)
+            else:
+                deriv = (base(t0 + h) - 2 * base(t0) + base(t0 - h)) / h ** 2
+            want = math.sqrt(t0) * deriv
+            got = ps.e_spline(n, math.sqrt(t0))
+            assert abs(got - want) < 1e-6 * max(1, abs(want))
+
+
+class TestTildeESpline:
+    def test_support(self):
+        assert ps.tilde_e_spline(3, 1.0) == 0.0
+        assert ps.tilde_e_spline(3, -1.2) == 0.0
+
+    def test_indicator_self_convolution(self):
+        assert abs(ps.tilde_e_spline(0, 0.0) - 1.0) < 1e-14
+        assert abs(ps.tilde_e_spline(0, 0.5) - 0.5) < 1e-14
+
+    def test_transform_nonnegative(self):
+        # convolution theorem: the transform is a squared modulus up to sign
+        for n in (1, 2, 3):
+            prof = lambda s: ps.tilde_e_spline(n, s)
+            r = np.linspace(0, 40, 300)
+            vals = [ftlab.radial_ft(prof, 1, ri) for ri in r]
+            assert min(vals) >= -1e-8
+
+
 class TestRadialPositivity:
     def test_hat_fails_in_three_dimensions(self):
         hat = ps.RadialProfile(poly=np.array([1.0, -1.0]))
         r = ps.radial_ft_positivity(hat, 3, 30.0, 0.05)
         assert r["min_value"] < 0.0
+
+
+class TestShiftApprox:
+    def test_member_of_span(self):
+        prof = ps.a_spline(2)
+        out = ps.shift_approx(lambda x: prof(np.abs(x)), 2, 0.5, 6)
+        assert out["sup_error"] <= 1e-10
+        assert abs(out["coeffs"][6] - 1.0) < 1e-8
+
+    def test_zero_function(self):
+        out = ps.shift_approx(lambda x: np.zeros_like(x), 2, 0.5, 4)
+        assert np.max(np.abs(out["coeffs"])) == 0.0
+
+    def test_gaussian_order(self):
+        errs = []
+        for h in (0.25, 0.125, 0.0625):
+            out = ps.shift_approx(lambda x: np.exp(-x * x), 2, h,
+                                  int(round(5.0 / h)))
+            errs.append(out["sup_error"])
+        slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        assert all(s >= 2.0 for s in slopes)
+        assert errs[0] > errs[1] > errs[2]
 
 
 class TestSchoenberg:

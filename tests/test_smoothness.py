@@ -110,6 +110,35 @@ class TestJackson:
             assert 0.5 <= r["ratio"] <= 4.0
 
 
+class TestKFunctional:
+    def test_competitor_zero(self):
+        f = corpus.sampled("exp_cos", 256)
+        k = sm.k_functional(f, sm.KFunctionalSpec(0.5, 2))
+        assert k <= trig.grid_norm(f) + 1e-12
+
+    def test_competitor_self(self):
+        rng = np.random.default_rng(13)
+        c = trig.TrigCoefficients(4, rng.standard_normal(9))
+        f = trig.synthesize(c, 256)
+        deriv = trig.grid_norm(trig.synthesize(
+            sm.spectral_derivative(trig.compute_coefficients(f, 8), 2), 256))
+        k = sm.k_functional(f, sm.KFunctionalSpec(1.0, 2))
+        assert k <= deriv + 1e-9
+
+    def test_constant_is_zero(self):
+        f = trig.SampledFunction(np.full(64, 5.0))
+        for t in (1.0, 0.25, 0.03):
+            assert sm.k_functional(f, sm.KFunctionalSpec(t, 2)) < 1e-12
+
+    def test_band_against_averaged_modulus(self):
+        # frozen corpus constants: k/omega~_2 observed within [1.1, 3.3]
+        f = corpus.sampled("sin", 1024)
+        t = 1.0 / 16
+        k = sm.k_functional(f, sm.KFunctionalSpec(t, 2))
+        w = sm.linearized_modulus(f, sm.ModulusSpec(2, t))
+        assert 1.0 <= k / w <= 3.5
+
+
 class TestSharpConstant:
     def test_value_against_independent_quadratures(self):
         a = sm.bernstein_mean_sharp_constant()

@@ -159,8 +159,7 @@ def _exp_posdef_report(p, seed):
         for _ in range(trials):
             k = int(rng.integers(3, 13))
             pts = rng.uniform(-3, 3, (k, dim)) * 10 ** rng.uniform(-1.5, 0)
-            best = min(best, posdef_splines.gram_min_eig(
-                posdef_splines.GramSpec(pts, fn)))
+            best = min(best, posdef_splines.gram_min_eig(pts, fn))
         return best
 
     gauss = search_min(lambda d: math.exp(-float(np.dot(d, d))), 2, p["trials"])
@@ -351,9 +350,10 @@ REGISTRY = {
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
         "4.1", {"r": (1, _INDEX), "nmin": (64, _INDEX), "nmax": (1024, _INDEX)},
         ["r", "n", "value", "slope", "intercept", "fit_residual"],
-        (lambda p: 2 * p["nmin"] <= p["nmax"] and p["r"] * math.log(
-            max(p["nmax"], trig.TWO_PI)) < math.log(sys.float_info.max),
-         "need 2*nmin <= nmax and nmax**r, (2pi)**r inside the float range")),
+        (lambda p: 2 * p["nmin"] <= p["nmax"]
+         and p["r"] * math.log2(p["nmax"]) < 53,
+         "need 2*nmin <= nmax and r*log2(nmax) < 53: a deviation of order "
+         "nmax**-r below the unit roundoff cannot be certified")),
     "hyperbolic-fit": Experiment(
         _exp_hyperbolic_fit, "hyperbolic-cross kernel norm exponent", "4.4a",
         {"alpha": (1.0, _number(float, 1)), "nmin": (256, _INDEX), "nmax": (4096, _INDEX)},

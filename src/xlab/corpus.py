@@ -11,9 +11,9 @@ from .errors import NotFound
 from .trig import TWO_PI, SampledFunction
 
 
-def _lacunary(x, levels=7):
+def _lacunary(x):
     out = np.zeros_like(x)
-    for j in range(1, levels + 1):
+    for j in range(1, 8):
         out += np.cos((2 ** j) * x) / 2 ** j
     return out
 
@@ -92,9 +92,9 @@ def jackson_corpus(m=2048):
 # dyadic corpus: functions on [0,1) sampled at j/2^B
 # ---------------------------------------------------------------------------
 
-def _takagi(x, levels=8):
+def _takagi(x):
     out = np.zeros_like(x)
-    for j in range(levels):
+    for j in range(8):
         s = (2 ** j) * x
         out += np.abs(s - np.round(s)) / 2 ** j
     return out

@@ -8,10 +8,6 @@ class InvalidArgument(ValueError):
 class NotFound(LookupError):
     """A named object (method, experiment, zero bracket) does not exist."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
 
 class ConvergenceFailure(RuntimeError):
     """A numerical routine did not reach the requested tolerance.

@@ -19,14 +19,10 @@ INDICATOR_FT_UMAX = 1e3          # largest |u| at which indicator_ft evaluates
 # the correction function h(x) = 1/x - cot(x/2)/2 and its derivatives
 # ---------------------------------------------------------------------------
 
-def _h_series_coeffs(terms=24):
-    # h(x) = sum_{k>=1} |B_2k|/(2k)! x^(2k-1); radius of convergence 2*pi
-    bern = special.bernoulli(2 * terms)
-    return np.array([abs(bern[2 * k]) / math.factorial(2 * k)
-                     for k in range(1, terms + 1)])
-
-
-_H_COEFFS = _h_series_coeffs()
+# h(x) = sum_{k>=1} |B_2k|/(2k)! x^(2k-1), radius of convergence 2*pi; the
+# 24 terms up to B_48
+_H_COEFFS = np.array([abs(b) / math.factorial(2 * k) for k, b in
+                      enumerate(special.bernoulli(48)[2::2], start=1)])
 _H_SEAM = 0.5
 
 
@@ -86,26 +82,12 @@ def h_function(x, p=0):
 class DecayingFunction:
     """A function on [n, inf) with derivatives and a variation bound.
 
-    deriv(u, p) evaluates f^(p)(u) (vectorized in u) for p <= order;
-    variation(a, p) returns the total variation of f^(p) on [a, inf), or
-    None to request the numeric fallback estimate.
+    deriv(u, p) evaluates f^(p)(u) (vectorized in u); variation(a, p)
+    returns the total variation of f^(p) on [a, inf) in closed form.
     """
 
     deriv: object
-    order: int
-    variation: object = None
-    label: str = ""
-
-    def var_bound(self, a, p):
-        if self.variation is not None:
-            v = self.variation(a, p)
-            if v is not None:
-                return float(v)
-        # fallback: fine-grid variation sum, inflated by 1%
-        u = a + np.concatenate([np.linspace(0, 10, 4001),
-                                np.geomspace(10, 1e4, 2000)])
-        vals = self.deriv(u, p)
-        return float(1.01 * np.sum(np.abs(np.diff(vals))))
+    variation: object
 
 
 def exponential_decay(a):
@@ -119,12 +101,11 @@ def exponential_decay(a):
     def variation(n, p):
         return a ** p * math.exp(-a * n)
 
-    return DecayingFunction(deriv, order=8, variation=variation,
-                            label=f"exp({a:g})")
+    return DecayingFunction(deriv, variation)
 
 
-def inverse_power(b, shift=1.0):
-    """f(u) = (shift + u)^{-b}, b > 1."""
+def inverse_power(b):
+    """f(u) = (1 + u)^{-b}, b > 1."""
     if b <= 1:
         raise InvalidArgument("need b > 1 for a convergent sum")
 
@@ -132,29 +113,32 @@ def inverse_power(b, shift=1.0):
         coef = 1.0
         for i in range(p):
             coef *= -(b + i)
-        return coef * (shift + np.asarray(u, dtype=float)) ** (-b - p)
+        return coef * (1.0 + np.asarray(u, dtype=float)) ** (-b - p)
 
     def variation(n, p):
         coef = 1.0
         for i in range(p):
             coef *= b + i
-        return coef * (shift + n) ** (-b - p)
+        return coef * (1.0 + n) ** (-b - p)
 
-    return DecayingFunction(deriv, order=8, variation=variation,
-                            label=f"pow({b:g})")
+    return DecayingFunction(deriv, variation)
 
 
-def _oscillatory_series(f, n, x, terms=200000):
-    """sum_{k>=n} f(k) e^{ikx} with a two-level summation-by-parts tail.
+OSCILLATORY_TERMS = 200000
+
+
+def _oscillatory_series(f, n, x):
+    """sum_{k>=n} f(k) e^{ikx}: OSCILLATORY_TERMS + 1 terms summed directly,
+    the rest by a two-level summation-by-parts tail.
 
     Returns (value, error bound); the bound uses the second-difference
     telescoping valid for eventually monotone-convex decay.
     """
     q = np.exp(1j * x)
-    k = np.arange(n, n + terms + 1)
+    k = np.arange(n, n + OSCILLATORY_TERMS + 1)
     fk = f.deriv(k, 0)
     head = np.sum(fk * q ** k)
-    m = n + terms + 1
+    m = n + OSCILLATORY_TERMS + 1
     f_m, f_m1 = f.deriv(m, 0), f.deriv(m - 1, 0)
     d1 = f_m - f_m1
     one_q = 1.0 - q
@@ -163,7 +147,10 @@ def _oscillatory_series(f, n, x, terms=200000):
     return head + tail, err
 
 
-def euler_maclaurin_sum(f, n, r, x, tol=1e-6):
+EULER_MACLAURIN_TOL = 1e-6
+
+
+def euler_maclaurin_sum(f, n, r, x):
     """Compare the oscillatory sum sum_{k>=n} f(k)e^{ikx} with its
     integral-plus-corrections discretization.
 
@@ -171,7 +158,8 @@ def euler_maclaurin_sum(f, n, r, x, tol=1e-6):
     int_n^inf f e^{iux} du + f(n)e^{inx}/2
     + e^{inx} sum_{p<r} ((-i)^{p+1}/p!) h^(p)(x) f^(p)(n),
     the normalized residual theta = (lhs - rhs) * pi^r / V, and the
-    variation bound V of f^(r) on [n, inf).
+    variation bound V of f^(r) on [n, inf).  The sum and the integral must
+    be accurate to EULER_MACLAURIN_TOL relative to max(1, |lhs|).
     """
     if x == 0 or abs(x) > np.pi:
         raise InvalidArgument("need 0 < |x| <= pi")
@@ -195,9 +183,9 @@ def euler_maclaurin_sum(f, n, r, x, tol=1e-6):
         rhs += phase * ((-1j) ** (p + 1) / math.factorial(p)) \
             * h_function(x, p) * f.deriv(n, p)
 
-    v = f.var_bound(n, r)
+    v = float(f.variation(n, r))
     quad_err = re_err + im_err
-    if quad_err + tail_err > tol * max(1.0, abs(lhs)):
+    if quad_err + tail_err > EULER_MACLAURIN_TOL * max(1.0, abs(lhs)):
         raise ConvergenceFailure("sum/integral tolerance not met",
                                  best_estimate=lhs,
                                  error_estimate=quad_err + tail_err)
@@ -280,14 +268,14 @@ class ConvexBody2D:
             return math.pi * self.radius ** 2
         return math.pi * self.axes[0] * self.axes[1]
 
-    def centrally_symmetric(self, tol=1e-9):
+    def centrally_symmetric(self):
         if self.kind in ("disc", "ellipse"):
             return True
         v = self.vertices
         if len(v) % 2:
             return False
         half = len(v) // 2
-        return bool(np.allclose(v, -np.roll(v, half, axis=0), atol=tol))
+        return bool(np.allclose(v, -np.roll(v, half, axis=0), atol=1e-9))
 
 
 def _phi1(w):
@@ -329,11 +317,12 @@ def indicator_ft(body, u):
     return complex(total / (1j * nu ** 2))
 
 
-def zero_curve(body, p, phi, scan_points=96):
+def zero_curve(body, p, phi):
     """p-th positive zero r_p(phi) of t -> indicator_ft(body, t e(phi)).
 
     The search interval is (2p*pi/d, 2(p+1)*pi/d) with d the width in the
-    direction phi; a missing sign change inside it is reported (not patched).
+    direction phi, scanned at 96 points; a missing sign change inside it is
+    reported (not patched).
     """
     if p < 1:
         raise InvalidArgument("zero index starts at 1")
@@ -348,17 +337,16 @@ def zero_curve(body, p, phi, scan_points=96):
         return val.real
 
     lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
-    ts = np.linspace(lo, hi, scan_points)
+    ts = np.linspace(lo, hi, 96)
     vals = np.array([f(t) for t in ts])
     # the first sign change of the scan, refined by Brent's method
     idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
     if not idx.size:
-        raise NotFound(f"no sign change in ({lo:g}, {hi:g}) for p={p}",
-                       trace=list(zip(ts.tolist(), vals.tolist())))
+        raise NotFound(f"no sign change in ({lo:g}, {hi:g}) for p={p}")
     i = idx[0]
     root = optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
     if not lo < root < hi:
-        raise NotFound("root escaped the bracket", trace=[(root, f(root))])
+        raise NotFound("root escaped the bracket")
     return float(root)
 
 
@@ -366,12 +354,12 @@ def zero_curve(body, p, phi, scan_points=96):
 # radial Fourier transforms in dimensions 1..3
 # ---------------------------------------------------------------------------
 
-def radial_ft(profile, m, r, knots=None, order=12):
+def radial_ft(profile, m, r, knots=None):
     """Radial transform of a profile supported in [0, 1]:
 
     m=1: 2 int f(s) cos(rs) ds,  m=2: 2pi int f(s) s J0(rs) ds,
-    m=3: 4pi int f(s) s^2 sinc(rs) ds, by composite Gauss-Legendre with
-    panels aligned to the oscillation and to the supplied knots."""
+    m=3: 4pi int f(s) s^2 sinc(rs) ds, by composite 12-point Gauss-Legendre
+    with panels aligned to the oscillation and to the supplied knots."""
     if m not in (1, 2, 3):
         raise InvalidArgument("dimension m in {1, 2, 3}")
     r = float(r)
@@ -385,7 +373,7 @@ def radial_ft(profile, m, r, knots=None, order=12):
         k = max(1, int(math.ceil((b - a) * per_unit)))
         sub = np.linspace(a, b, k + 1)
         panels += list(zip(sub[:-1], sub[1:]))
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
     total = 0.0
     for a, b in panels:
         s = 0.5 * (b - a) * nodes + 0.5 * (a + b)

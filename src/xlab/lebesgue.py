@@ -20,14 +20,13 @@ Dirichlet factors and the coarse estimate read off the even sub-grid."""
 from dataclasses import dataclass
 import itertools
 import math
-import numbers
 
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidArgument
 # compute_coefficients is unused here: perfbench's tracer test patches this copy
 from .trig import (TWO_PI, TrigCoefficients, compute_coefficients,  # noqa: F401
-                   synthesize)
+                   dirichlet, synthesize)
 
 
 @dataclass(frozen=True)
@@ -241,16 +240,13 @@ def geometric_grid(nmin, nmax):
     return out
 
 
-def classical_lebesgue_fit(nmin, nmax, method=None):
+def classical_lebesgue_fit(nmin, nmax):
     """Fit L_n = c*ln n + d for the partial-sum operator norms over the
     geometric grid nmin, 2nmin, ..., nmax."""
     if not (nmax >= 4 * nmin and 4 * nmin >= 64):
         raise InvalidArgument("need nmax >= 4*nmin >= 64")
-    from .trig import dirichlet
-    if method is None:
-        method = dirichlet()
     ns = geometric_grid(nmin, nmax)
-    values = [lebesgue_constant(method, n).value for n in ns]
+    values = [lebesgue_constant(dirichlet(), n).value for n in ns]
     c, d, resid = fit_log_model(ns, values)
     return AsymptoticFit("c*ln(n)+d", (c, d), resid), ns, values
 
@@ -280,9 +276,13 @@ def _polyval(coeffs, t):
     return out
 
 
-def kolmogorov_deviation(r, n, tol=1e-9):
+KOLMOGOROV_TOL = 1e-9
+
+
+def kolmogorov_deviation(r, n):
     """sup over the unit W^r class of ||f - S_n f||_inf, via (1/pi) times
-    the L1 norm of the conjugate-tail kernel over a period."""
+    the L1 norm of the conjugate-tail kernel over a period, certified to
+    KOLMOGOROV_TOL."""
     if r < 1 or n < 0:
         raise InvalidArgument("need r >= 1 and n >= 0")
     # on (0, 2pi) the tail kernel is poly(t) - sum_{k<=n} cos(kt - r pi/2)/k^r;
@@ -291,7 +291,7 @@ def kolmogorov_deviation(r, n, tol=1e-9):
     half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** float(r))
     c = np.concatenate((np.conj(half[::-1]), [0.0], half))
     total, err = _piecewise_l1(c, 16, _full_series_poly(r))
-    if err / np.pi > tol or not err < total:
+    if err / np.pi > KOLMOGOROV_TOL or not err < total:
         raise ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
                                  error_estimate=err / np.pi)
     return total / np.pi
@@ -303,6 +303,7 @@ def kolmogorov_deviation(r, n, tol=1e-9):
 
 BLOCK_ENTRIES = 1 << 20         # |K| entries per block of the 2-D pass (8 MB)
 HYPERBOLIC_NMAX = 4096
+RHOMBIC_OVERSAMPLE = 8
 
 
 def _factors(h, const, lo, hi):
@@ -331,13 +332,11 @@ def _fold_weights(h):
 def _grouped_l1_2d(groups, n1, n2, oversample):
     """(fine, coarse) uniform Riemann sums of (1/4pi^2) int int
     |sum_g A_g(x1) B_g(x2)| dx on the m1 x m2 full-period grid,
-    m = 2 oversample (n + 1), and on its even sub-grid; a group
-    (lo1, hi1, c1, deg, c2) has the factors A = c1 + 2 sum_{k=lo1}^{hi1} cos k x1,
+    m = 2 oversample (n + 1) with oversample even, and on its even sub-grid;
+    a group (lo1, hi1, c1, deg, c2) has the factors
+    A = c1 + 2 sum_{k=lo1}^{hi1} cos k x1,
     B = c2 + 2 sum_{k=1}^{deg} cos k x2.  K is even in each variable, so one
     blocked pass over the quarter grid [0, pi]^2 folds |K| with both weights."""
-    if not (isinstance(oversample, numbers.Integral) and oversample > 0
-            and oversample % 2 == 0):
-        raise InvalidArgument("oversample must be a positive even integer")
     lo1, hi1, c1, deg, c2 = (np.array(v) for v in zip(*groups))
     h1, h2 = oversample * (n1 + 1), oversample * (n2 + 1)
     amat, bmat = _factors(h1, c1, lo1, hi1).T, _factors(h2, c2, 1, deg)
@@ -368,7 +367,7 @@ def _rhombic_groups(n1, n2):
         math.floor(n2 * (1.0 - k1 / n1) + 1e-12)), 1.0)
 
 
-def rhombic_lebesgue(n1, n2, tol=1e-3, oversample=8):
+def rhombic_lebesgue(n1, n2):
     """Operator norm of the rhombic partial sum on the torus, by uniform
     Riemann sums of |kernel| at two resolutions (the difference is the
     reported error estimate)."""
@@ -376,7 +375,8 @@ def rhombic_lebesgue(n1, n2, tol=1e-3, oversample=8):
         raise InvalidArgument("need n2 a positive multiple of n1")
     if n1 > 64:
         raise InvalidArgument("cost guard: n1 <= 64")
-    fine, coarse = _grouped_l1_2d(_rhombic_groups(n1, n2), n1, n2, oversample)
+    fine, coarse = _grouped_l1_2d(_rhombic_groups(n1, n2), n1, n2,
+                                  RHOMBIC_OVERSAMPLE)
     return LebesgueSample((n1, n2), fine, abs(fine - coarse))
 
 
@@ -387,7 +387,7 @@ def _hyperbolic_groups(alpha, n):
         lambda k1: int(math.floor(n / k1 ** alpha + 1e-12)), 0.0)
 
 
-def hyperbolic_l1(alpha, n, oversample=None):
+def hyperbolic_l1(alpha, n):
     """(L1/(2pi)^2, error estimate) for the hyperbolic-cross kernel
     (both coordinate axes excluded from the index set)."""
     if alpha < 1 or n < 1:
@@ -395,8 +395,7 @@ def hyperbolic_l1(alpha, n, oversample=None):
     groups = _hyperbolic_groups(alpha, n)
     if 4 * sum((g[1] - g[0] + 1) * g[3] for g in groups) > 10 ** 6:
         raise InvalidArgument("cost guard: kernel support exceeds 1e6 points")
-    if oversample is None:
-        oversample = 4 if n > 1024 else 8
+    oversample = 4 if n > 1024 else 8
     fine, coarse = _grouped_l1_2d(groups, int(n ** (1.0 / alpha) + 1e-9), n,
                                   oversample)
     return fine, abs(fine - coarse)

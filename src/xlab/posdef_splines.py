@@ -26,36 +26,18 @@ SCHOENBERG_DIMS = (2, 3)
 # Gram matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GramSpec:
-    """Distinct points in R^m (m <= 4) and an evaluator x -> f(x); radial
-    evaluators receive ||x||."""
-
-    points: object
-    function: object
-    radial: bool = False
-
-
-def gram_matrix(spec):
-    pts = np.atleast_2d(np.asarray(spec.points, dtype=float))
+def gram_min_eig(points, function):
+    """Minimum eigenvalue of the Gram matrix [f(x_i - x_j)] of at most 64
+    distinct points in R^m, m <= 4 (Hermitian eigensolver); the evaluator
+    f receives each difference x_i - x_j as an array of length m."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] > 64:
         raise InvalidArgument("at most 64 points")
     if pts.shape[1] > 4:
         raise InvalidArgument("ambient dimension at most 4")
     diff = pts[:, None, :] - pts[None, :, :]
-    if spec.radial:
-        arg = np.linalg.norm(diff, axis=2)
-        g = np.asarray([[spec.function(arg[i, j]) for j in range(len(pts))]
-                        for i in range(len(pts))], dtype=complex)
-    else:
-        g = np.asarray([[spec.function(diff[i, j]) for j in range(len(pts))]
-                        for i in range(len(pts))], dtype=complex)
-    return g
-
-
-def gram_min_eig(spec):
-    """Minimum eigenvalue of [f(x_i - x_j)] (Hermitian eigensolver)."""
-    g = gram_matrix(spec)
+    g = np.asarray([[function(diff[i, j]) for j in range(len(pts))]
+                    for i in range(len(pts))], dtype=complex)
     scale = float(np.max(np.abs(g))) or 1.0
     if np.max(np.abs(g - g.conj().T)) > 1e-10 * scale:
         raise InvalidArgument("Gram matrix is not Hermitian")
@@ -73,8 +55,6 @@ class RadialProfile:
 
     fn: object = None
     poly: object = None              # ascending coefficients on [0, 1]
-    knots: tuple = ()
-    smoothness: int = 0
     label: str = ""
 
     def __call__(self, t):
@@ -87,18 +67,21 @@ class RadialProfile:
         return out
 
 
-def polya_test(profile, m, t_grid=None, tol=1e-8):
+POLYA_TOL = 1e-8
+
+
+def polya_test(profile, m):
     """Grid certification of the sufficient condition for membership in the
     class of positive definite radial functions on R^m: with
     n = [(m+2)/2], requires continuity, a nonnegative limit at infinity,
     convexity of (-1)^(n-1) f^(n-1) on (0, inf), and vanishing of
     t^n f^(n)(t) at 0 and infinity.
 
-    True certifies only the sufficient condition; a margin too close to
-    call raises IndeterminateGrid."""
+    True certifies only the sufficient condition, checked on 600 geometric
+    points of [1e-4, 1e4]; a margin within POLYA_TOL of failing raises
+    IndeterminateGrid."""
     n = (m + 2) // 2
-    if t_grid is None:
-        t_grid = np.geomspace(1e-4, 1e4, 600)
+    t_grid = np.geomspace(1e-4, 1e4, 600)
 
     def deriv(t, p):
         if p == 0:
@@ -110,7 +93,7 @@ def polya_test(profile, m, t_grid=None, tol=1e-8):
     tail = profile(np.linspace(2e3, 1e4, 64))
     if np.max(tail) - np.min(tail) > 1e-3 * max(1.0, np.max(np.abs(profile(t_grid)))):
         return False
-    if np.min(tail) < -tol:
+    if np.min(tail) < -POLYA_TOL:
         return False
 
     # convexity of (-1)^(n-1) f^(n-1): second divided differences (the grid
@@ -122,7 +105,7 @@ def polya_test(profile, m, t_grid=None, tol=1e-8):
     worst = float(np.min(d2))
     if worst < -1e-4 * scale:
         return False
-    if worst < -tol * scale:
+    if worst < -POLYA_TOL * scale:
         raise IndeterminateGrid("convexity margin too small to certify")
 
     # boundary decay of t^n f^(n)(t)
@@ -243,8 +226,7 @@ def a_spline(n):
         base = np.clip(1.0 - t, 0.0, None)
         return base ** (2 * n - 1) * np.polynomial.polynomial.polyval(t, h)
 
-    prof = RadialProfile(fn=factored, poly=coeffs, smoothness=2 * n - 2,
-                         label=f"a_spline({n})")
+    prof = RadialProfile(fn=factored, poly=coeffs, label=f"a_spline({n})")
     object.__setattr__(prof, "poly_exact", tuple(exact))
     object.__setattr__(prof, "cofactor", h)
     return prof
@@ -330,7 +312,8 @@ def tilde_e_spline(n, x):
 
 def radial_ft_positivity(profile, m, rmax, step):
     """Minimum of the m-dimensional radial transform of the profile on the
-    frequency grid [0, rmax] with the given spacing.
+    frequency grid [0, rmax] with the given spacing; quadrature panels
+    follow the oscillation only, as a RadialProfile has no interior knots.
 
     Single-piece polynomial profiles in m=1 switch from panel quadrature to
     the exact boundary expansion once r clears the degree scale (below it
@@ -350,18 +333,17 @@ def radial_ft_positivity(profile, m, rmax, step):
         vals[~low] = cos_transform_boundary(d0, d1, r[~low])
         vals[low] = [radial_ft(profile, 1, ri) for ri in r[low]]
     else:
-        knots = getattr(profile, "knots", ())
-        vals = np.array([radial_ft(profile, m, ri, knots=knots) for ri in r])
+        vals = np.array([radial_ft(profile, m, ri) for ri in r])
     i = int(np.argmin(vals))
     return {"min_value": float(vals[i]), "argmin": float(r[i])}
 
 
-def shift_approx(f, n, h, halfwidth, grid_per_h=8):
+def shift_approx(f, n, h, halfwidth):
     """Least-squares fit of sum_k c_k A(x + k h) (A the even extension of
-    a_spline(n)) to f on a dense grid of [-Nh-1, Nh+1]."""
+    a_spline(n)) to f on a grid of [-Nh-1, Nh+1] with 8 points per step h."""
     prof = a_spline(n)
     nh = halfwidth * h
-    npts = max(64, int(round(grid_per_h * (2 * nh + 2) / h)))
+    npts = max(64, int(round(8 * (2 * nh + 2) / h)))
     x = np.linspace(-nh - 1.0, nh + 1.0, npts)
     cols = np.stack([prof(np.abs(x + k * h))
                      for k in range(-halfwidth, halfwidth + 1)], axis=1)
@@ -383,10 +365,10 @@ def lp_norm(points, p):
     return (np.abs(pts) ** p).sum(axis=-1) ** (1.0 / p)
 
 
-def schoenberg_check(m, p, alpha, trials=10000, seed=0, max_points=12):
+def schoenberg_check(m, p, alpha, trials=10000, seed=0):
     """Randomized Gram search for exp(-||x||_p^alpha) on R^m.
 
-    Point sets of up to max_points points with coordinates in [-3, 3] are
+    Point sets of 3 to 12 points with coordinates in [-3, 3] are
     drawn at log-uniform random scales (violations of the small-scale
     distance-matrix kind only surface when the linear term dominates).
     Returns the most negative eigenvalue found and its witness."""
@@ -404,10 +386,10 @@ def schoenberg_check(m, p, alpha, trials=10000, seed=0, max_points=12):
     best = math.inf
     witness = None
     for _ in range(trials):
-        k = int(rng.integers(3, max_points + 1))
+        k = int(rng.integers(3, 13))
         scale = 10.0 ** rng.uniform(-1.7, 0.0)
         pts = rng.uniform(-3.0, 3.0, (k, m)) * scale
-        eig = gram_min_eig(GramSpec(pts, f))
+        eig = gram_min_eig(pts, f)
         if eig < best:
             best = eig
             witness = pts.copy()

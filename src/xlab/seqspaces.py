@@ -108,9 +108,13 @@ def duality_identity_cesaro(alpha):
     return {"lhs": float(value), "rhs": astar_norm(a, 1)}
 
 
-def empirical_pairing_constants(p, samples, seed=0, maxlen=64):
+PAIRING_MAXLEN = 64
+
+
+def empirical_pairing_constants(p, samples, seed=0):
     """Empirical constants of the three pairing inequalities between the
-    averaged-tail and Cesaro-sup norms, from random sequences.
+    averaged-tail and Cesaro-sup norms, from random sequences of lengths
+    uniform in 1..PAIRING_MAXLEN.
 
     gamma1: largest observed pairing / (||x||_{b_p} ||y||_{h_q});
     gamma2: smallest observed (sup over candidate x in the b_p ball of the
@@ -120,12 +124,12 @@ def empirical_pairing_constants(p, samples, seed=0, maxlen=64):
     p = float(p)
     q = p / (p - 1.0)
     rng = np.random.default_rng(seed)
-    j = np.arange(1, maxlen + 1)
+    j = np.arange(1, PAIRING_MAXLEN + 1)
     spike_bp = np.cumsum(j ** (-1.0 / p))        # ||e_j||_{b_p}
     spike_hq = j ** (-1.0 / q)                   # ||e_j||_{h_q}
     g1, g2, g3 = 0.0, math.inf, math.inf
     for _ in range(samples):
-        n = int(rng.integers(1, maxlen + 1))
+        n = int(rng.integers(1, PAIRING_MAXLEN + 1))
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         r = hp_bp_holder_check(x, y, p)

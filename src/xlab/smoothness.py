@@ -8,18 +8,17 @@ import math
 import numpy as np
 
 from .errors import InvalidArgument
-from .trig import (GridNorm, TWO_PI, apply_means,
-                   approximation_error, bernstein, compute_coefficients,
-                   grid_norm, synthesize, vallee_poussin)
+from .trig import (TWO_PI, apply_means, approximation_error, bernstein,
+                   compute_coefficients, grid_norm, synthesize, vallee_poussin)
 
 
 @dataclass(frozen=True)
 class ModulusSpec:
-    """Order r >= 1, grid norm, and step bound h in (0, pi]."""
+    """Order r >= 1 and step bound h in (0, pi]; moduli are taken in the
+    grid sup norm."""
 
     r: int
     h: float
-    p: float = math.inf
 
     def __post_init__(self):
         if self.r < 1:
@@ -61,10 +60,9 @@ def _steps_within(f, h):
 
 
 def modulus(f, spec):
-    """omega_r(f; h)_p: sup over grid steps delta <= h of ||Delta_delta^r f||_p."""
+    """omega_r(f; h): sup over grid steps delta <= h of ||Delta_delta^r f||_inf."""
     step, jmax = _steps_within(f, spec.h)
-    norm = GridNorm(spec.p)
-    return max(grid_norm(_difference(f.values, j, spec.r), norm)
+    return max(grid_norm(_difference(f.values, j, spec.r))
                for j in range(1, jmax + 1))
 
 
@@ -76,10 +74,10 @@ def linearized_modulus(f, spec):
                       for j in range(jmax + 1)])  # j=0 term vanishes
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     avg = trapezoid(stack, dx=step, axis=0) / (jmax * step)
-    return grid_norm(avg, GridNorm(spec.p))
+    return grid_norm(avg)
 
 
-def jackson_two_sided(f, r, n, method=None):
+def jackson_two_sided(f, r, n):
     """Approximation error of the realization method against omega_r(f; 1/n).
 
     The realization operator is the de la Vallee Poussin mean (reproduces
@@ -88,11 +86,9 @@ def jackson_two_sided(f, r, n, method=None):
     """
     if n < r:
         raise InvalidArgument("need n >= r")
-    if method is None:
-        method = vallee_poussin()
     m = f.size
     c = compute_coefficients(f, m // 2 - 1)
-    err = approximation_error(method, n, c, m)
+    err = approximation_error(vallee_poussin(), n, c, m)
     w = modulus(f, ModulusSpec(r, 1.0 / n))
     ratio = err / w if w > 0 else (0.0 if err == 0 else math.inf)
     return {"approx_error": err, "modulus_value": w, "ratio": ratio}
@@ -137,11 +133,11 @@ def k_functional(f, spec):
     return best
 
 
-def sine_integral(x, panels=8, order=32):
-    """int_0^x sin(t)/t dt by composite Gauss-Legendre."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def sine_integral(x):
+    """int_0^x sin(t)/t dt by composite Gauss-Legendre, 8 panels of 32 nodes."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     total = 0.0
-    edges = np.linspace(0.0, x, panels + 1)
+    edges = np.linspace(0.0, x, 9)
     for a, b in zip(edges[:-1], edges[1:]):
         t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         vals = np.where(np.abs(t) < 1e-30, 1.0, np.sin(t) / t)

@@ -57,35 +57,21 @@ class SampledFunction:
         return cls(np.asarray(f(x)))
 
 
-@dataclass(frozen=True)
-class GridNorm:
-    """Selects the grid L_p norm; p may be math.inf for the sup norm."""
-
-    p: float = math.inf
-
-    def __post_init__(self):
-        if not self.p > 0:
-            raise InvalidArgument("norm exponent must be positive")
-
-
 class TrigCoefficients:
     """Finitely supported Fourier coefficients c_k, |k| <= degree."""
 
-    def __init__(self, degree, coeffs=None):
+    def __init__(self, degree, coeffs):
         if degree < 0:
             raise InvalidArgument("degree must be nonnegative")
         self.degree = int(degree)
-        n = 2 * self.degree + 1
-        if coeffs is None:
-            self.c = np.zeros(n, dtype=complex)
-        else:
-            c = np.asarray(coeffs, dtype=complex)
-            if c.shape != (n,):
-                raise InvalidArgument("coefficient array must have length 2*degree+1")
-            self.c = c
+        c = np.asarray(coeffs, dtype=complex)
+        if c.shape != (2 * self.degree + 1,):
+            raise InvalidArgument("coefficient array must have length 2*degree+1")
+        self.c = c
 
-    def is_real_valued(self, tol=1e-12):
-        return np.allclose(self.c, np.conj(self.c[::-1]), atol=tol)
+    def is_real_valued(self):
+        """c_{-k} = conj c_k up to an absolute 1e-12."""
+        return np.allclose(self.c, np.conj(self.c[::-1]), atol=1e-12)
 
     def copy(self):
         return TrigCoefficients(self.degree, self.c.copy())
@@ -117,14 +103,11 @@ def synthesize(c, m):
     return SampledFunction(np.fft.ifft(a) * m)
 
 
-def grid_norm(f, norm=GridNorm(math.inf)):
+def grid_norm(f, p=math.inf):
     """Riemann-sum L_p norm ((2pi/M) sum |f|^p)^(1/p), sup norm for p=inf."""
-    if isinstance(norm, (int, float)):
-        norm = GridNorm(float(norm))
     v = np.abs(np.asarray(f.values if isinstance(f, SampledFunction) else f))
-    if math.isinf(norm.p):
+    if math.isinf(p):
         return float(np.max(v))
-    p = norm.p
     return float(((TWO_PI / v.size) * np.sum(v ** p)) ** (1.0 / p))
 
 
@@ -308,13 +291,13 @@ def apply_means(method, n, c):
     return TrigCoefficients(deg, vals)
 
 
-def approximation_error(method, n, c, m, p=math.inf):
-    """Grid norm of f - Lambda_n f for f given by coefficients c."""
+def approximation_error(method, n, c, m):
+    """Grid sup norm of f - Lambda_n f for f given by coefficients c."""
     diff = c.copy()
     lam = apply_means(method, n, c)
     k = np.arange(-lam.degree, lam.degree + 1)
     diff.c[k + diff.degree] -= lam.c
-    return grid_norm(synthesize(diff, m), GridNorm(p))
+    return grid_norm(synthesize(diff, m))
 
 
 def comparison_ratio(method_a, method_b, fset, nmax, m=1024):

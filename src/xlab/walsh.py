@@ -70,11 +70,10 @@ def fwt(signal):
     return hat[bit_reverse(np.arange(1 << b), b)]
 
 
-def ifwt(coeffs, bits=None):
-    """Synthesis sum_n c_n psi_n on the dyadic grid (inverse of fwt)."""
+def ifwt(coeffs, bits):
+    """Synthesis sum_n c_n psi_n on the 2^bits dyadic grid (inverse of fwt);
+    coefficients past the given ones are zero."""
     c = np.asarray(coeffs, dtype=float)
-    if bits is None:
-        bits = int(c.size - 1).bit_length()
     if c.size != 1 << bits:
         full = np.zeros(1 << bits)
         full[: c.size] = c
@@ -92,15 +91,10 @@ def cesaro_multipliers(n, alpha):
     return lam[:n]
 
 
-def cesaro_means(signal_or_coeffs, n, alpha, bits=None):
-    """sigma_n^alpha of a dyadic signal (or of raw coefficients)."""
-    if isinstance(signal_or_coeffs, DyadicSignal):
-        bits = signal_or_coeffs.bits
-        c = fwt(signal_or_coeffs)
-    else:
-        c = np.asarray(signal_or_coeffs, dtype=float)
-        if bits is None:
-            raise InvalidArgument("bits required with raw coefficients")
+def cesaro_means(signal, n, alpha):
+    """sigma_n^alpha of a DyadicSignal, on the same grid."""
+    bits = signal.bits
+    c = fwt(signal)
     if not 0 < n < (1 << bits):
         raise InvalidArgument("need 0 < n < 2^bits")
     if alpha <= 0:
@@ -111,14 +105,14 @@ def cesaro_means(signal_or_coeffs, n, alpha, bits=None):
     return ifwt(cc, bits)
 
 
-def br_means_regularity(alpha, beta, nu, nmax, bits=None):
+def br_means_regularity(alpha, beta, nu, nmax):
     """L1 kernel norms of B_n(f) = alpha S_n(f;x) + beta S_n(f; x (+) nu/n)
-    for n <= nmax, with the shift snapped to the dyadic grid.
+    for n <= nmax, with the shift snapped to the dyadic grid of
+    min(16, ceil(log2 nmax) + 4) bits.
 
     bounded: the top-octave maximum does not exceed 1.2x the previous
     octave's maximum."""
-    if bits is None:
-        bits = min(BITS_RANGE[1], int(np.ceil(np.log2(nmax))) + 4)
+    bits = min(BITS_RANGE[1], int(np.ceil(np.log2(nmax))) + 4)
     m = 1 << bits
     j = np.arange(m)
     d = np.zeros(m)       # D_n accumulated incrementally
@@ -135,18 +129,16 @@ def br_means_regularity(alpha, beta, nu, nmax, bits=None):
     top = lc[nmax // 2 + 1: nmax + 1]
     prev = lc[nmax // 4 + 1: nmax // 2 + 1]
     bounded = bool(np.max(top) <= 1.2 * np.max(prev))
-    return {"lc_values": lc[1:], "bounded": bounded, "bits": bits}
+    return {"lc_values": lc[1:], "bounded": bounded}
 
 
-def sidon_telyakovskii_bound(lam, bits=None):
+def sidon_telyakovskii_bound(lam):
     """Both sides of the coefficient bound for lacunary-block Walsh series
-    (one-dimensional blocks {k}): the L1 norm of sum lambda_k psi_k against
+    (one-dimensional blocks {k}): the L1 norm of sum lambda_k psi_k, on the
+    grid with four times the support rounded up to a power of two, against
     sum_k max_{s>=k} |lambda_s - lambda_{s+1}|."""
     lam = np.asarray(lam, dtype=float)
-    if bits is None:
-        bits = max(2, int(np.ceil(np.log2(max(lam.size, 2)))) + 2)
-    if lam.size > 1 << bits:
-        raise InvalidArgument("coefficient support exceeds the grid")
+    bits = max(2, int(np.ceil(np.log2(max(lam.size, 2)))) + 2)
     vals = ifwt(lam, bits).values
     l1 = float(np.mean(np.abs(vals)))
     d = np.abs(np.diff(np.concatenate([lam, [0.0]])))

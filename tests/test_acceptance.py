@@ -175,13 +175,13 @@ def test_criterion_09_positive_definiteness():
         for _ in range(1000):
             k = int(rng.integers(2, 13))
             pts = rng.uniform(-3, 3, (k, dim))
-            eig = ps.gram_min_eig(ps.GramSpec(pts, fn))
+            eig = ps.gram_min_eig(pts, fn)
             certified_ok &= eig >= -1e-8 * k
     stretched = lambda d: math.exp(-abs(float(d[0])) ** 2.5)
     viol = math.inf
     for _ in range(4000):
         pts = rng.uniform(-3, 3, (int(rng.integers(3, 13)), 1))
-        viol = min(viol, ps.gram_min_eig(ps.GramSpec(pts, stretched)))
+        viol = min(viol, ps.gram_min_eig(pts, stretched))
     pos_case = ps.schoenberg_check(2, 3.0, 1.0, trials=10000, seed=1)
     neg_case = ps.schoenberg_check(3, math.inf, 1.0, trials=10000, seed=1)
     ok = (certified_ok and viol < -1e-6

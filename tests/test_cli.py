@@ -94,6 +94,7 @@ class TestExitCodes:
         ["two-sided-report", "nmax=512"],
         ["indicator-zeros", "p=400"],
         ["indicator-zeros", "radius=0.001"],
+        ["kolmogorov-fit", "r=102"],
     ])
     def test_bad_fit_params(self, bad, capsys, tmp_path):
         keys = [t.split("=")[0].strip() for t in bad if "=" in t]

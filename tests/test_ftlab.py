@@ -61,12 +61,6 @@ class TestEulerMaclaurin:
         with pytest.raises(InvalidArgument):
             ft.euler_maclaurin_sum(ft.exponential_decay(1.0), 0, 0, 0.0)
 
-    def test_numeric_variation_fallback(self):
-        f = ft.DecayingFunction(lambda u, p:
-                                ft.exponential_decay(0.7).deriv(u, p), order=4)
-        v = f.var_bound(0, 1)
-        assert abs(v - 0.7) < 0.02  # 1% inflation over the analytic value
-
 
 class TestIndicatorFT:
     def test_mean_value(self):

@@ -16,12 +16,12 @@ class TestGram:
         for _ in range(300):
             k = int(rng.integers(2, 13))
             pts = rng.uniform(-3, 3, (k, 3))
-            eig = ps.gram_min_eig(ps.GramSpec(pts, fn))
+            eig = ps.gram_min_eig(pts, fn)
             assert eig >= -1e-9 * k
 
     def test_cosine_collinear(self):
         pts = np.array([[0.0], [np.pi]])
-        eig = ps.gram_min_eig(ps.GramSpec(pts, lambda d: math.cos(float(d[0]))))
+        eig = ps.gram_min_eig(pts, lambda d: math.cos(float(d[0])))
         assert abs(eig) < 1e-12
 
     def test_stretched_exponential_violation(self):
@@ -30,13 +30,13 @@ class TestGram:
         best = 1.0
         for _ in range(2000):
             pts = rng.uniform(-3, 3, (int(rng.integers(3, 13)), 1))
-            best = min(best, ps.gram_min_eig(ps.GramSpec(pts, fn)))
+            best = min(best, ps.gram_min_eig(pts, fn))
         assert best < -1e-6
 
     def test_non_hermitian_rejected(self):
         pts = np.array([[0.0], [1.0]])
         with pytest.raises(InvalidArgument):
-            ps.gram_min_eig(ps.GramSpec(pts, lambda d: float(d[0])))  # odd
+            ps.gram_min_eig(pts, lambda d: float(d[0]))  # odd
 
 
 class TestPolya:
@@ -56,7 +56,7 @@ class TestPolya:
         for fn in (hat, expf):
             for _ in range(1000):
                 pts = rng.uniform(-3, 3, (int(rng.integers(2, 9)), 1))
-                eig = ps.gram_min_eig(ps.GramSpec(pts, fn))
+                eig = ps.gram_min_eig(pts, fn)
                 assert eig >= -1e-8 * len(pts)
 
 

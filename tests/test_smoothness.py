@@ -102,13 +102,6 @@ class TestJackson:
                 ratio = sm.jackson_two_sided(f, 1, n)["ratio"]
                 assert 1.0 / 40.0 <= ratio <= 40.0
 
-    def test_riesz_band_second_order(self):
-        f = corpus.sampled("sin", 2048)
-        for n in (8, 32, 128):
-            r = sm.jackson_two_sided(f, 2, n,
-                                     method=trig.get_method("riesz(2,1)"))
-            assert 0.5 <= r["ratio"] <= 4.0
-
 
 class TestKFunctional:
     def test_competitor_zero(self):

@@ -40,6 +40,17 @@ class TestSystem:
                 assert walsh_fn(n, j, 5) == row[j]
 
 
+def rademacher_product(n, bits):
+    """psi_n = prod_k r_k^(n_k) with r_k(x) = (-1)^(binary digit k+1 of x),
+    digit k+1 of j/2^bits being bit bits-1-k of j."""
+    j = np.arange(1 << bits)
+    out = np.ones(1 << bits)
+    for k in range(bits):
+        if n >> k & 1:
+            out *= 1 - 2 * ((j >> (bits - 1 - k)) & 1)
+    return out
+
+
 class TestDyadicGroup:
     def test_character_identity_exhaustive(self):
         bits = 6
@@ -49,6 +60,19 @@ class TestDyadicGroup:
         for n in range(m):
             for l in range(m):
                 assert np.all(rows[n, j ^ l] == rows[n, j] * rows[n, l])
+
+    def test_character_identities_at_16_bits(self):
+        # all 2^32 pairs are too many: seeded n, n' and shifts l, every j
+        bits = 16
+        m = 1 << bits
+        rng = np.random.default_rng(8)
+        j = np.arange(m)
+        for n, n2 in rng.integers(0, m, (12, 2)):
+            row = w.walsh_row(n, bits)
+            assert np.all(row == rademacher_product(n, bits))
+            for l in rng.integers(0, m, 8):
+                assert np.all(row[j ^ l] == row * row[l])
+            assert np.all(row * w.walsh_row(n2, bits) == w.walsh_row(n ^ n2, bits))
 
 
 class TestTransform:
@@ -75,6 +99,16 @@ class TestTransform:
         f = w.DyadicSignal(rng.standard_normal(1 << 9), 9)
         c = w.fwt(f)
         assert abs(np.sum(c ** 2) - np.mean(f.values ** 2)) < 1e-13
+
+    def test_parseval_at_16_bits(self):
+        bits = 16
+        rng = np.random.default_rng(6)
+        f = w.DyadicSignal(rng.standard_normal(1 << bits), bits)
+        c = w.fwt(f)
+        # each of the B butterfly stages and the two sums round by u
+        bound = 2 * bits * 2.0 ** -53 * (np.sum(np.abs(c)) * np.mean(np.abs(f.values))
+                                         + np.mean(f.values ** 2))
+        assert abs(np.sum(c ** 2) - np.mean(f.values ** 2)) <= bound
 
     def test_involution_scaling(self):
         rng = np.random.default_rng(2)

@@ -7,7 +7,8 @@ Parameters are plain key=value tokens; a config file may supply defaults
 (one `key = value` per line, '#' comments); each token goes through the
 parser its experiment declares for the key before any work starts.  Reruns
 with identical config and seed produce byte-identical output up to the
-timestamp header line; XLAB_THREADS caps the worker pool size.
+timestamp header line; XLAB_THREADS sets the worker pool size, capped at
+the CPU count.
 """
 
 import argparse
@@ -38,9 +39,10 @@ def _fmt(v):
 
 def _pool_size():
     try:
-        return max(1, int(os.environ.get("XLAB_THREADS", "1")))
+        requested = int(os.environ.get("XLAB_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _map(fn, items):
@@ -93,9 +95,9 @@ def _exp_kolmogorov_fit(p, seed):
 
 def _exp_hyperbolic_fit(p, seed):
     ns = lebesgue.geometric_grid(p["nmin"], p["nmax"])
-    fit, ns, vals = lebesgue.hyperbolic_exponent(p["alpha"], ns)
+    (_, slope, resid), ns, vals = lebesgue.hyperbolic_exponent(p["alpha"], ns)
     rows = [{"alpha": p["alpha"], "n": n, "value": v,
-             "slope": fit.params[1], "fit_residual": fit.residual}
+             "slope": slope, "fit_residual": resid}
             for n, v in zip(ns, vals)]
     return rows, []
 
@@ -132,10 +134,9 @@ def _exp_moduli(p, seed):
     for name in names:
         f = corpus.sampled(name, p["m"])
         for h in hs:
-            spec = smoothness.ModulusSpec(p["r"], h)
             rows.append({"f_id": name, "r": p["r"], "h": h,
-                         "omega": smoothness.modulus(f, spec),
-                         "omega_tilde": smoothness.linearized_modulus(f, spec)})
+                         "omega": smoothness.modulus(f, p["r"], h),
+                         "omega_tilde": smoothness.linearized_modulus(f, p["r"], h)})
     return rows, []
 
 
@@ -224,13 +225,11 @@ def _exp_walsh_moduli(p, seed):
         sig = walsh.DyadicSignal(values, p["bits"])
         for n in range(0, p["bits"] - 1):
             cap = 1 << (n + 1)
-            if cap >= (1 << p["bits"]):
-                continue
-            mods = walsh.walsh_moduli(sig, n)
             err = float(np.max(np.abs(
                 sig.values - walsh.cesaro_means(sig, cap, p["alpha"]).values)))
             rows.append({"f_id": name, "n": n, "N": cap,
-                         "Omega_n": mods["Omega_n"], "omega_n": mods["omega_n"],
+                         "Omega_n": walsh.averaged_block_modulus(sig, n),
+                         "omega_n": walsh.dyadic_shift_modulus(sig, n),
                          "cesaro_error": err})
     return rows, []
 
@@ -543,18 +542,18 @@ def main(argv=None):
         file_params = parse_config_file(args.config) if args.config else None
         config = build_config(args.experiment, args.params,
                               file_params, args.seed)
-    except (NotFound, InvalidArgument) as e:
+        # open the output before the run, so a bad path costs no work
+        out = open(args.out, "w") if args.out else sys.stdout
+    except (NotFound, InvalidArgument, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 
-    report = run(config)
-
-    writer = write_csv if args.format == "csv" else write_json
-    if args.out:
-        with open(args.out, "w") as fh:
-            writer(report, fh)
-    else:
-        writer(report, sys.stdout)
+    try:
+        report = run(config)
+        (write_csv if args.format == "csv" else write_json)(report, out)
+    finally:
+        if out is not sys.stdout:
+            out.close()
     print(f"# {report['experiment']} hash={report['config_hash']} "
           f"rows={len(report['rows'])} failures={len(report['failures'])} "
           f"time={report['wall_time']:.2f}s", file=sys.stderr)

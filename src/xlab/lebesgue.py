@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, InvalidArgument
 # compute_coefficients is unused here: perfbench's tracer test patches this copy
-from .trig import (TWO_PI, TrigCoefficients, compute_coefficients,  # noqa: F401
-                   dirichlet, synthesize)
+from .trig import (TWO_PI, compute_coefficients, dirichlet,  # noqa: F401
+                   synthesize)
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,6 @@ class LebesgueSample:
     def __post_init__(self):
         if self.value < 0 or self.quad_error < 0:
             raise InvalidArgument("norm and error bound must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AsymptoticFit:
-    model: str
-    params: tuple
-    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +57,7 @@ def _grid_samples(a, m):
     error of each sample).  Every output of a radix-2 FFT reaches each input
     along one path of unit-modulus twiddles, so log2(M) stages err by at most
     eta * sum|a_k| in total; two more eta cover forming the a_k."""
-    vals = synthesize(TrigCoefficients((a.size - 1) // 2, a), m).values.real
+    vals = synthesize(a, m).values.real
     return vals, (math.log2(m) + 2) * FFT_STAGE_ERROR * float(np.sum(np.abs(a)))
 
 
@@ -186,12 +179,14 @@ def trig_poly_l1(coeffs, oversample=16):
     """(L1 norm over one period, certified error bound) for a real-valued
     trigonometric polynomial given by Hermitian coefficients c_{-K}..c_K
     (c_{-k} = conj c_k); see `_piecewise_l1` for the method and the bound."""
-    c = TrigCoefficients((np.size(coeffs) - 1) // 2, coeffs)
-    if not c.is_real_valued():
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 1 or c.size % 2 == 0:
+        raise InvalidArgument("coefficient array must have odd length 2K+1")
+    if not np.allclose(c, np.conj(c[::-1]), atol=1e-12):
         raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
-    value, err = _piecewise_l1(c.c, oversample)
+    value, err = _piecewise_l1(c, oversample)
     # |f| and |Re f| differ by at most |Im f| <= sum|c_k - conj c_{-k}| / 2
-    return value, err + np.pi * float(np.sum(np.abs(c.c - np.conj(c.c[::-1]))))
+    return value, err + np.pi * float(np.sum(np.abs(c - np.conj(c[::-1]))))
 
 
 def lebesgue_constant(method, n, tol=1e-9):
@@ -221,12 +216,8 @@ def fit_log_model(ns, values):
 
 def fit_power_model(ns, values):
     """Least squares for value = c*n^s in log-log; returns (c, s, rms)."""
-    ns = np.asarray(ns, dtype=float)
-    a = np.column_stack([np.log(ns), np.ones_like(ns)])
-    y = np.log(np.asarray(values, dtype=float))
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = a @ sol - y
-    return float(np.exp(sol[1])), float(sol[0]), float(np.sqrt(np.mean(resid ** 2)))
+    s, log_c, resid = fit_log_model(ns, np.log(np.asarray(values, dtype=float)))
+    return float(np.exp(log_c)), s, resid
 
 
 def geometric_grid(nmin, nmax):
@@ -242,13 +233,13 @@ def geometric_grid(nmin, nmax):
 
 def classical_lebesgue_fit(nmin, nmax):
     """Fit L_n = c*ln n + d for the partial-sum operator norms over the
-    geometric grid nmin, 2nmin, ..., nmax."""
+    geometric grid nmin, 2nmin, ..., nmax; returns ((c, d, rms residual),
+    grid, norms)."""
     if not (nmax >= 4 * nmin and 4 * nmin >= 64):
         raise InvalidArgument("need nmax >= 4*nmin >= 64")
     ns = geometric_grid(nmin, nmax)
     values = [lebesgue_constant(dirichlet(), n).value for n in ns]
-    c, d, resid = fit_log_model(ns, values)
-    return AsymptoticFit("c*ln(n)+d", (c, d), resid), ns, values
+    return fit_log_model(ns, values), ns, values
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +393,9 @@ def hyperbolic_l1(alpha, n):
 
 
 def hyperbolic_exponent(alpha, nset):
-    """Log-log slope fit of the hyperbolic kernel norms over nset."""
+    """Log-log fit value = c*n^s of the hyperbolic kernel norms over nset;
+    returns ((c, s, rms residual), grid, norms)."""
     if any(n > HYPERBOLIC_NMAX for n in nset):
         raise InvalidArgument(f"cost guard: n <= {HYPERBOLIC_NMAX}")
     values = [hyperbolic_l1(alpha, n)[0] for n in nset]
-    c, s, resid = fit_power_model(nset, values)
-    return AsymptoticFit("c*n^s", (c, s), resid), list(nset), values
+    return fit_power_model(nset, values), list(nset), values

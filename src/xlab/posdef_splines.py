@@ -51,7 +51,9 @@ def gram_min_eig(points, function):
 @dataclass(frozen=True)
 class RadialProfile:
     """Scalar profile on t >= 0; either a closed-form evaluator or a single
-    polynomial piece on [0, 1] with zero extension."""
+    polynomial piece on [0, 1] with zero extension.  A profile with both
+    evaluates through fn, and poly (floats or exact Fractions) serves the
+    transform's boundary expansion."""
 
     fn: object = None
     poly: object = None              # ascending coefficients on [0, 1]
@@ -212,13 +214,13 @@ def _deflate_at_one(exact, times):
 def a_spline(n):
     """The unique even two-piece spline of degree 3n-2 with smoothness
     C^(2n-2), value 1 at the origin, and maximal contact at the support
-    endpoint.  Returns the [0,1]-piece as a RadialProfile.
+    endpoint.  Returns the [0,1]-piece as a RadialProfile whose poly holds
+    the exact Fraction coefficients.
 
     Evaluation goes through the exact factorization p = (1-t)^(2n-1) h(t),
     which stays accurate near the endpoint where the raw coefficients
     (up to ~2e4 for n=6) would cancel catastrophically."""
     exact = a_spline_exact(n)
-    coeffs = np.array([float(c) for c in exact])
     h = np.array([float(c) for c in _deflate_at_one(exact, 2 * n - 1)])
 
     def factored(t):
@@ -226,10 +228,7 @@ def a_spline(n):
         base = np.clip(1.0 - t, 0.0, None)
         return base ** (2 * n - 1) * np.polynomial.polynomial.polyval(t, h)
 
-    prof = RadialProfile(fn=factored, poly=coeffs, label=f"a_spline({n})")
-    object.__setattr__(prof, "poly_exact", tuple(exact))
-    object.__setattr__(prof, "cofactor", h)
-    return prof
+    return RadialProfile(fn=factored, poly=tuple(exact), label=f"a_spline({n})")
 
 
 def a_spline_shape(n):
@@ -239,9 +238,9 @@ def a_spline_shape(n):
 
     The cofactors have degree <= n, so their root counts are reliable where
     the raw degree-(3n-2) polynomial's are not."""
-    prof = a_spline(n)
-    h = np.polynomial.Polynomial(prof.cofactor)
     k = 2 * n - 1
+    h = np.polynomial.Polynomial(
+        [float(c) for c in _deflate_at_one(a_spline_exact(n), k)])
     one = np.polynomial.Polynomial([1.0, -1.0])
     g1 = -k * h + one * h.deriv()                     # p' = (1-t)^(k-1) g1
     g2 = k * (k - 1) * h - 2 * k * one * h.deriv() \
@@ -322,12 +321,9 @@ def radial_ft_positivity(profile, m, rmax, step):
     if m not in (1, 2, 3):
         raise InvalidArgument("dimension m in {1, 2, 3}")
     r = np.arange(0.0, rmax + 0.5 * step, step)
-    if m == 1 and getattr(profile, "poly", None) is not None:
-        exact = getattr(profile, "poly_exact", None)
-        d0, d1 = poly_boundary_derivs(exact if exact is not None
-                                      else np.asarray(profile.poly))
-        deg = len(profile.poly) - 1
-        seam = 3.0 * deg + 8.0
+    if m == 1 and profile.poly is not None:
+        d0, d1 = poly_boundary_derivs(profile.poly)
+        seam = 3.0 * (len(profile.poly) - 1) + 8.0
         low = r < seam
         vals = np.empty_like(r)
         vals[~low] = cos_transform_boundary(d0, d1, r[~low])

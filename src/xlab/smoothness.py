@@ -2,7 +2,6 @@
 approximation bands, K-functional realization, and the sharp lower-bound
 constant for the half-shift average of partial sums."""
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -12,39 +11,11 @@ from .trig import (TWO_PI, apply_means, approximation_error, bernstein,
                    compute_coefficients, grid_norm, synthesize, vallee_poussin)
 
 
-@dataclass(frozen=True)
-class ModulusSpec:
-    """Order r >= 1 and step bound h in (0, pi]; moduli are taken in the
-    grid sup norm."""
-
-    r: int
-    h: float
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise InvalidArgument("difference order must be >= 1")
-        if not 0 < self.h <= np.pi:
-            raise InvalidArgument("step bound must lie in (0, pi]")
-
-
-@dataclass(frozen=True)
-class KFunctionalSpec:
-    """Smoothing scale t in (0,1] and derivative order r for the
-    (sup norm, r-th derivative) couple."""
-
-    t: float
-    r: int
-
-    def __post_init__(self):
-        if not 0 < self.t <= 1:
-            raise InvalidArgument("t must lie in (0, 1]")
-        if self.r < 1:
-            raise InvalidArgument("derivative order must be >= 1")
-
-
 def _difference(values, j, r):
-    """r-th forward difference with shift j grid cells:
+    """r-th forward difference with shift j grid cells, r >= 1:
     sum_nu (-1)^nu C(r,nu) f(x + nu*delta)."""
+    if r < 1:
+        raise InvalidArgument("difference order must be >= 1")
     d = np.asarray(values, dtype=complex)
     for _ in range(r):
         d = d - np.roll(d, -j)
@@ -52,6 +23,9 @@ def _difference(values, j, r):
 
 
 def _steps_within(f, h):
+    """(grid step, number of grid steps within h) for a step bound h in (0, pi]."""
+    if not 0 < h <= np.pi:
+        raise InvalidArgument("step bound must lie in (0, pi]")
     step = TWO_PI / f.size
     jmax = int(np.floor(h / step + 1e-12))
     if jmax < 1:
@@ -59,18 +33,19 @@ def _steps_within(f, h):
     return step, jmax
 
 
-def modulus(f, spec):
-    """omega_r(f; h): sup over grid steps delta <= h of ||Delta_delta^r f||_inf."""
-    step, jmax = _steps_within(f, spec.h)
-    return max(grid_norm(_difference(f.values, j, spec.r))
+def modulus(f, r, h):
+    """omega_r(f; h) in the grid sup norm: sup over grid steps delta <= h of
+    ||Delta_delta^r f||_inf."""
+    step, jmax = _steps_within(f, h)
+    return max(grid_norm(_difference(f.values, j, r))
                for j in range(1, jmax + 1))
 
 
-def linearized_modulus(f, spec):
+def linearized_modulus(f, r, h):
     """The integral-averaged modulus: the sup over delta is replaced by
     (1/h) int_0^h Delta_delta^r f ddelta (trapezoid on the delta grid)."""
-    step, jmax = _steps_within(f, spec.h)
-    stack = np.stack([_difference(f.values, j, spec.r)
+    step, jmax = _steps_within(f, h)
+    stack = np.stack([_difference(f.values, j, r)
                       for j in range(jmax + 1)])  # j=0 term vanishes
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     avg = trapezoid(stack, dx=step, axis=0) / (jmax * step)
@@ -89,27 +64,30 @@ def jackson_two_sided(f, r, n):
     m = f.size
     c = compute_coefficients(f, m // 2 - 1)
     err = approximation_error(vallee_poussin(), n, c, m)
-    w = modulus(f, ModulusSpec(r, 1.0 / n))
+    w = modulus(f, r, 1.0 / n)
     ratio = err / w if w > 0 else (0.0 if err == 0 else math.inf)
     return {"approx_error": err, "modulus_value": w, "ratio": ratio}
 
 
 def spectral_derivative(c, order):
     """Coefficients of the order-th derivative: c_k -> (ik)^order c_k."""
-    out = c.copy()
-    k = np.arange(-out.degree, out.degree + 1)
-    out.c = out.c * (1j * k) ** order
-    return out
+    c = np.asarray(c, dtype=complex)
+    degree = (c.size - 1) // 2
+    return c * (1j * np.arange(-degree, degree + 1)) ** order
 
 
-def k_functional(f, spec):
+def k_functional(f, t, r):
     """Realization estimate of the K-functional for (sup norm, r-th
-    derivative bound): minimum over de la Vallee Poussin smoothings g at
-    dyadic degrees 2^j <= 4/t (plus g = 0 and g = the interpolant itself)
-    of ||f - g|| + t^r ||g^(r)||."""
+    derivative bound), t in (0, 1] and r >= 1: minimum over de la Vallee
+    Poussin smoothings g at dyadic degrees 2^j <= 4/t (plus g = 0 and g =
+    the interpolant itself) of ||f - g|| + t^r ||g^(r)||."""
+    if not 0 < t <= 1:
+        raise InvalidArgument("t must lie in (0, 1]")
+    if r < 1:
+        raise InvalidArgument("derivative order must be >= 1")
     m = f.size
-    c = compute_coefficients(f, m // 2 - 1)
-    t, r = spec.t, spec.r
+    degree = m // 2 - 1
+    c = compute_coefficients(f, degree)
     vp = vallee_poussin()
 
     candidates = []
@@ -120,7 +98,7 @@ def k_functional(f, spec):
 
     best = grid_norm(f)  # competitor g = 0
     for n in candidates:
-        if vp.band(n) > c.degree:
+        if vp.band(n) > degree:
             break
         g = apply_means(vp, n, c)
         err = grid_norm(np.asarray(synthesize(c, m).values)

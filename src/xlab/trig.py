@@ -8,6 +8,8 @@ Conventions used throughout the package:
 * Fourier coefficients are c_k = (1/2pi) int f(x) e^{-ikx} dx, realized
   discretely as c_k = (1/M) sum_j f(x_j) e^{-ik x_j} (exact for
   trigonometric polynomials of degree < M/2),
+* coefficients of degree K are a centred complex array of length 2K+1:
+  index K + k holds c_k, so index K holds c_0,
 * a summability method is a rule k -> lambda_{n,k} multiplying the
   coefficients, zero beyond a band proportional to n.
 """
@@ -57,26 +59,6 @@ class SampledFunction:
         return cls(np.asarray(f(x)))
 
 
-class TrigCoefficients:
-    """Finitely supported Fourier coefficients c_k, |k| <= degree."""
-
-    def __init__(self, degree, coeffs):
-        if degree < 0:
-            raise InvalidArgument("degree must be nonnegative")
-        self.degree = int(degree)
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (2 * self.degree + 1,):
-            raise InvalidArgument("coefficient array must have length 2*degree+1")
-        self.c = c
-
-    def is_real_valued(self):
-        """c_{-k} = conj c_k up to an absolute 1e-12."""
-        return np.allclose(self.c, np.conj(self.c[::-1]), atol=1e-12)
-
-    def copy(self):
-        return TrigCoefficients(self.degree, self.c.copy())
-
-
 def compute_coefficients(f, n):
     """Discrete Fourier coefficients of a SampledFunction up to degree n.
 
@@ -89,17 +71,18 @@ def compute_coefficients(f, n):
     hat = np.fft.fft(np.asarray(f.values, dtype=complex)) / m
     k = np.arange(-n, n + 1)
     # grid starts at -pi, hence the alternating phase
-    c = ((-1.0) ** k) * hat[np.mod(k, m)]
-    return TrigCoefficients(n, c)
+    return ((-1.0) ** k) * hat[np.mod(k, m)]
 
 
 def synthesize(c, m):
     """Evaluate the trigonometric polynomial with coefficients c on the M-grid."""
-    if 2 * c.degree + 1 > m:
+    c = np.asarray(c, dtype=complex)
+    if c.size > m:
         raise InvalidArgument("grid too coarse for this degree")
+    degree = (c.size - 1) // 2
     a = np.zeros(m, dtype=complex)
-    k = np.arange(-c.degree, c.degree + 1)
-    a[np.mod(k, m)] = ((-1.0) ** k) * c.c
+    k = np.arange(-degree, degree + 1)
+    a[np.mod(k, m)] = ((-1.0) ** k) * c
     return SampledFunction(np.fft.ifft(a) * m)
 
 
@@ -282,21 +265,19 @@ def get_method(name):
 
 
 def apply_means(method, n, c):
-    """Coefficient-wise product lambda_{n,k} * c_k."""
-    band = method.band(n)
-    deg = min(c.degree, band)
-    w = method.weights(n, kmax=deg)
-    k = np.arange(-deg, deg + 1)
-    vals = w * c.c[k + c.degree]
-    return TrigCoefficients(deg, vals)
+    """Coefficient-wise product lambda_{n,k} * c_k, truncated to the band."""
+    c = np.asarray(c, dtype=complex)
+    degree = (c.size - 1) // 2
+    deg = min(degree, method.band(n))
+    return method.weights(n, kmax=deg) * c[degree - deg:degree + deg + 1]
 
 
 def approximation_error(method, n, c, m):
     """Grid sup norm of f - Lambda_n f for f given by coefficients c."""
-    diff = c.copy()
-    lam = apply_means(method, n, c)
-    k = np.arange(-lam.degree, lam.degree + 1)
-    diff.c[k + diff.degree] -= lam.c
+    diff = np.array(c, dtype=complex)
+    lam = apply_means(method, n, diff)
+    degree, deg = (diff.size - 1) // 2, (lam.size - 1) // 2
+    diff[degree - deg:degree + deg + 1] -= lam
     return grid_norm(synthesize(diff, m))
 
 

@@ -86,9 +86,7 @@ def cesaro_multipliers(n, alpha):
     """(C,alpha) multipliers lambda_k = A^alpha_{n-1-k} / A^alpha_n applied
     to c_k, k < n; alpha = 1 is the arithmetic mean of S_0..S_n."""
     a = cesaro_numbers(alpha, n)
-    lam = np.zeros(n + 1)
-    lam[:n] = a[n - 1 :: -1] / a[n]
-    return lam[:n]
+    return a[n - 1::-1] / a[n]
 
 
 def cesaro_means(signal, n, alpha):
@@ -99,10 +97,7 @@ def cesaro_means(signal, n, alpha):
         raise InvalidArgument("need 0 < n < 2^bits")
     if alpha <= 0:
         raise InvalidArgument("alpha must be positive")
-    lam = cesaro_multipliers(n, alpha)
-    cc = np.zeros(1 << bits)
-    cc[:n] = lam * c[:n]
-    return ifwt(cc, bits)
+    return ifwt(cesaro_multipliers(n, alpha) * c[:n], bits)
 
 
 def br_means_regularity(alpha, beta, nu, nmax):
@@ -175,9 +170,3 @@ def averaged_block_modulus(f, n):
     j = np.arange(1 << b)
     delta = float(np.max(np.abs(f.values - f.values[j ^ shift])))
     return 0.5 * delta
-
-
-def walsh_moduli(f, n):
-    """Both dyadic moduli entering the Cesaro-approximation sandwich."""
-    return {"Omega_n": averaged_block_modulus(f, n),
-            "omega_n": dyadic_shift_modulus(f, n)}

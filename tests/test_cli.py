@@ -108,6 +108,22 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert any(key in err for key in keys)
 
+    # a missing config file or an output path in a missing directory exits 2
+    # with one error line before the experiment runs
+    @pytest.mark.parametrize("args", [["--config", "missing.cfg"],
+                                      ["--out", "nodir/x.csv"]],
+                             ids=["config", "out"])
+    def test_bad_path(self, args, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli.REGISTRY, "aspline", cli.REGISTRY["aspline"]._replace(
+            fn=lambda p, seed: calls.append(p) or ([], [])))
+        monkeypatch.chdir(tmp_path)
+        assert run_main(["aspline", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert args[1] in err
+
     def test_two_sided_grid_rule_agrees_with_step_check(self):
         # the rule 2pi*n <= m against the run-time check of a step 1/n on the
         # m-grid, on both sides of the boundary n = floor(m/2pi)
@@ -161,6 +177,29 @@ class TestDeterminism:
             texts.append(out.read_text().splitlines()[1:])
         assert texts[0] == texts[1]
         assert sum(line.startswith("# failure") for line in texts[0]) == 40
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        # a stub executor records the pool size and starts no threads
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("XLAB_THREADS", "100000")
+        rows, failures = cli._map(lambda n: ((n,), None), range(8))
+        assert sizes == [3] and rows == [(n,) for n in range(8)] and not failures
 
     def test_seed_changes_rows(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

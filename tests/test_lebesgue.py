@@ -123,7 +123,7 @@ class TestLebesgueConstant:
         # Riemann L1 of the sampled kernel agrees with the certified value
         m = 1 << 20
         for n in (1, 5, 17, 64):
-            k = trig.synthesize(trig.TrigCoefficients(n, trig.dirichlet().weights(n)), m)
+            k = trig.synthesize(trig.dirichlet().weights(n), m)
             riemann = trig.grid_norm(k, 1) / (2 * np.pi)
             exact = lb.lebesgue_constant(trig.dirichlet(), n).value
             assert abs(riemann - exact) < 1e-6
@@ -276,8 +276,8 @@ class TestHyperbolic:
             lb.hyperbolic_l1(1.0, n)
 
     def test_synthetic_slope(self):
-        fit, _, _ = lb.hyperbolic_exponent(2.0, [64, 128])
-        assert math.isfinite(fit.params[1])
+        (_, slope, _), _, _ = lb.hyperbolic_exponent(2.0, [64, 128])
+        assert math.isfinite(slope)
 
 
 def torus_mean_abs(index_set, m1, m2):
@@ -389,6 +389,6 @@ class TestIndependentQuadratureOracle:
                                 rng.standard_normal(1), half])
             value, err = lb.trig_poly_l1(w)
             m = 1 << 18
-            k = trig.synthesize(trig.TrigCoefficients(band, w), m)
+            k = trig.synthesize(w, m)
             riemann = trig.grid_norm(k, 1)
             assert abs(value - riemann) < 1e-5 * max(1.0, riemann)

@@ -2,7 +2,8 @@
 than its own unit tests: the library itself, an acceptance criterion or a
 benchmark workload.  A name that occurs nowhere else is an orphan; delete it
 or give it a caller.  Likewise every defaulted parameter is set by some
-caller: one that nobody passes is a constant in disguise."""
+caller: one that nobody passes is a constant in disguise.  And no object
+carries state its class does not declare."""
 
 import ast
 import collections
@@ -103,3 +104,23 @@ def test_every_defaulted_parameter_is_set():
                        ast.parse(path.read_text()))
                    if (func, param) not in EXEMPT and not is_set(func, param, slot))
     assert not unset, "set by no caller: " + ", ".join(unset)
+
+
+def _object_setattr_lines(node):
+    return {n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__setattr__" and _name(n.func.value) == "object"}
+
+
+def test_object_setattr_only_in_post_init():
+    # object.__setattr__ writes past a frozen dataclass; outside the
+    # __post_init__ that normalizes declared fields it attaches hidden state
+    hidden = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        allowed = set().union(*(_object_setattr_lines(node) for node in ast.walk(tree)
+                                if isinstance(node, ast.FunctionDef)
+                                and node.name == "__post_init__"))
+        hidden += [f"{path.name}:{line}"
+                   for line in sorted(_object_setattr_lines(tree) - allowed)]
+    assert not hidden, "object.__setattr__ outside __post_init__: " + ", ".join(hidden)

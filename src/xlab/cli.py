@@ -439,15 +439,18 @@ def list_experiments():
 
 def parse_config_file(path):
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidArgument(f"malformed config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise InvalidArgument(f"malformed config line: {line!r}")
+                key, val = (s.strip() for s in line.split("=", 1))
+                out[key] = val
+    except UnicodeDecodeError as e:
+        raise InvalidArgument(f"config file {path} is not UTF-8 text: {e.reason}") from None
     return out
 
 

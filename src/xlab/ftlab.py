@@ -125,29 +125,40 @@ def inverse_power(b):
 
 
 OSCILLATORY_TERMS = 200000
+EULER_MACLAURIN_TOL = 1e-6
 
 
-def _oscillatory_series(f, n, x):
-    """sum_{k>=n} f(k) e^{ikx}: OSCILLATORY_TERMS + 1 terms summed directly,
-    the rest by a two-level summation-by-parts tail.
+def _oscillatory_series(f, n, x, target):
+    """sum_{k>=n} f(k) e^{ikx} for convex decreasing f: the head k in [n, m)
+    summed directly, the rest by two exact summation-by-parts steps,
 
-    Returns (value, error bound); the bound uses the second-difference
-    telescoping valid for eventually monotone-convex decay.
+        tail = f(m) q^m / (1-q) + D q^(m+1) / (1-q)^2 + R,   D = f(m+1) - f(m),
+
+    where the second differences of f telescope to |R| <= |D| / |1-q|^2.
+    The head starts at 64 terms and doubles until that bound is at most
+    target, capped at OSCILLATORY_TERMS + 1 terms.
+
+    Returns (value, error bound); the bound is |D| / |1-q|^2 plus the
+    head's rounding (m(1 + |x|) + log2 m) u sum|f(k)|, u = 2^-53: q**k
+    drifts by up to k|x|u in phase and k u in modulus, and the pairwise sum
+    adds about log2(m) u.
     """
     q = np.exp(1j * x)
-    k = np.arange(n, n + OSCILLATORY_TERMS + 1)
+    one_q = 1.0 - q
+    cap = n + OSCILLATORY_TERMS + 1
+    m = n + 64
+    while True:
+        f_m = f.deriv(m, 0)
+        d = f.deriv(m + 1, 0) - f_m
+        if m == cap or abs(d) <= target * abs(one_q) ** 2:
+            break
+        m = min(2 * m - n, cap)
+    k = np.arange(n, m)
     fk = f.deriv(k, 0)
     head = np.sum(fk * q ** k)
-    m = n + OSCILLATORY_TERMS + 1
-    f_m, f_m1 = f.deriv(m, 0), f.deriv(m - 1, 0)
-    d1 = f_m - f_m1
-    one_q = 1.0 - q
-    tail = (f_m * q ** m) / one_q + (d1 * q ** m) / one_q ** 2
-    err = abs(d1) / abs(one_q) ** 2 + abs(f.deriv(m + 1, 0) - f_m) / abs(one_q) ** 2
-    return head + tail, err
-
-
-EULER_MACLAURIN_TOL = 1e-6
+    tail = f_m * q ** m / one_q + d * q ** (m + 1) / one_q ** 2
+    rounding = (m * (1.0 + abs(x)) + math.log2(m)) * 2.0 ** -53 * np.sum(np.abs(fk))
+    return head + tail, abs(d) / abs(one_q) ** 2 + rounding
 
 
 def euler_maclaurin_sum(f, n, r, x):
@@ -158,8 +169,12 @@ def euler_maclaurin_sum(f, n, r, x):
     int_n^inf f e^{iux} du + f(n)e^{inx}/2
     + e^{inx} sum_{p<r} ((-i)^{p+1}/p!) h^(p)(x) f^(p)(n),
     the normalized residual theta = (lhs - rhs) * pi^r / V, and the
-    variation bound V of f^(r) on [n, inf).  The sum and the integral must
-    be accurate to EULER_MACLAURIN_TOL relative to max(1, |lhs|).
+    variation bound V of f^(r) on [n, inf).  numeric_error is quad's error
+    estimate for the integral plus the tail bound and head rounding of
+    _oscillatory_series (a head of 64 to OSCILLATORY_TERMS + 1 terms, doubled
+    until the tail bound is <= EULER_MACLAURIN_TOL / 10 * min(1, V / pi^r),
+    so below the cap the truncation moves theta by at most
+    EULER_MACLAURIN_TOL / 10); it must stay within EULER_MACLAURIN_TOL * max(1, |lhs|).
     """
     if x == 0 or abs(x) > np.pi:
         raise InvalidArgument("need 0 < |x| <= pi")
@@ -170,7 +185,9 @@ def euler_maclaurin_sum(f, n, r, x):
     if not decay < 1e-6:
         raise ConvergenceFailure("derivatives do not decay at the truncation point")
 
-    lhs, tail_err = _oscillatory_series(f, n, x)
+    v = float(f.variation(n, r))
+    lhs, series_err = _oscillatory_series(
+        f, n, x, EULER_MACLAURIN_TOL / 10 * min(1.0, v / np.pi ** r))
 
     def f0(u):
         return f.deriv(u, 0)
@@ -183,16 +200,15 @@ def euler_maclaurin_sum(f, n, r, x):
         rhs += phase * ((-1j) ** (p + 1) / math.factorial(p)) \
             * h_function(x, p) * f.deriv(n, p)
 
-    v = float(f.variation(n, r))
     quad_err = re_err + im_err
-    if quad_err + tail_err > EULER_MACLAURIN_TOL * max(1.0, abs(lhs)):
+    if quad_err + series_err > EULER_MACLAURIN_TOL * max(1.0, abs(lhs)):
         raise ConvergenceFailure("sum/integral tolerance not met",
                                  best_estimate=lhs,
-                                 error_estimate=quad_err + tail_err)
+                                 error_estimate=quad_err + series_err)
     theta = (lhs - rhs) * np.pi ** r / v if v > 0 else 0.0
     return {"lhs": complex(lhs), "rhs_main": complex(rhs),
             "theta": complex(theta), "variation": v,
-            "numeric_error": quad_err + tail_err}
+            "numeric_error": quad_err + series_err}
 
 
 # ---------------------------------------------------------------------------

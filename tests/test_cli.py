@@ -108,16 +108,19 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert any(key in err for key in keys)
 
-    # a missing config file or an output path in a missing directory exits 2
-    # with one error line before the experiment runs
+    # a missing config file, a config file that is not UTF-8 text or an
+    # output path in a missing directory exits 2 with one error line before
+    # the experiment runs
     @pytest.mark.parametrize("args", [["--config", "missing.cfg"],
-                                      ["--out", "nodir/x.csv"]],
-                             ids=["config", "out"])
+                                      ["--out", "nodir/x.csv"],
+                                      ["--config", "bin.cfg"]],
+                             ids=["config", "out", "config-not-utf8"])
     def test_bad_path(self, args, capsys, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setitem(cli.REGISTRY, "aspline", cli.REGISTRY["aspline"]._replace(
             fn=lambda p, seed: calls.append(p) or ([], [])))
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "bin.cfg").write_bytes(b"\xff\xfe\x00bad")
         assert run_main(["aspline", *args]) == 2
         out, err = capsys.readouterr()
         assert out == "" and calls == []
@@ -310,8 +313,7 @@ class TestExperimentOutputs:
 
 
 # sha256 of the CSV text below the timestamp line, one small run per
-# experiment (euler-maclaurin-check is left out: it takes seconds even at
-# rmax=0); a refactor that should not move any number must keep these
+# experiment; a refactor that should not move any number must keep these
 GOLDEN_ROWS = [
     ("lebesgue-table", ["method=bernstein", "nmax=24"],
      "e9df77b200e683ca3d00764cf9c104b907020192a2f52b446de7d20720a0b869"),
@@ -339,6 +341,8 @@ GOLDEN_ROWS = [
      "fa386cb2ed0253dc16b68f8fd6d47d031e37815c3afc30cbd21a35e9c4cc123d"),
     ("comparison-ratio", ["a=rogosinski", "nmax=16", "m=128"],
      "dd00bf82438c3e9b95fe1a66bfadd943601894096e5bcb4216d0862c76056248"),
+    ("euler-maclaurin-check", ["rmax=1"],
+     "2738ec8d4621cc7b92c7310babab21d9e23bbff1cce80d2b038e06c00a38e38f"),
 ]
 
 

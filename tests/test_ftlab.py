@@ -57,6 +57,55 @@ class TestEulerMaclaurin:
                 for r in (0, 1, 2)]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_series_against_closed_forms(self, monkeypatch):
+        # sum_{k>=n} f(k) q^k against z^n/(1-z), z = e^{-a} q, for e^{-au}
+        # and against q^n Phi(q, b, n+1) for (1+u)^{-b}, both in 20 digits;
+        # the gap must stay within the returned bound and the head within
+        # OSCILLATORY_TERMS + 1 terms (the largest array deriv sees)
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(mpmath.mp, "dps", 20)
+        cases = [(ft.exponential_decay, a) for a in np.linspace(0.2, 2.0, 5)] \
+            + [(ft.inverse_power, b) for b in [*np.linspace(1.5, 4.0, 5), 1.05]]
+        for family, par in cases:
+            f = family(par)
+            sizes = []
+            g = ft.DecayingFunction(
+                lambda u, p: sizes.append(np.size(u)) or f.deriv(u, p),
+                f.variation)
+            for x in (np.pi / 2, -np.pi / 2, 1.0, -1.0, 3.0, -3.0, 0.01):
+                q = mpmath.expj(x)
+                if family is ft.exponential_decay:
+                    z = mpmath.exp(-par) * q
+                    exact = [z ** n / (1 - z) for n in range(4)]
+                else:
+                    total = mpmath.lerchphi(q, par, 1)
+                    exact = []
+                    for n in range(4):
+                        exact.append(total)
+                        total -= q ** n * mpmath.power(1 + n, -par)
+                for n in range(4):
+                    value, bound = ft._oscillatory_series(
+                        g, n, x, ft.EULER_MACLAURIN_TOL / 10)
+                    gap = abs(mpmath.mpc(value.real, value.imag) - exact[n])
+                    assert gap <= bound, (family.__name__, par, x, n, gap, bound)
+            assert max(sizes) <= ft.OSCILLATORY_TERMS + 1
+
+    def test_series_precision_follows_theta_scale(self, monkeypatch):
+        # theta = (lhs - rhs) pi^r / V with pi^r / V up to ~1e12 at n = 50,
+        # r = 4, so the sum must be sized for theta, not for lhs: its
+        # share of theta stays within EULER_MACLAURIN_TOL of the closed form
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(mpmath.mp, "dps", 30)
+        n, r = 50, 4
+        for b in (2.75, 4.0):
+            for x in (1.0, np.pi / 2):
+                res = ft.euler_maclaurin_sum(ft.inverse_power(b), n, r, x)
+                q = mpmath.expj(x)
+                exact = q ** n * mpmath.lerchphi(q, b, n + 1)
+                gap = abs(mpmath.mpc(res["lhs"].real, res["lhs"].imag) - exact)
+                assert gap * np.pi ** r / res["variation"] <= ft.EULER_MACLAURIN_TOL, \
+                    (b, x, gap)
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(InvalidArgument):
             ft.euler_maclaurin_sum(ft.exponential_decay(1.0), 0, 0, 0.0)

@@ -178,7 +178,7 @@ def _exp_posdef_report(p, seed):
                      "evidence": "search", "value": ref, "ok": ref >= -1e-8 * 12})
     for n in (2, 3):
         prof = posdef_splines.a_spline(n)
-        r = posdef_splines.radial_ft_positivity(prof, 1, 200.0, 0.05)
+        r = posdef_splines.radial_ft_positivity(prof, 200.0, 0.05)
         rows.append({"profile": prof.label, "claim": "transform positive",
                      "evidence": "transform", "value": r["min_value"],
                      "ok": r["min_value"] > 0})
@@ -192,7 +192,7 @@ def _exp_posdef_report(p, seed):
 
 def _exp_aspline(p, seed):
     prof = posdef_splines.a_spline(p["n"])
-    ft = posdef_splines.radial_ft_positivity(prof, 1, 200.0, 0.01)
+    ft = posdef_splines.radial_ft_positivity(prof, 200.0, 0.01)
     rows = [{"n": p["n"], "j": j, "coeff": float(c),
              "ft_min": ft["min_value"], "ft_argmin": ft["argmin"]}
             for j, c in enumerate(prof.poly)]
@@ -258,8 +258,7 @@ def _body_from_params(p):
         return ftlab.ConvexBody2D.disc(p["radius"])
     if p["body"] == "ellipse":
         return ftlab.ConvexBody2D.ellipse(p["a"], p["b"])
-    s = p["radius"]
-    return ftlab.ConvexBody2D.polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
+    return ftlab.ConvexBody2D.square(p["radius"])
 
 
 def _narrowest_width(p):

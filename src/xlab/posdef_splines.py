@@ -309,27 +309,25 @@ def tilde_e_spline(n, x):
     return out if out.shape else float(out)
 
 
-def radial_ft_positivity(profile, m, rmax, step):
-    """Minimum of the m-dimensional radial transform of the profile on the
-    frequency grid [0, rmax] with the given spacing; quadrature panels
-    follow the oscillation only, as a RadialProfile has no interior knots.
+def radial_ft_positivity(profile, rmax, step):
+    """Minimum of the 1-D radial transform of the profile on the frequency
+    grid [0, rmax] with the given spacing; quadrature panels follow the
+    oscillation only, as a RadialProfile has no interior knots.
 
-    Single-piece polynomial profiles in m=1 switch from panel quadrature to
-    the exact boundary expansion once r clears the degree scale (below it
-    the expansion cancels, above it quadrature loses the tiny tail values);
-    the two branches are cross-validated at the seam in the test suite."""
-    if m not in (1, 2, 3):
-        raise InvalidArgument("dimension m in {1, 2, 3}")
+    Single-piece polynomial profiles switch from panel quadrature to the
+    exact boundary expansion once r clears the degree scale (below it the
+    expansion cancels, above it quadrature loses the tiny tail values); the
+    two branches are cross-validated at the seam in the test suite."""
     r = np.arange(0.0, rmax + 0.5 * step, step)
-    if m == 1 and profile.poly is not None:
+    if profile.poly is None:
+        vals = np.array([radial_ft(profile, ri) for ri in r])
+    else:
         d0, d1 = poly_boundary_derivs(profile.poly)
         seam = 3.0 * (len(profile.poly) - 1) + 8.0
         low = r < seam
         vals = np.empty_like(r)
         vals[~low] = cos_transform_boundary(d0, d1, r[~low])
-        vals[low] = [radial_ft(profile, 1, ri) for ri in r[low]]
-    else:
-        vals = np.array([radial_ft(profile, m, ri) for ri in r])
+        vals[low] = [radial_ft(profile, ri) for ri in r[low]]
     i = int(np.argmin(vals))
     return {"min_value": float(vals[i]), "argmin": float(r[i])}
 

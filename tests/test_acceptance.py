@@ -155,7 +155,7 @@ def test_criterion_08_a_spline():
         shapes &= shape["positive"] and shape["decreasing"] \
             and shape["inflections"] == 1
         contacts &= max(ps.a_spline_contact_residuals(n)) <= 1e-10
-        ft_min = ps.radial_ft_positivity(ps.a_spline(n), 1, 200.0, 0.01)
+        ft_min = ps.radial_ft_positivity(ps.a_spline(n), 200.0, 0.01)
         positives &= ft_min["min_value"] > 0.0
         details.append(f"n={n}: ftmin={ft_min['min_value']:.1e}")
     ok = closed_form and shapes and contacts and positives

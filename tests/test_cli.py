@@ -287,6 +287,17 @@ class TestExperimentOutputs:
             phi, rp, d, product, lower, upper = map(float, line.split(","))
             assert lower < product < upper
 
+    def test_square_symmetry_rays_are_recorded_failures(self, tmp_path):
+        # phis=4 gives the rays phi = k pi/4, where the square's zero sits on
+        # the bracket's end: every row is a recorded failure, not a traceback
+        out = tmp_path / "t.csv"
+        assert run_main(["indicator-zeros", "body=square", "phis=4",
+                         "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 + 4 + 4
+        assert all(",nan," in line for line in lines[2:6])
+        assert all(line.startswith("# failure: phi=") for line in lines[6:])
+
     def test_duality_fuzz_small(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run_main(["duality-fuzz", "maxlen=3", "--out", str(out)]) == 0
@@ -310,6 +321,21 @@ class TestExperimentOutputs:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) >= 14
+
+
+# one cheap run per enumerated choice: each body, and each summability-method
+# name (with valid arguments where its factory needs them)
+_METHOD_ARGS = {0: "", -1: "", 1: "(1)", 2: "(2,1)"}
+CHOICE_RUNS = [["indicator-zeros", f"body={body}", "phis=4"]
+               for body in ("disc", "ellipse", "square")] \
+    + [["lebesgue-table", f"method={name}{_METHOD_ARGS[nargs]}", "nmax=4"]
+       for name, (_, nargs) in trig._FACTORIES.items()]
+
+
+@pytest.mark.parametrize("args", CHOICE_RUNS, ids=[a[1] for a in CHOICE_RUNS])
+def test_every_choice_runs(args, tmp_path):
+    # an exception escaping main would be a traceback; exit 1 records failures
+    assert run_main([*args, "--out", str(tmp_path / "t.csv")]) in (0, 1)
 
 
 # sha256 of the CSV text below the timestamp line, one small run per
@@ -339,6 +365,8 @@ GOLDEN_ROWS = [
      "02423c902eff997a203b8f678faa5dbd1660b6721759d63363cff1a1269d2069"),
     ("indicator-zeros", ["body=ellipse", "phis=8"],
      "fa386cb2ed0253dc16b68f8fd6d47d031e37815c3afc30cbd21a35e9c4cc123d"),
+    ("indicator-zeros", ["body=square", "phis=16"],
+     "d343a29dad3cd1f5fb64e7b96c0ea993dcf01936dff2c910402a17e7021a360f"),
     ("comparison-ratio", ["a=rogosinski", "nmax=16", "m=128"],
      "dd00bf82438c3e9b95fe1a66bfadd943601894096e5bcb4216d0862c76056248"),
     ("euler-maclaurin-check", ["rmax=1"],
@@ -346,8 +374,13 @@ GOLDEN_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("experiment,tokens,digest", GOLDEN_ROWS,
-                         ids=[case[0] for case in GOLDEN_ROWS])
+# the id is the experiment, with the tokens added from its second case on
+GOLDEN_IDS = [name if [c[0] for c in GOLDEN_ROWS].index(name) == i
+              else "-".join([name, *tokens])
+              for i, (name, tokens, _) in enumerate(GOLDEN_ROWS)]
+
+
+@pytest.mark.parametrize("experiment,tokens,digest", GOLDEN_ROWS, ids=GOLDEN_IDS)
 def test_golden_row_digest(experiment, tokens, digest):
     buf = io.StringIO()
     cli.write_csv(cli.run(cli.build_config(experiment, tokens)), buf)

@@ -5,7 +5,62 @@ import pytest
 from scipy import special
 
 from xlab import ftlab as ft
-from xlab.errors import InvalidArgument, NotFound
+from xlab.errors import ConvergenceFailure, InvalidArgument, NotFound
+
+
+# the general convex-polygon route (Green's theorem), the cross-route oracle
+# of the closed-form bodies
+
+def _phi1(w):
+    """(e^{iw} - 1)/(iw), stable near w = 0."""
+    w = np.asarray(w, dtype=float)
+    small = np.abs(w) < 1e-4
+    out = np.empty(w.shape, dtype=complex)
+    ws = w[small]
+    out[small] = 1.0 + 1j * ws / 2.0 - ws ** 2 / 6.0 - 1j * ws ** 3 / 24.0
+    wb = w[~small]
+    out[~small] = (np.exp(1j * wb) - 1.0) / (1j * wb)
+    return out
+
+
+def polygon(vertices):
+    """A convex polygon with the origin inside as a ConvexBody2D whose
+    transform sums the closed-form edge integrals of Green's theorem."""
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
+        raise InvalidArgument("polygon needs >= 3 planar vertices")
+    e = np.roll(v, -1, axis=0) - v
+    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] \
+        - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+    if not (np.all(cross > 0) or np.all(cross < 0)):
+        raise InvalidArgument("vertices must describe a convex polygon")
+    if np.all(cross < 0):
+        v = v[::-1]
+    # origin strictly interior: left of every ccw-directed edge
+    d = np.roll(v, -1, axis=0) - v
+    if not np.all(v[:, 0] * d[:, 1] - v[:, 1] * d[:, 0] > 0):
+        raise InvalidArgument("origin must be interior")
+
+    def transform(u):
+        u = np.asarray(u, dtype=float)
+        nu = float(np.hypot(u[0], u[1]))
+        cross = u[0] * d[:, 1] - u[1] * d[:, 0]
+        total = np.sum(cross * np.exp(1j * (v @ u)) * _phi1(d @ u))
+        return complex(total / (1j * nu ** 2))
+
+    return ft.ConvexBody2D(
+        lambda phi: float(np.max(v @ np.array([np.cos(phi), np.sin(phi)]))),
+        transform)
+
+
+def symmetric_polygon(vertices):
+    """The polygon oracle for zero_curve, which reads the real part of the
+    transform only: the vertex set must be centrally symmetric."""
+    v = np.asarray(vertices, dtype=float)
+    if len(v) % 2 or not np.allclose(v, -np.roll(v, len(v) // 2, axis=0),
+                                     atol=1e-9):
+        raise InvalidArgument("zero curves need a centrally symmetric body")
+    return polygon(v)
 
 
 class TestHFunction:
@@ -13,16 +68,14 @@ class TestHFunction:
         assert abs(ft.h_function(np.pi) - 1.0 / np.pi) < 1e-14
 
     def test_origin_limit(self):
-        assert ft.h_function(0.0) == 0.0
-        assert abs(ft.h_function(0.0, 1) - 1.0 / 12.0) < 1e-15
-
-    def test_seam_agreement(self):
-        for p in range(5):
-            gap = abs(ft._h_series(ft._H_SEAM, p) - ft._h_closed(ft._H_SEAM, p))
-            assert gap < 1e-12
+        # the closed form holds on 1/2 <= |x| <= pi only
+        for x in (0.0, 0.3, -0.3):
+            for p in (0, 1):
+                with pytest.raises(InvalidArgument):
+                    ft.h_function(x, p)
 
     def test_odd_function(self):
-        for x in (0.3, 0.7, 2.0):
+        for x in (0.7, 2.0):
             assert abs(ft.h_function(-x) + ft.h_function(x)) < 1e-14
 
     def test_order_guard(self):
@@ -92,19 +145,29 @@ class TestEulerMaclaurin:
 
     def test_series_precision_follows_theta_scale(self, monkeypatch):
         # theta = (lhs - rhs) pi^r / V with pi^r / V up to ~1e12 at n = 50,
-        # r = 4, so the sum must be sized for theta, not for lhs: its
-        # share of theta stays within EULER_MACLAURIN_TOL of the closed form
+        # r = 4, so the sum must be sized for theta, not for lhs: at the
+        # target euler_maclaurin_sum asks for, its share of theta stays
+        # within EULER_MACLAURIN_TOL of the closed form
         mpmath = pytest.importorskip("mpmath")
         monkeypatch.setattr(mpmath.mp, "dps", 30)
         n, r = 50, 4
         for b in (2.75, 4.0):
+            f = ft.inverse_power(b)
+            v = f.variation(n, r)
             for x in (1.0, np.pi / 2):
-                res = ft.euler_maclaurin_sum(ft.inverse_power(b), n, r, x)
+                lhs, _ = ft._oscillatory_series(
+                    f, n, x, ft.EULER_MACLAURIN_TOL / 10 * min(1.0, v / np.pi ** r))
                 q = mpmath.expj(x)
                 exact = q ** n * mpmath.lerchphi(q, b, n + 1)
-                gap = abs(mpmath.mpc(res["lhs"].real, res["lhs"].imag) - exact)
-                assert gap * np.pi ** r / res["variation"] <= ft.EULER_MACLAURIN_TOL, \
+                gap = abs(mpmath.mpc(lhs.real, lhs.imag) - exact)
+                assert gap * np.pi ** r / v <= ft.EULER_MACLAURIN_TOL, \
                     (b, x, gap)
+
+    def test_theta_error_guard(self):
+        # at n = 50, r = 4 quad's error alone, scaled by pi^r / V ~ 1e12,
+        # would move theta by ~40: the row fails instead of reporting it
+        with pytest.raises(ConvergenceFailure, match="numerical error of theta"):
+            ft.euler_maclaurin_sum(ft.inverse_power(3.375), 50, 4, 1.0)
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -113,8 +176,11 @@ class TestEulerMaclaurin:
 
 class TestIndicatorFT:
     def test_mean_value(self):
-        disc = ft.ConvexBody2D.disc(1.3)
-        assert abs(ft.indicator_ft(disc, [0.0, 0.0]) - np.pi * 1.69) < 1e-12
+        # u = 0, the mean value, is no zero-curve point and is not evaluated
+        for body in (ft.ConvexBody2D.disc(1.3), ft.ConvexBody2D.ellipse(2.0, 0.5),
+                     ft.ConvexBody2D.square(0.5)):
+            with pytest.raises(InvalidArgument):
+                ft.indicator_ft(body, [0.0, 0.0])
 
     def test_disc_first_bessel_zero(self):
         disc = ft.ConvexBody2D.disc(1.0)
@@ -122,9 +188,19 @@ class TestIndicatorFT:
         assert abs(ft.indicator_ft(disc, [j11, 0.0])) < 1e-8
 
     def test_square_sinc_zero(self):
-        sq = ft.ConvexBody2D.polygon([[-0.5, -0.5], [0.5, -0.5],
-                                      [0.5, 0.5], [-0.5, 0.5]])
+        sq = ft.ConvexBody2D.square(0.5)
         assert abs(ft.indicator_ft(sq, [2 * np.pi, 0.0])) < 1e-12
+
+    def test_square_matches_polygon(self):
+        rng = np.random.default_rng(11)
+        for s in (0.3, 1.0, 2.5):
+            sq = ft.ConvexBody2D.square(s)
+            poly = polygon([[-s, -s], [s, -s], [s, s], [-s, s]])
+            for _ in range(20):
+                u = rng.uniform(-8, 8, 2)
+                assert abs(ft.indicator_ft(sq, u) - ft.indicator_ft(poly, u)) < 1e-12
+                phi = rng.uniform(0, 2 * np.pi)
+                assert abs(sq.support(phi) - poly.support(phi)) < 1e-12
 
     def test_polygon_against_quadrature(self):
         rng = np.random.default_rng(7)
@@ -136,14 +212,14 @@ class TestIndicatorFT:
             radii = rng.uniform(0.5, 1.5, 3)
             verts = np.column_stack([radii * np.cos(angles),
                                      radii * np.sin(angles)])
-            body = ft.ConvexBody2D.polygon(verts)
+            body = polygon(verts)
             u = rng.uniform(-4, 4, 2)
             got = ft.indicator_ft(body, u)
             xs = np.linspace(verts[:, 0].min(), verts[:, 0].max(), 900)
             ys = np.linspace(verts[:, 1].min(), verts[:, 1].max(), 900)
             xg, yg = np.meshgrid(xs, ys)
             inside = np.ones_like(xg, dtype=bool)
-            v = body.vertices
+            v = verts              # counter-clockwise: the angles increase
             for k in range(3):
                 a, b = v[k], v[(k + 1) % 3]
                 inside &= ((b[0] - a[0]) * (yg - a[1])
@@ -156,11 +232,11 @@ class TestIndicatorFT:
         e = ft.ConvexBody2D.ellipse(2.0, 0.5)
         assert abs(ft.indicator_ft(e, [1e-9, 0.0]) - np.pi) < 1e-9
 
-    def test_convexity_guard(self):
-        with pytest.raises(InvalidArgument):
-            ft.ConvexBody2D.polygon([[-1, -1], [1, -1], [0.0, 0.1],
-                                     [1, 1], [-1, 1]])
 
+    def test_convexity_guard(self):
+        # the polygon oracle refuses a non-convex vertex list
+        with pytest.raises(InvalidArgument):
+            polygon([[-1, -1], [1, -1], [0.0, 0.1], [1, 1], [-1, 1]])
 
 class TestZeroCurve:
     def test_disc_matches_bessel_zeros(self):
@@ -179,29 +255,52 @@ class TestZeroCurve:
             assert 2 * np.pi < d * r < 4 * np.pi
 
     def test_asymmetric_rejected(self):
-        tri = ft.ConvexBody2D.polygon([[-1, -0.8], [1.2, -0.5], [0.1, 1.0]])
+        # the oracle for zero_curve refuses a polygon without central symmetry
         with pytest.raises(InvalidArgument):
-            ft.zero_curve(tri, 1, 0.0)
+            symmetric_polygon([[-1, -0.8], [1.2, -0.5], [0.1, 1.0]])
+
+    def test_square_off_symmetry_rays(self):
+        # the product of two sines vanishes at t = k pi / (s|cos phi|) and
+        # t = k pi / (s|sin phi|); off the rays phi = k pi / 4 the first of
+        # these inside the bracket is a simple zero
+        s = 0.7
+        sq = ft.ConvexBody2D.square(s)
+        k = np.arange(1, 40)
+        for phi in (0.1, 0.5, 1.0, 2.0, 2.9, 4.0):
+            d = sq.width(phi)
+            zeros = np.concatenate([k * np.pi / (s * abs(np.cos(phi))),
+                                    k * np.pi / (s * abs(np.sin(phi)))])
+            for p in (1, 2, 3):
+                lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
+                want = zeros[(lo < zeros) & (zeros < hi)].min()
+                assert abs(ft.zero_curve(sq, p, phi) - want) < 1e-9, (phi, p)
+
+    def test_square_symmetry_rays_attain_the_bounds(self):
+        # on the axes a simple zero sits at d r = 2p pi, the bracket's lower
+        # end; on the diagonals both factors vanish at d r = 4 pi, its upper
+        # end, a double zero without a sign change: no zero strictly inside
+        s = 0.7
+        sq = ft.ConvexBody2D.square(s)
+        for i in range(8):
+            phi = np.pi * i / 4
+            e = np.array([np.cos(phi), np.sin(phi)])
+            d = sq.width(phi)
+            end = 2 * np.pi / d if i % 2 == 0 else 4 * np.pi / d
+            assert abs(ft.indicator_ft(sq, end * e)) < 1e-12
+            with pytest.raises(NotFound):
+                ft.zero_curve(sq, 1, phi)
 
 
 class TestRadialFT:
     def test_zero_frequency_volume(self):
         prof = lambda s: np.ones_like(s)
-        assert abs(ft.radial_ft(prof, 1, 0.0) - 2.0) < 1e-12
-        assert abs(ft.radial_ft(prof, 2, 0.0) - np.pi) < 1e-12
-        assert abs(ft.radial_ft(prof, 3, 0.0) - 4 * np.pi / 3) < 1e-12
-
-    def test_ball_indicator_closed_form(self):
-        prof = lambda s: np.ones_like(s)
-        for r in (2.0, 7.5, 30.0):
-            want = 4 * np.pi * (math.sin(r) - r * math.cos(r)) / r ** 3
-            assert abs(ft.radial_ft(prof, 3, r) - want) < 1e-9
+        assert abs(ft.radial_ft(prof, 0.0) - 2.0) < 1e-12
 
     def test_hat_closed_form(self):
         prof = lambda s: 1.0 - s
         for r in (1.0, 3.0, 17.0):
             want = 2 * (1 - math.cos(r)) / r ** 2
-            assert abs(ft.radial_ft(prof, 1, r, knots=(1.0,)) - want) < 1e-9
+            assert abs(ft.radial_ft(prof, r, knots=(1.0,)) - want) < 1e-9
 
     def test_poly_transform_matches_quadrature(self):
         coeffs = [0.2, -1.0, 0.5, 1.5]
@@ -209,7 +308,7 @@ class TestRadialFT:
         for r in (3.0, 12.0, 45.0):
             d0, d1 = ft.poly_boundary_derivs(np.asarray(coeffs, dtype=float))
             a = ft.cos_transform_boundary(d0, d1, r)
-            b = ft.radial_ft(prof, 1, r)
+            b = ft.radial_ft(prof, r)
             assert abs(a - b) < 1e-10
 
 
@@ -219,8 +318,7 @@ class TestCrossRouteBodies:
         # must agree when the polygon approximates the ellipse well
         a, b = 1.0, 0.5
         t = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
-        poly = ft.ConvexBody2D.polygon(
-            np.column_stack([a * np.cos(t), b * np.sin(t)]))
+        poly = polygon(np.column_stack([a * np.cos(t), b * np.sin(t)]))
         ell = ft.ConvexBody2D.ellipse(a, b)
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -230,8 +328,7 @@ class TestCrossRouteBodies:
 
     def test_zero_curve_agrees_between_routes(self):
         t = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
-        poly = ft.ConvexBody2D.polygon(
-            np.column_stack([np.cos(t), 0.5 * np.sin(t)]))
+        poly = symmetric_polygon(np.column_stack([np.cos(t), 0.5 * np.sin(t)]))
         ell = ft.ConvexBody2D.ellipse(1.0, 0.5)
         for phi in (0.0, 0.9):
             assert abs(ft.zero_curve(poly, 1, phi)

@@ -81,7 +81,7 @@ class TestBSpline:
             prof = lambda s: ps.b_spline(n, scale * s)
             knots = tuple(np.arange(1, n + 2) / (n + 1.0))
             r = np.linspace(0, 60, 400)
-            vals = [ftlab.radial_ft(prof, 1, ri, knots=knots) for ri in r]
+            vals = [ftlab.radial_ft(prof, ri, knots=knots) for ri in r]
             assert min(vals) >= -1e-9
 
 
@@ -109,7 +109,7 @@ class TestASpline:
 
     def test_transform_positive(self):
         for n in (2, 3, 6):
-            r = ps.radial_ft_positivity(ps.a_spline(n), 1, 200.0, 0.05)
+            r = ps.radial_ft_positivity(ps.a_spline(n), 200.0, 0.05)
             assert r["min_value"] > 0.0
 
     def test_transform_seam_agreement(self):
@@ -117,7 +117,7 @@ class TestASpline:
             prof = ps.a_spline(n)
             d0, d1 = ftlab.poly_boundary_derivs(prof.poly)
             seam = 3.0 * (len(prof.poly) - 1) + 8.0
-            quad_val = ftlab.radial_ft(prof, 1, seam)
+            quad_val = ftlab.radial_ft(prof, seam)
             ibp_val = float(ftlab.cos_transform_boundary(d0, d1,
                                                          np.array([seam]))[0])
             assert abs(quad_val - ibp_val) <= 1e-7 * max(abs(ibp_val), 1e-12)
@@ -164,15 +164,8 @@ class TestTildeESpline:
         for n in (1, 2, 3):
             prof = lambda s: ps.tilde_e_spline(n, s)
             r = np.linspace(0, 40, 300)
-            vals = [ftlab.radial_ft(prof, 1, ri) for ri in r]
+            vals = [ftlab.radial_ft(prof, ri) for ri in r]
             assert min(vals) >= -1e-8
-
-
-class TestRadialPositivity:
-    def test_hat_fails_in_three_dimensions(self):
-        hat = ps.RadialProfile(poly=np.array([1.0, -1.0]))
-        r = ps.radial_ft_positivity(hat, 3, 30.0, 0.05)
-        assert r["min_value"] < 0.0
 
 
 class TestShiftApprox:

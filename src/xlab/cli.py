@@ -163,7 +163,7 @@ def _exp_posdef_report(p, seed):
             best = min(best, posdef_splines.gram_min_eig(pts, fn))
         return best
 
-    gauss = search_min(lambda d: math.exp(-float(np.dot(d, d))), 2, p["trials"])
+    gauss = search_min(lambda d: np.exp(-(d * d).sum(axis=-1)), 2, p["trials"])
     rows.append({"profile": "gaussian", "claim": "positive definite",
                  "evidence": "search", "value": gauss,
                  "ok": gauss >= -1e-8 * 12})
@@ -172,7 +172,7 @@ def _exp_posdef_report(p, seed):
         ok = posdef_splines.polya_test(prof, 1)
         rows.append({"profile": name, "claim": "positive definite",
                      "evidence": "polya", "value": 1.0 if ok else 0.0, "ok": ok})
-        ref = search_min(lambda d: float(prof(np.array([np.linalg.norm(d)]))[0]), 1,
+        ref = search_min(lambda d: prof(np.linalg.norm(d, axis=-1)), 1,
                          p["trials"] // 4)
         rows.append({"profile": name, "claim": "no Gram violation",
                      "evidence": "search", "value": ref, "ok": ref >= -1e-8 * 12})
@@ -182,7 +182,7 @@ def _exp_posdef_report(p, seed):
         rows.append({"profile": prof.label, "claim": "transform positive",
                      "evidence": "transform", "value": r["min_value"],
                      "ok": r["min_value"] > 0})
-    stretched = lambda d: math.exp(-abs(float(d[0])) ** 2.5)
+    stretched = lambda d: np.exp(-np.abs(d[..., 0]) ** 2.5)
     viol = search_min(stretched, 1, p["trials"])
     rows.append({"profile": "exp(-|t|^2.5)", "claim": "violation exists",
                  "evidence": "search", "value": viol, "ok": viol < -1e-6})

@@ -257,8 +257,8 @@ def zero_curve(body, p, phi):
     """p-th positive zero r_p(phi) of t -> indicator_ft(body, t e(phi)).
 
     The search interval is (2p*pi/d, 2(p+1)*pi/d) with d the width in the
-    direction phi, scanned at 96 points; a missing sign change inside it is
-    reported (not patched).
+    direction phi, scanned at 96 points; a missing sign change inside it and
+    a zero at one of its ends (the claim's bound attained) are reported.
     """
     if p < 1:
         raise InvalidArgument("zero index starts at 1")
@@ -271,15 +271,18 @@ def zero_curve(body, p, phi):
     lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
     ts = np.linspace(lo, hi, 96)
     vals = np.array([f(t) for t in ts])
+    # a zero at an end, to rounding (a double one shows no sign change)
+    tiny = 1e-12 * np.max(np.abs(vals))
+    for v, name, k in ((vals[0], "lower", p), (vals[-1], "upper", p + 1)):
+        if abs(v) <= tiny:
+            raise NotFound(f"zero at the bracket's {name} end d*r = {2 * k}*pi: "
+                           "the claim's bound is attained")
     # the first sign change of the scan, refined by Brent's method
     idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
     if not idx.size:
         raise NotFound(f"no sign change in ({lo:g}, {hi:g}) for p={p}")
     i = idx[0]
-    root = optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
-    if not lo < root < hi:
-        raise NotFound("root escaped the bracket")
-    return float(root)
+    return float(optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16))
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +291,26 @@ def zero_curve(body, p, phi):
 
 def radial_ft(profile, r, knots=None):
     """Cosine transform 2 int_0^1 f(s) cos(rs) ds of a profile supported in
-    [0, 1], the radial transform in dimension one, by composite 12-point
-    Gauss-Legendre with panels aligned to the oscillation and to the
-    supplied knots."""
-    r = float(r)
+    [0, 1], the radial transform in dimension one, at the frequency array r
+    (returns r's shape): one composite 12-point Gauss-Legendre layout with
+    max(4, ceil(max|r|/2)) panels per unit length, aligned to the supplied
+    knots, and one profile evaluation at its nodes."""
+    r = np.asarray(r, dtype=float)
     edges = {0.0, 1.0}
     if knots:
         edges.update(k for k in knots if 0.0 < k < 1.0)
     base = sorted(edges)
-    panels = []
-    per_unit = max(4, int(math.ceil(abs(r) / 2.0)))
+    per_unit = max(4, math.ceil(float(np.max(np.abs(r), initial=0.0)) / 2.0))
+    gx, gw = np.polynomial.legendre.leggauss(12)
+    nodes, weights = [], []
     for a, b in zip(base[:-1], base[1:]):
-        k = max(1, int(math.ceil((b - a) * per_unit)))
-        sub = np.linspace(a, b, k + 1)
-        panels += list(zip(sub[:-1], sub[1:]))
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    total = 0.0
-    for a, b in panels:
-        s = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        g = 2.0 * np.asarray(profile(s), dtype=float) * np.cos(r * s)
-        total += 0.5 * (b - a) * np.dot(weights, g)
-    return float(total)
+        sub = np.linspace(a, b, max(1, math.ceil((b - a) * per_unit)) + 1)
+        half = 0.5 * np.diff(sub)[:, None]
+        nodes.append((half * gx + 0.5 * (sub[:-1] + sub[1:])[:, None]).ravel())
+        weights.append((half * gw).ravel())
+    s, w = np.concatenate(nodes), np.concatenate(weights)
+    g = 2.0 * w * profile(s)
+    return (g @ np.cos(np.outer(s, r))).reshape(r.shape)
 
 
 def poly_boundary_derivs(coeffs):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceFailure, IndeterminateGrid, InvalidArgument
 from .ftlab import cos_transform_boundary, poly_boundary_derivs, radial_ft
@@ -29,15 +28,17 @@ SCHOENBERG_DIMS = (2, 3)
 def gram_min_eig(points, function):
     """Minimum eigenvalue of the Gram matrix [f(x_i - x_j)] of at most 64
     distinct points in R^m, m <= 4 (Hermitian eigensolver); the evaluator
-    f receives each difference x_i - x_j as an array of length m."""
+    f receives the (k, k, m) array of all differences x_i - x_j and returns
+    the (k, k) array of values."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] > 64:
+    k = pts.shape[0]
+    if k > 64:
         raise InvalidArgument("at most 64 points")
     if pts.shape[1] > 4:
         raise InvalidArgument("ambient dimension at most 4")
-    diff = pts[:, None, :] - pts[None, :, :]
-    g = np.asarray([[function(diff[i, j]) for j in range(len(pts))]
-                    for i in range(len(pts))], dtype=complex)
+    g = np.asarray(function(pts[:, None, :] - pts[None, :, :]), dtype=complex)
+    if g.shape != (k, k):
+        raise InvalidArgument(f"evaluator must return a ({k}, {k}) array")
     scale = float(np.max(np.abs(g))) or 1.0
     if np.max(np.abs(g - g.conj().T)) > 1e-10 * scale:
         raise InvalidArgument("Gram matrix is not Hermitian")
@@ -295,39 +296,35 @@ def tilde_e_spline(n, x):
     [-1, 1] and nonnegative Fourier transform by the convolution theorem."""
     if not 0 <= n <= 10:
         raise InvalidArgument("degree restricted to [0, 10]")
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
+    # |x| >= 1 gives an empty interval (half = 0) at finite nodes
+    x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
     nodes, weights = np.polynomial.legendre.leggauss(n + 1)
-    for i, xi in np.ndenumerate(x):
-        lo, hi = max(-0.5, xi - 0.5), min(0.5, xi + 0.5)
-        if lo >= hi:
-            continue
-        t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        vals = special.eval_legendre(n, 2 * t) * special.eval_legendre(n, 2 * (xi - t))
-        out[i] = 0.5 * (hi - lo) * np.dot(weights, vals)
-    out *= (-1.0) ** n
+    lo, hi = np.maximum(-0.5, x - 0.5), np.minimum(0.5, x + 0.5)
+    half = 0.5 * (hi - lo)
+    t = half[..., None] * nodes + 0.5 * (hi + lo)[..., None]
+    p_n = [0.0] * n + [1.0]
+    legval = np.polynomial.legendre.legval
+    vals = legval(2 * t, p_n) * legval(2 * (x[..., None] - t), p_n)
+    out = (-1.0) ** n * half * (vals @ weights)
     return out if out.shape else float(out)
 
 
 def radial_ft_positivity(profile, rmax, step):
-    """Minimum of the 1-D radial transform of the profile on the frequency
-    grid [0, rmax] with the given spacing; quadrature panels follow the
-    oscillation only, as a RadialProfile has no interior knots.
-
-    Single-piece polynomial profiles switch from panel quadrature to the
-    exact boundary expansion once r clears the degree scale (below it the
-    expansion cancels, above it quadrature loses the tiny tail values); the
-    two branches are cross-validated at the seam in the test suite."""
-    r = np.arange(0.0, rmax + 0.5 * step, step)
+    """Minimum of the 1-D radial transform of a single-piece polynomial
+    profile (poly required) on the grid [0, rmax] with the given spacing:
+    one radial_ft call below the seam 3*degree + 8 (panels follow the
+    oscillation only), the exact boundary expansion above it, where
+    quadrature loses the tiny tail values and the expansion no longer
+    cancels; the test suite cross-validates the two at the seam."""
     if profile.poly is None:
-        vals = np.array([radial_ft(profile, ri) for ri in r])
-    else:
-        d0, d1 = poly_boundary_derivs(profile.poly)
-        seam = 3.0 * (len(profile.poly) - 1) + 8.0
-        low = r < seam
-        vals = np.empty_like(r)
-        vals[~low] = cos_transform_boundary(d0, d1, r[~low])
-        vals[low] = [radial_ft(profile, ri) for ri in r[low]]
+        raise InvalidArgument("transform positivity needs a profile with poly")
+    r = np.arange(0.0, rmax + 0.5 * step, step)
+    d0, d1 = poly_boundary_derivs(profile.poly)
+    seam = 3.0 * (len(profile.poly) - 1) + 8.0
+    low = r < seam
+    vals = np.empty_like(r)
+    vals[~low] = cos_transform_boundary(d0, d1, r[~low])
+    vals[low] = radial_ft(profile, r[low])
     i = int(np.argmin(vals))
     return {"min_value": float(vals[i]), "argmin": float(r[i])}
 
@@ -375,7 +372,8 @@ def schoenberg_check(m, p, alpha, trials=10000, seed=0):
     rng = np.random.default_rng(seed)
 
     def f(diff):
-        return math.exp(-lp_norm(diff, p) ** alpha) if alpha > 0 else 1.0
+        return np.exp(-lp_norm(diff, p) ** alpha) if alpha > 0 \
+            else np.ones(diff.shape[:-1])
 
     best = math.inf
     witness = None

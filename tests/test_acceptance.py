@@ -166,8 +166,8 @@ def test_criterion_08_a_spline():
 
 def test_criterion_09_positive_definiteness():
     rng = np.random.default_rng(0)
-    gauss = lambda d: math.exp(-float(np.dot(d, d)))
-    hat = lambda d: float(np.clip(1 - abs(float(d[0])), 0, None))
+    gauss = lambda d: np.exp(-(d * d).sum(axis=-1))
+    hat = lambda d: np.clip(1 - np.abs(d[..., 0]), 0, None)
     certified_ok = True
     for fn, dim in ((gauss, 2), (hat, 1)):
         for _ in range(1000):
@@ -175,7 +175,7 @@ def test_criterion_09_positive_definiteness():
             pts = rng.uniform(-3, 3, (k, dim))
             eig = ps.gram_min_eig(pts, fn)
             certified_ok &= eig >= -1e-8 * k
-    stretched = lambda d: math.exp(-abs(float(d[0])) ** 2.5)
+    stretched = lambda d: np.exp(-np.abs(d[..., 0]) ** 2.5)
     viol = math.inf
     for _ in range(4000):
         pts = rng.uniform(-3, 3, (int(rng.integers(3, 13)), 1))

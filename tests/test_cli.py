@@ -354,11 +354,13 @@ GOLDEN_ROWS = [
     ("two-sided-report", ["nmin=16", "nmax=64", "m=512"],
      "1db5e62c113791038f19a0f2d4d074e9c56334eeb5116bd0e4390abc0a83505a"),
     ("posdef-report", ["trials=100"],
-     "a3441256b2ff969ca33f5ac19d04b54b6b0580a3ae8a47d640e77bca3c5c051f"),
+     "92907952f5390bf6de416699afc73c510086ee24df6e08d2b330c012e0ba381e"),
     ("aspline", ["n=2"],
      "f201dd9ae856ea04054ec98ae52f5c4601b5338232da359a1fd091c91442c272"),
     ("schoenberg", ["trials=200"],
-     "4ac100e6e12a0455e923bf994944f1c03d313a5aa876140b7c52fff8b87e9765"),
+     "b779c608c007a5cb4c24de909ce219bfde859a89959d97684173e6442f502bc6"),
+    ("schoenberg", ["m=3", "p=inf", "trials=200"],
+     "1d598bff3ba4de8012675e56ca9f6fcf6bea33d13c3bd4c35f8214b1d55edd3d"),
     ("walsh-regularity", ["nmax=64"],
      "ed2581c1648a31e564c7b053f0163e03e37ee47b02ca645beb02185481f10371"),
     ("walsh-moduli", ["bits=6"],
@@ -366,7 +368,7 @@ GOLDEN_ROWS = [
     ("indicator-zeros", ["body=ellipse", "phis=8"],
      "fa386cb2ed0253dc16b68f8fd6d47d031e37815c3afc30cbd21a35e9c4cc123d"),
     ("indicator-zeros", ["body=square", "phis=16"],
-     "d343a29dad3cd1f5fb64e7b96c0ea993dcf01936dff2c910402a17e7021a360f"),
+     "1feb0f51a1265f29ccf2f3acd0007025c0d126ee59873805e8459a50dd3a333c"),
     ("comparison-ratio", ["a=rogosinski", "nmax=16", "m=128"],
      "dd00bf82438c3e9b95fe1a66bfadd943601894096e5bcb4216d0862c76056248"),
     ("euler-maclaurin-check", ["rmax=1"],

@@ -287,7 +287,8 @@ class TestZeroCurve:
             d = sq.width(phi)
             end = 2 * np.pi / d if i % 2 == 0 else 4 * np.pi / d
             assert abs(ft.indicator_ft(sq, end * e)) < 1e-12
-            with pytest.raises(NotFound):
+            which = "lower" if i % 2 == 0 else "upper"
+            with pytest.raises(NotFound, match=f"{which} end .*bound is attained"):
                 ft.zero_curve(sq, 1, phi)
 
 
@@ -301,6 +302,14 @@ class TestRadialFT:
         for r in (1.0, 3.0, 17.0):
             want = 2 * (1 - math.cos(r)) / r ** 2
             assert abs(ft.radial_ft(prof, r, knots=(1.0,)) - want) < 1e-9
+
+    def test_hat_closed_form_frequency_array(self):
+        # one call serves every frequency, with the layout of the largest
+        prof = lambda s: 1.0 - s
+        r = np.linspace(0.5, 60.0, 120).reshape(8, 15)
+        got = ft.radial_ft(prof, r)
+        assert got.shape == r.shape
+        assert np.max(np.abs(got - 2 * (1 - np.cos(r)) / r ** 2)) < 1e-9
 
     def test_poly_transform_matches_quadrature(self):
         coeffs = [0.2, -1.0, 0.5, 1.5]

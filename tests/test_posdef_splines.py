@@ -1,8 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from xlab import ftlab
 from xlab import posdef_splines as ps
@@ -12,7 +14,7 @@ from xlab.errors import InvalidArgument
 class TestGram:
     def test_gaussian_many_point_sets(self):
         rng = np.random.default_rng(0)
-        fn = lambda d: math.exp(-float(np.dot(d, d)))
+        fn = lambda d: np.exp(-(d * d).sum(axis=-1))
         for _ in range(300):
             k = int(rng.integers(2, 13))
             pts = rng.uniform(-3, 3, (k, 3))
@@ -21,12 +23,12 @@ class TestGram:
 
     def test_cosine_collinear(self):
         pts = np.array([[0.0], [np.pi]])
-        eig = ps.gram_min_eig(pts, lambda d: math.cos(float(d[0])))
+        eig = ps.gram_min_eig(pts, lambda d: np.cos(d[..., 0]))
         assert abs(eig) < 1e-12
 
     def test_stretched_exponential_violation(self):
         rng = np.random.default_rng(1)
-        fn = lambda d: math.exp(-abs(float(d[0])) ** 2.5)
+        fn = lambda d: np.exp(-np.abs(d[..., 0]) ** 2.5)
         best = 1.0
         for _ in range(2000):
             pts = rng.uniform(-3, 3, (int(rng.integers(3, 13)), 1))
@@ -36,7 +38,14 @@ class TestGram:
     def test_non_hermitian_rejected(self):
         pts = np.array([[0.0], [1.0]])
         with pytest.raises(InvalidArgument):
-            ps.gram_min_eig(pts, lambda d: float(d[0]))  # odd
+            ps.gram_min_eig(pts, lambda d: d[..., 0])  # odd
+
+    def test_per_entry_evaluator_rejected(self):
+        # an evaluator of one difference vector sees the whole array and
+        # returns the wrong shape
+        pts = np.array([[0.0], [1.0], [2.5]])
+        with pytest.raises(InvalidArgument, match=r"\(3, 3\)"):
+            ps.gram_min_eig(pts, lambda d: np.cos(d[0]))
 
 
 class TestPolya:
@@ -51,8 +60,8 @@ class TestPolya:
 
     def test_consistency_with_gram(self):
         rng = np.random.default_rng(4)
-        hat = lambda d: float(np.clip(1 - abs(float(d[0])), 0, None))
-        expf = lambda d: math.exp(-abs(float(d[0])))
+        hat = lambda d: np.clip(1 - np.abs(d[..., 0]), 0, None)
+        expf = lambda d: np.exp(-np.abs(d[..., 0]))
         for fn in (hat, expf):
             for _ in range(1000):
                 pts = rng.uniform(-3, 3, (int(rng.integers(2, 9)), 1))
@@ -81,8 +90,7 @@ class TestBSpline:
             prof = lambda s: ps.b_spline(n, scale * s)
             knots = tuple(np.arange(1, n + 2) / (n + 1.0))
             r = np.linspace(0, 60, 400)
-            vals = [ftlab.radial_ft(prof, ri, knots=knots) for ri in r]
-            assert min(vals) >= -1e-9
+            assert ftlab.radial_ft(prof, r, knots=knots).min() >= -1e-9
 
 
 class TestASpline:
@@ -111,6 +119,11 @@ class TestASpline:
         for n in (2, 3, 6):
             r = ps.radial_ft_positivity(ps.a_spline(n), 200.0, 0.05)
             assert r["min_value"] > 0.0
+
+    def test_transform_positivity_needs_poly(self):
+        with pytest.raises(InvalidArgument, match="poly"):
+            ps.radial_ft_positivity(ps.RadialProfile(fn=lambda t: np.exp(-t)),
+                                    20.0, 0.5)
 
     def test_transform_seam_agreement(self):
         for n in (2, 4, 6):
@@ -154,6 +167,7 @@ class TestTildeESpline:
     def test_support(self):
         assert ps.tilde_e_spline(3, 1.0) == 0.0
         assert ps.tilde_e_spline(3, -1.2) == 0.0
+        assert np.all(ps.tilde_e_spline(3, [1e300, -np.inf, np.inf]) == 0.0)
 
     def test_indicator_self_convolution(self):
         assert abs(ps.tilde_e_spline(0, 0.0) - 1.0) < 1e-14
@@ -164,8 +178,20 @@ class TestTildeESpline:
         for n in (1, 2, 3):
             prof = lambda s: ps.tilde_e_spline(n, s)
             r = np.linspace(0, 40, 300)
-            vals = [ftlab.radial_ft(prof, ri) for ri in r]
-            assert min(vals) >= -1e-8
+            assert ftlab.radial_ft(prof, r).min() >= -1e-8
+
+    def test_against_adaptive_quadrature(self):
+        # (-1)^n int P_n(2t) P_n(2(x - t)) dt over [-1/2, 1/2] and the shifted
+        # interval, by an independent adaptive rule
+        x = np.array([0.0, 0.3, 0.7, 0.95])
+        for n in (2, 3):
+            def conv(xi):
+                f = lambda t: special.eval_legendre(n, 2 * t) \
+                    * special.eval_legendre(n, 2 * (xi - t))
+                return (-1) ** n * integrate.quad(f, max(-0.5, xi - 0.5),
+                                                  min(0.5, xi + 0.5))[0]
+            want = np.array([conv(xi) for xi in x])
+            assert np.max(np.abs(ps.tilde_e_spline(n, x) - want)) <= 1e-12
 
 
 class TestShiftApprox:
@@ -203,3 +229,13 @@ class TestSchoenberg:
     def test_alpha_zero(self):
         r = ps.schoenberg_check(2, 3.0, 0.0, trials=50, seed=0)
         assert abs(r["min_eig_found"]) < 1e-10
+
+
+def test_no_scipy_import():
+    # the module runs on numpy alone; scipy serves its tests as an oracle
+    tree = ast.parse(Path(ps.__file__).read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names]
+    names += [node.module or "" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)]
+    assert not [n for n in names if n.split(".")[0] == "scipy"]

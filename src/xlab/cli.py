@@ -103,19 +103,20 @@ def _exp_hyperbolic_fit(p, seed):
 
 
 def _exp_duality_fuzz(p, seed):
-    import itertools
     rows, failures = [], []
-    entries = (-2.0, -1.0, 0.0, 1.0, 2.0)
+    entries = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     for length in range(1, p["maxlen"] + 1):
         worst_a = worst_c = 0.0
-        count = 0
-        for tup in itertools.product(entries, repeat=length):
-            beta = np.array(tup)
+        count = entries.size ** length
+        # row k spells k in base 5, last entry fastest, as itertools.product
+        place = entries.size ** np.arange(length - 1, -1, -1)
+        for start in range(0, count, seqspaces.FUZZ_CHUNK):
+            k = np.arange(start, min(count, start + seqspaces.FUZZ_CHUNK))
+            beta = entries[k[:, None] // place % entries.size]
             ra = seqspaces.duality_identity_astar(beta)
             rc = seqspaces.duality_identity_cesaro(beta)
-            worst_a = max(worst_a, abs(ra["lhs"] - ra["rhs"]))
-            worst_c = max(worst_c, abs(rc["lhs"] - rc["rhs"]))
-            count += 1
+            worst_a = max(worst_a, float(np.max(np.abs(ra["lhs"] - ra["rhs"]))))
+            worst_c = max(worst_c, float(np.max(np.abs(rc["lhs"] - rc["rhs"]))))
         if worst_a > 1e-9 or worst_c > 1e-9:
             failures.append(f"length {length}: gaps {worst_a:g}, {worst_c:g}")
         rows.append({"length": length, "count": count,
@@ -133,10 +134,11 @@ def _exp_moduli(p, seed):
     rows = []
     for name in names:
         f = corpus.sampled(name, p["m"])
-        for h in hs:
-            rows.append({"f_id": name, "r": p["r"], "h": h,
-                         "omega": smoothness.modulus(f, p["r"], h),
-                         "omega_tilde": smoothness.linearized_modulus(f, p["r"], h)})
+        omega = smoothness.modulus(f, p["r"], hs)
+        omega_tilde = smoothness.linearized_modulus(f, p["r"], hs)
+        rows += [{"f_id": name, "r": p["r"], "h": h, "omega": float(w),
+                  "omega_tilde": float(wt)}
+                 for h, w, wt in zip(hs, omega, omega_tilde)]
     return rows, []
 
 
@@ -323,6 +325,15 @@ def _one_of(valid):
     return parse
 
 
+def _fuzz_length(token):
+    maxlen = _INDEX(token)
+    if maxlen > seqspaces.FUZZ_MAXLEN:
+        raise InvalidArgument(
+            f"estimated {seqspaces.fuzz_seconds(maxlen):.3g} s, over the "
+            f"{seqspaces.FUZZ_BUDGET_S} s budget (maxlen <= {seqspaces.FUZZ_MAXLEN})")
+    return maxlen
+
+
 def _grid_size(token):
     m = _number(int, trig.GRID_MIN)(token)
     if not trig._is_power_of_two(m):
@@ -361,7 +372,7 @@ REGISTRY = {
          f"need 2*nmin <= nmax and grid points <= {lebesgue.HYPERBOLIC_NMAX}")),
     "duality-fuzz": Experiment(
         _exp_duality_fuzz, "exhaustive check of both pairing identities",
-        "1.13", {"maxlen": (6, _INDEX)},
+        "1.13", {"maxlen": (6, _fuzz_length)},
         ["length", "count", "max_gap_astar", "max_gap_cesaro"]),
     "moduli": Experiment(
         _exp_moduli, "moduli of smoothness and their integral average", "5.3",

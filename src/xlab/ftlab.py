@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .errors import ConvergenceFailure, InvalidArgument, NotFound
 from .trig import TWO_PI
@@ -168,6 +167,7 @@ def euler_maclaurin_sum(f, n, r, x):
     def f0(u):
         return f.deriv(u, 0)
 
+    from scipy import integrate
     re, re_err = integrate.quad(f0, n, np.inf, weight="cos", wvar=x, limit=400)
     im, im_err = integrate.quad(f0, n, np.inf, weight="sin", wvar=x, limit=400)
     rhs = re + 1j * im + 0.5 * f.deriv(n, 0) * np.exp(1j * n * x)
@@ -210,6 +210,7 @@ class ConvexBody2D:
         """2*pi*R*J_1(R|u|)/|u|."""
         if radius <= 0:
             raise InvalidArgument("disc radius must be positive")
+        from scipy import special
 
         def transform(u):
             nu = float(np.hypot(u[0], u[1]))
@@ -223,6 +224,7 @@ class ConvexBody2D:
         a, b = float(a), float(b)
         if min(a, b) <= 0:
             raise InvalidArgument("ellipse semi-axes must be positive")
+        from scipy import special
 
         def transform(u):
             rho = float(np.hypot(a * u[0], b * u[1]))
@@ -282,6 +284,7 @@ def zero_curve(body, p, phi):
     if not idx.size:
         raise NotFound(f"no sign change in ({lo:g}, {hi:g}) for p={p}")
     i = idx[0]
+    from scipy import optimize
     return float(optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16))
 
 

@@ -132,8 +132,7 @@ def test_criterion_07_moduli():
         f = corpus.sampled(name, M)
         for r in (1, 2):
             deltas = np.arange(1, int(hs[-1] / step) + 1) * step
-            scale = max(sm.modulus(f, r, d) / d ** r
-                        for d in deltas)
+            scale = np.max(sm.modulus(f, r, deltas) / deltas ** r)
             if scale == 0:
                 continue
             g = trig.SampledFunction(f.values / scale)

@@ -1,13 +1,14 @@
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from xlab import cli, smoothness, trig
+from xlab import cli, seqspaces, smoothness, trig
 from xlab.errors import InvalidArgument
 
 
@@ -95,6 +96,7 @@ class TestExitCodes:
         ["indicator-zeros", "p=400"],
         ["indicator-zeros", "radius=0.001"],
         ["kolmogorov-fit", "r=102"],
+        ["duality-fuzz", "maxlen=12"],
     ])
     def test_bad_fit_params(self, bad, capsys, tmp_path):
         keys = [t.split("=")[0].strip() for t in bad if "=" in t]
@@ -126,6 +128,26 @@ class TestExitCodes:
         assert out == "" and calls == []
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert args[1] in err
+
+    def test_duality_fuzz_cost_guard(self, capsys, monkeypatch):
+        # the bound is the largest maxlen the cost model puts within the
+        # budget; a larger one is refused with its estimate before any work
+        est = seqspaces.fuzz_seconds
+        bound, budget = seqspaces.FUZZ_MAXLEN, seqspaces.FUZZ_BUDGET_S
+        assert est(bound) <= budget < est(bound + 1)
+        for maxlen in (1, 3, 9):
+            entries = sum(n * 5 ** n for n in range(1, maxlen + 1))
+            assert est(maxlen) == pytest.approx(entries * seqspaces.FUZZ_ENTRY_S)
+        assert est(10 ** 9) == math.inf
+        monkeypatch.setitem(cli.REGISTRY, "duality-fuzz", cli.REGISTRY[
+            "duality-fuzz"]._replace(fn=lambda p, seed: pytest.fail("ran")))
+        for maxlen in (bound + 1, 10 ** 9):
+            assert run_main(["duality-fuzz", f"maxlen={maxlen}"]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: maxlen={maxlen}: estimated "
+                           f"{est(maxlen):.3g} s, over the {budget} s budget "
+                           f"(maxlen <= {bound})\n")
+        assert cli.build_config("duality-fuzz", [f"maxlen={bound}"])
 
     def test_two_sided_grid_rule_agrees_with_step_check(self):
         # the rule 2pi*n <= m against the run-time check of a step 1/n on the
@@ -315,6 +337,14 @@ class TestExperimentOutputs:
         lines = out.read_text().splitlines()
         ns = [int(l.split(",")[1]) for l in lines[2:]]
         assert ns == sorted(ns)
+
+    def test_import_leaves_scipy_unimported(self):
+        # scipy is imported by the functions that use it, not at start-up
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, xlab.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "xlab.cli", "list"],

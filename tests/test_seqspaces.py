@@ -8,6 +8,116 @@ from scipy import optimize
 from xlab import seqspaces as sq
 
 
+# The one-sequence implementations the batched ones replaced: the oracles of
+# the bit-identity tests below.
+def _ref_hp(y, p):
+    a = np.abs(np.asarray(y, dtype=float)) ** p
+    return float(np.max(np.cumsum(a) / np.arange(1, a.size + 1)) ** (1.0 / p))
+
+
+def _ref_bp(x, p):
+    a = np.abs(np.asarray(x, dtype=float)) ** p
+    tails = np.cumsum(a[::-1])[::-1]
+    return float(np.sum((tails / np.arange(1, a.size + 1)) ** (1.0 / p)))
+
+
+def _ref_astar(beta):
+    b = np.asarray(beta, dtype=float)
+    avgs = np.cumsum(np.abs(b)) / np.arange(1, b.size + 1)
+    nstar = int(np.argmax(avgs))
+    rhs = float(avgs[nstar])
+    alpha = np.zeros_like(b)
+    if rhs > 0:
+        alpha[: nstar + 1] = np.sign(b[: nstar + 1]) / (nstar + 1)
+    return {"lhs": float(abs(np.dot(alpha, b))), "rhs": rhs,
+            "extremal_alpha": alpha}
+
+
+def _ref_cesaro(alpha):
+    w = np.abs(np.asarray(alpha, dtype=float))
+    order = np.argsort(-w, kind="stable")
+    cur_max, total = -1, 0.0
+    for i in order:
+        if w[i] <= 0:
+            break
+        gain = max(0, i - cur_max)
+        total += w[i] * gain
+        cur_max = max(cur_max, i)
+    suffix = np.maximum.accumulate(w[::-1])[::-1]
+    return {"lhs": float(total), "rhs": float(np.sum(suffix))}
+
+
+def _ref_pairing_constants(p, samples, seed):
+    q = p / (p - 1.0)
+    rng = np.random.default_rng(seed)
+    j = np.arange(1, sq.PAIRING_MAXLEN + 1)
+    spike_bp = np.cumsum(j ** (-1.0 / p))
+    spike_hq = j ** (-1.0 / q)
+    g1, g2, g3 = 0.0, math.inf, math.inf
+    for _ in range(samples):
+        n = int(rng.integers(1, sq.PAIRING_MAXLEN + 1))
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n)
+        product = _ref_bp(x, p) * _ref_hp(y, q)
+        if product > 0:
+            g1 = max(g1, float(abs(np.dot(x, y))) / product)
+        ay, ax = np.abs(y), np.abs(x)
+        hq_y = _ref_hp(y, q)
+        if hq_y > 0:
+            best = float(np.max(ay / spike_bp[:n]))
+            bpc = _ref_bp(np.sign(y) * ay ** (q - 1.0), p)
+            if bpc > 0:
+                best = max(best, float(np.sum(ay ** q)) / bpc)
+            g2 = min(g2, best / hq_y)
+        bp_x = _ref_bp(x, p)
+        if bp_x > 0:
+            best = float(np.max(ax / spike_hq[:n]))
+            hqc = _ref_hp(np.sign(x) * ax ** (p - 1.0), q)
+            if hqc > 0:
+                best = max(best, float(np.sum(ax ** p)) / hqc)
+            g3 = min(g3, best / bp_x)
+    return {"gamma1": g1, "gamma2": g2, "gamma3": g3}
+
+
+def _batches():
+    """(count, L) batches with ties and zeros (small integers) and without."""
+    rng = np.random.default_rng(12)
+    for length in (1, 2, 3, 7, 8, 9, 17, 64):
+        yield rng.integers(-2, 3, size=(300, length)).astype(float)
+        yield rng.standard_normal((300, length)) * (rng.random((300, length)) < 0.8)
+
+
+class TestBatchedAgainstOneSequence:
+    def test_duality_identities(self):
+        for batch in _batches():
+            ra = sq.duality_identity_astar(batch)
+            rc = sq.duality_identity_cesaro(batch)
+            for k, row in enumerate(batch):
+                want_a, want_c = _ref_astar(row), _ref_cesaro(row)
+                assert (ra["lhs"][k], ra["rhs"][k]) == (want_a["lhs"], want_a["rhs"])
+                assert (ra["extremal_alpha"][k] == want_a["extremal_alpha"]).all()
+                assert (rc["lhs"][k], rc["rhs"][k]) == (want_c["lhs"], want_c["rhs"])
+                # the one-sequence call of the batched code agrees too
+                assert sq.duality_identity_cesaro(row) == want_c
+
+    def test_norms_and_pairing(self):
+        for batch in _batches():
+            x, y = batch, batch[::-1]
+            for p in (1.5, 2.0, 3.0):
+                q = p / (p - 1.0)
+                r = sq.hp_bp_holder_check(x, y, p)
+                hp, bp = sq.hp_norm(x, p), sq.bp_norm(x, p)
+                for k in range(batch.shape[0]):
+                    assert hp[k] == _ref_hp(x[k], p) and bp[k] == _ref_bp(x[k], p)
+                    assert r["pairing"][k] == float(abs(np.dot(x[k], y[k])))
+                    assert r["bound_product"][k] == _ref_bp(x[k], p) * _ref_hp(y[k], q)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_pairing_constants(self, p):
+        assert sq.empirical_pairing_constants(p, 500, seed=3) \
+            == _ref_pairing_constants(p, 500, 3)
+
+
 class TestAstarNorm:
     def test_single(self):
         assert sq.astar_norm([1], 1) == 1.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from xlab import corpus, smoothness as sm, trig
@@ -9,6 +10,58 @@ from xlab.errors import InvalidArgument
 
 SAWTOOTH = ["abs_sin", "triangle", "zigzag", "cusp_pair",
             "shifted_triangle", "sqrt_kink"]
+
+
+def _difference(values, j, r):
+    """The roll-based r-th difference with shift j grid cells (the oracle)."""
+    d = np.asarray(values, dtype=complex)
+    for _ in range(r):
+        d = d - np.roll(d, -j)
+    return d
+
+
+def _reference_moduli(f, r, h):
+    """(omega_r(f; h), its linearization) one step bound and one shift at a
+    time, as the moduli were computed before the difference stack."""
+    step = 2 * np.pi / f.size
+    jmax = int(np.floor(h / step + 1e-12))
+    omega = max(trig.grid_norm(_difference(f.values, j, r))
+                for j in range(1, jmax + 1))
+    stack = np.stack([_difference(f.values, j, r) for j in range(jmax + 1)])
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    avg = trapezoid(stack, dx=step, axis=0) / (jmax * step)
+    return omega, trig.grid_norm(avg)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.sampled_from([64, 256, 1024]), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_array_steps_equal_the_roll_oracle(m, r, seed, complex_values, fractions):
+    # bit-identical, step bound by step bound, for h anywhere in [one grid
+    # cell, pi], including the end points
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(m)
+    if complex_values:
+        values = values + 1j * rng.standard_normal(m)
+    f = trig.SampledFunction(values)
+    step = 2 * np.pi / m
+    hs = np.array([step, np.pi] + [step + (np.pi - step) * u for u in fractions])
+    omega = sm.modulus(f, r, hs)
+    omega_tilde = sm.linearized_modulus(f, r, hs)
+    assert omega.shape == omega_tilde.shape == hs.shape
+    for h, w, wt in zip(hs, omega, omega_tilde):
+        assert (w, wt) == _reference_moduli(f, r, h), (m, r, h)
+
+
+def test_scalar_and_shaped_steps():
+    f = corpus.sampled("abs_sin", 256)
+    hs = np.pi / np.array([[16.0, 8.0], [4.0, 2.0]])
+    for fn in (sm.modulus, sm.linearized_modulus):
+        table = fn(f, 2, hs)
+        assert table.shape == (2, 2)
+        scalar = fn(f, 2, float(hs[1, 0]))
+        assert type(scalar) is float and scalar == table[1, 0]
 
 
 class TestModulus:
@@ -54,7 +107,8 @@ class TestModulus:
 # difference, the step bound by the grid-step count, t and r by the K-functional
 @pytest.mark.parametrize("fn", [sm.modulus, sm.linearized_modulus])
 @pytest.mark.parametrize("r,h", [(0, np.pi / 4), (1, 0.0), (1, -1.0),
-                                 (1, np.pi + 0.1)])
+                                 (1, np.pi + 0.1), (1, [np.pi / 4, 0.01]),
+                                 (1, [np.pi / 4, np.nan]), (1, [])])
 def test_moduli_reject_out_of_range(fn, r, h):
     f = corpus.sampled("sin", 64)
     with pytest.raises(InvalidArgument):
@@ -91,8 +145,7 @@ class TestLinearizedModulus:
             for name in ("sin", "abs_sin", "lacunary", "exp_cos"):
                 f = corpus.sampled(name, m)
                 deltas = np.arange(1, int(hs[-1] / step) + 1) * step
-                scale = max(sm.modulus(f, r, d) / d ** r
-                            for d in deltas)
+                scale = np.max(sm.modulus(f, r, deltas) / deltas ** r)
                 if scale == 0:
                     continue
                 vals = f.values / scale ** (1.0)

@@ -334,6 +334,18 @@ def _fuzz_length(token):
     return maxlen
 
 
+def _moduli_check(p):
+    """The hdenom rule of `moduli`; raises InvalidArgument, naming m and the
+    estimate, when the largest step's difference stack is over budget."""
+    denoms = [int(d) for d in p["hdenoms"].split(";")]
+    need = smoothness.linearized_modulus_bytes(p["m"], p["r"], p["m"] // (2 * min(denoms)))
+    if need > smoothness.MODULI_BUDGET_BYTES:
+        raise InvalidArgument(
+            f"m={p['m']}: estimated {need / 1e9:.3g} GB for hdenom {min(denoms)} and "
+            f"r={p['r']}, over the {smoothness.MODULI_BUDGET_BYTES / 1e9:g} GB budget")
+    return all(2 * d <= p["m"] for d in denoms)
+
+
 def _grid_size(token):
     m = _number(int, trig.GRID_MIN)(token)
     if not trig._is_power_of_two(m):
@@ -380,7 +392,7 @@ REGISTRY = {
          "r": (1, _INDEX), "m": (1024, _grid_size),
          "hdenoms": ("16;8;4;2", _one_of(lambda t: [_INDEX(d) for d in t.split(";")]))},
         ["f_id", "r", "h", "omega", "omega_tilde"],
-        (lambda p: all(2 * int(d) <= p["m"] for d in p["hdenoms"].split(";")),
+        (_moduli_check,
          "need every hdenom <= m/2: a step pi/hdenom spans a grid cell 2pi/m")),
     "two-sided-report": Experiment(
         _exp_two_sided, "approximation error against the modulus, per corpus",

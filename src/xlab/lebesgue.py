@@ -15,7 +15,8 @@ The error bound has three terms: zero mislocation, the Taylor remainder
 (from Bernstein's inequality) and rounding.  The deviation over W^r runs
 the same engine on the tail kernel, a polynomial minus a cosine sum.  The 2-D
 norms sum |K| over the quarter torus in one blocked pass, with closed-form
-Dirichlet factors and the coarse estimate read off the even sub-grid."""
+Dirichlet factors and the coarse estimate read off the even sub-grid; a
+symmetric index set is summed over one triangle and doubled."""
 
 from dataclasses import dataclass
 import itertools
@@ -304,10 +305,11 @@ def _factors(h, const, lo, hi):
     integer multiple of pi/2h reduced exactly; 2(hi - lo + 1) at x = 0."""
     const, lo, hi = (np.reshape(v, (-1, 1)) for v in (const, lo, hi))
     i = np.arange(h + 1)
-    step = np.pi / (2 * h)
-    out = np.cos(step * ((lo + hi) * i % (4 * h)))
-    out *= np.sin(step * ((hi - lo + 1) * i % (4 * h)))
-    out[:, 1:] *= 2.0 / np.sin(step * i[1:])
+    angle = np.pi / (2 * h) * np.arange(4 * h)      # every angle, taken once
+    cos, sin = np.cos(angle), np.sin(angle)
+    out = cos[(lo + hi) * i % (4 * h)]
+    out *= sin[(hi - lo + 1) * i % (4 * h)]
+    out[:, 1:] *= 2.0 / sin[1:h + 1]
     out[:, :1] = 2.0 * (hi - lo + 1)
     out += const
     return out
@@ -320,6 +322,15 @@ def _fold_weights(h):
     return np.column_stack((w, np.where(np.arange(h + 1) % 2, 0.0, w)))
 
 
+def _self_conjugate(lo1, hi1, c1, deg, c2):
+    """Whether the groups' index set, weights included, is symmetric under
+    k1 <-> k2: one constant on the k2 = 0 column and (first group only) the
+    k1 = 0 row, k1 runs contiguous from 1, and a staircase of corners
+    (hi1, deg) that equals its transpose (deg, hi1)."""
+    return bool(np.all(c2 == c1[0]) and not np.any(c1[1:]) and lo1[0] == 1
+                and np.array_equal(lo1[1:], hi1[:-1] + 1) and np.array_equal(hi1, deg[::-1]))
+
+
 def _grouped_l1_2d(groups, n1, n2, oversample):
     """(fine, coarse) uniform Riemann sums of (1/4pi^2) int int
     |sum_g A_g(x1) B_g(x2)| dx on the m1 x m2 full-period grid,
@@ -327,17 +338,22 @@ def _grouped_l1_2d(groups, n1, n2, oversample):
     a group (lo1, hi1, c1, deg, c2) has the factors
     A = c1 + 2 sum_{k=lo1}^{hi1} cos k x1,
     B = c2 + 2 sum_{k=1}^{deg} cos k x2.  K is even in each variable, so one
-    blocked pass over the quarter grid [0, pi]^2 folds |K| with both weights."""
+    blocked pass over the quarter grid [0, pi]^2 folds |K| with both weights.
+    A symmetric index set (n1 = n2) sums one triangle: a block of rows takes
+    the columns from its first row on, those past its square counted twice."""
     lo1, hi1, c1, deg, c2 = (np.array(v) for v in zip(*groups))
     h1, h2 = oversample * (n1 + 1), oversample * (n2 + 1)
     amat, bmat = _factors(h1, c1, lo1, hi1).T, _factors(h2, c2, 1, deg)
     w1, w2 = _fold_weights(h1), _fold_weights(h2)
+    sym = n1 == n2 and _self_conjugate(lo1, hi1, c1, deg, c2)
     rows = min(h1 + 1, max(1, BLOCK_ENTRIES // (h2 + 1)))
     totals = np.zeros(2)
     for start in range(0, h1 + 1, rows):
-        block = amat[start:start + rows] @ bmat
+        stop, lo = start + rows, start * sym
+        wcols = w2[lo:] * (1.0 + sym * (np.arange(lo, h2 + 1) >= stop))[:, None]
+        block = amat[start:stop] @ bmat[:, lo:]
         np.abs(block, out=block)
-        totals += np.sum(w1[start:start + rows] * (block @ w2), axis=0)
+        totals += np.sum(w1[start:stop] * (block @ wcols), axis=0)
     return totals[0] / (4 * h1 * h2), totals[1] / (h1 * h2)
 
 

@@ -62,6 +62,20 @@ def modulus(f, r, h):
     return float(out) if out.ndim == 0 else out
 
 
+# linearized_modulus holds the (jmax+1, M) complex stack of differences, 16
+# bytes an entry, and peaks at a few such stacks (ru_maxrss at M = 1024..4096):
+# 2 at r = 1 (the stack and trapezoid's sum of neighbours), 4, 5, 5 and 6 at
+# r = 2..5 (_difference_stack's doubled rows), 6 up to r = 8; 1 MB covers the
+# smaller arrays around them (tracemalloc saw at most 0.17 MB).  `moduli` at
+# m = 16384, hdenoms 2 would take about 2 GB; MODULI_BUDGET_BYTES caps it.
+MODULI_BUDGET_BYTES = 10 ** 9
+
+
+def linearized_modulus_bytes(m, r, jmax):
+    """Estimated peak bytes of linearized_modulus on the m-grid up to jmax steps."""
+    return (2 if r == 1 else min(r + 2, 6)) * 16 * (jmax + 1) * m + 2 ** 20
+
+
 def linearized_modulus(f, r, h):
     """The integral-averaged modulus: the sup over delta is replaced by
     (1/h) int_0^h Delta_delta^r f ddelta (trapezoid on the delta grid).

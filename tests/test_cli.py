@@ -149,6 +149,25 @@ class TestExitCodes:
                            f"(maxlen <= {bound})\n")
         assert cli.build_config("duality-fuzz", [f"maxlen={bound}"])
 
+    def test_moduli_memory_guard(self, capsys, monkeypatch):
+        # the estimate of the largest step's stacks, set by the smallest
+        # hdenom; an input over the budget is refused with it before any work
+        est, budget = smoothness.linearized_modulus_bytes, smoothness.MODULI_BUDGET_BYTES
+        assert [(est(64, r, 8) - 2 ** 20) // (16 * 9 * 64) for r in range(1, 10)] \
+            == [2, 4, 5, 6, 6, 6, 6, 6, 6]
+        assert est(8192, 1, 2048) <= budget < est(16384, 1, 4096)
+        monkeypatch.setitem(cli.REGISTRY, "moduli", cli.REGISTRY[
+            "moduli"]._replace(fn=lambda p, seed: pytest.fail("ran")))
+        for m, hdenoms, r in ((16384, "2", 1), (8192, "16;8;2", 3), (2 ** 40, "16", 1)):
+            need = est(m, r, m // (2 * int(hdenoms.split(";")[-1])))
+            assert need > budget
+            assert run_main(["moduli", f"m={m}", f"hdenoms={hdenoms}", f"r={r}"]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: m={m}: estimated {need / 1e9:.3g} GB for hdenom "
+                           f"{hdenoms.split(';')[-1]} and r={r}, over the 1 GB budget\n")
+        assert cli.build_config("moduli", ["m=8192", "hdenoms=16;2"])
+        assert cli.build_config("moduli", ["m=16384", "hdenoms=8"])
+
     def test_two_sided_grid_rule_agrees_with_step_check(self):
         # the rule 2pi*n <= m against the run-time check of a step 1/n on the
         # m-grid, on both sides of the boundary n = floor(m/2pi)

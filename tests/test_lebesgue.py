@@ -291,7 +291,115 @@ def torus_mean_abs(index_set, m1, m2):
     return float(np.mean(np.abs(kern)))
 
 
+def unfolded_l1_2d(groups, n1, n2, oversample):
+    """The 2-D pass with no diagonal fold: every block of rows takes the
+    whole quarter grid's width."""
+    lo1, hi1, c1, deg, c2 = (np.array(v) for v in zip(*groups))
+    h1, h2 = oversample * (n1 + 1), oversample * (n2 + 1)
+    amat, bmat = lb._factors(h1, c1, lo1, hi1).T, lb._factors(h2, c2, 1, deg)
+    w1, w2 = lb._fold_weights(h1), lb._fold_weights(h2)
+    rows = min(h1 + 1, max(1, lb.BLOCK_ENTRIES // (h2 + 1)))
+    totals = np.zeros(2)
+    for start in range(0, h1 + 1, rows):
+        block = amat[start:start + rows] @ bmat
+        np.abs(block, out=block)
+        totals += np.sum(w1[start:start + rows] * (block @ w2), axis=0)
+    return totals[0] / (4 * h1 * h2), totals[1] / (h1 * h2)
+
+
+def group_weights(groups):
+    """Dense weights W[k1, k2], k >= 0, of the cosine products the groups
+    stand for: the term by term reading of A_g(x1) B_g(x2)."""
+    size = 1 + max(max(g[1], g[3]) for g in groups)
+    out = np.zeros((size, size))
+    for lo1, hi1, c1, deg, c2 in groups:
+        a, b = np.zeros(size), np.zeros(size)
+        a[0], a[lo1:hi1 + 1], b[0], b[1:deg + 1] = c1, 1.0, c2, 1.0
+        out += np.outer(a, b)
+    return out
+
+
 class TestTwoDimensionalPass:
+    @pytest.mark.parametrize("h,kind,args", [
+        (8 * 1017, "x1", lb._hyperbolic_groups(1.0, 1016)),
+        (8 * 1017, "x2", lb._hyperbolic_groups(1.0, 1016)),
+        (4 * 4097, "x2", lb._hyperbolic_groups(2.0, 4096)),
+        (8 * 4, "x1", lb._rhombic_groups(3, 9)),
+        (8 * 10, "x2", lb._rhombic_groups(3, 9)),
+    ])
+    def test_factor_table_equals_direct_angles(self, h, kind, args):
+        # the table of cos and sin over every multiple of pi/2h must give
+        # the bits of evaluating each reduced angle where it is needed
+        lo1, hi1, c1, deg, c2 = (np.array(v) for v in zip(*args))
+        const, lo, hi = (c1, lo1, hi1) if kind == "x1" else (c2, 1, deg)
+        got = lb._factors(h, const, lo, hi)
+        const, lo, hi = (np.reshape(v, (-1, 1)) for v in (const, lo, hi))
+        i, step = np.arange(h + 1), np.pi / (2 * h)
+        want = np.cos(step * ((lo + hi) * i % (4 * h)))
+        want *= np.sin(step * ((hi - lo + 1) * i % (4 * h)))
+        want[:, 1:] *= 2.0 / np.sin(step * i[1:])
+        want[:, :1] = 2.0 * (hi - lo + 1)
+        want += const
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [lb.BLOCK_ENTRIES, 1 << 12])
+    @pytest.mark.parametrize("case", ["hyperbolic-64", "hyperbolic-256", "rhombic-8-8"])
+    def test_fold_matches_full_pass(self, case, block, monkeypatch):
+        # small blocks fold the small grids too
+        monkeypatch.setattr(lb, "BLOCK_ENTRIES", block)
+        if case == "rhombic-8-8":
+            s = lb.rhombic_lebesgue(8, 8)
+            got = (s.value, s.quad_error)
+            groups, n, oversample = lb._rhombic_groups(8, 8), 8, lb.RHOMBIC_OVERSAMPLE
+        else:
+            n = int(case.split("-")[1])
+            got = lb.hyperbolic_l1(1.0, n)
+            groups, oversample = lb._hyperbolic_groups(1.0, n), 8
+        assert lb._self_conjugate(*(np.array(v) for v in zip(*groups)))
+        fine, coarse = unfolded_l1_2d(groups, n, n, oversample)
+        assert abs(got[0] - fine) <= 1e-14 * fine
+        assert abs(got[1] - abs(fine - coarse)) <= 1e-14 * fine
+
+    @pytest.mark.parametrize("groups,n1,n2", [
+        (lb._rhombic_groups(4, 8), 8, 8),         # a rhombus that is no square
+        (lb._hyperbolic_groups(2.0, 64), 64, 64),  # k1^2 k2 <= 64
+        ([(1, 2, 0.0, 2, 0.0), (3, 3, 0.0, 1, 1.0)], 3, 3),   # mixed constants
+        ([(1, 1, 0.0, 2, 0.0), (3, 3, 0.0, 1, 0.0)], 3, 3),   # a gap at k1 = 2
+        (lb._hyperbolic_groups(1.0, 16), 16, 40),  # a symmetric set, unequal grids
+    ])
+    def test_asymmetric_input_takes_the_full_pass(self, groups, n1, n2, monkeypatch):
+        monkeypatch.setattr(lb, "BLOCK_ENTRIES", 1 << 12)
+        assert lb._grouped_l1_2d(groups, n1, n2, 8) == unfolded_l1_2d(groups, n1, n2, 8)
+
+    def test_symmetry_test_against_dense_weights(self):
+        # sound on arbitrary group lists, and exact on degree staircases
+        rng = np.random.default_rng(13)
+        for trial in range(400):
+            c = float(trial % 2)
+            first, size = 1 - trial % 2, int(rng.integers(1, 9))
+            # nonempty rows k1 = first..size of x2-degrees d[k1 - first]
+            d = np.sort(rng.integers(first, size + 1, size + 1 - first))[::-1]
+            if trial % 4 < 2:               # symmetrize: the set with its transpose
+                cells = first + np.arange(d.size)[None, :] <= d[:, None]
+                cells |= cells.T
+                d = first + cells.sum(axis=1) - 1
+            groups = lb._degree_groups(range(first, size + 1),
+                                       lambda k: int(d[k - first]), c)
+            w = group_weights(groups)
+            assert lb._self_conjugate(*(np.array(v) for v in zip(*groups))) \
+                == np.array_equal(w, w.T), groups
+            # one bound off by one, or one constant changed
+            mangled = np.array(groups)
+            g, field = int(rng.integers(len(groups))), int(rng.integers(5))
+            mangled[g, field] += 1.0 - 2 * mangled[g, field] if field in (2, 4) \
+                else rng.choice([-1, 1])
+            mangled = [(int(a), int(b), c1, int(d), c2) for a, b, c1, d, c2 in mangled]
+            if min(min(g[0] - 1, g[1] - g[0] + 1, g[3]) for g in mangled) < 0:
+                continue                    # not a valid group list
+            w = group_weights(mangled)
+            if lb._self_conjugate(*(np.array(v) for v in zip(*mangled))):
+                assert np.array_equal(w, w.T), mangled
+
     @pytest.mark.parametrize("lo,hi", [(1, 1), (37, 41), (1, 4096)])
     def test_closed_form_factor_against_cosine_sums(self, lo, hi):
         # the quarter grid of hyperbolic_l1(1.0, 4096): x_i = pi i/h
@@ -316,6 +424,7 @@ class TestTwoDimensionalPass:
         (lb._hyperbolic_groups(2.0, 128), 11, 128, 8),
         (lb._rhombic_groups(4, 8), 4, 8, 8),
         (lb._rhombic_groups(3, 9), 3, 9, 4),
+        (lb._rhombic_groups(4, 4), 4, 4, 8),
     ])
     def test_coarse_estimate_equals_half_grid_sum(self, groups, n1, n2,
                                                   oversample):
@@ -330,6 +439,17 @@ class TestTwoDimensionalPass:
               if 2 * abs(k1) + abs(k2) <= 4]
         fine = torus_mean_abs(ks, 48, 80)
         coarse = torus_mean_abs(ks, 24, 40)
+        assert abs(s.value - fine) <= 1e-13 * fine
+        assert abs(s.quad_error - abs(fine - coarse)) <= 1e-13 * fine
+
+    @pytest.mark.parametrize("block", [lb.BLOCK_ENTRIES, 1 << 8])
+    def test_square_rhombic_against_dense_torus(self, block, monkeypatch):
+        monkeypatch.setattr(lb, "BLOCK_ENTRIES", block)   # 1 << 8: five blocks
+        s = lb.rhombic_lebesgue(3, 3)       # oversample 8: m = 16 (n + 1)
+        ks = [(k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)
+              if abs(k1) + abs(k2) <= 3]
+        fine = torus_mean_abs(ks, 64, 64)
+        coarse = torus_mean_abs(ks, 32, 32)
         assert abs(s.value - fine) <= 1e-13 * fine
         assert abs(s.quad_error - abs(fine - coarse)) <= 1e-13 * fine
 

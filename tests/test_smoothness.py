@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,3 +231,17 @@ def test_modulus_profile_pairs():
         omega = sm.modulus(f, 1, h)
         omega_tilde = sm.linearized_modulus(f, 1, h)
         assert 0 < omega_tilde <= omega
+
+
+@pytest.mark.parametrize("m,hdenom", [(256, 1), (1024, 2), (1024, 64)])
+def test_memory_estimate_bounds_traced_peak(m, hdenom):
+    # the cost model behind the moduli guard, against what numpy allocates
+    f = corpus.sampled("sin", m)
+    for r in range(1, 7):
+        tracemalloc.start()
+        try:
+            sm.linearized_modulus(f, r, np.pi / hdenom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sm.linearized_modulus_bytes(m, r, m // (2 * hdenom)), r

@@ -172,6 +172,17 @@ class TestRegularity:
                   for k in range(3, 8)]
         assert all(b > a for a, b in zip(octmax, octmax[1:]))
 
+    def test_partial_sums_against_fine_formula(self):
+        # Fine, Trans. AMS 65 (1949): from the binary digits n_i of n,
+        # L_n = sum_{i<K} 2^{-i-1} |(n mod 2^i) - n_i 2^i| + 2^{-K} n,
+        # K the bit length of n; no grid involved
+        lc = w.br_means_regularity(1.0, 0.0, 1.0, 1024)["lc_values"]
+        for n in range(1, 1025):
+            k = n.bit_length()
+            fine = sum(2.0 ** (-i - 1) * abs(n % 2 ** i - (n >> i & 1) * 2 ** i)
+                       for i in range(k)) + 2.0 ** -k * n
+            assert lc[n - 1] == fine, n
+
     def test_partial_sums_log_growth(self):
         r = w.br_means_regularity(1.0, 0.0, 1.0, 512)
         lc = r["lc_values"]

@@ -421,7 +421,8 @@ REGISTRY = {
     "walsh-regularity": Experiment(
         _exp_walsh_regularity, "kernel norms of shifted partial-sum averages",
         "8.2", {"alpha": (0.5, _FLOAT), "beta": (0.5, _FLOAT), "nu": (1.0, _FLOAT),
-                "nmax": (1024, _number(int, 2))},    # two octaves to compare
+                # two octaves to compare; a 16-bit grid holds D_n to n = 2^16
+                "nmax": (1024, _number(int, 2, 1 << walsh.BITS_RANGE[1]))},
         ["alpha", "beta", "nu", "n", "lc"]),
     "walsh-moduli": Experiment(
         _exp_walsh_moduli, "dyadic moduli against Cesaro approximation", "8.5, 8.6",

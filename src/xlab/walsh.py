@@ -6,6 +6,7 @@ Dyadic rationals are represented exactly as B-bit integers j <-> j/2^B;
 the group operation is bitwise XOR.  The first fractional bit of x is the
 top bit of j, so the Paley pairing reads the sample index bit-reversed."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,8 @@ from .errors import InvalidArgument
 from .trig import cesaro_numbers
 
 BITS_RANGE = (2, 16)
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int8)
+_POP8 = sum((np.arange(256) >> k) & 1 for k in range(8)).astype(np.int8)
+_POP16 = (_POP8[:, None] + _POP8).ravel()       # popcount of hi * 256 + lo
 
 
 @dataclass(frozen=True)
@@ -33,19 +35,19 @@ class DyadicSignal:
         object.__setattr__(self, "values", v)
 
 
-def bit_reverse(j, bits):
-    j = np.asarray(j)
-    out = np.zeros_like(j)
+@functools.cache
+def _paley(bits):
+    """The bit reversal of every sample index: the Paley order of the grid."""
+    j, perm = np.arange(1 << bits), np.zeros(1 << bits, dtype=np.int64)
     for _ in range(bits):
-        out = (out << 1) | (j & 1)
-        j = j >> 1
-    return out
+        perm, j = (perm << 1) | (j & 1), j >> 1
+    perm.flags.writeable = False
+    return perm
 
 
 def walsh_row(n, bits):
     """All 2^bits samples of the n-th Walsh function."""
-    j = np.arange(1 << bits)
-    pop = _POP16[np.bitwise_and(n, bit_reverse(j, bits))]
+    pop = _POP16[np.bitwise_and(n, _paley(bits))]
     return (1 - 2 * (pop & 1)).astype(float)
 
 
@@ -67,19 +69,15 @@ def fwt(signal):
     step functions on the dyadic grid."""
     b = signal.bits
     hat = _fwht(signal.values) / float(1 << b)
-    return hat[bit_reverse(np.arange(1 << b), b)]
+    return hat[_paley(b)]
 
 
 def ifwt(coeffs, bits):
     """Synthesis sum_n c_n psi_n on the 2^bits dyadic grid (inverse of fwt);
     coefficients past the given ones are zero."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.size != 1 << bits:
-        full = np.zeros(1 << bits)
-        full[: c.size] = c
-        c = full
-    vals = _fwht(c[bit_reverse(np.arange(1 << bits), bits)])
-    return DyadicSignal(vals, bits)
+    c = np.zeros(1 << bits)
+    c[: np.size(coeffs)] = coeffs
+    return DyadicSignal(_fwht(c[_paley(bits)]), bits)
 
 
 def cesaro_multipliers(n, alpha):
@@ -105,26 +103,32 @@ def br_means_regularity(alpha, beta, nu, nmax):
     for n <= nmax, with the shift snapped to the dyadic grid of
     min(16, ceil(log2 nmax) + 4) bits.
 
+    Exact from the binary digits of n (Paley's lemma; Fine, Trans. AMS 65,
+    1949): on level l, where x has its first 1 at digit l+1, D_n = w_n G(l)
+    with G(l) = (n mod 2^l) - n_l 2^l, and D_n(0) = n.  As w_n(x (+) s) =
+    w_n(x) w_n(s), |B_n| depends on the levels of x and x (+) s alone; for s
+    on level t, x (+) s keeps a level l < t, moves l > t to t, and sends
+    level t onto each level k > t with measure 2^-k-1.
+
     bounded: the top-octave maximum does not exceed 1.2x the previous
     octave's maximum."""
     bits = min(BITS_RANGE[1], int(np.ceil(np.log2(nmax))) + 4)
     m = 1 << bits
-    j = np.arange(m)
-    d = np.zeros(m)       # D_n accumulated incrementally
-    lc = np.empty(nmax + 1)
-    lc[0] = 0.0
-    for n in range(1, nmax + 1):
-        d = d + walsh_row(n - 1, bits)
-        # snap the shift downward: truncation keeps every leading bit of
-        # nu/n exact, whereas rounding can carry into the leading bit and
-        # change all the character values
-        s = int(nu * m / n) % m
-        kernel = alpha * d + beta * d[j ^ s]
-        lc[n] = float(np.mean(np.abs(kernel)))
-    top = lc[nmax // 2 + 1: nmax + 1]
-    prev = lc[nmax // 4 + 1: nmax // 2 + 1]
-    bounded = bool(np.max(top) <= 1.2 * np.max(prev))
-    return {"lc_values": lc[1:], "bounded": bounded}
+    n = np.arange(1, nmax + 1)
+    # snap the shift downward: rounding could carry into the leading bit of
+    # nu/n and change all the character values, truncation keeps them exact
+    s = np.array([int(nu * m / k) % m for k in range(1, nmax + 1)])
+    eps = 1 - 2 * (_POP16[n & _paley(bits)[s]] & 1)        # w_n(s)
+    t = np.where(s > 0, bits - np.frexp(s)[1], bits + 1)
+    lev = np.arange(bits + 1)[:, None]       # grid levels, then the point 0
+    g = np.where(lev < bits, (n & ((1 << lev) - 1)) - (n & (1 << lev)), n)
+    gt = np.take_along_axis(g, np.minimum(t, bits)[None], 0)
+    same = np.abs(alpha + beta * eps) * np.abs(g)
+    cross = np.abs(alpha * g + beta * eps * gt) + np.abs(alpha * gt + beta * eps * g)
+    mass = 0.5 ** np.minimum(lev + 1, bits)
+    lc = np.sum(mass * np.where(lev < t, same, np.where(lev > t, cross, 0.0)), axis=0)
+    bounded = bool(np.max(lc[nmax // 2:]) <= 1.2 * np.max(lc[nmax // 4: nmax // 2]))
+    return {"lc_values": lc, "bounded": bounded}
 
 
 def sidon_telyakovskii_bound(lam):
@@ -149,12 +153,9 @@ def dyadic_shift_modulus(f, n):
     b = f.bits
     if not 0 <= n < b:
         raise InvalidArgument("need 0 <= n < bits")
-    j = np.arange(1 << b)
-    v = f.values
-    best = 0.0
-    for t in range(1, 1 << (b - n)):
-        best = max(best, float(np.max(np.abs(v[j ^ t] - v))))
-    return best
+    # t < 2^(b-n) keeps j (+) t inside j's aligned block of 2^(b-n) samples
+    blocks = f.values.reshape(-1, 1 << (b - n))
+    return float(np.max(np.ptp(blocks, axis=1)))
 
 
 def averaged_block_modulus(f, n):
@@ -166,7 +167,5 @@ def averaged_block_modulus(f, n):
     b = f.bits
     if not 0 <= n < b:
         raise InvalidArgument("need 0 <= n < bits")
-    shift = 1 << (b - n - 1)
-    j = np.arange(1 << b)
-    delta = float(np.max(np.abs(f.values - f.values[j ^ shift])))
-    return 0.5 * delta
+    halves = f.values.reshape(-1, 2, 1 << (b - n - 1))
+    return 0.5 * float(np.max(np.abs(halves[:, 0] - halves[:, 1])))

@@ -97,6 +97,7 @@ class TestExitCodes:
         ["indicator-zeros", "radius=0.001"],
         ["kolmogorov-fit", "r=102"],
         ["duality-fuzz", "maxlen=12"],
+        ["walsh-regularity", "nmax=65537"],
     ])
     def test_bad_fit_params(self, bad, capsys, tmp_path):
         keys = [t.split("=")[0].strip() for t in bad if "=" in t]

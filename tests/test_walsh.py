@@ -1,15 +1,16 @@
 import numpy as np
+import pytest
 
 from xlab import corpus, walsh as w
 from xlab.errors import InvalidArgument
-from xlab.walsh import _POP16, bit_reverse, ifwt
+from xlab.walsh import _POP16, _paley, ifwt
 
 
 def walsh_fn(n, j, bits):
     """Value in {+1,-1} of the n-th Paley-Walsh function at j/2^bits."""
     if not 0 <= n < (1 << bits) or not 0 <= j < (1 << bits):
         raise InvalidArgument("indices must be B-bit words")
-    pop = int(_POP16[n & int(bit_reverse(j, bits))])
+    pop = int(_POP16[n & int(_paley(bits)[j])])
     return 1 - 2 * (pop & 1)
 
 
@@ -157,7 +158,34 @@ class TestCesaro:
             assert 0.2 <= min(ratios) and max(ratios) <= 5.0
 
 
+def grid_regularity(alpha, beta, nu, nmax):
+    """The 2^bits-sample route to br_means_regularity: D_n built row by row
+    on the grid and the shifted kernel read through j (+) s."""
+    bits = min(w.BITS_RANGE[1], int(np.ceil(np.log2(nmax))) + 4)
+    m = 1 << bits
+    j = np.arange(m)
+    paley = _paley(bits)
+    d = np.zeros(m)
+    lc = np.empty(nmax)
+    for n in range(1, nmax + 1):
+        d = d + (1 - 2 * (_POP16[(n - 1) & paley] & 1)).astype(float)
+        s = int(nu * m / n) % m
+        lc[n - 1] = float(np.mean(np.abs(alpha * d + beta * d[j ^ s])))
+    return lc
+
+
 class TestRegularity:
+    @pytest.mark.parametrize("alpha,beta,nu,nmax", [
+        (0.5, 0.5, 1.0, 256), (0.5, 0.5, 0.5, 256), (0.7, -0.2, 0.3, 300),
+        (1.0, 0.0, 1.0, 100), (0.5, 0.5, 1.0, 1024)])
+    def test_digits_against_grid(self, alpha, beta, nu, nmax):
+        got = w.br_means_regularity(alpha, beta, nu, nmax)["lc_values"]
+        want = grid_regularity(alpha, beta, nu, nmax)
+        if alpha == beta == 0.5 or beta == 0.0:
+            # dyadic kernel values: both routes sum exactly
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
     def test_balanced_unit_shift_bounded(self):
         r = w.br_means_regularity(0.5, 0.5, 1.0, 256)
         assert r["bounded"]
@@ -175,13 +203,15 @@ class TestRegularity:
     def test_partial_sums_against_fine_formula(self):
         # Fine, Trans. AMS 65 (1949): from the binary digits n_i of n,
         # L_n = sum_{i<K} 2^{-i-1} |(n mod 2^i) - n_i 2^i| + 2^{-K} n,
-        # K the bit length of n; no grid involved
-        lc = w.br_means_regularity(1.0, 0.0, 1.0, 1024)["lc_values"]
-        for n in range(1, 1025):
-            k = n.bit_length()
-            fine = sum(2.0 ** (-i - 1) * abs(n % 2 ** i - (n >> i & 1) * 2 ** i)
-                       for i in range(k)) + 2.0 ** -k * n
-            assert lc[n - 1] == fine, n
+        # K the bit length of n; every n the 16-bit grid holds
+        nmax = 1 << w.BITS_RANGE[1]
+        lc = w.br_means_regularity(1.0, 0.0, 1.0, nmax)["lc_values"]
+        n = np.arange(1, nmax + 1)
+        k = np.frexp(n)[1]                  # bit lengths
+        i = np.arange(k.max())[:, None]
+        terms = 2.0 ** (-i - 1) * np.abs(n % 2 ** i - (n >> i & 1) * 2 ** i)
+        fine = np.sum(np.where(i < k, terms, 0.0), axis=0) + 2.0 ** -k * n
+        assert np.array_equal(lc, fine)
 
     def test_partial_sums_log_growth(self):
         r = w.br_means_regularity(1.0, 0.0, 1.0, 512)
@@ -215,7 +245,22 @@ class TestSidonBound:
             assert w.sidon_telyakovskii_bound(lam)["ok"]
 
 
+def xor_shift_modulus(f, n):
+    """omega_n as the sup over every shift t in (0, 2^-n) in turn."""
+    j = np.arange(1 << f.bits)
+    return max(float(np.max(np.abs(f.values[j ^ t] - f.values)))
+               for t in range(1, 1 << (f.bits - n)))
+
+
 class TestModuli:
+    def test_blocks_against_xor_shifts(self):
+        for bits in range(2, 11):
+            for name, values in corpus.dyadic_corpus(bits):
+                sig = w.DyadicSignal(values, bits)
+                for n in range(bits):
+                    assert w.dyadic_shift_modulus(sig, n) == xor_shift_modulus(sig, n), \
+                        (bits, name, n)
+
     def test_constant(self):
         f = w.DyadicSignal(np.ones(256), 8)
         assert w.averaged_block_modulus(f, 2) == 0.0

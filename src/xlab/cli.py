@@ -15,6 +15,7 @@ import argparse
 import collections
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -62,19 +63,25 @@ def _map(fn, items):
 
 def _exp_lebesgue_table(p, seed):
     method = trig.get_method(p["method"])
-
-    def one(n):
-        try:
-            s = lebesgue.lebesgue_constant(method, n, tol=p["tol"])
-            return {"method": method.name, "n": n, "value": s.value,
-                    "quad_error": s.quad_error}, None
-        except ConvergenceFailure as e:
-            return {"method": method.name, "n": n,
-                    "value": float(e.best_estimate or math.nan),
-                    "quad_error": float(e.error_estimate or math.nan)}, \
-                f"n={n}: {e}"
-
-    return _map(one, range(p["nmin"], p["nmax"] + 1))
+    ns = range(p["nmin"], p["nmax"] + 1)
+    # one stacked engine pass per unit of the pool
+    batches = [[ns[i] for i in chunk] for chunk in lebesgue.stacks(
+        [lebesgue.grid_size(method.band(n)) for n in ns])]
+    samples, _ = _map(lambda b: (lebesgue.lebesgue_constant(method, b, p["tol"]), None),
+                      batches)
+    by_n = dict(zip(itertools.chain(*batches), itertools.chain(*samples)))
+    rows, failures = [], []
+    for n in ns:
+        s = by_n[n]
+        if isinstance(s, ConvergenceFailure):
+            rows.append({"method": method.name, "n": n,
+                         "value": float(s.best_estimate or math.nan),
+                         "quad_error": float(s.error_estimate or math.nan)})
+            failures.append(f"n={n}: {s}")
+        else:
+            rows.append({"method": method.name, "n": n, "value": s.value,
+                         "quad_error": s.quad_error})
+    return rows, failures
 
 
 def _exp_kolmogorov_fit(p, seed):
@@ -225,10 +232,9 @@ def _exp_walsh_moduli(p, seed):
     rows = []
     for name, values in corpus.dyadic_corpus(p["bits"]):
         sig = walsh.DyadicSignal(values, p["bits"])
-        for n in range(0, p["bits"] - 1):
-            cap = 1 << (n + 1)
-            err = float(np.max(np.abs(
-                sig.values - walsh.cesaro_means(sig, cap, p["alpha"]).values)))
+        caps = [1 << (n + 1) for n in range(p["bits"] - 1)]
+        for n, (cap, mean) in enumerate(zip(caps, walsh.cesaro_means(sig, caps, p["alpha"]))):
+            err = float(np.max(np.abs(sig.values - mean.values)))
             rows.append({"f_id": name, "n": n, "N": cap,
                          "Omega_n": walsh.averaged_block_modulus(sig, n),
                          "omega_n": walsh.dyadic_shift_modulus(sig, n),
@@ -346,6 +352,29 @@ def _moduli_check(p):
     return all(2 * d <= p["m"] for d in denoms)
 
 
+def _lebesgue_table_check(p):
+    """The nmin <= nmax rule of `lebesgue-table`; raises InvalidArgument,
+    naming nmax and the estimate, over the memory budget of `moduli` or the
+    time budget of `duality-fuzz`."""
+    if p["nmin"] > p["nmax"]:
+        return False
+    method = trig.get_method(p["method"])
+    try:
+        need = lebesgue.table_bytes(method, p["nmax"])
+        if need > smoothness.MODULI_BUDGET_BYTES:
+            raise InvalidArgument(
+                f"estimated {need / 1e9:.3g} GB for {method.name}, over the "
+                f"{smoothness.MODULI_BUDGET_BYTES / 1e9:g} GB budget")
+        seconds = lebesgue.table_seconds(method, p["nmin"], p["nmax"])
+        if seconds > seqspaces.FUZZ_BUDGET_S:
+            raise InvalidArgument(
+                f"estimated {seconds:.3g} s for {method.name} from n={p['nmin']}, "
+                f"over the {seqspaces.FUZZ_BUDGET_S} s budget")
+    except InvalidArgument as e:
+        raise InvalidArgument(f"nmax={p['nmax']}: {e}") from None
+    return True
+
+
 def _grid_size(token):
     m = _number(int, trig.GRID_MIN)(token)
     if not trig._is_power_of_two(m):
@@ -366,7 +395,7 @@ REGISTRY = {
         {"method": ("dirichlet", _METHOD), "nmin": (1, _COUNT),
          "nmax": (64, _COUNT), "tol": (1e-9, _POSITIVE)},
         ["method", "n", "value", "quad_error"],
-        (lambda p: p["nmin"] <= p["nmax"], "need nmin <= nmax")),
+        (_lebesgue_table_check, "need nmin <= nmax")),
     "kolmogorov-fit": Experiment(
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
         "4.1", {"r": (1, _INDEX), "nmin": (64, _INDEX), "nmax": (1024, _INDEX)},
@@ -420,7 +449,8 @@ REGISTRY = {
         ["m", "p", "alpha", "trials", "seed", "min_eig", "witness"]),
     "walsh-regularity": Experiment(
         _exp_walsh_regularity, "kernel norms of shifted partial-sum averages",
-        "8.2", {"alpha": (0.5, _FLOAT), "beta": (0.5, _FLOAT), "nu": (1.0, _FLOAT),
+        "8.2", {"alpha": (0.5, _FLOAT), "beta": (0.5, _FLOAT),
+                "nu": (1.0, _number(float, -walsh.SHIFT_MAX, walsh.SHIFT_MAX)),
                 # two octaves to compare; a 16-bit grid holds D_n to n = 2^16
                 "nmax": (1024, _number(int, 2, 1 << walsh.BITS_RANGE[1]))},
         ["alpha", "beta", "nu", "n", "lc"]),

@@ -12,7 +12,10 @@ antiderivative on the M-grid, sign changes are bracketed there, each zero
 is polished by safeguarded Newton on the cell's Taylor polynomial, and |K|
 is integrated piecewise from the antiderivative's Taylor data at the zeros.
 The error bound has three terms: zero mislocation, the Taylor remainder
-(from Bernstein's inequality) and rounding.  The deviation over W^r runs
+(from Bernstein's inequality) and rounding.  A table of n runs as one pass
+per grid size: stacked syntheses of at most SYNTHESIS_ENTRIES samples and
+one polish over the cells of every kernel, each result bit for bit that of
+its kernel alone.  The deviation over W^r runs
 the same engine on the tail kernel, a polynomial minus a cosine sum.  The 2-D
 norms sum |K| over the quarter torus in one blocked pass, with closed-form
 Dirichlet factors and the coarse estimate read off the even sub-grid; a
@@ -26,8 +29,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, InvalidArgument
 # compute_coefficients is unused here: perfbench's tracer test patches this copy
-from .trig import (TWO_PI, compute_coefficients, dirichlet,  # noqa: F401
-                   synthesize)
+from .trig import (SYNTHESIS_ENTRIES, TWO_PI, compute_coefficients,  # noqa: F401
+                   dirichlet, synthesize)
 
 
 @dataclass(frozen=True)
@@ -51,15 +54,7 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1)
 FFT_STAGE_ERROR = 7.0 * UNIT_ROUNDOFF
 POLISH_STEPS = 16
-
-
-def _grid_samples(a, m):
-    """(real samples of sum a_k e^{ikx} on the M-grid, bound on the rounding
-    error of each sample).  Every output of a radix-2 FFT reaches each input
-    along one path of unit-modulus twiddles, so log2(M) stages err by at most
-    eta * sum|a_k| in total; two more eta cover forming the a_k."""
-    vals = synthesize(a, m).values.real
-    return vals, (math.log2(m) + 2) * FFT_STAGE_ERROR * float(np.sum(np.abs(a)))
+OVERSAMPLE = 16          # M >= 2 * OVERSAMPLE * (K+1): 32 scan points a period of e^{iKx}
 
 
 def _horner(taylor, s):
@@ -71,12 +66,14 @@ def _horner(taylor, s):
     return p, dp
 
 
-def _polish(taylor, floor):
+def _polish(taylor, floor, owner):
     """Safeguarded Newton on the cell polynomials p(s) = sum_j taylor[j] s^j,
-    each with a sign change on [0, 1].  Keeps the best point seen per cell
-    (a converged iterate on a bracket end must not be lost to the safeguard)
-    and stops once every |p| is below `floor`, the accuracy of p as a
-    stand-in for the function.  Returns (s, |p(s)|, |p'(s)|, bracket width)."""
+    each with a sign change on [0, 1]; cell i belongs to polynomial owner[i].
+    Keeps the best point seen per cell (a converged iterate on a bracket end
+    must not be lost to the safeguard), and freezes the cells of a
+    polynomial once all of its |p| are below `floor`, the accuracy of p as a
+    stand-in for the function, so each polynomial stops where it would
+    alone.  Returns (s, |p(s)|, |p'(s)|, bracket width)."""
     lo, hi, plo = np.zeros(taylor.shape[1]), np.ones(taylor.shape[1]), taylor[0]
     s = np.full_like(lo, 0.5)
     best_s, best_p, best_dp = s, np.full_like(lo, np.inf), np.ones_like(lo)
@@ -86,120 +83,259 @@ def _polish(taylor, floor):
         best_s = np.where(better, s, best_s)
         best_p = np.where(better, np.abs(p), best_p)
         best_dp = np.where(better, np.abs(dp), best_dp)
-        if np.all(best_p <= floor):
+        live = np.bincount(owner, best_p > floor)[owner] > 0
+        if not live.any():
             break
         # signbit keeps values of exactly 0.0 on the positive side
         same = np.signbit(p) == np.signbit(plo)
-        lo = np.where(same, s, lo)
-        plo = np.where(same, p, plo)
-        hi = np.where(same, hi, s)
+        lo = np.where(live & same, s, lo)
+        plo = np.where(live & same, p, plo)
+        hi = np.where(live & ~same, s, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             sn = s - p / dp
         bad = ~np.isfinite(sn) | (sn < lo) | (sn > hi)
-        s = np.where(bad, 0.5 * (lo + hi), sn)
+        s = np.where(live, np.where(bad, 0.5 * (lo + hi), sn), s)
     return best_s, best_p, best_dp, hi - lo
 
 
-def _piecewise_l1(c, oversample, poly=(0.0,)):
-    """(int_{-pi}^{pi} |f(x)| dx, certified error bound) for the real function
-    f(x) = sum_k c_k e^{ikx} + poly(x + pi), c Hermitian of degree K, poly
-    in ascending powers.  Sign changes are scanned on x_i = -pi + ih,
-    h = 2pi/M, M = 2^m >= max(64, 2 * oversample * (K+1)), closed at
-    x_M = pi by the limit from the left (the periodic wrap when poly = 0);
-    d_j = f^(j)(x_i) h^j / j!, j <= J, are a bracketing cell's Taylor data
-    and F(x) = c_0 x + P(x) + Q(x + pi), P periodic, Q' = poly, is the
-    antiderivative.  Error terms: mislocation, sum over zeros of rho * delta
-    (rho bounds |f| at the polished point, delta its distance to the zero);
-    Taylor remainder, |f - p| <= R = (Kh)^{J+1}/(J+1)! sum|c_k| on a cell
-    (J least with R <= u sum|c_k|), so each F(zero) is off by at most hR;
-    rounding in the FFT samples, the polynomial and Taylor evaluations and
-    the final sum."""
-    u = UNIT_ROUNDOFF
-    kmax = (c.size - 1) // 2
-    k = np.arange(-kmax, kmax + 1)
-    m = 1 << max(6, int(math.ceil(math.log2(oversample * 2 * (kmax + 1)))))
-    h = TWO_PI / m
+def _taylor_order(kmax, h):
+    """(J, (Kh)^{J+1}/(J+1)!) for the least J with that factor <= u."""
     order, rem = 0, kmax * h
-    while rem > u:
+    while rem > UNIT_ROUNDOFF:
         order += 1
         rem *= kmax * h / (order + 1)
-    taylor_rem = rem * float(np.sum(np.abs(c)))
+    return order, rem
+
+
+def grid_size(kmax, oversample=OVERSAMPLE):
+    """Scan grid M = 2^m >= max(64, 2 * oversample * (K+1)) of the 1-D
+    engine for degree K."""
+    return 1 << max(6, int(math.ceil(math.log2(oversample * 2 * (kmax + 1)))))
+
+
+def _piecewise_l1(cs, oversample, poly=(0.0,)):
+    """[(int_{-pi}^{pi} |f(x)| dx, certified error bound)] for the real
+    functions f(x) = sum_k c_k e^{ikx} + poly(x + pi), one per Hermitian
+    array c in cs (any degrees K), poly in ascending powers.  Sign changes
+    are scanned on x_i = -pi + ih, h = 2pi/M, M = grid_size(K, oversample),
+    closed at x_M = pi by the limit from the left (the periodic wrap when
+    poly = 0); d_j = f^(j)(x_i) h^j / j!, j <= J, are a bracketing cell's
+    Taylor data and F(x) = c_0 x + P(x) + Q(x + pi), P periodic, Q' = poly,
+    is the antiderivative.  Error terms: mislocation, sum over zeros of
+    rho * delta (rho bounds |f| at the polished point, delta its distance to
+    the zero); Taylor remainder, |f - p| <= R = (Kh)^{J+1}/(J+1)! sum|c_k| on
+    a cell (J least with R <= u sum|c_k|), so each F(zero) is off by at most
+    hR; rounding in the FFT samples, the polynomial and Taylor evaluations
+    and the final sum.  The arrays of one grid size run as stacks of
+    SYNTHESIS_ENTRIES samples; each result equals that of its array alone."""
     poly = np.asarray(poly, dtype=float)
+    grids = [grid_size((c.size - 1) // 2, oversample) for c in cs]
+    out = [None] * len(cs)
+    for chunk in stacks(grids):
+        for i, result in zip(chunk, _stack_l1([cs[i] for i in chunk], grids[chunk[0]], poly)):
+            out[i] = result
+    return out
+
+
+def stacks(grids):
+    """The index lists of the arrays that one stacked pass takes, given each
+    array's grid size M: equal M, at most max(1, SYNTHESIS_ENTRIES // M)
+    arrays, in order of M and then of index."""
+    out = []
+    for m in sorted(set(grids)):
+        rows = [i for i, g in enumerate(grids) if g == m]
+        step = max(1, SYNTHESIS_ENTRIES // m)
+        out += [rows[i:i + step] for i in range(0, len(rows), step)]
+    return out
+
+
+def _stack_l1(cs, m, poly):
+    """_piecewise_l1 for arrays that share the grid size M: stacked
+    syntheses of the samples, of the Taylor orders 1..J of the arrays with
+    sign changes (as many orders per call as SYNTHESIS_ENTRIES allows) and of
+    the antiderivatives, then one polish over every cell.  The stack is
+    zero-padded to the widest degree and the Taylor data to the highest
+    order; the scalars of each array (K, J, sum|c_k|, the rounding sums) are
+    formed from the array alone."""
+    u, h = UNIT_ROUNDOFF, TWO_PI / m
+    # each real sample of sum a_k e^{ikx} errs by at most lg * sum|a_k|: every
+    # output of a radix-2 FFT reaches each input along one path of
+    # unit-modulus twiddles, so log2(M) stages err by at most eta * sum|a_k|
+    # in total; two more eta cover forming the a_k
+    lg = (math.log2(m) + 2) * FFT_STAGE_ERROR
+    kmax = [(c.size - 1) // 2 for c in cs]
+    width = max(kmax)
+    own = [slice(width - kk, width + kk + 1) for kk in kmax]
+    k = np.arange(-width, width + 1)
+    stack = np.zeros((len(cs), 2 * width + 1), dtype=complex)
+    orders, taylor_rem, err_data = [], [], []
+    for i, (c, kk) in enumerate(zip(cs, kmax)):
+        stack[i, own[i]] = c
+        order, rem = _taylor_order(kk, h)
+        orders.append(max(order, poly.size - 1))
+        total = float(np.sum(np.abs(c)))
+        taylor_rem.append(rem * total)
+        err_data.append(lg * total)
+    orders = np.array(orders)
     ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1)))
-    order = max(order, poly.size - 1)
     # |p|(2pi + h) bounds sum_j |p^(j)(t)| h^j / j! for 0 <= t <= 2pi
     err_poly = (2 * poly.size + 2) * u * float(_polyval(np.abs(poly), TWO_PI + h))
     err_ipoly = (2 * ipoly.size + 2) * u * float(_polyval(np.abs(ipoly), TWO_PI + h))
 
     t = h * np.arange(m + 1)                          # x + pi
-    trig_vals, err_data = _grid_samples(c, m)
-    vals = np.append(trig_vals, trig_vals[0]) + _polyval(poly, t)
-    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
+    trig_vals = synthesize(stack, m).values.real
+    vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1) + _polyval(poly, t)
+    owner, idx = np.nonzero(np.signbit(vals[:, :-1]) != np.signbit(vals[:, 1:]))
+    count = np.bincount(owner, minlength=len(cs))
+    first = np.concatenate(([0], np.cumsum(count)))   # cells of i: first[i]..first[i+1]
     ti = t[idx]
+    order = orders[owner]
+    top = int(order.max(initial=0))
 
-    taylor = np.zeros((order + 1, idx.size))
-    taylor[0] = trig_vals[idx]
-    a, dpoly = c, poly                                # dpoly = poly^(j) / j!
-    for j in range(order + 1):
-        if j and idx.size:
+    # Taylor data, orders 1..J of the arrays with cells: `per` orders a call
+    taylor = np.zeros((top + 1, idx.size))
+    taylor[0] = trig_vals[owner, idx]
+    has = np.flatnonzero(count)
+    a, per = stack[has], max(1, SYNTHESIS_ENTRIES // m // max(has.size, 1))
+    for j0 in range(1, top + 1, per):
+        blocks = []
+        for j in range(j0, min(j0 + per, top + 1)):
             a = a * (1j * h / j) * k
-            sampled, err = _grid_samples(a, m)
-            taylor[j] = sampled[idx]
-            err_data += err
+            need = orders[has] >= j
+            blocks.append((j, has[need], a[need]))
+        sampled = synthesize(np.concatenate([b for _, _, b in blocks]), m).values.real
+        for j, rows, b in blocks:
+            cells = order >= j
+            at = np.cumsum((orders >= j) & (count > 0)) - 1   # array i is b[at[i]]
+            taylor[j, cells] = sampled[at[owner[cells]], idx[cells]]
+            sampled = sampled[rows.size:]
+            for i, row in zip(rows, np.abs(b)):
+                err_data[i] += lg * float(np.add.reduce(row[own[i]]))
+    dpoly = poly                                      # dpoly = poly^(j) / j!
+    for j in range(top + 1):
         taylor[j] += h ** j * _polyval(dpoly, ti)
         dpoly = dpoly[1:] * np.arange(1, dpoly.size) / (j + 1)
+
     abs_taylor = np.sum(np.abs(taylor), axis=0)
-    noise = taylor_rem + err_data + err_poly + (2 * order + 2) * u * abs_taylor
-    s, resid, slope, width = _polish(taylor, noise)
+    noise = np.array([tr + ed + err_poly for tr, ed in zip(taylor_rem, err_data)])[owner] \
+        + (2 * order + 2) * u * abs_taylor
+    s, resid, slope, bracket = _polish(taylor, noise, owner)
     rho = resid + noise
     with np.errstate(divide="ignore"):
-        delta = h * np.minimum(width, rho / slope)
-    mislocation = float(np.sum(rho * delta))
+        delta = h * np.minimum(bracket, rho / slope)
+    misplaced = rho * delta
 
-    # F at -pi, at each zero, and at pi
-    anti = np.divide(c, 1j * k, out=np.zeros_like(c), where=k != 0)
-    p_vals, err_anti = _grid_samples(anti, m)
-    c0 = c[kmax].real
-    integ, _ = _horner(taylor / np.arange(1, order + 2)[:, None], s)
+    # F at -pi, at each zero, and at pi; the points of array i run from
+    # ends[i] (-pi) to ends[i] + count[i] + 1 (pi)
+    anti = np.divide(stack, 1j * k, out=np.zeros_like(stack), where=k != 0)
+    p_vals = synthesize(anti, m).values.real
+    err_anti = [lg * float(np.add.reduce(row[sl])) for row, sl in zip(np.abs(anti), own)]
+    ends = first[:-1] + 2 * np.arange(len(cs))
+    inner = np.ones(idx.size + 2 * len(cs), dtype=bool)
+    inner[ends] = inner[ends + count + 1] = False
+    point = np.repeat(np.arange(len(cs)), count + 2)
+    integ, _ = _horner(taylor / np.arange(1, top + 2)[:, None], s)
+
+    def spread(start, cell, end):
+        out = np.empty(inner.size)
+        out[inner], out[ends], out[ends + count + 1] = cell, start, end
+        return out
+
     parts = np.array([
-        np.concatenate(([-np.pi], ti - np.pi, [np.pi])) * c0,
-        np.concatenate(([p_vals[0]], p_vals[idx], [p_vals[0]])),
-        _polyval(ipoly, np.concatenate(([0.0], ti, [TWO_PI]))),
-        np.concatenate(([0.0], h * s * integ, [0.0])),
+        spread(-np.pi, ti - np.pi, np.pi) * stack[point, width].real,
+        spread(p_vals[:, 0], p_vals[owner, idx], p_vals[:, 0]),
+        _polyval(ipoly, spread(0.0, ti, TWO_PI)),
+        spread(0.0, h * s * integ, 0.0),
     ])
-    value = math.fsum(np.abs(np.diff(np.sum(parts, axis=0))))
-    scale = np.sum(np.abs(parts), axis=0) + np.concatenate(
-        ([0.0], h * abs_taylor, [0.0]))
-    point_err = (err_anti + h * (err_data + err_poly) + err_ipoly
-                 + (2 * order + 8) * u * scale)
-    rounding = 2.0 * float(np.sum(point_err)) + 2.0 * u * value
-    return value, mislocation + 2.0 * idx.size * h * taylor_rem + rounding
+    steps = np.abs(np.diff(np.sum(parts, axis=0)))
+    scale = np.sum(np.abs(parts), axis=0) + spread(0.0, h * abs_taylor, 0.0)
+    point_err = np.array([ea + h * (ed + err_poly) + err_ipoly for ea, ed in
+                          zip(err_anti, err_data)])[point] \
+        + (2 * orders[point] + 8) * u * scale
+    out = []
+    for i in range(len(cs)):
+        value = math.fsum(steps[ends[i]:ends[i] + count[i] + 1])
+        rounding = 2.0 * float(np.sum(point_err[ends[i]:ends[i] + count[i] + 2])) \
+            + 2.0 * u * value
+        mislocation = float(np.sum(misplaced[first[i]:first[i + 1]]))
+        out.append((value, mislocation + 2.0 * int(count[i]) * h * taylor_rem[i]
+                    + rounding))
+    return out
 
 
-def trig_poly_l1(coeffs, oversample=16):
+def trig_poly_l1(coeffs, oversample=OVERSAMPLE):
     """(L1 norm over one period, certified error bound) for a real-valued
     trigonometric polynomial given by Hermitian coefficients c_{-K}..c_K
-    (c_{-k} = conj c_k); see `_piecewise_l1` for the method and the bound."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size % 2 == 0:
-        raise InvalidArgument("coefficient array must have odd length 2K+1")
-    if not np.allclose(c, np.conj(c[::-1]), atol=1e-12):
-        raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
-    value, err = _piecewise_l1(c, oversample)
+    (c_{-k} = conj c_k); for a sequence of such arrays (any degrees), a list
+    of the pairs from one engine pass per grid size.  See `_piecewise_l1`
+    for the method and the bound."""
+    single = len(coeffs) == 0 or np.ndim(coeffs[0]) == 0
+    cs = [np.asarray(c, dtype=complex) for c in ([coeffs] if single else coeffs)]
+    for c in cs:
+        if c.ndim != 1 or c.size % 2 == 0:
+            raise InvalidArgument("coefficient array must have odd length 2K+1")
+        if not np.allclose(c, np.conj(c[::-1]), atol=1e-12):
+            raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
     # |f| and |Re f| differ by at most |Im f| <= sum|c_k - conj c_{-k}| / 2
-    return value, err + np.pi * float(np.sum(np.abs(c - np.conj(c[::-1]))))
+    out = [(value, err + np.pi * float(np.sum(np.abs(c - np.conj(c[::-1])))))
+           for c, (value, err) in zip(cs, _piecewise_l1(cs, oversample))]
+    return out[0] if single else out
+
+
+# Cost of lebesgue_constant over a range of n, measured on a 2-vCPU host:
+# the engine peaks at 90-91 bytes per grid point of its largest call
+# (tracemalloc, one row at M = 2^18..2^22: the samples, the scan arrays and
+# two syntheses in flight), a call being SYNTHESIS_ENTRIES points or one
+# row.  A row with sign changes takes J + 2 syntheses (orders 0..J and the
+# antiderivative), at up to 4.3e-9 s per grid point and level log2 M of
+# each (Dirichlet rows, M = 2^13..2^22); one without takes 2, so positive
+# kernels cost up to ten times less than the estimate.
+ENGINE_BYTES = 96
+ENGINE_SECONDS = 5e-9
+
+
+def table_bytes(method, nmax):
+    """Estimated peak bytes of lebesgue_constant(method, ns) for max(ns) = nmax."""
+    return ENGINE_BYTES * max(grid_size(method.band(nmax)), SYNTHESIS_ENTRIES) + 2 ** 20
+
+
+def table_seconds(method, nmin, nmax):
+    """Estimated seconds of lebesgue_constant(method, range(nmin, nmax + 1)),
+    summed over the runs of n on one grid: the band does not decrease in n,
+    so bisection finds the last n of each run, charged the run's top order."""
+    seconds, n = 0.0, nmin
+    while n <= nmax:
+        m, last, hi = grid_size(method.band(n)), n, nmax
+        while last < hi:
+            mid = (last + hi + 1) // 2
+            last, hi = (mid, hi) if grid_size(method.band(mid)) == m else (last, mid - 1)
+        order = _taylor_order(method.band(last), TWO_PI / m)[0]
+        seconds += (last - n + 1) * (order + 2) * ENGINE_SECONDS * m * math.log2(m)
+        n = last + 1
+    return seconds
 
 
 def lebesgue_constant(method, n, tol=1e-9):
-    """Operator norm of the mean at index n: (1/2pi) int |K_n(t)| dt."""
-    if n < 0 or not tol > 0:
+    """Operator norm of the mean at index n: (1/2pi) int |K_n(t)| dt.  For a
+    sequence of n, a list with one entry per n from one engine pass: its
+    LebesgueSample, or, where the bound misses tol, the ConvergenceFailure,
+    returned rather than raised so that every n is recorded."""
+    ns = np.atleast_1d(n).tolist()
+    if min(ns, default=0) < 0 or not tol > 0:
         raise InvalidArgument("need index n >= 0 and tolerance tol > 0")
-    value, err = trig_poly_l1(method.weights(n))
-    if err / TWO_PI > tol:
-        raise ConvergenceFailure("requested tolerance not certified",
-                                 best_estimate=value / TWO_PI,
-                                 error_estimate=err / TWO_PI)
-    return LebesgueSample(n, value / TWO_PI, err / TWO_PI)
+    out = []
+    for k, (value, err) in zip(ns, trig_poly_l1([method.weights(k) for k in ns]) if ns else []):
+        if err / TWO_PI > tol:
+            out.append(ConvergenceFailure("requested tolerance not certified",
+                                          best_estimate=value / TWO_PI,
+                                          error_estimate=err / TWO_PI))
+        else:
+            out.append(LebesgueSample(k, value / TWO_PI, err / TWO_PI))
+    if np.ndim(n):
+        return out
+    if isinstance(out[0], ConvergenceFailure):
+        raise out[0]
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +418,7 @@ def kolmogorov_deviation(r, n):
     k = np.arange(1, n + 1)
     half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** float(r))
     c = np.concatenate((np.conj(half[::-1]), [0.0], half))
-    total, err = _piecewise_l1(c, 16, _full_series_poly(r))
+    total, err = _piecewise_l1([c], OVERSAMPLE, _full_series_poly(r))[0]
     if err / np.pi > KOLMOGOROV_TOL or not err < total:
         raise ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
                                  error_estimate=err / np.pi)

@@ -88,14 +88,21 @@ def cesaro_multipliers(n, alpha):
 
 
 def cesaro_means(signal, n, alpha):
-    """sigma_n^alpha of a DyadicSignal, on the same grid."""
-    bits = signal.bits
-    c = fwt(signal)
-    if not 0 < n < (1 << bits):
+    """sigma_n^alpha of a DyadicSignal, on the same grid; for a sequence of
+    n, the list of them from one transform of the signal."""
+    bits, ns = signal.bits, np.atleast_1d(n).tolist()
+    if not all(0 < k < (1 << bits) for k in ns):
         raise InvalidArgument("need 0 < n < 2^bits")
     if alpha <= 0:
         raise InvalidArgument("alpha must be positive")
-    return ifwt(cesaro_multipliers(n, alpha) * c[:n], bits)
+    c = fwt(signal)
+    out = [ifwt(cesaro_multipliers(k, alpha) * c[:k], bits) for k in ns]
+    return out if np.ndim(n) else out[0]
+
+
+# br_means_regularity snaps the shift by int(nu * 2^bits / n), finite for |nu|
+# up to about 2.7e303 at 16 bits
+SHIFT_MAX = 1e300
 
 
 def br_means_regularity(alpha, beta, nu, nmax):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from xlab import cli, seqspaces, smoothness, trig
+from xlab import cli, lebesgue, seqspaces, smoothness, trig
 from xlab.errors import InvalidArgument
 
 
@@ -98,6 +98,9 @@ class TestExitCodes:
         ["kolmogorov-fit", "r=102"],
         ["duality-fuzz", "maxlen=12"],
         ["walsh-regularity", "nmax=65537"],
+        ["walsh-regularity", "nu=1e308", "nmax=8"],
+        ["lebesgue-table", "nmax=300000"],
+        ["lebesgue-table", "method=abel-poisson", "nmax=100000000000000000"],
     ])
     def test_bad_fit_params(self, bad, capsys, tmp_path):
         keys = [t.split("=")[0].strip() for t in bad if "=" in t]
@@ -169,6 +172,41 @@ class TestExitCodes:
         assert cli.build_config("moduli", ["m=8192", "hdenoms=16;2"])
         assert cli.build_config("moduli", ["m=16384", "hdenoms=8"])
 
+    def test_lebesgue_table_cost_guard(self, capsys, monkeypatch):
+        # the estimates of the stacked engine against the moduli memory budget
+        # and the fuzz time budget; an input over either is refused with its
+        # estimate before any work
+        nbytes, seconds = lebesgue.table_bytes, lebesgue.table_seconds
+        d, ap = trig.dirichlet(), trig.abel_poisson()
+        assert nbytes(d, 1) == nbytes(d, 1023) == 96 * 2 ** 15 + 2 ** 20
+        assert nbytes(d, 8191) == 96 * 2 ** 18 + 2 ** 20
+        assert nbytes(d, 262143) <= smoothness.MODULI_BUDGET_BYTES < nbytes(d, 262144)
+        assert seconds(d, 5, 5) == pytest.approx(
+            (lebesgue._taylor_order(5, 2 * np.pi / 256)[0] + 2) * 8 * 256 * 5e-9)
+        assert seconds(d, 1, 64) < seconds(d, 1, 65) < seconds(d, 1, 1000)
+        assert seconds(ap, 1, 200) < seqspaces.FUZZ_BUDGET_S < seconds(ap, 1, 1000)
+        monkeypatch.setitem(cli.REGISTRY, "lebesgue-table", cli.REGISTRY[
+            "lebesgue-table"]._replace(fn=lambda p, seed: pytest.fail("ran")))
+        for tokens in (["nmax=262144"], ["nmax=10" + "0" * 30]):
+            need = nbytes(d, int(tokens[0][5:]))
+            assert run_main(["lebesgue-table", *tokens]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {tokens[0]}: estimated {need / 1e9:.3g} GB for dirichlet, "
+                "over the 1 GB budget\n")
+        for method, nmin, nmax in (("dirichlet", 1, 20000), ("abel-poisson", 1, 1000),
+                                   ("dirichlet", 262000, 262143),
+                                   ("abel-poisson(0.5)", 0, 10 ** 12)):
+            est = seconds(trig.get_method(method), nmin, nmax)
+            assert est > seqspaces.FUZZ_BUDGET_S
+            assert run_main(["lebesgue-table", f"method={method}", f"nmin={nmin}",
+                             f"nmax={nmax}"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: nmax={nmax}: estimated {est:.3g} s for {method} from "
+                f"n={nmin}, over the 600 s budget\n")
+        for tokens in (["nmax=4096"], ["method=abel-poisson", "nmax=200"],
+                       ["nmin=65536", "nmax=65536"]):
+            assert cli.build_config("lebesgue-table", tokens)
+
     def test_two_sided_grid_rule_agrees_with_step_check(self):
         # the rule 2pi*n <= m against the run-time check of a step 1/n on the
         # m-grid, on both sides of the boundary n = floor(m/2pi)
@@ -222,6 +260,18 @@ class TestDeterminism:
             texts.append(out.read_text().splitlines()[1:])
         assert texts[0] == texts[1]
         assert sum(line.startswith("# failure") for line in texts[0]) == 40
+
+    def test_threads_split_the_grid_stacks_alike(self, tmp_path, monkeypatch):
+        # n = 64..127 share one grid and fill eight stacks; every row and bound
+        # is the same for one worker and for two
+        texts = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("XLAB_THREADS", threads)
+            out = tmp_path / f"t{threads}.csv"
+            assert run_main(["lebesgue-table", "method=rogosinski", "nmin=0",
+                             "nmax=140", "--out", str(out)]) == 0
+            texts.append(out.read_text().splitlines()[1:])
+        assert texts[0] == texts[1] and len(texts[0]) == 1 + 141
 
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
         # a stub executor records the pool size and starts no threads

@@ -12,6 +12,9 @@ from xlab.lebesgue import _full_series_poly, _polyval
 from xlab.trig import (abel_poisson, bernstein, bochner_riesz, cesaro,
                        dirichlet, fejer, riesz, rogosinski, vallee_poussin)
 
+# pytest puts tests/ on sys.path
+from test_trig import row_synthesize
+
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -72,6 +75,110 @@ def fejer_dirichlet(n):
                            + 7.0 * UNIT_ROUNDOFF)
     value = 1.0 / m + (2.0 / math.pi) * math.fsum(terms)
     return value, (2.0 / math.pi) * bound + 2.0 * UNIT_ROUNDOFF * value
+
+
+# ---------------------------------------------------------------------------
+# the one-row engine as it ran before the stacked passes (oracle): one
+# synthesis per Taylor order, its own grid, polish and sums
+# ---------------------------------------------------------------------------
+
+def _row_samples(a, m):
+    vals = row_synthesize(a, m).real
+    return vals, (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * float(np.sum(np.abs(a)))
+
+
+def _row_horner(taylor, s):
+    p, dp = taylor[-1], np.zeros_like(s)
+    for row in taylor[-2::-1]:
+        dp = dp * s + p
+        p = p * s + row
+    return p, dp
+
+
+def _row_polish(taylor, floor):
+    lo, hi, plo = np.zeros(taylor.shape[1]), np.ones(taylor.shape[1]), taylor[0]
+    s = np.full_like(lo, 0.5)
+    best_s, best_p, best_dp = s, np.full_like(lo, np.inf), np.ones_like(lo)
+    for _ in range(lb.POLISH_STEPS):
+        p, dp = _row_horner(taylor, s)
+        better = np.abs(p) < best_p
+        best_s = np.where(better, s, best_s)
+        best_p = np.where(better, np.abs(p), best_p)
+        best_dp = np.where(better, np.abs(dp), best_dp)
+        if np.all(best_p <= floor):
+            break
+        same = np.signbit(p) == np.signbit(plo)
+        lo = np.where(same, s, lo)
+        plo = np.where(same, p, plo)
+        hi = np.where(same, hi, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sn = s - p / dp
+        bad = ~np.isfinite(sn) | (sn < lo) | (sn > hi)
+        s = np.where(bad, 0.5 * (lo + hi), sn)
+    return best_s, best_p, best_dp, hi - lo
+
+
+def one_row_l1(c, oversample=16, poly=(0.0,)):
+    """(int |f|, bound) for one Hermitian array c by the one-row engine."""
+    c = np.asarray(c, dtype=complex)
+    u = UNIT_ROUNDOFF
+    kmax = (c.size - 1) // 2
+    k = np.arange(-kmax, kmax + 1)
+    m = 1 << max(6, int(math.ceil(math.log2(oversample * 2 * (kmax + 1)))))
+    h = 2 * np.pi / m
+    order, rem = 0, kmax * h
+    while rem > u:
+        order += 1
+        rem *= kmax * h / (order + 1)
+    taylor_rem = rem * float(np.sum(np.abs(c)))
+    poly = np.asarray(poly, dtype=float)
+    ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1)))
+    order = max(order, poly.size - 1)
+    err_poly = (2 * poly.size + 2) * u * float(_polyval(np.abs(poly), 2 * np.pi + h))
+    err_ipoly = (2 * ipoly.size + 2) * u * float(_polyval(np.abs(ipoly), 2 * np.pi + h))
+
+    t = h * np.arange(m + 1)
+    trig_vals, err_data = _row_samples(c, m)
+    vals = np.append(trig_vals, trig_vals[0]) + _polyval(poly, t)
+    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
+    ti = t[idx]
+
+    taylor = np.zeros((order + 1, idx.size))
+    taylor[0] = trig_vals[idx]
+    a, dpoly = c, poly
+    for j in range(order + 1):
+        if j and idx.size:
+            a = a * (1j * h / j) * k
+            sampled, err = _row_samples(a, m)
+            taylor[j] = sampled[idx]
+            err_data += err
+        taylor[j] += h ** j * _polyval(dpoly, ti)
+        dpoly = dpoly[1:] * np.arange(1, dpoly.size) / (j + 1)
+    abs_taylor = np.sum(np.abs(taylor), axis=0)
+    noise = taylor_rem + err_data + err_poly + (2 * order + 2) * u * abs_taylor
+    s, resid, slope, width = _row_polish(taylor, noise)
+    rho = resid + noise
+    with np.errstate(divide="ignore"):
+        delta = h * np.minimum(width, rho / slope)
+    mislocation = float(np.sum(rho * delta))
+
+    anti = np.divide(c, 1j * k, out=np.zeros_like(c), where=k != 0)
+    p_vals, err_anti = _row_samples(anti, m)
+    c0 = c[kmax].real
+    integ, _ = _row_horner(taylor / np.arange(1, order + 2)[:, None], s)
+    parts = np.array([
+        np.concatenate(([-np.pi], ti - np.pi, [np.pi])) * c0,
+        np.concatenate(([p_vals[0]], p_vals[idx], [p_vals[0]])),
+        _polyval(ipoly, np.concatenate(([0.0], ti, [2 * np.pi]))),
+        np.concatenate(([0.0], h * s * integ, [0.0])),
+    ])
+    value = math.fsum(np.abs(np.diff(np.sum(parts, axis=0))))
+    scale = np.sum(np.abs(parts), axis=0) + np.concatenate(
+        ([0.0], h * abs_taylor, [0.0]))
+    point_err = (err_anti + h * (err_data + err_poly) + err_ipoly
+                 + (2 * order + 8) * u * scale)
+    rounding = 2.0 * float(np.sum(point_err)) + 2.0 * u * value
+    return value, mislocation + 2.0 * idx.size * h * taylor_rem + rounding
 
 
 class TestLebesgueConstant:
@@ -166,6 +273,92 @@ class TestOraclesAtScale:
         v0, e0 = lb.trig_poly_l1(w)
         v1, e1 = lb.trig_poly_l1(w * np.exp(1j * k * tau))
         assert abs(v0 - v1) <= e0 + e1
+
+
+def tail_coefficients(r, n):
+    """kolmogorov_deviation's cosine-sum coefficients c_{-n}..c_n."""
+    k = np.arange(1, n + 1)
+    half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** float(r))
+    return np.concatenate((np.conj(half[::-1]), [0.0], half))
+
+
+class TestStackedEngine:
+    """The list engine against the one-row oracle: every result == its own
+    one-row run, bit for bit."""
+
+    @pytest.mark.parametrize("method", method_catalog(), ids=lambda m: m.name)
+    def test_every_method_at_n_0_to_130(self, method):
+        ws = [method.weights(n) for n in range(131)]
+        assert lb._piecewise_l1(ws, 16) == [one_row_l1(w) for w in ws]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_kolmogorov_poly_path(self, r):
+        poly = _full_series_poly(r)
+        for n in (0, 1, 5, 64, 200):
+            c = tail_coefficients(r, n)
+            assert lb._piecewise_l1([c], 16, poly) == [one_row_l1(c, 16, poly)]
+        assert lb.kolmogorov_deviation(r, 64) == one_row_l1(
+            tail_coefficients(r, 64), 16, poly)[0] / np.pi
+
+    @pytest.mark.parametrize("entries", [1 << 17, 1 << 12, 1 << 9])
+    def test_list_across_grid_sizes(self, entries, monkeypatch):
+        # shuffled degrees on grids 64..8192, random Hermitian arrays among
+        # them; small stacks split the rows and the Taylor orders of a grid
+        monkeypatch.setattr(lb, "SYNTHESIS_ENTRIES", entries)
+        rng = np.random.default_rng(entries)
+        ws = [m.weights(n) for m in method_catalog() for n in (0, 1, 3, 9, 40, 130, 250)]
+        for band in rng.integers(1, 60, 12):
+            half = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+            ws.append(np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half]))
+        ws = [ws[i] for i in rng.permutation(len(ws))]
+        assert len({lb.grid_size((w.size - 1) // 2) for w in ws}) >= 6
+        assert lb._piecewise_l1(ws, 16) == [one_row_l1(w) for w in ws]
+        assert lb.trig_poly_l1(ws) == [lb.trig_poly_l1(w) for w in ws]
+
+    def test_sequence_of_n_records_each_failure(self):
+        single = [lb.trig_poly_l1(dirichlet().weights(n))[1] / (2 * np.pi) for n in (1, 40)]
+        tol = math.sqrt(single[0] * single[1])       # between the two bounds
+        assert min(single) < tol < max(single)
+        got = lb.lebesgue_constant(dirichlet(), range(1, 41), tol=tol)
+        assert len(got) == 40
+        for n, s in zip(range(1, 41), got):
+            value, err = lb.trig_poly_l1(dirichlet().weights(n))
+            if err / (2 * np.pi) > tol:
+                assert isinstance(s, ConvergenceFailure)
+                assert (s.best_estimate, s.error_estimate) == (value / (2 * np.pi),
+                                                              err / (2 * np.pi))
+                with pytest.raises(ConvergenceFailure):
+                    lb.lebesgue_constant(dirichlet(), n, tol=tol)
+            else:
+                assert s == lb.lebesgue_constant(dirichlet(), n, tol=tol)
+        assert any(isinstance(s, ConvergenceFailure) for s in got)
+        assert not all(isinstance(s, ConvergenceFailure) for s in got)
+        assert lb.lebesgue_constant(dirichlet(), []) == []
+        with pytest.raises(InvalidArgument):
+            lb.lebesgue_constant(dirichlet(), [3, -1])
+
+    def test_cost_estimate_sums_the_grid_runs(self):
+        # bisection over the runs of one grid size against the sum over n
+        for method in (dirichlet(), vallee_poussin(), abel_poisson(), abel_poisson(0.5)):
+            for nmin, nmax in ((0, 0), (0, 130), (37, 300), (5, 6)):
+                grids = {n: lb.grid_size(method.band(n)) for n in range(nmin, nmax + 1)}
+                last = {m: n for n, m in grids.items()}
+                want = 0.0
+                for n, m in grids.items():
+                    order = lb._taylor_order(method.band(last[m]), 2 * np.pi / m)[0]
+                    want += (order + 2) * lb.ENGINE_SECONDS * m * math.log2(m)
+                assert lb.table_seconds(method, nmin, nmax) == pytest.approx(want)
+
+    def test_memory_estimate_bounds_traced_peak(self):
+        for method, ns in ((dirichlet(), range(1, 99)), (dirichlet(), [4096]),
+                           (abel_poisson(), range(150, 153))):
+            tracemalloc.start()
+            try:
+                lb.lebesgue_constant(method, ns, tol=1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= lb.table_bytes(method, max(ns))
 
 
 class TestFits:

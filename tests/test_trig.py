@@ -227,3 +227,111 @@ class TestEdgeCases:
             w1 = sm.modulus(f, r, h)
             w2 = sm.modulus(f, r, 2 * h)
             assert w2 <= 2 ** r * w1 * (1 + 1e-12) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked synthesis against the one-row routes it replaced (oracles)
+# ---------------------------------------------------------------------------
+
+def row_synthesize(c, m):
+    """One row on the M-grid by the scatter and scaled inverse FFT that
+    synthesize used before it took stacks."""
+    c = np.asarray(c, dtype=complex)
+    degree = (c.size - 1) // 2
+    a = np.zeros(m, dtype=complex)
+    k = np.arange(-degree, degree + 1)
+    a[np.mod(k, m)] = ((-1.0) ** k) * c
+    return np.fft.ifft(a) * m
+
+
+def row_approximation_error(method, n, c, m):
+    """Grid sup norm of f - Lambda_n f for one n, as before the stacks."""
+    diff = np.array(c, dtype=complex)
+    lam = trig.apply_means(method, n, diff)
+    degree, deg = (diff.size - 1) // 2, (lam.size - 1) // 2
+    diff[degree - deg:degree + deg + 1] -= lam
+    return float(np.max(np.abs(row_synthesize(diff, m))))
+
+
+def row_comparison_table(method_a, method_b, fset, nmax, m):
+    """comparison_ratio's table by the per-n loop over approximation errors."""
+    table = np.empty((len(fset), nmax, 3))
+    for i, f in enumerate(fset):
+        c = trig.compute_coefficients(f, m // 2 - 1)
+        for n in range(1, nmax + 1):
+            ea = row_approximation_error(method_a, n, c, m)
+            eb = row_approximation_error(method_b, n, c, m)
+            ratio = (1.0 if ea == 0.0 else math.inf) if eb == 0.0 else ea / eb
+            table[i, n - 1] = ea, eb, ratio
+    return table
+
+
+def bits(a):
+    """The bit patterns of a float or complex array, for == on every bit."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStackedSynthesis:
+    @pytest.mark.parametrize("shape,m", [((5, 33), 64), ((2, 3, 9), 16),
+                                         ((4, 1), 8), ((7, 1023), 1024)])
+    def test_rows_equal_one_row_calls(self, shape, m):
+        rng = np.random.default_rng(sum(shape) + m)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[..., ::3] = 0.0                   # exact zeros keep their sign too
+        got = trig.synthesize(c, m)
+        assert got.values.shape == shape[:-1] + (m,) and got.size == m
+        want = np.array([row_synthesize(row, m) for row in c.reshape(-1, shape[-1])])
+        assert np.array_equal(bits(got.values), bits(want.reshape(got.values.shape)))
+
+    def test_grid_norm_reduces_the_grid_axis(self):
+        rng = np.random.default_rng(4)
+        f = trig.synthesize(rng.standard_normal((3, 2, 17)), 64)
+        for p in (1, 2, math.inf):
+            got = trig.grid_norm(f, p)
+            assert got.shape == (3, 2)
+            for idx in np.ndindex(3, 2):
+                assert got[idx] == trig.grid_norm(f.values[idx], p)
+        assert isinstance(trig.grid_norm(f.values[0, 0]), float)
+
+    def test_coefficients_of_a_stack(self):
+        rng = np.random.default_rng(8)
+        f = trig.SampledFunction(rng.standard_normal((3, 32)))
+        c = trig.compute_coefficients(f, 5)
+        assert c.shape == (3, 11)
+        for row, values in zip(c, f.values):
+            assert np.array_equal(row, trig.compute_coefficients(
+                trig.SampledFunction(values), 5))
+
+    def test_stacks_keep_the_grid_checks(self):
+        with pytest.raises(InvalidArgument):
+            trig.synthesize(np.zeros((2, 11)), 8)
+        with pytest.raises(InvalidArgument):
+            trig.SampledFunction(np.ones((2, 12)))
+        with pytest.raises(InvalidArgument):
+            trig.SampledFunction(np.array([[1.0, 0.0, 0.0, 0.0], [np.inf, 0, 0, 0]]))
+
+    def test_approximation_errors_equal_the_per_n_loop(self):
+        rng = np.random.default_rng(12)
+        c = rng.standard_normal(63) + 1j * rng.standard_normal(63)
+        ns = [1, 2, 5, 31, 40, 7]
+        for method in (trig.fejer(), trig.abel_poisson(), trig.bernstein()):
+            got = trig.approximation_error(method, ns, c, 64)
+            assert np.array_equal(got, [row_approximation_error(method, n, c, 64)
+                                        for n in ns])
+            assert trig.approximation_error(method, 5, c, 64) == got[2]
+
+    @pytest.mark.parametrize("a,b,nmax,m", [
+        ("fejer", "abel-poisson", 61, 512), ("rogosinski", "vallee-poussin", 64, 512),
+        ("dirichlet", "bernstein", 40, 128), ("cesaro(0.5)", "riesz(2,1)", 20, 64)])
+    def test_comparison_table_equals_the_per_n_loop(self, a, b, nmax, m, monkeypatch):
+        from xlab import corpus
+        fset = [f for _, f in corpus.comparison_corpus(m)]
+        ma, mb = trig.get_method(a), trig.get_method(b)
+        want = row_comparison_table(ma, mb, fset, nmax, m)
+        # the default stacks, and stacks of 3 rows with a partial last one
+        for entries in (trig.SYNTHESIS_ENTRIES, 3 * m):
+            monkeypatch.setattr(trig, "SYNTHESIS_ENTRIES", entries)
+            band, table = trig.comparison_ratio(ma, mb, fset, nmax, m)
+            assert np.array_equal(table, want)
+            with np.errstate(divide="ignore"):
+                assert band == np.max(np.maximum(want[..., 2], 1 / want[..., 2]))

@@ -142,6 +142,24 @@ class TestCesaro:
         bound = (1 - lam_min) * np.sum(np.abs(coeffs))
         assert err <= bound + 1e-12
 
+    def test_sequence_of_n_transforms_once(self, monkeypatch):
+        # the list over n equals the one-n calls; the CLI's walsh-moduli
+        # transforms each corpus signal once for all its n
+        from xlab import cli
+        rng = np.random.default_rng(6)
+        f = w.DyadicSignal(rng.standard_normal(1 << 7), 7)
+        ns = [1, 2, 64, 5, 127]
+        for alpha in (1.0, 0.5):
+            got = w.cesaro_means(f, ns, alpha)
+            assert all(np.array_equal(g.values, w.cesaro_means(f, n, alpha).values)
+                       for g, n in zip(got, ns))
+        with pytest.raises(InvalidArgument):
+            w.cesaro_means(f, [3, 128], 1.0)
+        calls, fwt = [], w.fwt
+        monkeypatch.setattr(w, "fwt", lambda sig: calls.append(sig) or fwt(sig))
+        rows, _ = cli._exp_walsh_moduli({"bits": 6, "alpha": 1.0}, 0)
+        assert len(calls) == len(corpus.dyadic_corpus(6)) and len(rows) == 5 * len(calls)
+
     def test_equivalence_band_on_corpus(self):
         # frozen corpus band for the alpha versus alpha=1 error ratios
         for alpha in (0.5, 2.0):

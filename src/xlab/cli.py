@@ -360,7 +360,7 @@ def _lebesgue_table_check(p):
         return False
     method = trig.get_method(p["method"])
     try:
-        need = lebesgue.table_bytes(method, p["nmax"])
+        need = lebesgue.table_bytes(method, p["nmin"], p["nmax"])
         if need > smoothness.MODULI_BUDGET_BYTES:
             raise InvalidArgument(
                 f"estimated {need / 1e9:.3g} GB for {method.name}, over the "

@@ -289,21 +289,28 @@ def trig_poly_l1(coeffs, oversample=OVERSAMPLE):
 # row.  A row with sign changes takes J + 2 syntheses (orders 0..J and the
 # antiderivative), at up to 4.3e-9 s per grid point and level log2 M of
 # each (Dirichlet rows, M = 2^13..2^22); one without takes 2, so positive
-# kernels cost up to ten times less than the estimate.
+# kernels cost up to ten times less than the estimate.  Each n also costs
+# its weights, checks and result row whatever M is: 0.13 ms and 0.48 KB in
+# `lebesgue-table method=abel-poisson(0)` (M = 64) up to n = 40000.
 ENGINE_BYTES = 96
 ENGINE_SECONDS = 5e-9
+ROW_BYTES = 600
+ROW_SECONDS = 1.5e-4
 
 
-def table_bytes(method, nmax):
-    """Estimated peak bytes of lebesgue_constant(method, ns) for max(ns) = nmax."""
-    return ENGINE_BYTES * max(grid_size(method.band(nmax)), SYNTHESIS_ENTRIES) + 2 ** 20
+def table_bytes(method, nmin, nmax):
+    """Estimated peak bytes of `lebesgue-table` over nmin..nmax: the engine's
+    largest call and the rows."""
+    return (ENGINE_BYTES * max(grid_size(method.band(nmax)), SYNTHESIS_ENTRIES)
+            + ROW_BYTES * (nmax - nmin + 1) + 2 ** 20)
 
 
 def table_seconds(method, nmin, nmax):
-    """Estimated seconds of lebesgue_constant(method, range(nmin, nmax + 1)),
-    summed over the runs of n on one grid: the band does not decrease in n,
-    so bisection finds the last n of each run, charged the run's top order."""
-    seconds, n = 0.0, nmin
+    """Estimated seconds of `lebesgue-table` over nmin..nmax: the syntheses,
+    summed over the runs of n on one grid (the band does not decrease in n,
+    so bisection finds the last n of each run, charged the run's top order),
+    and the rows."""
+    seconds, n = ROW_SECONDS * (nmax - nmin + 1), nmin
     while n <= nmax:
         m, last, hi = grid_size(method.band(n)), n, nmax
         while last < hi:

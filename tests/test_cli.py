@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,25 +178,38 @@ class TestExitCodes:
         # and the fuzz time budget; an input over either is refused with its
         # estimate before any work
         nbytes, seconds = lebesgue.table_bytes, lebesgue.table_seconds
+        budget = smoothness.MODULI_BUDGET_BYTES
         d, ap = trig.dirichlet(), trig.abel_poisson()
-        assert nbytes(d, 1) == nbytes(d, 1023) == 96 * 2 ** 15 + 2 ** 20
-        assert nbytes(d, 8191) == 96 * 2 ** 18 + 2 ** 20
-        assert nbytes(d, 262143) <= smoothness.MODULI_BUDGET_BYTES < nbytes(d, 262144)
-        assert seconds(d, 5, 5) == pytest.approx(
-            (lebesgue._taylor_order(5, 2 * np.pi / 256)[0] + 2) * 8 * 256 * 5e-9)
+        assert nbytes(d, 1, 1) == 96 * 2 ** 15 + 600 + 2 ** 20
+        assert nbytes(d, 1, 1023) == 96 * 2 ** 15 + 600 * 1023 + 2 ** 20
+        assert nbytes(d, 8191, 8191) == 96 * 2 ** 18 + 600 + 2 ** 20
+        assert nbytes(d, 1, 262143) <= budget < nbytes(d, 1, 262144)
+        assert seconds(d, 5, 5) == pytest.approx(1.5e-4 + (
+            lebesgue._taylor_order(5, 2 * np.pi / 256)[0] + 2) * 8 * 256 * 5e-9)
         assert seconds(d, 1, 64) < seconds(d, 1, 65) < seconds(d, 1, 1000)
         assert seconds(ap, 1, 200) < seqspaces.FUZZ_BUDGET_S < seconds(ap, 1, 1000)
+        # the rows of a long table of tiny kernels stay within their share
+        config = cli.build_config("lebesgue-table", ["method=abel-poisson(0)", "nmax=3000"])
+        tracemalloc.start()
+        try:
+            cli.run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes(trig.abel_poisson(0.0), 1, 3000)
         monkeypatch.setitem(cli.REGISTRY, "lebesgue-table", cli.REGISTRY[
             "lebesgue-table"]._replace(fn=lambda p, seed: pytest.fail("ran")))
-        for tokens in (["nmax=262144"], ["nmax=10" + "0" * 30]):
-            need = nbytes(d, int(tokens[0][5:]))
-            assert run_main(["lebesgue-table", *tokens]) == 2
+        for method, nmax in (("dirichlet", 262144), ("dirichlet", 10 ** 31),
+                             ("abel-poisson(0)", 2 * 10 ** 6)):
+            need = nbytes(trig.get_method(method), 1, nmax)
+            assert need > budget
+            assert run_main(["lebesgue-table", f"method={method}", f"nmax={nmax}"]) == 2
             assert capsys.readouterr().err == (
-                f"error: {tokens[0]}: estimated {need / 1e9:.3g} GB for dirichlet, "
+                f"error: nmax={nmax}: estimated {need / 1e9:.3g} GB for {method}, "
                 "over the 1 GB budget\n")
         for method, nmin, nmax in (("dirichlet", 1, 20000), ("abel-poisson", 1, 1000),
                                    ("dirichlet", 262000, 262143),
-                                   ("abel-poisson(0.5)", 0, 10 ** 12)):
+                                   ("abel-poisson(0.5)", 0, 10 ** 6)):
             est = seconds(trig.get_method(method), nmin, nmax)
             assert est > seqspaces.FUZZ_BUDGET_S
             assert run_main(["lebesgue-table", f"method={method}", f"nmin={nmin}",

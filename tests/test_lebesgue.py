@@ -343,7 +343,7 @@ class TestStackedEngine:
             for nmin, nmax in ((0, 0), (0, 130), (37, 300), (5, 6)):
                 grids = {n: lb.grid_size(method.band(n)) for n in range(nmin, nmax + 1)}
                 last = {m: n for n, m in grids.items()}
-                want = 0.0
+                want = lb.ROW_SECONDS * len(grids)
                 for n, m in grids.items():
                     order = lb._taylor_order(method.band(last[m]), 2 * np.pi / m)[0]
                     want += (order + 2) * lb.ENGINE_SECONDS * m * math.log2(m)
@@ -358,7 +358,7 @@ class TestStackedEngine:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= lb.table_bytes(method, max(ns))
+            assert peak <= lb.table_bytes(method, min(ns), max(ns))
 
 
 class TestFits:

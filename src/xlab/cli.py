@@ -30,6 +30,8 @@ from .errors import ConvergenceFailure, InvalidArgument, NotFound
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 1
+# the memory budget of every cost guard
+BUDGET_BYTES = 10 ** 9
 
 
 def _fmt(v):
@@ -165,12 +167,10 @@ def _exp_posdef_report(p, seed):
     rows = []
 
     def search_min(fn, dim, trials):
-        best = math.inf
-        for _ in range(trials):
+        def draw():
             k = int(rng.integers(3, 13))
-            pts = rng.uniform(-3, 3, (k, dim)) * 10 ** rng.uniform(-1.5, 0)
-            best = min(best, posdef_splines.gram_min_eig(pts, fn))
-        return best
+            return rng.uniform(-3, 3, (k, dim)) * 10 ** rng.uniform(-1.5, 0)
+        return posdef_splines.gram_search(draw, fn, trials)[0]
 
     gauss = search_min(lambda d: np.exp(-(d * d).sum(axis=-1)), 2, p["trials"])
     rows.append({"profile": "gaussian", "claim": "positive definite",
@@ -331,40 +331,48 @@ def _one_of(valid):
     return parse
 
 
-def _fuzz_length(token):
-    maxlen = _INDEX(token)
-    if maxlen > seqspaces.FUZZ_MAXLEN:
-        raise InvalidArgument(
-            f"estimated {seqspaces.fuzz_seconds(maxlen):.3g} s, over the "
-            f"{seqspaces.FUZZ_BUDGET_S} s budget (maxlen <= {seqspaces.FUZZ_MAXLEN})")
-    return maxlen
+def _within_budget(parse, seconds, hint=""):
+    """The parser `parse`, refusing a value whose estimated seconds are over
+    the time budget of `duality-fuzz`."""
+    def check(token):
+        value = parse(token)
+        if seconds(value) > seqspaces.FUZZ_BUDGET_S:
+            raise InvalidArgument(f"estimated {seconds(value):.3g} s, over the "
+                                  f"{seqspaces.FUZZ_BUDGET_S} s budget{hint}")
+        return value
+    return check
 
 
 def _moduli_check(p):
     """The hdenom rule of `moduli`; raises InvalidArgument, naming m and the
-    estimate, when the largest step's difference stack is over budget."""
+    estimate, when the run is over the time or the memory budget."""
     denoms = [int(d) for d in p["hdenoms"].split(";")]
-    need = smoothness.linearized_modulus_bytes(p["m"], p["r"], p["m"] // (2 * min(denoms)))
-    if need > smoothness.MODULI_BUDGET_BYTES:
+    need, seconds = smoothness.moduli_cost(p["m"], p["r"], p["m"] // (2 * min(denoms)),
+                                           len(denoms))
+    seconds *= len(corpus.periodic_ids()) if p["f"] == "all" else 1
+    if seconds > seqspaces.FUZZ_BUDGET_S:
         raise InvalidArgument(
-            f"m={p['m']}: estimated {need / 1e9:.3g} GB for hdenom {min(denoms)} and "
-            f"r={p['r']}, over the {smoothness.MODULI_BUDGET_BYTES / 1e9:g} GB budget")
+            f"m={p['m']}: estimated {seconds:.3g} s for hdenom {min(denoms)} and "
+            f"r={p['r']}, over the {seqspaces.FUZZ_BUDGET_S} s budget")
+    if need > BUDGET_BYTES:
+        raise InvalidArgument(f"m={p['m']}: estimated {need / 1e9:.3g} GB, over the "
+                              f"{BUDGET_BYTES / 1e9:g} GB budget")
     return all(2 * d <= p["m"] for d in denoms)
 
 
 def _lebesgue_table_check(p):
     """The nmin <= nmax rule of `lebesgue-table`; raises InvalidArgument,
-    naming nmax and the estimate, over the memory budget of `moduli` or the
-    time budget of `duality-fuzz`."""
+    naming nmax and the estimate, over the memory budget or the time budget
+    of `duality-fuzz`."""
     if p["nmin"] > p["nmax"]:
         return False
     method = trig.get_method(p["method"])
     try:
         need = lebesgue.table_bytes(method, p["nmin"], p["nmax"])
-        if need > smoothness.MODULI_BUDGET_BYTES:
+        if need > BUDGET_BYTES:
             raise InvalidArgument(
                 f"estimated {need / 1e9:.3g} GB for {method.name}, over the "
-                f"{smoothness.MODULI_BUDGET_BYTES / 1e9:g} GB budget")
+                f"{BUDGET_BYTES / 1e9:g} GB budget")
         seconds = lebesgue.table_seconds(method, p["nmin"], p["nmax"])
         if seconds > seqspaces.FUZZ_BUDGET_S:
             raise InvalidArgument(
@@ -413,7 +421,8 @@ REGISTRY = {
          f"need 2*nmin <= nmax and grid points <= {lebesgue.HYPERBOLIC_NMAX}")),
     "duality-fuzz": Experiment(
         _exp_duality_fuzz, "exhaustive check of both pairing identities",
-        "1.13", {"maxlen": (6, _fuzz_length)},
+        "1.13", {"maxlen": (6, _within_budget(_INDEX, seqspaces.fuzz_seconds,
+                                               f" (maxlen <= {seqspaces.FUZZ_MAXLEN})"))},
         ["length", "count", "max_gap_astar", "max_gap_cesaro"]),
     "moduli": Experiment(
         _exp_moduli, "moduli of smoothness and their integral average", "5.3",
@@ -434,7 +443,9 @@ REGISTRY = {
          "the step 1/n spans a grid cell 2pi/m")),
     "posdef-report": Experiment(
         _exp_posdef_report, "positive-definiteness evidence per profile",
-        "7.1, 7.4, 7.6", {"trials": (1000, _COUNT)},
+        "7.1, 7.4, 7.6",  # four searches: trials, trials/4 twice, trials sets
+        {"trials": (1000, _within_budget(
+            _COUNT, lambda t: 2.5 * t * posdef_splines.GRAM_TRIAL_S))},
         ["profile", "claim", "evidence", "value", "ok"]),
     "aspline": Experiment(
         _exp_aspline, "maximal-smoothness two-piece spline coefficients", "7.6",
@@ -445,7 +456,8 @@ REGISTRY = {
         {"m": (2, _number(int, *posdef_splines.SCHOENBERG_DIMS)),  # consecutive
          "p": ("3", _one_of(lambda t: t in ("inf", "oo")
                             or _number(float, 2, strict=True)(t))),
-         "alpha": (1.0, _number(float, 0)), "trials": (10000, _COUNT)},
+         "alpha": (1.0, _number(float, 0)),
+         "trials": (10000, _within_budget(_COUNT, lambda t: t * posdef_splines.GRAM_TRIAL_S))},
         ["m", "p", "alpha", "trials", "seed", "min_eig", "witness"]),
     "walsh-regularity": Experiment(
         _exp_walsh_regularity, "kernel norms of shifted partial-sum averages",

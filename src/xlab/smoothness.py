@@ -34,23 +34,22 @@ def _difference_stack(values, r, jlo, jhi):
 
 
 def _steps_within(f, h):
-    """(grid step, number of grid steps within each h) for a step bound h in
+    """The number of grid steps within each h, for a step bound h in
     (0, pi], or an array of them."""
     h = np.asarray(h, dtype=float)
     if not (h.size and np.all((0 < h) & (h <= np.pi))):
         raise InvalidArgument("step bound must lie in (0, pi]")
-    step = TWO_PI / f.size
-    jmax = np.floor(h / step + 1e-12).astype(int)
+    jmax = np.floor(h / (TWO_PI / f.size) + 1e-12).astype(int)
     if np.any(jmax < 1):
         raise InvalidArgument("step bound smaller than one grid cell")
-    return step, jmax
+    return jmax
 
 
 def modulus(f, r, h):
     """omega_r(f; h) in the grid sup norm: sup over grid steps delta <= h of
     ||Delta_delta^r f||_inf.  A float for a scalar h, h's shape for an array:
     one running maximum over the steps up to the largest h serves them all."""
-    step, jmax = _steps_within(f, h)
+    jmax = _steps_within(f, h)
     # real samples stay real: the differences are the real parts of the
     # complex ones, and |x + 0i| = |x|
     v = np.asarray(f.values, dtype=np.result_type(f.values, float))
@@ -62,32 +61,51 @@ def modulus(f, r, h):
     return float(out) if out.ndim == 0 else out
 
 
-# linearized_modulus holds the (jmax+1, M) complex stack of differences, 16
-# bytes an entry, and peaks at a few such stacks (ru_maxrss at M = 1024..4096):
-# 2 at r = 1 (the stack and trapezoid's sum of neighbours), 4, 5, 5 and 6 at
-# r = 2..5 (_difference_stack's doubled rows), 6 up to r = 8; 1 MB covers the
-# smaller arrays around them (tracemalloc saw at most 0.17 MB).  `moduli` at
-# m = 16384, hdenoms 2 would take about 2 GB; MODULI_BUDGET_BYTES caps it.
-MODULI_BUDGET_BYTES = 10 ** 9
-
-
-def linearized_modulus_bytes(m, r, jmax):
-    """Estimated peak bytes of linearized_modulus on the m-grid up to jmax steps."""
-    return (2 if r == 1 else min(r + 2, 6)) * 16 * (jmax + 1) * m + 2 ** 20
-
-
 def linearized_modulus(f, r, h):
     """The integral-averaged modulus: the sup over delta is replaced by
     (1/h) int_0^h Delta_delta^r f ddelta (trapezoid on the delta grid).
-    A float for a scalar h, h's shape for an array of step bounds."""
-    step, jmax = _steps_within(f, h)
-    # the j=0 row vanishes
-    stack = _difference_stack(np.asarray(f.values, dtype=complex), r, 0,
-                              jmax.max() + 1)
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    out = np.array([grid_norm(trapezoid(stack[:j + 1], dx=step, axis=0) / (j * step))
-                    for j in jmax.flat]).reshape(jmax.shape)
+    A float for a scalar h, h's shape for an array of step bounds.
+
+    A shift by j grid steps multiplies DFT coefficient k by z^j, z = e^{i t},
+    t = 2 pi k/M, so the trapezoid over j = 0..J is the multiplier
+    1 + (1/J) sum_{nu=1..r} (-1)^nu C(r,nu) T_J(z^nu), where T_J(z) =
+    sum_{j<=J} z^j - (1 + z^J)/2 is J at z = 1, else cot(t/2) sin(Jt/2) e^{iJt/2}."""
+    jmax = _steps_within(f, h)
+    if r < 1:
+        raise InvalidArgument("difference order must be >= 1")
+    v, m = np.asarray(f.values), f.size
+    # real samples have a Hermitian spectrum: half of it serves
+    fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(v) else (np.fft.rfft, np.fft.irfft)
+    hat = fft(v)
+    k, j = np.arange(hat.size), jmax.reshape(-1, 1)
+    acc, binom = 0.0, 1.0
+    for nu in range(1, r + 1):
+        binom = -binom * (r - nu + 1) / nu          # (-1)^nu C(r, nu)
+        q = k * nu % m                              # t/2 and Jt/2 reduced mod pi
+        cot = np.cos(np.pi * q / m) / np.where(q, np.sin(np.pi * q / m), 1.0)
+        phi = np.pi * (j * q % m) / m
+        acc = acc + binom * np.where(q, cot * np.sin(phi) * np.exp(1j * phi), j)
+    out = np.max(np.abs(ifft(hat * (1.0 + acc / j), m)), axis=-1).reshape(jmax.shape)
     return float(out) if out.ndim == 0 else out
+
+
+# Cost per function and difference order, measured on a 2-vCPU host (best of
+# 3, M = 64..2^20, r = 1..2000): modulus's scan up to 8e-9 s per grid point
+# and step, the multipliers up to 1.3e-7 s per grid point and step bound, and
+# each scan stack or order of the multipliers up to 3e-5 s whatever its size.
+# `moduli` peaks at up to 58 bytes per grid point and step bound (tracemalloc,
+# M = 2^14..2^20), and 1 MB covers the scan stacks of 2^15 entries.
+SCAN_POINT_S, MULTIPLIER_POINT_S, STACK_S = 8e-9, 1.3e-7, 3e-5
+POINT_BYTES = 80
+
+
+def moduli_cost(m, r, jmax, steps):
+    """Estimated (peak bytes, seconds) of sampling a function on the m-grid
+    and taking both moduli of order r for `steps` step bounds of at most
+    jmax grid steps."""
+    stacks = 1 - (-jmax // max(1, STACK_ENTRIES // m))
+    return (POINT_BYTES * m * steps + 2 ** 20, r * (
+        SCAN_POINT_S * m * jmax + MULTIPLIER_POINT_S * m * steps + STACK_S * stacks))
 
 
 def jackson_two_sided(f, r, n):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xlab import cli, lebesgue, seqspaces, smoothness, trig
+from xlab import cli, corpus, lebesgue, posdef_splines, seqspaces, smoothness, trig
 from xlab.errors import InvalidArgument
 
 
@@ -154,31 +154,69 @@ class TestExitCodes:
                            f"(maxlen <= {bound})\n")
         assert cli.build_config("duality-fuzz", [f"maxlen={bound}"])
 
-    def test_moduli_memory_guard(self, capsys, monkeypatch):
-        # the estimate of the largest step's stacks, set by the smallest
-        # hdenom; an input over the budget is refused with it before any work
-        est, budget = smoothness.linearized_modulus_bytes, smoothness.MODULI_BUDGET_BYTES
-        assert [(est(64, r, 8) - 2 ** 20) // (16 * 9 * 64) for r in range(1, 10)] \
-            == [2, 4, 5, 6, 6, 6, 6, 6, 6]
-        assert est(8192, 1, 2048) <= budget < est(16384, 1, 4096)
+    def test_moduli_cost_guard(self, capsys, monkeypatch):
+        # the time of the sup scan and the multipliers, set by the smallest
+        # hdenom, the number of step bounds and of corpus functions, and the
+        # bytes per grid point; an input over either budget is refused with
+        # its estimate before any work
+        est = lambda *args: smoothness.moduli_cost(*args)[1]
+        assert est(1024, 1, 256, 4) == pytest.approx(
+            8e-9 * 1024 * 256 + 1.3e-7 * 1024 * 4 + 3e-5 * (8 + 1))
+        assert est(1024, 3, 256, 4) == pytest.approx(3 * est(1024, 1, 256, 4))
+        assert est(2 ** 16, 1, 1, 3) == pytest.approx(
+            8e-9 * 2 ** 16 + 1.3e-7 * 2 ** 16 * 3 + 3e-5 * (1 + 1))
+        for m, hdenoms in ((256, "16;2"), (4096, "2"), (1024, ";".join(["512"] * 64))):
+            config = cli.build_config("moduli", ["f=sin", f"m={m}", f"hdenoms={hdenoms}"])
+            tracemalloc.start()
+            try:
+                cli.run(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= smoothness.moduli_cost(m, 1, 1, len(hdenoms.split(";")))[0]
         monkeypatch.setitem(cli.REGISTRY, "moduli", cli.REGISTRY[
             "moduli"]._replace(fn=lambda p, seed: pytest.fail("ran")))
-        for m, hdenoms, r in ((16384, "2", 1), (8192, "16;8;2", 3), (2 ** 40, "16", 1)):
-            need = est(m, r, m // (2 * int(hdenoms.split(";")[-1])))
-            assert need > budget
+        runs = len(corpus.periodic_ids())
+        for m, hdenoms, r in ((1024, "16;8;4;2", 1000000), (2 ** 40, "16;8;4;2", 1),
+                              (2 ** 16, "2", 50)):
+            need = runs * est(m, r, m // 4, len(hdenoms.split(";")))
+            assert need > seqspaces.FUZZ_BUDGET_S
             assert run_main(["moduli", f"m={m}", f"hdenoms={hdenoms}", f"r={r}"]) == 2
-            err = capsys.readouterr().err
-            assert err == (f"error: m={m}: estimated {need / 1e9:.3g} GB for hdenom "
-                           f"{hdenoms.split(';')[-1]} and r={r}, over the 1 GB budget\n")
-        assert cli.build_config("moduli", ["m=8192", "hdenoms=16;2"])
-        assert cli.build_config("moduli", ["m=16384", "hdenoms=8"])
+            assert capsys.readouterr().err == (
+                f"error: m={m}: estimated {need:.3g} s for hdenom 2 and r={r}, "
+                "over the 600 s budget\n")
+        for m, steps in ((2 ** 24, 1), (2 ** 27, 1), (2 ** 20, 16)):
+            need = smoothness.moduli_cost(m, 1, 1, steps)[0]
+            assert need > cli.BUDGET_BYTES
+            hdenoms = ";".join([str(m // 2)] * steps)
+            assert run_main(["moduli", "f=sin", f"m={m}", f"hdenoms={hdenoms}"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: m={m}: estimated {need / 1e9:.3g} GB, over the 1 GB budget\n")
+        for tokens in (["m=16384", "hdenoms=2"], ["m=1024", "r=1000"],
+                       ["f=sin", f"m={2 ** 23}", f"hdenoms={2 ** 22}"]):
+            assert cli.build_config("moduli", tokens)
+
+    def test_gram_trials_cost_guard(self, capsys, monkeypatch):
+        # a trial count whose searches are over the time budget is refused
+        # with the estimate before any work
+        for name, searches in (("schoenberg", 1), ("posdef-report", 2.5)):
+            monkeypatch.setitem(cli.REGISTRY, name, cli.REGISTRY[name]._replace(
+                fn=lambda p, seed: pytest.fail("ran")))
+            bound = int(seqspaces.FUZZ_BUDGET_S / (posdef_splines.GRAM_TRIAL_S * searches))
+            assert cli.build_config(name, [f"trials={bound}"])
+            for trials in (bound + 1, 10 ** 12):
+                assert run_main([name, f"trials={trials}"]) == 2
+                need = posdef_splines.GRAM_TRIAL_S * searches * trials
+                assert capsys.readouterr().err == (
+                    f"error: trials={trials}: estimated {need:.3g} s, over the "
+                    "600 s budget\n")
 
     def test_lebesgue_table_cost_guard(self, capsys, monkeypatch):
-        # the estimates of the stacked engine against the moduli memory budget
+        # the estimates of the stacked engine against the memory budget
         # and the fuzz time budget; an input over either is refused with its
         # estimate before any work
         nbytes, seconds = lebesgue.table_bytes, lebesgue.table_seconds
-        budget = smoothness.MODULI_BUDGET_BYTES
+        budget = cli.BUDGET_BYTES
         d, ap = trig.dirichlet(), trig.abel_poisson()
         assert nbytes(d, 1, 1) == 96 * 2 ** 15 + 600 + 2 ** 20
         assert nbytes(d, 1, 1023) == 96 * 2 ** 15 + 600 * 1023 + 2 ** 20
@@ -464,7 +502,7 @@ GOLDEN_ROWS = [
     ("duality-fuzz", ["maxlen=4"],
      "d5b1fa861f4cce4587fa78915b38888de20e64996affde6f81c28a347f0b0e76"),
     ("moduli", ["m=256"],
-     "5e0b6218acb16ad6115b0698a30cc4f9059f2aa80c2b83d275efb5e0bdc3d806"),
+     "9004b074ed8c6a28367a0e999d640310bf9741d341bbbde4c7d87044303fb6cf"),
     ("two-sided-report", ["nmin=16", "nmax=64", "m=512"],
      "1db5e62c113791038f19a0f2d4d074e9c56334eeb5116bd0e4390abc0a83505a"),
     ("posdef-report", ["trials=100"],

@@ -1,12 +1,13 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from xlab import ftlab
+from xlab import cli, ftlab
 from xlab import posdef_splines as ps
 from xlab.errors import InvalidArgument
 
@@ -229,6 +230,131 @@ class TestSchoenberg:
     def test_alpha_zero(self):
         r = ps.schoenberg_check(2, 3.0, 0.0, trials=50, seed=0)
         assert abs(r["min_eig_found"]) < 1e-10
+
+
+def _gram_min_eig_one(points, function):
+    """gram_min_eig of one point set, as it ran before the stacked
+    evaluator (the oracle)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    g = np.asarray(function(pts[:, None, :] - pts[None, :, :]), dtype=complex)
+    scale = float(np.max(np.abs(g))) or 1.0
+    assert np.max(np.abs(g - g.conj().T)) <= 1e-10 * scale
+    return float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
+
+
+def _schoenberg_loop(m, p, alpha, trials, seed):
+    """schoenberg_check one trial at a time, as it ran before the batched
+    search (the oracle): (least eigenvalue, first set reaching it)."""
+    rng = np.random.default_rng(seed)
+
+    def f(diff):
+        return np.exp(-ps.lp_norm(diff, p) ** alpha) if alpha > 0 \
+            else np.ones(diff.shape[:-1])
+
+    best = math.inf
+    witness = None
+    for _ in range(trials):
+        k = int(rng.integers(3, 13))
+        scale = 10.0 ** rng.uniform(-1.7, 0.0)
+        pts = rng.uniform(-3.0, 3.0, (k, m)) * scale
+        eig = _gram_min_eig_one(pts, f)
+        if eig < best:
+            best = eig
+            witness = pts.copy()
+    return best, witness
+
+
+def _posdef_report_searches(trials, seed):
+    """The four searches of posdef-report one trial at a time, in its order
+    of draws, as they ran before the batched search (the oracle)."""
+    rng = np.random.default_rng(seed)
+
+    def search_min(fn, dim, trials):
+        best = math.inf
+        for _ in range(trials):
+            k = int(rng.integers(3, 13))
+            pts = rng.uniform(-3, 3, (k, dim)) * 10 ** rng.uniform(-1.5, 0)
+            best = min(best, _gram_min_eig_one(pts, fn))
+        return best
+
+    hat = ps.RadialProfile(poly=np.array([1.0, -1.0]))
+    expo = ps.RadialProfile(fn=lambda t: np.exp(-t))
+    return [search_min(lambda d: np.exp(-(d * d).sum(axis=-1)), 2, trials),
+            search_min(lambda d: hat(np.linalg.norm(d, axis=-1)), 1, trials // 4),
+            search_min(lambda d: expo(np.linalg.norm(d, axis=-1)), 1, trials // 4),
+            search_min(lambda d: np.exp(-np.abs(d[..., 0]) ** 2.5), 1, trials)]
+
+
+# trial counts on both sides of a batch boundary
+CHUNK_TRIALS = (ps.GRAM_CHUNK - 1, ps.GRAM_CHUNK, ps.GRAM_CHUNK + 1)
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("m,p", [(2, 3.0), (3, math.inf)])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_schoenberg_equals_the_trial_loop(self, m, p, alpha):
+        for seed in range(5):
+            for trials in CHUNK_TRIALS:
+                got = ps.schoenberg_check(m, p, alpha, trials=trials, seed=seed)
+                best, witness = _schoenberg_loop(m, p, alpha, trials, seed)
+                assert got["min_eig_found"] == best, (seed, trials)
+                assert np.array_equal(got["witness"], witness), (seed, trials)
+
+    def test_posdef_report_equals_the_trial_loop(self):
+        # the quarter-size searches cross a batch boundary at 4*chunk + 4
+        for seed in range(5):
+            for trials in (*CHUNK_TRIALS, 4 * ps.GRAM_CHUNK + 4):
+                rows, _ = cli._exp_posdef_report({"trials": trials}, seed)
+                got = [r["value"] for r in rows if r["evidence"] == "search"]
+                assert got == _posdef_report_searches(trials, seed), (seed, trials)
+
+    def test_no_trials(self):
+        assert ps.gram_search(lambda: pytest.fail("drew"), np.cos, 0) == (math.inf, None)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # one batch at a time: ten batches peak where one does, up to the
+        # few small buffers that numpy's allocation cache keeps from each
+        # batch (2 KB over ten batches here), which tracemalloc counts
+        rng = np.random.default_rng(0)
+        fn = lambda d: np.exp(-ps.lp_norm(d, 3.0))
+        ps.gram_search(lambda: rng.uniform(-3, 3, (12, 3)), fn, ps.GRAM_CHUNK)
+        peaks = []
+        for trials in (ps.GRAM_CHUNK, 10 * ps.GRAM_CHUNK):
+            tracemalloc.start()
+            try:
+                ps.gram_search(lambda: rng.uniform(-3, 3, (12, 3)), fn, trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096
+
+
+@pytest.mark.parametrize("fn,dim", [
+    (lambda d: np.exp(-(d * d).sum(axis=-1)), 2),
+    (lambda d: np.exp(-ps.lp_norm(d, 3.0) ** 1.5), 3),
+    (lambda d: np.exp(-ps.lp_norm(d, math.inf)), 3),
+    (lambda d: ps.RadialProfile(poly=np.array([1.0, -1.0]))(np.linalg.norm(d, axis=-1)), 1),
+    (lambda d: np.exp(-np.abs(d[..., 0]) ** 2.5), 1),
+], ids=["gauss", "lp3", "max-norm", "hat", "stretched"])
+def test_stack_equals_single_calls(fn, dim):
+    rng = np.random.default_rng(7)
+    for shape in ((40, 1), (40, 3), (40, 12), (4, 5, 6)):
+        stack = rng.uniform(-3, 3, (*shape, dim))
+        got = ps.gram_min_eig(stack, fn)
+        assert got.shape == shape[:-1]
+        want = [ps.gram_min_eig(pts, fn) for pts in stack.reshape(-1, *shape[-1:], dim)]
+        assert got.ravel().tolist() == want
+
+
+def test_stack_checks_each_matrix():
+    # a tiny matrix's asymmetry is judged against its own scale, not the stack's
+    pts = np.array([[[0.0], [1.0]], [[0.0], [1.0]]])
+    tiny = np.array([1.0, 1e-20])[:, None, None]
+    assert ps.gram_min_eig(pts, lambda d: tiny * np.cos(d[..., 0])).shape == (2,)
+    with pytest.raises(InvalidArgument, match="not Hermitian"):
+        ps.gram_min_eig(pts, lambda d: tiny * (np.cos(d[..., 0]) + 1e-5 * d[..., 0]))
+    with pytest.raises(InvalidArgument, match=r"\(2, 2, 2\)"):
+        ps.gram_min_eig(pts, lambda d: np.cos(d[0, ..., 0]))
 
 
 def test_no_scipy_import():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import mpmath as mp
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
@@ -39,8 +40,10 @@ def _reference_moduli(f, r, h):
        st.integers(0, 2 ** 32 - 1), st.booleans(),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_array_steps_equal_the_roll_oracle(m, r, seed, complex_values, fractions):
-    # bit-identical, step bound by step bound, for h anywhere in [one grid
-    # cell, pi], including the end points
+    # step bound by step bound, for h anywhere in [one grid cell, pi],
+    # including the end points: the modulus bit-identical, the averaged one
+    # (a Fourier multiplier, summed in another order) within
+    # 2^r log2(m) eps max|f|; 300 seeded draws stayed within 0.43 of it
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(m)
     if complex_values:
@@ -51,8 +54,57 @@ def test_array_steps_equal_the_roll_oracle(m, r, seed, complex_values, fractions
     omega = sm.modulus(f, r, hs)
     omega_tilde = sm.linearized_modulus(f, r, hs)
     assert omega.shape == omega_tilde.shape == hs.shape
+    bound = 2 ** r * math.log2(m) * np.finfo(float).eps * np.max(np.abs(values))
     for h, w, wt in zip(hs, omega, omega_tilde):
-        assert (w, wt) == _reference_moduli(f, r, h), (m, r, h)
+        ref_w, ref_wt = _reference_moduli(f, r, h)
+        assert w == ref_w, (m, r, h)
+        assert abs(wt - ref_wt) <= bound, (m, r, h)
+
+
+# the trigonometric polynomials of the corpus as (sine or cosine, k, amplitude)
+TRIG_POLYS = {
+    "sin": [("s", 1, 1.0)], "cos3": [("c", 3, 1.0)],
+    "trigpoly": [("s", 1, 1.0), ("c", 2, 0.5), ("s", 5, -0.25)],
+    "beat": [("s", 8, 0.5), ("s", 6, -0.5)],                # sin x cos 7x
+    "ripple": [("s", 17, 0.2), ("c", 2, 1.0)],
+    "slow_sine": [("s", 1, 0.75), ("s", 3, -0.25)],         # sin^3 x
+}
+
+
+def _mp_averaged_modulus(name, m, r, jmax):
+    """The sup over the m-grid of (1/J) sum_{j<=J} w_j Delta_{j delta}^r f
+    (trapezoid weights w_j) for the exact trigonometric polynomial, at 40
+    digits: e^{ikx} is multiplied by (1/J) sum_j w_j (1 - e^{ikj delta})^r,
+    summed term by term."""
+    coeffs = {}
+    for kind, k, amp in TRIG_POLYS[name]:
+        a = mp.mpf(amp) / 2 / (1j if kind == "s" else 1)
+        coeffs[k] = coeffs.get(k, 0) + a
+        coeffs[-k] = coeffs.get(-k, 0) + (-a if kind == "s" else a)
+    xs = [-mp.pi + 2 * mp.pi * mp.mpf(l) / m for l in range(m)]
+    out = []
+    for big_j in jmax:
+        mult = {k: sum((mp.mpf(1) / 2 if j in (0, big_j) else 1)
+                       * (1 - mp.expjpi(2 * mp.mpf(k) * j / m)) ** r
+                       for j in range(big_j + 1)) / big_j for k in coeffs}
+        out.append(max(abs(sum(c * mult[k] * mp.expj(k * x) for k, c in coeffs.items()))
+                       for x in xs))
+    return out
+
+
+@pytest.mark.parametrize("name", list(TRIG_POLYS))
+def test_averaged_modulus_against_40_digit_reference(name):
+    # the multiplier route against the exact averaged difference, at the
+    # smallest and the largest default step bound; the samples' own rounding
+    # is part of the gap, so the bound is that of the roll-oracle test
+    m, hs = 256, np.pi / np.array([16.0, 2.0])
+    f = corpus.sampled(name, m)
+    for r in (1, 2, 3):
+        with mp.workdps(40):
+            ref = _mp_averaged_modulus(name, m, r, [m // 32, m // 4])
+        bound = 2 ** r * math.log2(m) * np.finfo(float).eps * np.max(np.abs(f.values))
+        for got, want in zip(sm.linearized_modulus(f, r, hs), ref):
+            assert abs(mp.mpf(got) - want) <= bound, (r, got, want)
 
 
 def test_scalar_and_shaped_steps():
@@ -233,15 +285,14 @@ def test_modulus_profile_pairs():
         assert 0 < omega_tilde <= omega
 
 
-@pytest.mark.parametrize("m,hdenom", [(256, 1), (1024, 2), (1024, 64)])
-def test_memory_estimate_bounds_traced_peak(m, hdenom):
-    # the cost model behind the moduli guard, against what numpy allocates
-    f = corpus.sampled("sin", m)
-    for r in range(1, 7):
-        tracemalloc.start()
-        try:
-            sm.linearized_modulus(f, r, np.pi / hdenom)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= sm.linearized_modulus_bytes(m, r, m // (2 * hdenom)), r
+def test_linearized_modulus_peak_stays_small():
+    # one FFT and one step bound's multiplier at a time: the difference
+    # stacks of every shift (2 GB here) are never formed
+    f = corpus.sampled("sin", 16384)
+    tracemalloc.start()
+    try:
+        sm.linearized_modulus(f, 3, np.pi / 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20

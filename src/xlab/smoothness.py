@@ -94,7 +94,8 @@ def linearized_modulus(f, r, h):
 # and step, the multipliers up to 1.3e-7 s per grid point and step bound, and
 # each scan stack or order of the multipliers up to 3e-5 s whatever its size.
 # `moduli` peaks at up to 58 bytes per grid point and step bound (tracemalloc,
-# M = 2^14..2^20), and 1 MB covers the scan stacks of 2^15 entries.
+# M = 2^14..2^20), and 2 MB covers a real scan stack of 2^15 entries with its
+# working copies (up to 1.3 MB traced at r >= 2, M = 256..1024).
 SCAN_POINT_S, MULTIPLIER_POINT_S, STACK_S = 8e-9, 1.3e-7, 3e-5
 POINT_BYTES = 80
 
@@ -104,7 +105,7 @@ def moduli_cost(m, r, jmax, steps):
     and taking both moduli of order r for `steps` step bounds of at most
     jmax grid steps."""
     stacks = 1 - (-jmax // max(1, STACK_ENTRIES // m))
-    return (POINT_BYTES * m * steps + 2 ** 20, r * (
+    return (POINT_BYTES * m * steps + 2 ** 21, r * (
         SCAN_POINT_S * m * jmax + MULTIPLIER_POINT_S * m * steps + STACK_S * stacks))
 
 

@@ -285,6 +285,21 @@ def test_modulus_profile_pairs():
         assert 0 < omega_tilde <= omega
 
 
+@pytest.mark.parametrize("m,hdenom", [(256, 1), (1024, 2), (1024, 64)])
+def test_memory_estimate_bounds_traced_peak(m, hdenom):
+    # the cost model behind the moduli guard, against what numpy allocates
+    f = corpus.sampled("sin", m)
+    for r in range(1, 7):
+        for fn in (sm.modulus, sm.linearized_modulus):
+            tracemalloc.start()
+            try:
+                fn(f, r, np.pi / hdenom)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= sm.moduli_cost(m, r, m // (2 * hdenom), 1)[0], (fn, r)
+
+
 def test_linearized_modulus_peak_stays_small():
     # one FFT and one step bound's multiplier at a time: the difference
     # stacks of every shift (2 GB here) are never formed

@@ -140,15 +140,21 @@ def _parse_h_list(spec_str):
 def _exp_moduli(p, seed):
     names = corpus.periodic_ids() if p["f"] == "all" else [p["f"]]
     hs = _parse_h_list(p["hdenoms"])
-    rows = []
+    rows, failures = [], []
     for name in names:
         f = corpus.sampled(name, p["m"])
-        omega = smoothness.modulus(f, p["r"], hs)
-        omega_tilde = smoothness.linearized_modulus(f, p["r"], hs)
-        rows += [{"f_id": name, "r": p["r"], "h": h, "omega": float(w),
-                  "omega_tilde": float(wt)}
-                 for h, w, wt in zip(hs, omega, omega_tilde)]
-    return rows, []
+        # a difference of order r grows like 2^r |f|: past r of about 1000 it
+        # overflows, and the row is recorded as a failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = smoothness.modulus(f, p["r"], hs)
+            omega_tilde = smoothness.linearized_modulus(f, p["r"], hs)
+        for h, w, wt in zip(hs, omega, omega_tilde):
+            rows.append({"f_id": name, "r": p["r"], "h": h, "omega": float(w),
+                         "omega_tilde": float(wt)})
+            if not (math.isfinite(w) and math.isfinite(wt)):
+                failures.append(f"{name} h={h:g}: omega={w:g}, omega_tilde={wt:g} "
+                                f"not finite at r={p['r']}")
+    return rows, failures
 
 
 def _exp_two_sided(p, seed):

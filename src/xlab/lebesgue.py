@@ -7,9 +7,10 @@ The operator norm of a polynomial mean on continuous periodic functions is
 weights) that integral is computed exactly by one engine in O(M log M) time
 and O(M) memory, M a power of two >= 32(K+1) for degree K, after the
 periodic Chebfun of Wright, Javed, Montanari and Trefethen (SIAM J. Sci.
-Comput. 2015): FFTs sample the kernel, its scaled derivatives and its
-antiderivative on the M-grid, sign changes are bracketed there, each zero
-is polished by safeguarded Newton on the cell's Taylor polynomial, and |K|
+Comput. 2015): real inverse FFTs of c_0..c_K sample the kernel, its scaled
+derivatives and its antiderivative on the M-grid, sign changes are
+bracketed there, each zero is polished by safeguarded Newton on the cell's
+Taylor polynomial, and |K|
 is integrated piecewise from the antiderivative's Taylor data at the zeros.
 The error bound has three terms: zero mislocation, the Taylor remainder
 (from Bernstein's inequality) and rounding.  A table of n runs as one pass
@@ -158,10 +159,15 @@ def _stack_l1(cs, m, poly):
     order; the scalars of each array (K, J, sum|c_k|, the rounding sums) are
     formed from the array alone."""
     u, h = UNIT_ROUNDOFF, TWO_PI / m
-    # each real sample of sum a_k e^{ikx} errs by at most lg * sum|a_k|: every
-    # output of a radix-2 FFT reaches each input along one path of
-    # unit-modulus twiddles, so log2(M) stages err by at most eta * sum|a_k|
-    # in total; two more eta cover forming the a_k
+    # each real sample of sum a_k e^{ikx}, a Hermitian, errs by at most
+    # lg * sum_{k=-K..K} |a_k|.  The samples come from a_0..a_K by a real
+    # inverse FFT, whose passes (pocketfft, M = 2^p) are radix-4 and radix-2
+    # butterflies with unit-modulus twiddles; the half-complex inputs enter
+    # them with exact factors 2, so each output reaches a_k and conj a_k
+    # along one path each, as in a radix-2 FFT of the whole array, and the
+    # log2(M) levels err by at most eta * sum|a_k| in total (a radix-4 pass
+    # is two levels, its factors +-1, +-i exact); two more eta cover forming
+    # the a_k.  Checked against an exactly reduced DFT at M = 2^6..2^12.
     lg = (math.log2(m) + 2) * FFT_STAGE_ERROR
     kmax = [(c.size - 1) // 2 for c in cs]
     width = max(kmax)
@@ -182,19 +188,23 @@ def _stack_l1(cs, m, poly):
     err_poly = (2 * poly.size + 2) * u * float(_polyval(np.abs(poly), TWO_PI + h))
     err_ipoly = (2 * ipoly.size + 2) * u * float(_polyval(np.abs(ipoly), TWO_PI + h))
 
-    t = h * np.arange(m + 1)                          # x + pi
-    trig_vals = synthesize(stack, m).values.real
-    vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1) + _polyval(poly, t)
-    owner, idx = np.nonzero(np.signbit(vals[:, :-1]) != np.signbit(vals[:, 1:]))
+    # the (rows, M) sample arrays are dropped as soon as their cells are
+    # read, so that one synthesis at a time sets the peak memory
+    trig_vals = synthesize(stack, m, real=True).values
+    vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1)
+    vals += _polyval(poly, h * np.arange(m + 1))      # at x + pi
+    owner, idx = np.nonzero(np.diff(np.signbit(vals), axis=1))
+    cell_vals = trig_vals[owner, idx]
+    del trig_vals, vals
     count = np.bincount(owner, minlength=len(cs))
     first = np.concatenate(([0], np.cumsum(count)))   # cells of i: first[i]..first[i+1]
-    ti = t[idx]
+    ti = h * idx
     order = orders[owner]
     top = int(order.max(initial=0))
 
     # Taylor data, orders 1..J of the arrays with cells: `per` orders a call
     taylor = np.zeros((top + 1, idx.size))
-    taylor[0] = trig_vals[owner, idx]
+    taylor[0] = cell_vals
     has = np.flatnonzero(count)
     a, per = stack[has], max(1, SYNTHESIS_ENTRIES // m // max(has.size, 1))
     for j0 in range(1, top + 1, per):
@@ -203,7 +213,7 @@ def _stack_l1(cs, m, poly):
             a = a * (1j * h / j) * k
             need = orders[has] >= j
             blocks.append((j, has[need], a[need]))
-        sampled = synthesize(np.concatenate([b for _, _, b in blocks]), m).values.real
+        sampled = synthesize(np.concatenate([b for _, _, b in blocks]), m, real=True).values
         for j, rows, b in blocks:
             cells = order >= j
             at = np.cumsum((orders >= j) & (count > 0)) - 1   # array i is b[at[i]]
@@ -211,6 +221,7 @@ def _stack_l1(cs, m, poly):
             sampled = sampled[rows.size:]
             for i, row in zip(rows, np.abs(b)):
                 err_data[i] += lg * float(np.add.reduce(row[own[i]]))
+        del sampled
     dpoly = poly                                      # dpoly = poly^(j) / j!
     for j in range(top + 1):
         taylor[j] += h ** j * _polyval(dpoly, ti)
@@ -228,7 +239,9 @@ def _stack_l1(cs, m, poly):
     # F at -pi, at each zero, and at pi; the points of array i run from
     # ends[i] (-pi) to ends[i] + count[i] + 1 (pi)
     anti = np.divide(stack, 1j * k, out=np.zeros_like(stack), where=k != 0)
-    p_vals = synthesize(anti, m).values.real
+    p_vals = synthesize(anti, m, real=True).values
+    p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, idx]
+    del p_vals
     err_anti = [lg * float(np.add.reduce(row[sl])) for row, sl in zip(np.abs(anti), own)]
     ends = first[:-1] + 2 * np.arange(len(cs))
     inner = np.ones(idx.size + 2 * len(cs), dtype=bool)
@@ -243,7 +256,7 @@ def _stack_l1(cs, m, poly):
 
     parts = np.array([
         spread(-np.pi, ti - np.pi, np.pi) * stack[point, width].real,
-        spread(p_vals[:, 0], p_vals[owner, idx], p_vals[:, 0]),
+        spread(p_ends, p_cells, p_ends),
         _polyval(ipoly, spread(0.0, ti, TWO_PI)),
         spread(0.0, h * s * integ, 0.0),
     ])
@@ -270,30 +283,40 @@ def trig_poly_l1(coeffs, oversample=OVERSAMPLE):
     of the pairs from one engine pass per grid size.  See `_piecewise_l1`
     for the method and the bound."""
     single = len(coeffs) == 0 or np.ndim(coeffs[0]) == 0
-    cs = [np.asarray(c, dtype=complex) for c in ([coeffs] if single else coeffs)]
-    for c in cs:
+    # the engine integrates |Re f|, Re f having the coefficients
+    # (c_k + conj c_{-k}) / 2, which |f| exceeds by at most
+    # |Im f| <= sum|c_k - conj c_{-k}| / 2; forming them is exact where
+    # c_k = conj c_{-k} and off by u|.| elsewhere, 2pi u|.| in the integral
+    real, extra = [], []
+    for c in ([coeffs] if single else coeffs):
+        c = np.asarray(c, dtype=complex)
         if c.ndim != 1 or c.size % 2 == 0:
             raise InvalidArgument("coefficient array must have odd length 2K+1")
         if not np.allclose(c, np.conj(c[::-1]), atol=1e-12):
             raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
-    # |f| and |Re f| differ by at most |Im f| <= sum|c_k - conj c_{-k}| / 2
-    out = [(value, err + np.pi * float(np.sum(np.abs(c - np.conj(c[::-1])))))
-           for c, (value, err) in zip(cs, _piecewise_l1(cs, oversample))]
+        d = c - np.conj(c[::-1])
+        if d.any():
+            c = 0.5 * (c + np.conj(c[::-1]))
+        real.append(c)
+        extra.append(np.pi * float(np.sum(np.abs(d)))
+                    + TWO_PI * UNIT_ROUNDOFF * float(np.sum(np.abs(c[d != 0]))))
+    out = [(value, err + e) for e, (value, err) in zip(extra, _piecewise_l1(real, oversample))]
     return out[0] if single else out
 
 
 # Cost of lebesgue_constant over a range of n, measured on a 2-vCPU host:
-# the engine peaks at 90-91 bytes per grid point of its largest call
-# (tracemalloc, one row at M = 2^18..2^22: the samples, the scan arrays and
-# two syntheses in flight), a call being SYNTHESIS_ENTRIES points or one
-# row.  A row with sign changes takes J + 2 syntheses (orders 0..J and the
-# antiderivative), at up to 4.3e-9 s per grid point and level log2 M of
-# each (Dirichlet rows, M = 2^13..2^22); one without takes 2, so positive
-# kernels cost up to ten times less than the estimate.  Each n also costs
-# its weights, checks and result row whatever M is: 0.13 ms and 0.48 KB in
-# `lebesgue-table method=abel-poisson(0)` (M = 64) up to n = 40000.
-ENGINE_BYTES = 96
-ENGINE_SECONDS = 5e-9
+# the engine peaks at up to 37.1 bytes per grid point of its largest call
+# (tracemalloc, one Dirichlet row at M = 2^18..2^22, n = M/64..M/32 - 1: the
+# real samples and scan arrays of the sign-change scan, each dropped once
+# its cells are read), a call being SYNTHESIS_ENTRIES points or one row.  A
+# row with sign changes takes J + 2 real syntheses (orders 0..J and the
+# antiderivative), at up to 2.1e-9 s per grid point and level log2 M of
+# each (Dirichlet rows, M = 2^13..2^22, best of 3); one without takes 2, so
+# positive kernels cost up to ten times less than the estimate.  Each n
+# also costs its weights, checks and result row whatever M is: 0.13 ms and
+# 0.48 KB in `lebesgue-table method=abel-poisson(0)` (M = 64) up to n = 40000.
+ENGINE_BYTES = 40
+ENGINE_SECONDS = 2.5e-9
 ROW_BYTES = 600
 ROW_SECONDS = 1.5e-4
 
@@ -407,7 +430,8 @@ def _full_series_poly(r):
 def _polyval(coeffs, t):
     out = np.zeros_like(t, dtype=float)
     for c in coeffs[::-1]:
-        out = out * t + c
+        out *= t
+        out += c
     return out
 
 

@@ -83,14 +83,21 @@ def compute_coefficients(f, n):
     return ((-1.0) ** k) * hat[..., np.mod(k, m)]
 
 
-def synthesize(c, m):
+def synthesize(c, m, real=False):
     """Evaluate the trigonometric polynomials with coefficients c, shape
     (..., 2K+1), on the M-grid: samples of shape (..., M), one FFT call.
-    Each row's samples equal those of its own call bit for bit."""
+    Each row's samples equal those of its own call bit for bit.  With
+    real=True c is taken as Hermitian: the real samples of
+    Re c_0 + 2 Re sum_{k=1..K} c_k e^{ikx} come from c_0..c_K alone, by one
+    real inverse FFT in half the time and memory."""
     c = np.asarray(c, dtype=complex)
     if c.shape[-1] > m:
         raise InvalidArgument("grid too coarse for this degree")
     degree = (c.shape[-1] - 1) // 2
+    if real:
+        a = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
+        a[..., :degree + 1] = ((-1.0) ** np.arange(degree + 1)) * c[..., degree:]
+        return SampledFunction(np.fft.irfft(a, m, norm="forward"))
     signed = ((-1.0) ** np.arange(-degree, degree + 1)) * c
     a = np.zeros(c.shape[:-1] + (m,), dtype=complex)
     a[..., :degree + 1] = signed[..., degree:]            # k = 0..K
@@ -144,13 +151,16 @@ class SummabilityMethod:
 
     def weights(self, n, kmax=None):
         """Array of lambda_{n,k} for k = -kmax..kmax (kmax defaults to band)."""
-        if kmax is None:
-            kmax = self.band(n)
+        band = self.band(n)
+        return self._weights(n, band if kmax is None else kmax, band)
+
+    def _weights(self, n, kmax, band):
+        """weights(n, kmax) given band = self.band(n)."""
         k = np.arange(-kmax, kmax + 1)
         if n == 0:
             return np.where(k == 0, 1.0, 0.0).astype(complex)
         w = np.asarray(self.rule(n, k), dtype=complex)
-        w[np.abs(k) > self.band(n)] = 0.0
+        w[np.abs(k) > band] = 0.0
         return w
 
 
@@ -285,9 +295,9 @@ def get_method(name):
 def apply_means(method, n, c):
     """Coefficient-wise product lambda_{n,k} * c_k, truncated to the band."""
     c = np.asarray(c, dtype=complex)
-    degree = (c.size - 1) // 2
-    deg = min(degree, method.band(n))
-    return method.weights(n, kmax=deg) * c[degree - deg:degree + deg + 1]
+    degree, band = (c.size - 1) // 2, method.band(n)
+    deg = min(degree, band)
+    return method._weights(n, deg, band) * c[degree - deg:degree + deg + 1]
 
 
 def approximation_error(method, n, c, m):

@@ -218,14 +218,14 @@ class TestExitCodes:
         nbytes, seconds = lebesgue.table_bytes, lebesgue.table_seconds
         budget = cli.BUDGET_BYTES
         d, ap = trig.dirichlet(), trig.abel_poisson()
-        assert nbytes(d, 1, 1) == 96 * 2 ** 15 + 600 + 2 ** 20
-        assert nbytes(d, 1, 1023) == 96 * 2 ** 15 + 600 * 1023 + 2 ** 20
-        assert nbytes(d, 8191, 8191) == 96 * 2 ** 18 + 600 + 2 ** 20
-        assert nbytes(d, 1, 262143) <= budget < nbytes(d, 1, 262144)
+        assert nbytes(d, 1, 1) == 40 * 2 ** 15 + 600 + 2 ** 20
+        assert nbytes(d, 1, 1023) == 40 * 2 ** 15 + 600 * 1023 + 2 ** 20
+        assert nbytes(d, 8191, 8191) == 40 * 2 ** 18 + 600 + 2 ** 20
+        assert nbytes(d, 1, 524287) <= budget < nbytes(d, 1, 524288)
         assert seconds(d, 5, 5) == pytest.approx(1.5e-4 + (
-            lebesgue._taylor_order(5, 2 * np.pi / 256)[0] + 2) * 8 * 256 * 5e-9)
+            lebesgue._taylor_order(5, 2 * np.pi / 256)[0] + 2) * 8 * 256 * 2.5e-9)
         assert seconds(d, 1, 64) < seconds(d, 1, 65) < seconds(d, 1, 1000)
-        assert seconds(ap, 1, 200) < seqspaces.FUZZ_BUDGET_S < seconds(ap, 1, 1000)
+        assert seconds(ap, 1, 200) < seqspaces.FUZZ_BUDGET_S < seconds(ap, 1, 1100)
         # the rows of a long table of tiny kernels stay within their share
         config = cli.build_config("lebesgue-table", ["method=abel-poisson(0)", "nmax=3000"])
         tracemalloc.start()
@@ -237,7 +237,7 @@ class TestExitCodes:
         assert peak <= nbytes(trig.abel_poisson(0.0), 1, 3000)
         monkeypatch.setitem(cli.REGISTRY, "lebesgue-table", cli.REGISTRY[
             "lebesgue-table"]._replace(fn=lambda p, seed: pytest.fail("ran")))
-        for method, nmax in (("dirichlet", 262144), ("dirichlet", 10 ** 31),
+        for method, nmax in (("dirichlet", 524288), ("dirichlet", 10 ** 31),
                              ("abel-poisson(0)", 2 * 10 ** 6)):
             need = nbytes(trig.get_method(method), 1, nmax)
             assert need > budget
@@ -245,7 +245,7 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 f"error: nmax={nmax}: estimated {need / 1e9:.3g} GB for {method}, "
                 "over the 1 GB budget\n")
-        for method, nmin, nmax in (("dirichlet", 1, 20000), ("abel-poisson", 1, 1000),
+        for method, nmin, nmax in (("dirichlet", 1, 20000), ("abel-poisson", 1, 1100),
                                    ("dirichlet", 262000, 262143),
                                    ("abel-poisson(0.5)", 0, 10 ** 6)):
             est = seconds(trig.get_method(method), nmin, nmax)
@@ -279,9 +279,21 @@ class TestExitCodes:
         out = tmp_path / "t.csv"
         assert run_main(["kolmogorov-fit", "r=4", "--out", str(out)]) == 1
         lines = out.read_text().splitlines()
-        assert len(lines) == 2 + 5 + 2 and lines[-3].startswith("4,1024,3.07")
+        assert len(lines) == 2 + 5 + 2 and lines[-3].startswith("4,1024,3.06")
         assert lines[-2].startswith("# failure: n=512: ")
         assert lines[-1].startswith("# failure: n=1024: ")
+
+    def test_moduli_overflow_exit(self, tmp_path):
+        # a difference of order 2000 overflows: the row keeps its inf and nan
+        # and gets a failure line, where it used to pass as a success
+        out = tmp_path / "t.csv"
+        assert run_main(["moduli", "r=2000", "m=64", "hdenoms=32", "f=sin",
+                         "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
+        assert lines[2] == "sin,2000,0.098174770424681035,inf,nan"
+        assert lines[3].startswith("# failure: sin h=0.0981748: omega=inf, omega_tilde=nan")
+        assert run_main(["moduli", "r=1000", "m=64", "hdenoms=32",
+                         "--out", str(out)]) == 0
 
     def test_numeric_failure_exit(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -494,9 +506,9 @@ def test_every_choice_runs(args, tmp_path):
 # experiment; a refactor that should not move any number must keep these
 GOLDEN_ROWS = [
     ("lebesgue-table", ["method=bernstein", "nmax=24"],
-     "e9df77b200e683ca3d00764cf9c104b907020192a2f52b446de7d20720a0b869"),
+     "f6a715b220423da2b50766aad1bd403e06d25464ea31b8a26069013c4a860b83"),
     ("kolmogorov-fit", ["r=2", "nmin=16", "nmax=128"],
-     "2ba2a43ed47ff76b4f9c897621e8740713e84a287ed7ff54dec9492bc4dbc72b"),
+     "7aca6eb922fcae88126e2538a50e28b99dddd302ae7327004442eb850fa28315"),
     ("hyperbolic-fit", ["nmin=16", "nmax=64"],
      "3681d887abfbd028d843edc53f972a9f26b36141a0116a8c13c342756137bfc8"),
     ("duality-fuzz", ["maxlen=4"],

@@ -13,7 +13,7 @@ from xlab.trig import (abel_poisson, bernstein, bochner_riesz, cesaro,
                        dirichlet, fejer, riesz, rogosinski, vallee_poussin)
 
 # pytest puts tests/ on sys.path
-from test_trig import row_synthesize
+from test_trig import row_real_synthesize
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -77,13 +77,42 @@ def fejer_dirichlet(n):
     return value, (2.0 / math.pi) * bound + 2.0 * UNIT_ROUNDOFF * value
 
 
+def exact_real_dft(c, m):
+    """(samples, error bound) of the Hermitian row c on the M-grid by the
+    direct sum a_0 + 2 sum_{k>=1} Re(a_k e^{2pi ijk/M}), a_k = (-1)^k c_k,
+    each angle jk mod M reduced exactly to at most pi and looked up in a
+    cos/sin table (as lebesgue._factors does), each sum by math.fsum.
+
+    A table entry carries relative angle error u (pi, the product) times an
+    angle of at most pi, plus 1 ulp (2u) for the function: e = (pi + 2)u.  A
+    term 2(Re a cos - Im a sin) then errs by 2 sqrt(2) |a_k| (e + 2u), and
+    the correctly rounded sum adds u |sum|."""
+    u = UNIT_ROUNDOFF
+    degree = (c.size - 1) // 2
+    a = ((-1.0) ** np.arange(degree + 1)) * np.asarray(c, dtype=complex)[degree:]
+    angle = np.pi / (m // 2) * np.arange(m // 2 + 1)
+    cos, sin = np.cos(angle), np.sin(angle)
+    k = np.arange(1, degree + 1)
+    e = (np.pi + 2.0) * u
+    term_err = 2.0 * math.sqrt(2.0) * (e + 2.0 * u) * float(np.sum(np.abs(a[1:])))
+    values, errors = np.empty(m), np.empty(m)
+    for j in range(m):
+        q = j * k % m
+        upper = q > m // 2                  # angle 2pi - x: cos x, -sin x
+        q = np.where(upper, m - q, q)
+        terms = 2.0 * (a[1:].real * cos[q] - a[1:].imag * np.where(upper, -sin[q], sin[q]))
+        values[j] = math.fsum([a[0].real, *terms])
+        errors[j] = term_err + u * abs(values[j])
+    return values, errors
+
+
 # ---------------------------------------------------------------------------
 # the one-row engine as it ran before the stacked passes (oracle): one
 # synthesis per Taylor order, its own grid, polish and sums
 # ---------------------------------------------------------------------------
 
 def _row_samples(a, m):
-    vals = row_synthesize(a, m).real
+    vals = row_real_synthesize(a, m)
     return vals, (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * float(np.sum(np.abs(a)))
 
 
@@ -192,6 +221,17 @@ class TestLebesgueConstant:
         assert abs(s.value - want) < 1e-13
         assert s.quad_error < 1e-10
 
+    def test_zeros_on_scan_nodes(self):
+        # Rogosinski n = 2: 1 + sqrt(2) cos x has its zeros at +-3pi/4, nodes
+        # of the M = 128 grid; its weight cos(pi/2) = 6e-17 at k = +-2 adds
+        # at most 2|c_2| to the norm, and the closed form carries 2u.
+        # Fejer n = 1: 1 + cos x has a double zero at the node pi
+        s, want = lb.lebesgue_constant(rogosinski(), 2), 0.5 + 2.0 / math.pi
+        slack = 2.0 * abs(rogosinski().weights(2)[0]) + 2.0 * UNIT_ROUNDOFF * want
+        assert abs(s.value - want) <= s.quad_error + slack
+        s = lb.lebesgue_constant(fejer(), 1)
+        assert abs(s.value - 1.0) <= s.quad_error
+
     def test_fejer_is_one(self):
         for n in (0, 1, 7, 40):
             s = lb.lebesgue_constant(trig.fejer(), n)
@@ -256,6 +296,21 @@ class TestOraclesAtScale:
         value, err = lb.trig_poly_l1(trig.dirichlet().weights(n))
         ref, rounding = fejer_dirichlet(n)
         assert abs(value / (2 * np.pi) - ref) <= err / (2 * np.pi) + rounding
+
+    @pytest.mark.parametrize("m", [2 ** p for p in range(6, 13)])
+    def test_real_synthesis_within_rounding_bound(self, m):
+        # the engine's charge per real sample, (log2 M + 2) eta sum|a_k| over
+        # the whole Hermitian array, covers the real inverse FFT's error
+        rng = np.random.default_rng(m)
+        half = rng.standard_normal(m // 2 - 1) + 1j * rng.standard_normal(m // 2 - 1)
+        n = m // 32 - 1                     # the engine's grid for degree n
+        rows = [np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half]),
+                dirichlet().weights(n), bernstein().weights(n)]
+        for c in rows:
+            got = trig.synthesize(c, m, real=True).values
+            want, want_err = exact_real_dft(c, m)
+            bound = (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * float(np.sum(np.abs(c)))
+            assert np.max(np.abs(got - want) + want_err) <= bound
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_bernstein_equals_rogosinski(self, n):

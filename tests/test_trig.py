@@ -244,6 +244,16 @@ def row_synthesize(c, m):
     return np.fft.ifft(a) * m
 
 
+def row_real_synthesize(c, m):
+    """One Hermitian row on the M-grid by the scaled real inverse FFT of its
+    coefficients c_0..c_K alone."""
+    c = np.asarray(c, dtype=complex)
+    degree = (c.size - 1) // 2
+    a = np.zeros(m // 2 + 1, dtype=complex)
+    a[:degree + 1] = ((-1.0) ** np.arange(degree + 1)) * c[degree:]
+    return np.fft.irfft(a, m) * m
+
+
 def row_approximation_error(method, n, c, m):
     """Grid sup norm of f - Lambda_n f for one n, as before the stacks."""
     diff = np.array(c, dtype=complex)
@@ -281,6 +291,11 @@ class TestStackedSynthesis:
         got = trig.synthesize(c, m)
         assert got.values.shape == shape[:-1] + (m,) and got.size == m
         want = np.array([row_synthesize(row, m) for row in c.reshape(-1, shape[-1])])
+        assert np.array_equal(bits(got.values), bits(want.reshape(got.values.shape)))
+        # the real path reads c_0..c_K of each row as a Hermitian half
+        got = trig.synthesize(c, m, real=True)
+        assert got.values.shape == shape[:-1] + (m,) and got.values.dtype == float
+        want = np.array([row_real_synthesize(row, m) for row in c.reshape(-1, shape[-1])])
         assert np.array_equal(bits(got.values), bits(want.reshape(got.values.shape)))
 
     def test_grid_norm_reduces_the_grid_axis(self):

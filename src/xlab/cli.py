@@ -30,8 +30,8 @@ from .errors import ConvergenceFailure, InvalidArgument, NotFound
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 1
-# the memory budget of every cost guard
-BUDGET_BYTES = 10 ** 9
+# the budgets of every experiment's estimated cost: 1 GB and ten minutes
+BUDGET_BYTES, BUDGET_SECONDS = 10 ** 9, 600
 
 
 def _fmt(v):
@@ -337,56 +337,11 @@ def _one_of(valid):
     return parse
 
 
-def _within_budget(parse, seconds, hint=""):
-    """The parser `parse`, refusing a value whose estimated seconds are over
-    the time budget of `duality-fuzz`."""
-    def check(token):
-        value = parse(token)
-        if seconds(value) > seqspaces.FUZZ_BUDGET_S:
-            raise InvalidArgument(f"estimated {seconds(value):.3g} s, over the "
-                                  f"{seqspaces.FUZZ_BUDGET_S} s budget{hint}")
-        return value
-    return check
-
-
-def _moduli_check(p):
-    """The hdenom rule of `moduli`; raises InvalidArgument, naming m and the
-    estimate, when the run is over the time or the memory budget."""
+def _moduli_cost(p):
     denoms = [int(d) for d in p["hdenoms"].split(";")]
     need, seconds = smoothness.moduli_cost(p["m"], p["r"], p["m"] // (2 * min(denoms)),
                                            len(denoms))
-    seconds *= len(corpus.periodic_ids()) if p["f"] == "all" else 1
-    if seconds > seqspaces.FUZZ_BUDGET_S:
-        raise InvalidArgument(
-            f"m={p['m']}: estimated {seconds:.3g} s for hdenom {min(denoms)} and "
-            f"r={p['r']}, over the {seqspaces.FUZZ_BUDGET_S} s budget")
-    if need > BUDGET_BYTES:
-        raise InvalidArgument(f"m={p['m']}: estimated {need / 1e9:.3g} GB, over the "
-                              f"{BUDGET_BYTES / 1e9:g} GB budget")
-    return all(2 * d <= p["m"] for d in denoms)
-
-
-def _lebesgue_table_check(p):
-    """The nmin <= nmax rule of `lebesgue-table`; raises InvalidArgument,
-    naming nmax and the estimate, over the memory budget or the time budget
-    of `duality-fuzz`."""
-    if p["nmin"] > p["nmax"]:
-        return False
-    method = trig.get_method(p["method"])
-    try:
-        need = lebesgue.table_bytes(method, p["nmin"], p["nmax"])
-        if need > BUDGET_BYTES:
-            raise InvalidArgument(
-                f"estimated {need / 1e9:.3g} GB for {method.name}, over the "
-                f"{BUDGET_BYTES / 1e9:g} GB budget")
-        seconds = lebesgue.table_seconds(method, p["nmin"], p["nmax"])
-        if seconds > seqspaces.FUZZ_BUDGET_S:
-            raise InvalidArgument(
-                f"estimated {seconds:.3g} s for {method.name} from n={p['nmin']}, "
-                f"over the {seqspaces.FUZZ_BUDGET_S} s budget")
-    except InvalidArgument as e:
-        raise InvalidArgument(f"nmax={p['nmax']}: {e}") from None
-    return True
+    return need, seconds * (len(corpus.periodic_ids()) if p["f"] == "all" else 1)
 
 
 def _grid_size(token):
@@ -399,9 +354,12 @@ def _grid_size(token):
 _METHOD, _FLOAT = _one_of(trig.get_method), _number(float)
 _COUNT, _INDEX = _number(int, 0), _number(int, 1)
 _POSITIVE = _number(float, 0, strict=True)
-# params: key -> (default, parser); check: (rule on two keys, failure message)
+# params: key -> (default, parser); check: (rule on two keys, failure message);
+# cost: (keys to name, params -> estimated (peak bytes, seconds))
 Experiment = collections.namedtuple(
-    "Experiment", "fn description claims params columns check", defaults=(None,))
+    "Experiment", "fn description claims params columns check cost", defaults=(None, None))
+# posdef-report and schoenberg trace up to 2.6 MB for 400..20000 trials
+_GRAM_BYTES = 2 ** 22
 
 REGISTRY = {
     "lebesgue-table": Experiment(
@@ -409,7 +367,10 @@ REGISTRY = {
         {"method": ("dirichlet", _METHOD), "nmin": (1, _COUNT),
          "nmax": (64, _COUNT), "tol": (1e-9, _POSITIVE)},
         ["method", "n", "value", "quad_error"],
-        (_lebesgue_table_check, "need nmin <= nmax")),
+        (lambda p: p["nmin"] <= p["nmax"], "need nmin <= nmax"),
+        cost=(("nmax", "nmin", "method"), lambda p: [
+            est(trig.get_method(p["method"]), p["nmin"], p["nmax"])
+            for est in (lebesgue.table_bytes, lebesgue.table_seconds)])),
     "kolmogorov-fit": Experiment(
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
         "4.1", {"r": (1, _INDEX), "nmin": (64, _INDEX), "nmax": (1024, _INDEX)},
@@ -427,17 +388,19 @@ REGISTRY = {
          f"need 2*nmin <= nmax and grid points <= {lebesgue.HYPERBOLIC_NMAX}")),
     "duality-fuzz": Experiment(
         _exp_duality_fuzz, "exhaustive check of both pairing identities",
-        "1.13", {"maxlen": (6, _within_budget(_INDEX, seqspaces.fuzz_seconds,
-                                               f" (maxlen <= {seqspaces.FUZZ_MAXLEN})"))},
-        ["length", "count", "max_gap_astar", "max_gap_cesaro"]),
+        "1.13", {"maxlen": (6, _INDEX)},
+        ["length", "count", "max_gap_astar", "max_gap_cesaro"],
+        cost=(("maxlen",), lambda p: (seqspaces.FUZZ_ENTRY_BYTES * seqspaces.FUZZ_CHUNK
+                                      * p["maxlen"], seqspaces.fuzz_seconds(p["maxlen"])))),
     "moduli": Experiment(
         _exp_moduli, "moduli of smoothness and their integral average", "5.3",
         {"f": ("all", _one_of(lambda t: t == "all" or corpus.periodic(t))),
          "r": (1, _INDEX), "m": (1024, _grid_size),
          "hdenoms": ("16;8;4;2", _one_of(lambda t: [_INDEX(d) for d in t.split(";")]))},
         ["f_id", "r", "h", "omega", "omega_tilde"],
-        (_moduli_check,
-         "need every hdenom <= m/2: a step pi/hdenom spans a grid cell 2pi/m")),
+        (lambda p: all(2 * int(d) <= p["m"] for d in p["hdenoms"].split(";")),
+         "need every hdenom <= m/2: a step pi/hdenom spans a grid cell 2pi/m"),
+        cost=(("m", "hdenoms", "r", "f"), _moduli_cost)),
     "two-sided-report": Experiment(
         _exp_two_sided, "approximation error against the modulus, per corpus",
         "5.1, 5.2b", {"r": (1, _INDEX), "nmin": (16, _INDEX),
@@ -446,13 +409,16 @@ REGISTRY = {
         (lambda p: p["r"] <= p["nmin"] <= p["nmax"] and trig.TWO_PI
          * lebesgue.geometric_grid(p["nmin"], p["nmax"])[-1] <= p["m"],
          "need r <= nmin <= nmax and 2pi*n <= m for the largest grid n: "
-         "the step 1/n spans a grid cell 2pi/m")),
+         "the step 1/n spans a grid cell 2pi/m"),
+        cost=(("m", "r", "nmin", "nmax"), lambda p: smoothness.two_sided_cost(
+            len(corpus.JACKSON), p["m"], p["r"],
+            lebesgue.geometric_grid(p["nmin"], p["nmax"])))),
     "posdef-report": Experiment(
         _exp_posdef_report, "positive-definiteness evidence per profile",
         "7.1, 7.4, 7.6",  # four searches: trials, trials/4 twice, trials sets
-        {"trials": (1000, _within_budget(
-            _COUNT, lambda t: 2.5 * t * posdef_splines.GRAM_TRIAL_S))},
-        ["profile", "claim", "evidence", "value", "ok"]),
+        {"trials": (1000, _COUNT)}, ["profile", "claim", "evidence", "value", "ok"],
+        cost=(("trials",), lambda p: (_GRAM_BYTES,
+                                      2.5 * p["trials"] * posdef_splines.GRAM_TRIAL_S))),
     "aspline": Experiment(
         _exp_aspline, "maximal-smoothness two-piece spline coefficients", "7.6",
         {"n": (3, _number(int, *posdef_splines.A_SPLINE_N_RANGE))},
@@ -463,8 +429,9 @@ REGISTRY = {
          "p": ("3", _one_of(lambda t: t in ("inf", "oo")
                             or _number(float, 2, strict=True)(t))),
          "alpha": (1.0, _number(float, 0)),
-         "trials": (10000, _within_budget(_COUNT, lambda t: t * posdef_splines.GRAM_TRIAL_S))},
-        ["m", "p", "alpha", "trials", "seed", "min_eig", "witness"]),
+         "trials": (10000, _COUNT)},
+        ["m", "p", "alpha", "trials", "seed", "min_eig", "witness"],
+        cost=(("trials",), lambda p: (_GRAM_BYTES, p["trials"] * posdef_splines.GRAM_TRIAL_S))),
     "walsh-regularity": Experiment(
         _exp_walsh_regularity, "kernel norms of shifted partial-sum averages",
         "8.2", {"alpha": (0.5, _FLOAT), "beta": (0.5, _FLOAT),
@@ -494,7 +461,9 @@ REGISTRY = {
         _exp_comparison_ratio, "worst error ratio of two summability methods",
         "2.14", {"a": ("fejer", _METHOD), "b": ("abel-poisson", _METHOD),
                  "nmax": (256, _INDEX), "m": (1024, _grid_size)},
-        ["f_id", "n", "err_a", "err_b", "ratio", "band_constant"]),
+        ["f_id", "n", "err_a", "err_b", "ratio", "band_constant"],
+        cost=(("nmax", "m"), lambda p: trig.comparison_cost(
+            len(corpus.COMPARE), p["nmax"], p["m"]))),
 }
 
 
@@ -545,6 +514,20 @@ def build_config(experiment, tokens, file_params=None, seed=0):
             raise InvalidArgument(f"{key}={token}: {e}") from None
     if spec.check and not spec.check[0](params):
         raise InvalidArgument(spec.check[1])
+    if spec.cost:
+        keys, estimate = spec.cost
+        named = " ".join(f"{key}={params[key]}" for key in keys)
+        try:
+            need = [float(x) for x in estimate(params)]
+        except InvalidArgument as e:
+            raise InvalidArgument(f"{named}: {e}") from None
+        except OverflowError:   # a huge integer key: past the float range
+            need = [math.inf, math.inf]
+        for amount, budget, scale, unit in zip(need, (BUDGET_BYTES, BUDGET_SECONDS),
+                                               (1e9, 1), ("GB", "s")):
+            if amount > budget:
+                raise InvalidArgument(f"{named}: estimated {amount / scale:.3g} {unit}, "
+                                      f"over the {budget / scale:g} {unit} budget")
     return {"experiment": experiment, "params": params, "seed": int(seed)}
 
 

@@ -68,24 +68,24 @@ def continuity_corpus(m=2048):
             for name, fn in _PERIODIC.items()]
 
 
-_COMPARE = ["sin", "cos3", "trigpoly", "exp_cos", "abs_sin", "abs_sin2",
-            "triangle", "zigzag", "lacunary", "sharp_smooth"]
+COMPARE = ["sin", "cos3", "trigpoly", "exp_cos", "abs_sin", "abs_sin2",
+           "triangle", "zigzag", "lacunary", "sharp_smooth"]
 
 
 def comparison_corpus(m=1024):
     """Ten functions (smooth through barely-Hoelder) for method comparison."""
     return [(name, SampledFunction.from_callable(_PERIODIC[name], m))
-            for name in _COMPARE]
+            for name in COMPARE]
 
 
-_JACKSON = ["abs_sin", "triangle", "zigzag", "cusp_pair", "shifted_triangle",
-            "abs_sin_15", "lacunary", "sqrt_kink"]
+JACKSON = ["abs_sin", "triangle", "zigzag", "cusp_pair", "shifted_triangle",
+           "abs_sin_15", "lacunary", "sqrt_kink"]
 
 
 def jackson_corpus(m=2048):
     """Sawtooth-like functions for direct/inverse band experiments."""
     return [(name, SampledFunction.from_callable(_PERIODIC[name], m))
-            for name in _JACKSON]
+            for name in JACKSON]
 
 
 # ---------------------------------------------------------------------------

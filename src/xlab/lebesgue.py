@@ -353,14 +353,16 @@ def lebesgue_constant(method, n, tol=1e-9):
     ns = np.atleast_1d(n).tolist()
     if min(ns, default=0) < 0 or not tol > 0:
         raise InvalidArgument("need index n >= 0 and tolerance tol > 0")
-    out = []
-    for k, (value, err) in zip(ns, trig_poly_l1([method.weights(k) for k in ns]) if ns else []):
-        if err / TWO_PI > tol:
-            out.append(ConvergenceFailure("requested tolerance not certified",
-                                          best_estimate=value / TWO_PI,
-                                          error_estimate=err / TWO_PI))
-        else:
-            out.append(LebesgueSample(k, value / TWO_PI, err / TWO_PI))
+    # the weights of one stack at a time: table_bytes bounds the peak
+    out = [None] * len(ns)
+    for chunk in stacks([grid_size(method.band(k)) for k in ns]):
+        for i, (value, err) in zip(chunk, trig_poly_l1([method.weights(ns[i]) for i in chunk])):
+            if err / TWO_PI > tol:
+                out[i] = ConvergenceFailure("requested tolerance not certified",
+                                            best_estimate=value / TWO_PI,
+                                            error_estimate=err / TWO_PI)
+            else:
+                out[i] = LebesgueSample(ns[i], value / TWO_PI, err / TWO_PI)
     if np.ndim(n):
         return out
     if isinstance(out[0], ConvergenceFailure):

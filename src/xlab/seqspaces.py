@@ -129,24 +129,19 @@ def duality_identity_cesaro(alpha):
 
 
 # The duality fuzz checks both identities on every sequence over {0, +-1, +-2}
-# of each length L <= maxlen, FUZZ_CHUNK sequences (under 7 MB) a batch.
-# Batched, a sequence entry costs about FUZZ_ENTRY_S (measured on a 2-vCPU
-# Xeon guest: 3.8 s at maxlen = 9, 22 s at 10), so maxlen costs
-# fuzz_seconds(maxlen): 118 s at 11, 645 s at 12.  FUZZ_MAXLEN is the largest
-# maxlen within the FUZZ_BUDGET_S budget of ten minutes.
+# of each length L <= maxlen, FUZZ_CHUNK sequences a batch, whose arrays peak
+# at about 85 bytes per sequence entry (tracemalloc, L = 6..12).  Batched, a
+# sequence entry costs about FUZZ_ENTRY_S (measured on a 2-vCPU Xeon guest:
+# 3.8 s at maxlen = 9, 22 s at 10), so maxlen costs fuzz_seconds(maxlen):
+# 118 s at 11, 645 s at 12.
 FUZZ_CHUNK = 5 ** 7
-FUZZ_ENTRY_S = 1.8e-7
-FUZZ_BUDGET_S = 600
-FUZZ_MAXLEN = 11
+FUZZ_ENTRY_BYTES, FUZZ_ENTRY_S = 100, 1.8e-7
 
 
 def fuzz_seconds(maxlen):
     """Estimated duality-fuzz time: FUZZ_ENTRY_S for each of the
     sum_{L<=maxlen} L 5^L = ((4 maxlen - 1) 5^(maxlen+1) + 5)/16 entries."""
-    try:
-        return FUZZ_ENTRY_S * ((4 * maxlen - 1) * 5.0 ** (maxlen + 1) + 5) / 16
-    except OverflowError:
-        return math.inf
+    return FUZZ_ENTRY_S * ((4 * maxlen - 1) * 5.0 ** (maxlen + 1) + 5) / 16
 
 
 PAIRING_MAXLEN = 64

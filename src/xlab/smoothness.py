@@ -8,13 +8,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgument
-from .trig import (TWO_PI, apply_means, approximation_error, bernstein,
-                   compute_coefficients, grid_norm, synthesize, vallee_poussin)
-
-
-# entries per chunk of modulus's difference rows: bounded memory, and the
-# chunk stays in cache (faster than whole stacks at M = 1024)
-STACK_ENTRIES = 1 << 15
+from .trig import (SYNTHESIS_ENTRIES, TWO_PI, apply_means, approximation_error,
+                   bernstein, compute_coefficients, grid_norm, synthesize, vallee_poussin)
 
 
 def _difference_stack(values, r, jlo, jhi):
@@ -51,9 +46,9 @@ def modulus(f, r, h):
     one running maximum over the steps up to the largest h serves them all."""
     jmax = _steps_within(f, h)
     # real samples stay real: the differences are the real parts of the
-    # complex ones, and |x + 0i| = |x|
+    # complex ones, and |x + 0i| = |x|; chunks of SYNTHESIS_ENTRIES stay in cache
     v = np.asarray(f.values, dtype=np.result_type(f.values, float))
-    top, rows = jmax.max() + 1, max(1, STACK_ENTRIES // f.size)
+    top, rows = jmax.max() + 1, max(1, SYNTHESIS_ENTRIES // f.size)
     sups = np.concatenate([
         np.max(np.abs(_difference_stack(v, r, j, min(j + rows, top))), axis=1)
         for j in range(1, top, rows)])
@@ -104,9 +99,21 @@ def moduli_cost(m, r, jmax, steps):
     """Estimated (peak bytes, seconds) of sampling a function on the m-grid
     and taking both moduli of order r for `steps` step bounds of at most
     jmax grid steps."""
-    stacks = 1 - (-jmax // max(1, STACK_ENTRIES // m))
+    stacks = 1 - (-jmax // max(1, SYNTHESIS_ENTRIES // m))
     return (POINT_BYTES * m * steps + 2 ** 21, r * (
         SCAN_POINT_S * m * jmax + MULTIPLIER_POINT_S * m * steps + STACK_S * stacks))
+
+
+# jackson_two_sided's coefficients and approximation error take up to 2e-4 s
+# plus 1.5e-8 s per grid point and level log2 M, and the traced peak is up to
+# 100 bytes per grid point besides the samples (M = 2^10..2^20, r = 1..5).
+def two_sided_cost(functions, m, r, ns):
+    """Estimated (peak bytes, seconds) of jackson_two_sided of order r for
+    each of `functions` functions sampled on the m-grid and each n in ns: the
+    coefficients, the approximation error and a modulus scan up to 1/n."""
+    seconds = sum(2e-4 + 1.5e-8 * m * math.log2(m)
+                  + moduli_cost(m, r, int(m / (TWO_PI * n) + 1e-12), 0)[1] for n in ns)
+    return (8 * functions + 100) * m + 2 ** 21, functions * seconds
 
 
 def jackson_two_sided(f, r, n):

@@ -26,7 +26,7 @@ from .errors import InvalidArgument, NotFound
 
 TWO_PI = 2.0 * np.pi
 GRID_MIN = 4
-# complex entries per stacked synthesis of a caller that stacks over n
+# entries per stacked synthesis of a caller that stacks over n or over steps
 # (512 KB, cache-sized: 2^17 ran no faster and raised small-kernels' peak
 # RSS by 8 MB); from M = 2^15 on that is one row per call
 SYNTHESIS_ENTRIES = 1 << 15
@@ -342,3 +342,14 @@ def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
         ratios = table[..., 2]
         band = np.max(np.maximum(ratios, 1.0 / ratios), initial=0.0)
     return float(band), table
+
+
+# comparison_ratio's cost on a 2-vCPU host (M = 2^6..2^20, nmax up to 32768):
+# up to 3e-5 s plus 6e-9 s per grid point and level log2 M for each function,
+# method and n, and a traced peak of up to 100 bytes per grid point besides
+# the samples, 420 per n and 4 MB for the stacked syntheses.
+def comparison_cost(functions, nmax, m):
+    """Estimated (peak bytes, seconds) of comparison_ratio over `functions`
+    functions sampled on the m-grid, n = 1..nmax."""
+    return ((8 * functions + 100) * m + 420 * nmax + 2 ** 22,
+            functions * (2 * nmax + 2) * (3e-5 + 6e-9 * m * math.log2(m)))

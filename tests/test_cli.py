@@ -1,7 +1,6 @@
 import hashlib
 import io
 import json
-import math
 import subprocess
 import sys
 import tracemalloc
@@ -102,6 +101,9 @@ class TestExitCodes:
         ["walsh-regularity", "nu=1e308", "nmax=8"],
         ["lebesgue-table", "nmax=300000"],
         ["lebesgue-table", "method=abel-poisson", "nmax=100000000000000000"],
+        ["comparison-ratio", "nmax=1000000000000"],
+        ["comparison-ratio", "m=1073741824"],
+        ["two-sided-report", "m=1073741824"],
     ])
     def test_bad_fit_params(self, bad, capsys, tmp_path):
         keys = [t.split("=")[0].strip() for t in bad if "=" in t]
@@ -137,21 +139,20 @@ class TestExitCodes:
     def test_duality_fuzz_cost_guard(self, capsys, monkeypatch):
         # the bound is the largest maxlen the cost model puts within the
         # budget; a larger one is refused with its estimate before any work
-        est = seqspaces.fuzz_seconds
-        bound, budget = seqspaces.FUZZ_MAXLEN, seqspaces.FUZZ_BUDGET_S
-        assert est(bound) <= budget < est(bound + 1)
+        est, budget = seqspaces.fuzz_seconds, cli.BUDGET_SECONDS
+        bound = max(n for n in range(1, 20) if est(n) <= budget)
+        assert bound == 11 and budget < est(bound + 1)
         for maxlen in (1, 3, 9):
             entries = sum(n * 5 ** n for n in range(1, maxlen + 1))
             assert est(maxlen) == pytest.approx(entries * seqspaces.FUZZ_ENTRY_S)
-        assert est(10 ** 9) == math.inf
         monkeypatch.setitem(cli.REGISTRY, "duality-fuzz", cli.REGISTRY[
             "duality-fuzz"]._replace(fn=lambda p, seed: pytest.fail("ran")))
-        for maxlen in (bound + 1, 10 ** 9):
+        # an estimate past the float range is inf
+        for maxlen, estimate in ((bound + 1, f"{est(bound + 1):.3g} s, over the 600 s"),
+                                 (10 ** 9, "inf GB, over the 1 GB")):
             assert run_main(["duality-fuzz", f"maxlen={maxlen}"]) == 2
             err = capsys.readouterr().err
-            assert err == (f"error: maxlen={maxlen}: estimated "
-                           f"{est(maxlen):.3g} s, over the {budget} s budget "
-                           f"(maxlen <= {bound})\n")
+            assert err == f"error: maxlen={maxlen}: estimated {estimate} budget\n"
         assert cli.build_config("duality-fuzz", [f"maxlen={bound}"])
 
     def test_moduli_cost_guard(self, capsys, monkeypatch):
@@ -177,21 +178,28 @@ class TestExitCodes:
         monkeypatch.setitem(cli.REGISTRY, "moduli", cli.REGISTRY[
             "moduli"]._replace(fn=lambda p, seed: pytest.fail("ran")))
         runs = len(corpus.periodic_ids())
-        for m, hdenoms, r in ((1024, "16;8;4;2", 1000000), (2 ** 40, "16;8;4;2", 1),
-                              (2 ** 16, "2", 50)):
+        for m, hdenoms, r in ((1024, "16;8;4;2", 1000000), (2 ** 16, "2", 50)):
             need = runs * est(m, r, m // 4, len(hdenoms.split(";")))
-            assert need > seqspaces.FUZZ_BUDGET_S
+            assert need > cli.BUDGET_SECONDS
             assert run_main(["moduli", f"m={m}", f"hdenoms={hdenoms}", f"r={r}"]) == 2
             assert capsys.readouterr().err == (
-                f"error: m={m}: estimated {need:.3g} s for hdenom 2 and r={r}, "
+                f"error: m={m} hdenoms={hdenoms} r={r} f=all: estimated {need:.3g} s, "
                 "over the 600 s budget\n")
+        # over both budgets, the bytes are named
+        need = smoothness.moduli_cost(2 ** 40, 1, 2 ** 38, 4)[0]
+        assert runs * est(2 ** 40, 1, 2 ** 38, 4) > cli.BUDGET_SECONDS
+        assert run_main(["moduli", f"m={2 ** 40}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: m={2 ** 40} hdenoms=16;8;4;2 r=1 f=all: estimated {need / 1e9:.3g} GB, "
+            "over the 1 GB budget\n")
         for m, steps in ((2 ** 24, 1), (2 ** 27, 1), (2 ** 20, 16)):
             need = smoothness.moduli_cost(m, 1, 1, steps)[0]
             assert need > cli.BUDGET_BYTES
             hdenoms = ";".join([str(m // 2)] * steps)
             assert run_main(["moduli", "f=sin", f"m={m}", f"hdenoms={hdenoms}"]) == 2
             assert capsys.readouterr().err == (
-                f"error: m={m}: estimated {need / 1e9:.3g} GB, over the 1 GB budget\n")
+                f"error: m={m} hdenoms={hdenoms} r=1 f=sin: estimated {need / 1e9:.3g} GB, "
+                "over the 1 GB budget\n")
         for tokens in (["m=16384", "hdenoms=2"], ["m=1024", "r=1000"],
                        ["f=sin", f"m={2 ** 23}", f"hdenoms={2 ** 22}"]):
             assert cli.build_config("moduli", tokens)
@@ -202,7 +210,7 @@ class TestExitCodes:
         for name, searches in (("schoenberg", 1), ("posdef-report", 2.5)):
             monkeypatch.setitem(cli.REGISTRY, name, cli.REGISTRY[name]._replace(
                 fn=lambda p, seed: pytest.fail("ran")))
-            bound = int(seqspaces.FUZZ_BUDGET_S / (posdef_splines.GRAM_TRIAL_S * searches))
+            bound = int(cli.BUDGET_SECONDS / (posdef_splines.GRAM_TRIAL_S * searches))
             assert cli.build_config(name, [f"trials={bound}"])
             for trials in (bound + 1, 10 ** 12):
                 assert run_main([name, f"trials={trials}"]) == 2
@@ -210,6 +218,10 @@ class TestExitCodes:
                 assert capsys.readouterr().err == (
                     f"error: trials={trials}: estimated {need:.3g} s, over the "
                     "600 s budget\n")
+            # a count past the float range is estimated at inf
+            assert run_main([name, f"trials={10 ** 400}"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: trials={10 ** 400}: estimated inf GB, over the 1 GB budget\n")
 
     def test_lebesgue_table_cost_guard(self, capsys, monkeypatch):
         # the estimates of the stacked engine against the memory budget
@@ -225,7 +237,7 @@ class TestExitCodes:
         assert seconds(d, 5, 5) == pytest.approx(1.5e-4 + (
             lebesgue._taylor_order(5, 2 * np.pi / 256)[0] + 2) * 8 * 256 * 2.5e-9)
         assert seconds(d, 1, 64) < seconds(d, 1, 65) < seconds(d, 1, 1000)
-        assert seconds(ap, 1, 200) < seqspaces.FUZZ_BUDGET_S < seconds(ap, 1, 1100)
+        assert seconds(ap, 1, 200) < cli.BUDGET_SECONDS < seconds(ap, 1, 1100)
         # the rows of a long table of tiny kernels stay within their share
         config = cli.build_config("lebesgue-table", ["method=abel-poisson(0)", "nmax=3000"])
         tracemalloc.start()
@@ -243,21 +255,51 @@ class TestExitCodes:
             assert need > budget
             assert run_main(["lebesgue-table", f"method={method}", f"nmax={nmax}"]) == 2
             assert capsys.readouterr().err == (
-                f"error: nmax={nmax}: estimated {need / 1e9:.3g} GB for {method}, "
+                f"error: nmax={nmax} nmin=1 method={method}: estimated {need / 1e9:.3g} GB, "
                 "over the 1 GB budget\n")
         for method, nmin, nmax in (("dirichlet", 1, 20000), ("abel-poisson", 1, 1100),
                                    ("dirichlet", 262000, 262143),
                                    ("abel-poisson(0.5)", 0, 10 ** 6)):
             est = seconds(trig.get_method(method), nmin, nmax)
-            assert est > seqspaces.FUZZ_BUDGET_S
+            assert est > cli.BUDGET_SECONDS
             assert run_main(["lebesgue-table", f"method={method}", f"nmin={nmin}",
                              f"nmax={nmax}"]) == 2
             assert capsys.readouterr().err == (
-                f"error: nmax={nmax}: estimated {est:.3g} s for {method} from "
-                f"n={nmin}, over the 600 s budget\n")
+                f"error: nmax={nmax} nmin={nmin} method={method}: estimated {est:.3g} s, "
+                "over the 600 s budget\n")
         for tokens in (["nmax=4096"], ["method=abel-poisson", "nmax=200"],
                        ["nmin=65536", "nmax=65536"]):
             assert cli.build_config("lebesgue-table", tokens)
+
+    @pytest.mark.parametrize("name", [n for n, e in cli.REGISTRY.items() if e.cost])
+    def test_every_cost_refuses_over_budget(self, name, capsys, monkeypatch):
+        # the first cost key at 2^40 is over a budget for every experiment;
+        # the one error line names it before the experiment would run
+        key = cli.REGISTRY[name].cost[0][0]
+        monkeypatch.setitem(cli.REGISTRY, name, cli.REGISTRY[name]._replace(
+            fn=lambda p, seed: pytest.fail("ran")))
+        assert run_main([name, f"{key}={2 ** 40}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key}={2 ** 40}") and err.endswith(" budget\n")
+
+    # the bytes estimate bounds the traced peak at two cheap sizes
+    @pytest.mark.parametrize("name,tokens", [
+        ("comparison-ratio", ["m=4096", "nmax=64"]),
+        ("comparison-ratio", ["m=16384", "nmax=16"]),
+        ("two-sided-report", ["m=16384"]),
+        ("two-sided-report", ["r=3", "m=4096", "nmax=16"]),
+        ("duality-fuzz", ["maxlen=4"]), ("duality-fuzz", ["maxlen=7"]),
+        ("schoenberg", ["trials=2000"]), ("posdef-report", ["trials=400"])])
+    def test_bytes_estimate_bounds_traced_peak(self, name, tokens):
+        config = cli.build_config(name, tokens)
+        tracemalloc.start()
+        try:
+            cli.run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.REGISTRY[name].cost[1](config["params"])[0]
 
     def test_two_sided_grid_rule_agrees_with_step_check(self):
         # the rule 2pi*n <= m against the run-time check of a step 1/n on the

@@ -405,8 +405,11 @@ class TestStackedEngine:
                 assert lb.table_seconds(method, nmin, nmax) == pytest.approx(want)
 
     def test_memory_estimate_bounds_traced_peak(self):
+        # 64 rows of one stack each: the weights are built a stack at a time
+        # (all at once they alone take 2 MB)
         for method, ns in ((dirichlet(), range(1, 99)), (dirichlet(), [4096]),
-                           (abel_poisson(), range(150, 153))):
+                           (abel_poisson(), range(150, 153)), (dirichlet(), range(960, 1024)),
+                           (bernstein(), range(960, 1024))):
             tracemalloc.start()
             try:
                 lb.lebesgue_constant(method, ns, tol=1.0)

@@ -2,8 +2,9 @@
 than its own unit tests: the library itself, an acceptance criterion or a
 benchmark workload.  A name that occurs nowhere else is an orphan; delete it
 or give it a caller.  Likewise every defaulted parameter is set by some
-caller: one that nobody passes is a constant in disguise.  And no object
-carries state its class does not declare."""
+caller: one that nobody passes is a constant in disguise.  No object
+carries state its class does not declare.  And one budget governs every
+cost estimate: no module but cli declares one."""
 
 import ast
 import collections
@@ -124,3 +125,13 @@ def test_object_setattr_only_in_post_init():
         hidden += [f"{path.name}:{line}"
                    for line in sorted(_object_setattr_lines(tree) - allowed)]
     assert not hidden, "object.__setattr__ outside __post_init__: " + ", ".join(hidden)
+
+
+def test_budgets_declared_only_in_cli():
+    declared = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "cli.py"
+                for stmt in ast.parse(path.read_text()).body
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and "BUDGET" in node.id]
+    assert not declared, "budget declared outside cli: " + ", ".join(declared)

@@ -18,9 +18,11 @@ per grid size: stacked syntheses of at most SYNTHESIS_ENTRIES samples and
 one polish over the cells of every kernel, each result bit for bit that of
 its kernel alone.  The deviation over W^r runs
 the same engine on the tail kernel, a polynomial minus a cosine sum.  The 2-D
-norms sum |K| over the quarter torus in one blocked pass, with closed-form
-Dirichlet factors and the coarse estimate read off the even sub-grid; a
-symmetric index set is summed over one triangle and doubled."""
+norms sum |K| over the quarter torus in one pass of square tiles of
+2 SYNTHESIS_ENTRIES entries, each formed, taken in absolute value and
+reduced while it sits in cache, with closed-form Dirichlet factors and the
+coarse estimate read off the even sub-grid; a symmetric index set is summed
+over one triangle and doubled."""
 
 from dataclasses import dataclass
 import itertools
@@ -462,7 +464,6 @@ def kolmogorov_deviation(r, n):
 # two-dimensional kernels
 # ---------------------------------------------------------------------------
 
-BLOCK_ENTRIES = 1 << 20         # |K| entries per block of the 2-D pass (8 MB)
 HYPERBOLIC_NMAX = 4096
 RHOMBIC_OVERSAMPLE = 8
 
@@ -507,22 +508,33 @@ def _grouped_l1_2d(groups, n1, n2, oversample):
     a group (lo1, hi1, c1, deg, c2) has the factors
     A = c1 + 2 sum_{k=lo1}^{hi1} cos k x1,
     B = c2 + 2 sum_{k=1}^{deg} cos k x2.  K is even in each variable, so one
-    blocked pass over the quarter grid [0, pi]^2 folds |K| with both weights.
-    A symmetric index set (n1 = n2) sums one triangle: a block of rows takes
-    the columns from its first row on, those past its square counted twice."""
+    pass over the quarter grid [0, pi]^2 folds |K| with both weights.  The
+    pass runs over square tiles of 2 SYNTHESIS_ENTRIES entries (ragged at
+    the grid's ends) in one reused buffer: each tile's product of factors is
+    taken in absolute value and reduced against both column weights while
+    it is in cache, into one (rows, 2) sum per row of tiles.  A symmetric
+    index set (n1 = n2) sums one triangle: a row of tiles takes its
+    diagonal square with single weights and the columns past it with
+    double ones."""
     lo1, hi1, c1, deg, c2 = (np.array(v) for v in zip(*groups))
     h1, h2 = oversample * (n1 + 1), oversample * (n2 + 1)
     amat, bmat = _factors(h1, c1, lo1, hi1).T, _factors(h2, c2, 1, deg)
     w1, w2 = _fold_weights(h1), _fold_weights(h2)
     sym = n1 == n2 and _self_conjugate(lo1, hi1, c1, deg, c2)
-    rows = min(h1 + 1, max(1, BLOCK_ENTRIES // (h2 + 1)))
+    side = math.isqrt(2 * SYNTHESIS_ENTRIES)
+    wpast = 2.0 * w2 if sym else w2
+    buf = np.empty(side * side)
     totals = np.zeros(2)
-    for start in range(0, h1 + 1, rows):
-        stop, lo = start + rows, start * sym
-        wcols = w2[lo:] * (1.0 + sym * (np.arange(lo, h2 + 1) >= stop))[:, None]
-        block = amat[start:stop] @ bmat[:, lo:]
-        np.abs(block, out=block)
-        totals += np.sum(w1[start:stop] * (block @ wcols), axis=0)
+    for start in range(0, h1 + 1, side):
+        a = amat[start:start + side]
+        acc = np.zeros((a.shape[0], 2))
+        for lo in range(start * sym, h2 + 1, side):
+            b = bmat[:, lo:lo + side]
+            tile = buf[:a.shape[0] * b.shape[1]].reshape(a.shape[0], b.shape[1])
+            np.matmul(a, b, out=tile)
+            np.abs(tile, out=tile)
+            acc += tile @ (w2 if lo == start else wpast)[lo:lo + side]
+        totals += np.sum(w1[start:start + side] * acc, axis=0)
     return totals[0] / (4 * h1 * h2), totals[1] / (h1 * h2)
 
 
@@ -551,6 +563,8 @@ def rhombic_lebesgue(n1, n2):
         raise InvalidArgument("need n2 a positive multiple of n1")
     if n1 > 64:
         raise InvalidArgument("cost guard: n1 <= 64")
+    if n2 > HYPERBOLIC_NMAX:
+        raise InvalidArgument(f"cost guard: n2 <= {HYPERBOLIC_NMAX}")
     fine, coarse = _grouped_l1_2d(_rhombic_groups(n1, n2), n1, n2,
                                   RHOMBIC_OVERSAMPLE)
     return LebesgueSample((n1, n2), fine, abs(fine - coarse))

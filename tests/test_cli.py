@@ -552,7 +552,7 @@ GOLDEN_ROWS = [
     ("kolmogorov-fit", ["r=2", "nmin=16", "nmax=128"],
      "7aca6eb922fcae88126e2538a50e28b99dddd302ae7327004442eb850fa28315"),
     ("hyperbolic-fit", ["nmin=16", "nmax=64"],
-     "3681d887abfbd028d843edc53f972a9f26b36141a0116a8c13c342756137bfc8"),
+     "744aa99b20dd47f9fd3c4b61501735460f54468e5a8dd25154dbe0ffe6408eab"),
     ("duality-fuzz", ["maxlen=4"],
      "d5b1fa861f4cce4587fa78915b38888de20e64996affde6f81c28a347f0b0e76"),
     ("moduli", ["m=256"],

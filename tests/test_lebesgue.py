@@ -503,6 +503,17 @@ class TestRhombic:
         with pytest.raises(InvalidArgument):
             lb.rhombic_lebesgue(4, 6)
 
+    def test_n2_guard_allocates_nothing(self):
+        # the x2 factor table alone would hold 65 x 8 (n2 + 1) entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgument, match=f"n2 <= {lb.HYPERBOLIC_NMAX}"):
+                lb.rhombic_lebesgue(64, 64 * 2 ** 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
 
 class TestHyperbolic:
     def test_small_value_against_brute(self):
@@ -543,18 +554,21 @@ def torus_mean_abs(index_set, m1, m2):
 
 
 def unfolded_l1_2d(groups, n1, n2, oversample):
-    """The 2-D pass with no diagonal fold: every block of rows takes the
-    whole quarter grid's width."""
+    """The 2-D pass with no diagonal fold: every row of tiles takes the
+    whole quarter grid's width, in the pass's square tiles."""
     lo1, hi1, c1, deg, c2 = (np.array(v) for v in zip(*groups))
     h1, h2 = oversample * (n1 + 1), oversample * (n2 + 1)
     amat, bmat = lb._factors(h1, c1, lo1, hi1).T, lb._factors(h2, c2, 1, deg)
     w1, w2 = lb._fold_weights(h1), lb._fold_weights(h2)
-    rows = min(h1 + 1, max(1, lb.BLOCK_ENTRIES // (h2 + 1)))
+    side = math.isqrt(2 * lb.SYNTHESIS_ENTRIES)
     totals = np.zeros(2)
-    for start in range(0, h1 + 1, rows):
-        block = amat[start:start + rows] @ bmat
-        np.abs(block, out=block)
-        totals += np.sum(w1[start:start + rows] * (block @ w2), axis=0)
+    for start in range(0, h1 + 1, side):
+        acc = np.zeros((amat[start:start + side].shape[0], 2))
+        for lo in range(0, h2 + 1, side):
+            tile = amat[start:start + side] @ bmat[:, lo:lo + side]
+            np.abs(tile, out=tile)
+            acc += tile @ w2[lo:lo + side]
+        totals += np.sum(w1[start:start + side] * acc, axis=0)
     return totals[0] / (4 * h1 * h2), totals[1] / (h1 * h2)
 
 
@@ -593,11 +607,11 @@ class TestTwoDimensionalPass:
         want += const
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("block", [lb.BLOCK_ENTRIES, 1 << 12])
+    @pytest.mark.parametrize("tile", [2 * lb.SYNTHESIS_ENTRIES, 1 << 12])
     @pytest.mark.parametrize("case", ["hyperbolic-64", "hyperbolic-256", "rhombic-8-8"])
-    def test_fold_matches_full_pass(self, case, block, monkeypatch):
-        # small blocks fold the small grids too
-        monkeypatch.setattr(lb, "BLOCK_ENTRIES", block)
+    def test_fold_matches_full_pass(self, case, tile, monkeypatch):
+        # small tiles (side 64) fold the small grids too
+        monkeypatch.setattr(lb, "SYNTHESIS_ENTRIES", tile // 2)
         if case == "rhombic-8-8":
             s = lb.rhombic_lebesgue(8, 8)
             got = (s.value, s.quad_error)
@@ -619,7 +633,7 @@ class TestTwoDimensionalPass:
         (lb._hyperbolic_groups(1.0, 16), 16, 40),  # a symmetric set, unequal grids
     ])
     def test_asymmetric_input_takes_the_full_pass(self, groups, n1, n2, monkeypatch):
-        monkeypatch.setattr(lb, "BLOCK_ENTRIES", 1 << 12)
+        monkeypatch.setattr(lb, "SYNTHESIS_ENTRIES", 1 << 7)     # side 16
         assert lb._grouped_l1_2d(groups, n1, n2, 8) == unfolded_l1_2d(groups, n1, n2, 8)
 
     def test_symmetry_test_against_dense_weights(self):
@@ -693,9 +707,9 @@ class TestTwoDimensionalPass:
         assert abs(s.value - fine) <= 1e-13 * fine
         assert abs(s.quad_error - abs(fine - coarse)) <= 1e-13 * fine
 
-    @pytest.mark.parametrize("block", [lb.BLOCK_ENTRIES, 1 << 8])
-    def test_square_rhombic_against_dense_torus(self, block, monkeypatch):
-        monkeypatch.setattr(lb, "BLOCK_ENTRIES", block)   # 1 << 8: five blocks
+    @pytest.mark.parametrize("tile", [2 * lb.SYNTHESIS_ENTRIES, 1 << 8])
+    def test_square_rhombic_against_dense_torus(self, tile, monkeypatch):
+        monkeypatch.setattr(lb, "SYNTHESIS_ENTRIES", tile // 2)   # 1 << 8: side 16
         s = lb.rhombic_lebesgue(3, 3)       # oversample 8: m = 16 (n + 1)
         ks = [(k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)
               if abs(k1) + abs(k2) <= 3]
@@ -713,6 +727,26 @@ class TestTwoDimensionalPass:
         assert abs(v - fine) <= 1e-13 * fine
         assert abs(err - abs(fine - coarse)) <= 1e-13 * fine
 
+    @pytest.mark.parametrize("alpha,n,m1,m2", [
+        (2.0, 32, 96, 528),     # 49 x 265 quarter grid: ragged rows and columns
+        (1.0, 8, 144, 144),     # symmetric, 73 x 73: diagonal squares 20, 20, 20, 13
+    ])
+    def test_ragged_tiles_against_dense_torus(self, alpha, n, m1, m2, monkeypatch):
+        # tiles of side 20, which divides neither side of the quarter grid;
+        # a symmetric set's rows of tiles start on the diagonal, so each
+        # column tiling begins past a diagonal square and ends ragged
+        monkeypatch.setattr(lb, "SYNTHESIS_ENTRIES", 200)
+        v, err = lb.hyperbolic_l1(alpha, n)
+        kmax1 = int(n ** (1.0 / alpha) + 1e-9)
+        groups = lb._hyperbolic_groups(alpha, n)
+        assert lb._self_conjugate(*(np.array(g) for g in zip(*groups))) == (kmax1 == n)
+        ks = [(k1, k2) for k1 in range(-kmax1, kmax1 + 1) for k2 in range(-n, n + 1)
+              if k1 and k2 and abs(k1) ** alpha * abs(k2) <= n]
+        fine = torus_mean_abs(ks, m1, m2)
+        coarse = torus_mean_abs(ks, m1 // 2, m2 // 2)
+        assert abs(v - fine) <= 1e-13 * fine
+        assert abs(err - abs(fine - coarse)) <= 1e-13 * fine
+
     def test_peak_memory(self):
         tracemalloc.start()
         try:
@@ -720,7 +754,9 @@ class TestTwoDimensionalPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        # the two 62 x 8137 factor tables and their index arrays peak at
+        # 16.6 MB; 8 MB blocks of |K| on top of them took 24 MB
+        assert peak < 20 * 2 ** 20
 
 
 class TestIndependentQuadratureOracle:

@@ -135,3 +135,22 @@ def test_budgets_declared_only_in_cli():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                 and "BUDGET" in node.id]
     assert not declared, "budget declared outside cli: " + ", ".join(declared)
+
+
+# module-level chunk sizes: everything else derives its working set from
+# trig.SYNTHESIS_ENTRIES (2^15 entries, one synthesis stack)
+CHUNK_CONSTANTS = {
+    ("trig.py", "SYNTHESIS_ENTRIES"): "the cache-size constant",
+    ("seqspaces.py", "FUZZ_CHUNK"): "5^7 sequences: one length's batch of the fuzz",
+    ("posdef_splines.py", "GRAM_CHUNK"): "point sets per batch, measured at about 2 MB",
+}
+
+
+def test_chunk_constants_declared_once():
+    declared = {(path.name, node.id) for path in SOURCES
+                for stmt in ast.parse(path.read_text()).body
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id.endswith(("_ENTRIES", "_CHUNK"))}
+    assert declared == set(CHUNK_CONSTANTS)

@@ -7,11 +7,11 @@ The operator norm of a polynomial mean on continuous periodic functions is
 weights) that integral is computed exactly by one engine in O(M log M) time
 and O(M) memory, M a power of two >= 32(K+1) for degree K, after the
 periodic Chebfun of Wright, Javed, Montanari and Trefethen (SIAM J. Sci.
-Comput. 2015): real inverse FFTs of c_0..c_K sample the kernel, its scaled
-derivatives and its antiderivative on the M-grid, sign changes are
-bracketed there, each zero is polished by safeguarded Newton on the cell's
-Taylor polynomial, and |K|
-is integrated piecewise from the antiderivative's Taylor data at the zeros.
+Comput. 2015): a real inverse FFT of c_0..c_K samples the kernel on the
+M-grid, where sign changes are bracketed, and real inverse FFTs on the
+Taylor grid M/4 sample its scaled derivatives and its antiderivative; each
+zero is polished by safeguarded Newton on its Taylor polynomial, and |K| is
+integrated piecewise from the antiderivative's Taylor data at the zeros.
 The error bound has three terms: zero mislocation, the Taylor remainder
 (from Bernstein's inequality) and rounding.  A table of n runs as one pass
 per grid size: stacked syntheses of at most SYNTHESIS_ENTRIES samples and
@@ -58,6 +58,7 @@ UNIT_ROUNDOFF = 2.0 ** -53
 FFT_STAGE_ERROR = 7.0 * UNIT_ROUNDOFF
 POLISH_STEPS = 16
 OVERSAMPLE = 16          # M >= 2 * OVERSAMPLE * (K+1): 32 scan points a period of e^{iKx}
+STRIDE = 4               # scan cells per Taylor cell: 8 Taylor nodes a period of e^{iKx}
 
 
 def _horner(taylor, s):
@@ -69,16 +70,17 @@ def _horner(taylor, s):
     return p, dp
 
 
-def _polish(taylor, floor, owner):
+def _polish(taylor, floor, owner, lo, plo):
     """Safeguarded Newton on the cell polynomials p(s) = sum_j taylor[j] s^j,
-    each with a sign change on [0, 1]; cell i belongs to polynomial owner[i].
-    Keeps the best point seen per cell (a converged iterate on a bracket end
-    must not be lost to the safeguard), and freezes the cells of a
-    polynomial once all of its |p| are below `floor`, the accuracy of p as a
-    stand-in for the function, so each polynomial stops where it would
-    alone.  Returns (s, |p(s)|, |p'(s)|, bracket width)."""
-    lo, hi, plo = np.zeros(taylor.shape[1]), np.ones(taylor.shape[1]), taylor[0]
-    s = np.full_like(lo, 0.5)
+    each with a sign change on [lo, lo + 1/STRIDE] in the scan, whose value
+    at lo, not p(lo), is plo; cell i belongs to polynomial owner[i].  Keeps
+    the best point seen per cell (a converged iterate on a bracket end must
+    not be lost to the safeguard), and freezes the cells of a polynomial
+    once all of its |p| are below `floor`, the accuracy of p as a stand-in
+    for the function, so each polynomial stops where it would alone.
+    Returns (s, |p(s)|, |p'(s)|, bracket width)."""
+    hi = lo + 1.0 / STRIDE
+    s = 0.5 * (lo + hi)
     best_s, best_p, best_dp = s, np.full_like(lo, np.inf), np.ones_like(lo)
     for _ in range(POLISH_STEPS):
         p, dp = _horner(taylor, s)
@@ -122,15 +124,14 @@ def _piecewise_l1(cs, oversample, poly=(0.0,)):
     array c in cs (any degrees K), poly in ascending powers.  Sign changes
     are scanned on x_i = -pi + ih, h = 2pi/M, M = grid_size(K, oversample),
     closed at x_M = pi by the limit from the left (the periodic wrap when
-    poly = 0); d_j = f^(j)(x_i) h^j / j!, j <= J, are a bracketing cell's
-    Taylor data and F(x) = c_0 x + P(x) + Q(x + pi), P periodic, Q' = poly,
-    is the antiderivative.  Error terms: mislocation, sum over zeros of
-    rho * delta (rho bounds |f| at the polished point, delta its distance to
-    the zero); Taylor remainder, |f - p| <= R = (Kh)^{J+1}/(J+1)! sum|c_k| on
-    a cell (J least with R <= u sum|c_k|), so each F(zero) is off by at most
-    hR; rounding in the FFT samples, the polynomial and Taylor evaluations
-    and the final sum.  The arrays of one grid size run as stacks of
-    SYNTHESIS_ENTRIES samples; each result equals that of its array alone."""
+    poly = 0); a bracketing cell i takes the Taylor data d_j = f^(j)(x_c)
+    h_T^j / j!, j <= J, and the antiderivative F(x) = c_0 x + P(x) +
+    Q(x + pi), P periodic, Q' = poly, at its node x_c, c = i // STRIDE, of
+    the Taylor grid of step h_T = STRIDE h.  The bound (see `_stack_l1`)
+    sums mislocation, rounding and the Taylor remainder, at most
+    R = (Kh_T)^{J+1}/(J+1)! sum|c_k| <= u sum|c_k| on a Taylor cell.  The
+    arrays of one grid size run as stacks of SYNTHESIS_ENTRIES samples;
+    each result equals that of its array alone."""
     poly = np.asarray(poly, dtype=float)
     grids = [grid_size((c.size - 1) // 2, oversample) for c in cs]
     out = [None] * len(cs)
@@ -153,24 +154,39 @@ def stacks(grids):
 
 
 def _stack_l1(cs, m, poly):
-    """_piecewise_l1 for arrays that share the grid size M: stacked
-    syntheses of the samples, of the Taylor orders 1..J of the arrays with
-    sign changes (as many orders per call as SYNTHESIS_ENTRIES allows) and of
-    the antiderivatives, then one polish over every cell.  The stack is
-    zero-padded to the widest degree and the Taylor data to the highest
-    order; the scalars of each array (K, J, sum|c_k|, the rounding sums) are
-    formed from the array alone."""
-    u, h = UNIT_ROUNDOFF, TWO_PI / m
-    # each real sample of sum a_k e^{ikx}, a Hermitian, errs by at most
-    # lg * sum_{k=-K..K} |a_k|.  The samples come from a_0..a_K by a real
-    # inverse FFT, whose passes (pocketfft, M = 2^p) are radix-4 and radix-2
-    # butterflies with unit-modulus twiddles; the half-complex inputs enter
-    # them with exact factors 2, so each output reaches a_k and conj a_k
-    # along one path each, as in a radix-2 FFT of the whole array, and the
-    # log2(M) levels err by at most eta * sum|a_k| in total (a radix-4 pass
-    # is two levels, its factors +-1, +-i exact); two more eta cover forming
-    # the a_k.  Checked against an exactly reduced DFT at M = 2^6..2^12.
-    lg = (math.log2(m) + 2) * FFT_STAGE_ERROR
+    """_piecewise_l1 for arrays that share the grid size M: one stacked
+    synthesis of the samples on the M-grid, the only one that needs 32
+    points a period of e^{iKx}, then stacked syntheses on the Taylor grid
+    M_T = M/STRIDE (8 points a period, at least 2K+1) of the Taylor orders
+    1..J of the arrays with sign changes (as many orders per call as
+    SYNTHESIS_ENTRIES allows) and of the antiderivatives, then one polish
+    over every cell.  The stack is zero-padded to the widest degree and the
+    Taylor data to the highest order; the scalars of each array (K, J,
+    sum|c_k|, the rounding sums) are formed from the array alone.
+
+    The bound, u the unit roundoff and eta = FFT_STAGE_ERROR:
+    * FFT: a real sample of sum a_k e^{ikx}, a Hermitian, errs by at most
+      lg sum_{k=-K..K} |a_k|, lg = (log2 M + 2) eta, 2 eta less on M_T.
+      pocketfft's real inverse passes (M = 2^p) are radix-4 and radix-2
+      butterflies with unit-modulus twiddles and the half-complex inputs
+      enter with exact factors 2, so each output reaches a_k and conj a_k
+      along one path each, as in a radix-2 FFT of the whole array: log2 M
+      levels of eta sum|a_k| (a radix-4 pass is two, its factors +-1, +-i
+      exact) and two forming the a_k.  Checked against an exactly reduced
+      DFT at M = 2^6..2^12.  The data d_j of a cell err by e_D in all.
+    * Taylor remainder: |f(x_c + s h_T) - p(s)| <= R on 0 <= s <= 1
+      (Lagrange; Bernstein's |f^(J+1)| <= K^(J+1) sum|c_k|); integrated to
+      a zero it moves F there by h_T R, and each F(zero) enters two terms.
+    * Polish: Horner on 0 <= s <= 1 errs by (2J + 2) u sum_j |d_j|, and
+      sum_j |d_j| <= e^{K h_T} sum|c_k| <= e^{pi/4} sum|c_k|; with R, e_D
+      and poly's error it floors |f| at the polished point (rho), and the
+      distance to the zero is delta = h_T min(bracket, rho/|p'|).
+    * Sum: F(zero) = c_0 x_c + P(x_c) + Q(x_c + pi) + h_T s int(s),
+      int(s) = sum_j d_j s^j / (j+1), errs by P's sample error, h_T (e_D +
+      poly's error), Q's and (2J + 8) u (sum of the parts' magnitudes +
+      h_T sum_j |d_j|); each point enters two terms; fsum adds 2u."""
+    u, h, ht, mt = UNIT_ROUNDOFF, TWO_PI / m, STRIDE * TWO_PI / m, m // STRIDE
+    lg, lg_t = ((math.log2(g) + 2) * FFT_STAGE_ERROR for g in (m, mt))
     kmax = [(c.size - 1) // 2 for c in cs]
     width = max(kmax)
     own = [slice(width - kk, width + kk + 1) for kk in kmax]
@@ -179,16 +195,16 @@ def _stack_l1(cs, m, poly):
     orders, taylor_rem, err_data = [], [], []
     for i, (c, kk) in enumerate(zip(cs, kmax)):
         stack[i, own[i]] = c
-        order, rem = _taylor_order(kk, h)
+        order, rem = _taylor_order(kk, ht)
         orders.append(max(order, poly.size - 1))
         total = float(np.sum(np.abs(c)))
         taylor_rem.append(rem * total)
         err_data.append(lg * total)
     orders = np.array(orders)
     ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1)))
-    # |p|(2pi + h) bounds sum_j |p^(j)(t)| h^j / j! for 0 <= t <= 2pi
-    err_poly = (2 * poly.size + 2) * u * float(_polyval(np.abs(poly), TWO_PI + h))
-    err_ipoly = (2 * ipoly.size + 2) * u * float(_polyval(np.abs(ipoly), TWO_PI + h))
+    # |p|(2pi + h_T) bounds sum_j |p^(j)(t)| h_T^j / j! for 0 <= t <= 2pi
+    err_poly = (2 * poly.size + 2) * u * float(_polyval(np.abs(poly), TWO_PI + ht))
+    err_ipoly = (2 * ipoly.size + 2) * u * float(_polyval(np.abs(ipoly), TWO_PI + ht))
 
     # the (rows, M) sample arrays are dropped as soon as their cells are
     # read, so that one synthesis at a time sets the peak memory
@@ -196,11 +212,12 @@ def _stack_l1(cs, m, poly):
     vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1)
     vals += _polyval(poly, h * np.arange(m + 1))      # at x + pi
     owner, idx = np.nonzero(np.diff(np.signbit(vals), axis=1))
-    cell_vals = trig_vals[owner, idx]
+    node = idx // STRIDE                              # Taylor node of each cell
+    cell_vals, scanned = trig_vals[owner, STRIDE * node], vals[owner, idx]
     del trig_vals, vals
     count = np.bincount(owner, minlength=len(cs))
     first = np.concatenate(([0], np.cumsum(count)))   # cells of i: first[i]..first[i+1]
-    ti = h * idx
+    ti = ht * node
     order = orders[owner]
     top = int(order.max(initial=0))
 
@@ -208,43 +225,43 @@ def _stack_l1(cs, m, poly):
     taylor = np.zeros((top + 1, idx.size))
     taylor[0] = cell_vals
     has = np.flatnonzero(count)
-    a, per = stack[has], max(1, SYNTHESIS_ENTRIES // m // max(has.size, 1))
+    a, per = stack[has], max(1, SYNTHESIS_ENTRIES // mt // max(has.size, 1))
     for j0 in range(1, top + 1, per):
         blocks = []
         for j in range(j0, min(j0 + per, top + 1)):
-            a = a * (1j * h / j) * k
+            a = a * (1j * ht / j) * k
             need = orders[has] >= j
             blocks.append((j, has[need], a[need]))
-        sampled = synthesize(np.concatenate([b for _, _, b in blocks]), m, real=True).values
+        sampled = synthesize(np.concatenate([b for _, _, b in blocks]), mt, real=True).values
         for j, rows, b in blocks:
             cells = order >= j
             at = np.cumsum((orders >= j) & (count > 0)) - 1   # array i is b[at[i]]
-            taylor[j, cells] = sampled[at[owner[cells]], idx[cells]]
+            taylor[j, cells] = sampled[at[owner[cells]], node[cells]]
             sampled = sampled[rows.size:]
             for i, row in zip(rows, np.abs(b)):
-                err_data[i] += lg * float(np.add.reduce(row[own[i]]))
+                err_data[i] += lg_t * float(np.add.reduce(row[own[i]]))
         del sampled
     dpoly = poly                                      # dpoly = poly^(j) / j!
     for j in range(top + 1):
-        taylor[j] += h ** j * _polyval(dpoly, ti)
+        taylor[j] += ht ** j * _polyval(dpoly, ti)
         dpoly = dpoly[1:] * np.arange(1, dpoly.size) / (j + 1)
 
     abs_taylor = np.sum(np.abs(taylor), axis=0)
     noise = np.array([tr + ed + err_poly for tr, ed in zip(taylor_rem, err_data)])[owner] \
         + (2 * order + 2) * u * abs_taylor
-    s, resid, slope, bracket = _polish(taylor, noise, owner)
+    s, resid, slope, bracket = _polish(taylor, noise, owner, idx % STRIDE / STRIDE, scanned)
     rho = resid + noise
     with np.errstate(divide="ignore"):
-        delta = h * np.minimum(bracket, rho / slope)
+        delta = ht * np.minimum(bracket, rho / slope)
     misplaced = rho * delta
 
     # F at -pi, at each zero, and at pi; the points of array i run from
     # ends[i] (-pi) to ends[i] + count[i] + 1 (pi)
     anti = np.divide(stack, 1j * k, out=np.zeros_like(stack), where=k != 0)
-    p_vals = synthesize(anti, m, real=True).values
-    p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, idx]
+    p_vals = synthesize(anti, mt, real=True).values
+    p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, node]
     del p_vals
-    err_anti = [lg * float(np.add.reduce(row[sl])) for row, sl in zip(np.abs(anti), own)]
+    err_anti = [lg_t * float(np.add.reduce(row[sl])) for row, sl in zip(np.abs(anti), own)]
     ends = first[:-1] + 2 * np.arange(len(cs))
     inner = np.ones(idx.size + 2 * len(cs), dtype=bool)
     inner[ends] = inner[ends + count + 1] = False
@@ -260,11 +277,11 @@ def _stack_l1(cs, m, poly):
         spread(-np.pi, ti - np.pi, np.pi) * stack[point, width].real,
         spread(p_ends, p_cells, p_ends),
         _polyval(ipoly, spread(0.0, ti, TWO_PI)),
-        spread(0.0, h * s * integ, 0.0),
+        spread(0.0, ht * s * integ, 0.0),
     ])
     steps = np.abs(np.diff(np.sum(parts, axis=0)))
-    scale = np.sum(np.abs(parts), axis=0) + spread(0.0, h * abs_taylor, 0.0)
-    point_err = np.array([ea + h * (ed + err_poly) + err_ipoly for ea, ed in
+    scale = np.sum(np.abs(parts), axis=0) + spread(0.0, ht * abs_taylor, 0.0)
+    point_err = np.array([ea + ht * (ed + err_poly) + err_ipoly for ea, ed in
                           zip(err_anti, err_data)])[point] \
         + (2 * orders[point] + 8) * u * scale
     out = []
@@ -273,7 +290,7 @@ def _stack_l1(cs, m, poly):
         rounding = 2.0 * float(np.sum(point_err[ends[i]:ends[i] + count[i] + 2])) \
             + 2.0 * u * value
         mislocation = float(np.sum(misplaced[first[i]:first[i + 1]]))
-        out.append((value, mislocation + 2.0 * int(count[i]) * h * taylor_rem[i]
+        out.append((value, mislocation + 2.0 * int(count[i]) * ht * taylor_rem[i]
                     + rounding))
     return out
 
@@ -289,36 +306,37 @@ def trig_poly_l1(coeffs, oversample=OVERSAMPLE):
     # (c_k + conj c_{-k}) / 2, which |f| exceeds by at most
     # |Im f| <= sum|c_k - conj c_{-k}| / 2; forming them is exact where
     # c_k = conj c_{-k} and off by u|.| elsewhere, 2pi u|.| in the integral
-    real, extra = [], []
-    for c in ([coeffs] if single else coeffs):
-        c = np.asarray(c, dtype=complex)
-        if c.ndim != 1 or c.size % 2 == 0:
-            raise InvalidArgument("coefficient array must have odd length 2K+1")
-        if not np.allclose(c, np.conj(c[::-1]), atol=1e-12):
-            raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
-        d = c - np.conj(c[::-1])
-        if d.any():
-            c = 0.5 * (c + np.conj(c[::-1]))
-        real.append(c)
-        extra.append(np.pi * float(np.sum(np.abs(d)))
-                    + TWO_PI * UNIT_ROUNDOFF * float(np.sum(np.abs(c[d != 0]))))
+    cs = [np.asarray(c, dtype=complex) for c in ([coeffs] if single else coeffs)]
+    if any(c.ndim != 1 or c.size % 2 == 0 for c in cs):
+        raise InvalidArgument("coefficient array must have odd length 2K+1")
+    # one check and one difference for the whole stack, rows end to end
+    flat, mirror = np.concatenate(cs), np.conj(np.concatenate([c[::-1] for c in cs]))
+    if not np.all(np.isclose(flat, mirror, atol=1e-12)):
+        raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
+    d, starts = flat - mirror, np.cumsum([0] + [c.size for c in cs[:-1]])
+    real, extra = list(cs), [0.0] * len(cs)
+    for i in np.flatnonzero(np.logical_or.reduceat(d != 0, starts)):
+        di = d[starts[i]:starts[i] + cs[i].size]
+        real[i] = 0.5 * (cs[i] + np.conj(cs[i][::-1]))
+        extra[i] = (np.pi * float(np.sum(np.abs(di)))
+                    + TWO_PI * UNIT_ROUNDOFF * float(np.sum(np.abs(real[i][di != 0]))))
     out = [(value, err + e) for e, (value, err) in zip(extra, _piecewise_l1(real, oversample))]
     return out[0] if single else out
 
 
 # Cost of lebesgue_constant over a range of n, measured on a 2-vCPU host:
-# the engine peaks at up to 37.1 bytes per grid point of its largest call
+# the engine peaks at up to 36.8 bytes per grid point of its largest call
 # (tracemalloc, one Dirichlet row at M = 2^18..2^22, n = M/64..M/32 - 1: the
 # real samples and scan arrays of the sign-change scan, each dropped once
 # its cells are read), a call being SYNTHESIS_ENTRIES points or one row.  A
-# row with sign changes takes J + 2 real syntheses (orders 0..J and the
-# antiderivative), at up to 2.1e-9 s per grid point and level log2 M of
-# each (Dirichlet rows, M = 2^13..2^22, best of 3); one without takes 2, so
-# positive kernels cost up to ten times less than the estimate.  Each n
-# also costs its weights, checks and result row whatever M is: 0.13 ms and
-# 0.48 KB in `lebesgue-table method=abel-poisson(0)` (M = 64) up to n = 40000.
+# row with sign changes takes one real synthesis on the M-grid and J + 1 on
+# the Taylor grid M/STRIDE, at up to 3.1e-9 s per grid point and level
+# log2 of each (Dirichlet tables, M = 2^13..2^22, best of 3); one without
+# takes one of each, up to four times less.  Each n also costs its weights,
+# checks and result row whatever M is: 0.13 ms and 0.48 KB in
+# `lebesgue-table method=abel-poisson(0)` (M = 64) up to n = 40000.
 ENGINE_BYTES = 40
-ENGINE_SECONDS = 2.5e-9
+ENGINE_SECONDS = 3.5e-9
 ROW_BYTES = 600
 ROW_SECONDS = 1.5e-4
 
@@ -341,8 +359,10 @@ def table_seconds(method, nmin, nmax):
         while last < hi:
             mid = (last + hi + 1) // 2
             last, hi = (mid, hi) if grid_size(method.band(mid)) == m else (last, mid - 1)
-        order = _taylor_order(method.band(last), TWO_PI / m)[0]
-        seconds += (last - n + 1) * (order + 2) * ENGINE_SECONDS * m * math.log2(m)
+        mt = m // STRIDE
+        order = _taylor_order(method.band(last), TWO_PI / mt)[0]
+        seconds += (last - n + 1) * ENGINE_SECONDS * (
+            m * math.log2(m) + (order + 1) * mt * math.log2(mt))
         n = last + 1
     return seconds
 

@@ -234,10 +234,11 @@ class TestExitCodes:
         assert nbytes(d, 1, 1023) == 40 * 2 ** 15 + 600 * 1023 + 2 ** 20
         assert nbytes(d, 8191, 8191) == 40 * 2 ** 18 + 600 + 2 ** 20
         assert nbytes(d, 1, 524287) <= budget < nbytes(d, 1, 524288)
-        assert seconds(d, 5, 5) == pytest.approx(1.5e-4 + (
-            lebesgue._taylor_order(5, 2 * np.pi / 256)[0] + 2) * 8 * 256 * 2.5e-9)
+        # one synthesis on the 256-grid, J + 1 on the 64-point Taylor grid
+        assert seconds(d, 5, 5) == pytest.approx(1.5e-4 + 3.5e-9 * (256 * 8 + (
+            lebesgue._taylor_order(5, 2 * np.pi / 64)[0] + 1) * 64 * 6))
         assert seconds(d, 1, 64) < seconds(d, 1, 65) < seconds(d, 1, 1000)
-        assert seconds(ap, 1, 200) < cli.BUDGET_SECONDS < seconds(ap, 1, 1100)
+        assert seconds(ap, 1, 200) < cli.BUDGET_SECONDS < seconds(ap, 1, 1600)
         # the rows of a long table of tiny kernels stay within their share
         config = cli.build_config("lebesgue-table", ["method=abel-poisson(0)", "nmax=3000"])
         tracemalloc.start()
@@ -257,9 +258,9 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 f"error: nmax={nmax} nmin=1 method={method}: estimated {need / 1e9:.3g} GB, "
                 "over the 1 GB budget\n")
-        for method, nmin, nmax in (("dirichlet", 1, 20000), ("abel-poisson", 1, 1100),
-                                   ("dirichlet", 262000, 262143),
-                                   ("abel-poisson(0.5)", 0, 10 ** 6)):
+        for method, nmin, nmax in (("dirichlet", 1, 20000), ("abel-poisson", 1, 1600),
+                                   ("dirichlet", 261900, 262143),
+                                   ("abel-poisson(0.5)", 0, 1500000)):
             est = seconds(trig.get_method(method), nmin, nmax)
             assert est > cli.BUDGET_SECONDS
             assert run_main(["lebesgue-table", f"method={method}", f"nmin={nmin}",
@@ -321,7 +322,7 @@ class TestExitCodes:
         out = tmp_path / "t.csv"
         assert run_main(["kolmogorov-fit", "r=4", "--out", str(out)]) == 1
         lines = out.read_text().splitlines()
-        assert len(lines) == 2 + 5 + 2 and lines[-3].startswith("4,1024,3.06")
+        assert len(lines) == 2 + 5 + 2 and lines[-3].startswith("4,1024,3.05")
         assert lines[-2].startswith("# failure: n=512: ")
         assert lines[-1].startswith("# failure: n=1024: ")
 
@@ -548,9 +549,9 @@ def test_every_choice_runs(args, tmp_path):
 # experiment; a refactor that should not move any number must keep these
 GOLDEN_ROWS = [
     ("lebesgue-table", ["method=bernstein", "nmax=24"],
-     "f6a715b220423da2b50766aad1bd403e06d25464ea31b8a26069013c4a860b83"),
+     "c760c407acb1e6a6ba65730c0771d955082e3e8109f2d903ed9cffc437932baa"),
     ("kolmogorov-fit", ["r=2", "nmin=16", "nmax=128"],
-     "7aca6eb922fcae88126e2538a50e28b99dddd302ae7327004442eb850fa28315"),
+     "96fa845834512d0bfc33f6f1b5e598f0ba9d778f52c2627ea4f60f0bf7ea64e4"),
     ("hyperbolic-fit", ["nmin=16", "nmax=64"],
      "744aa99b20dd47f9fd3c4b61501735460f54468e5a8dd25154dbe0ffe6408eab"),
     ("duality-fuzz", ["maxlen=4"],

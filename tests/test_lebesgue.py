@@ -107,8 +107,9 @@ def exact_real_dft(c, m):
 
 
 # ---------------------------------------------------------------------------
-# the one-row engine as it ran before the stacked passes (oracle): one
-# synthesis per Taylor order, its own grid, polish and sums
+# the one-row engine (oracle): the scan on the M-grid, one synthesis per
+# Taylor order and the antiderivative on the Taylor grid M/4, its own
+# polish and sums
 # ---------------------------------------------------------------------------
 
 def _row_samples(a, m):
@@ -124,9 +125,9 @@ def _row_horner(taylor, s):
     return p, dp
 
 
-def _row_polish(taylor, floor):
-    lo, hi, plo = np.zeros(taylor.shape[1]), np.ones(taylor.shape[1]), taylor[0]
-    s = np.full_like(lo, 0.5)
+def _row_polish(taylor, floor, lo, plo):
+    hi = lo + 0.25
+    s = 0.5 * (lo + hi)
     best_s, best_p, best_dp = s, np.full_like(lo, np.inf), np.ones_like(lo)
     for _ in range(lb.POLISH_STEPS):
         p, dp = _row_horner(taylor, s)
@@ -155,59 +156,60 @@ def one_row_l1(c, oversample=16, poly=(0.0,)):
     k = np.arange(-kmax, kmax + 1)
     m = 1 << max(6, int(math.ceil(math.log2(oversample * 2 * (kmax + 1)))))
     h = 2 * np.pi / m
-    order, rem = 0, kmax * h
+    ht = 4 * h                              # the Taylor grid M/4
+    order, rem = 0, kmax * ht
     while rem > u:
         order += 1
-        rem *= kmax * h / (order + 1)
+        rem *= kmax * ht / (order + 1)
     taylor_rem = rem * float(np.sum(np.abs(c)))
     poly = np.asarray(poly, dtype=float)
     ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1)))
     order = max(order, poly.size - 1)
-    err_poly = (2 * poly.size + 2) * u * float(_polyval(np.abs(poly), 2 * np.pi + h))
-    err_ipoly = (2 * ipoly.size + 2) * u * float(_polyval(np.abs(ipoly), 2 * np.pi + h))
+    err_poly = (2 * poly.size + 2) * u * float(_polyval(np.abs(poly), 2 * np.pi + ht))
+    err_ipoly = (2 * ipoly.size + 2) * u * float(_polyval(np.abs(ipoly), 2 * np.pi + ht))
 
-    t = h * np.arange(m + 1)
     trig_vals, err_data = _row_samples(c, m)
-    vals = np.append(trig_vals, trig_vals[0]) + _polyval(poly, t)
+    vals = np.append(trig_vals, trig_vals[0]) + _polyval(poly, h * np.arange(m + 1))
     idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    ti = t[idx]
+    node = idx // 4
+    ti = ht * node
 
     taylor = np.zeros((order + 1, idx.size))
-    taylor[0] = trig_vals[idx]
+    taylor[0] = trig_vals[4 * node]
     a, dpoly = c, poly
     for j in range(order + 1):
         if j and idx.size:
-            a = a * (1j * h / j) * k
-            sampled, err = _row_samples(a, m)
-            taylor[j] = sampled[idx]
+            a = a * (1j * ht / j) * k
+            sampled, err = _row_samples(a, m // 4)
+            taylor[j] = sampled[node]
             err_data += err
-        taylor[j] += h ** j * _polyval(dpoly, ti)
+        taylor[j] += ht ** j * _polyval(dpoly, ti)
         dpoly = dpoly[1:] * np.arange(1, dpoly.size) / (j + 1)
     abs_taylor = np.sum(np.abs(taylor), axis=0)
     noise = taylor_rem + err_data + err_poly + (2 * order + 2) * u * abs_taylor
-    s, resid, slope, width = _row_polish(taylor, noise)
+    s, resid, slope, width = _row_polish(taylor, noise, idx % 4 / 4, vals[idx])
     rho = resid + noise
     with np.errstate(divide="ignore"):
-        delta = h * np.minimum(width, rho / slope)
+        delta = ht * np.minimum(width, rho / slope)
     mislocation = float(np.sum(rho * delta))
 
     anti = np.divide(c, 1j * k, out=np.zeros_like(c), where=k != 0)
-    p_vals, err_anti = _row_samples(anti, m)
+    p_vals, err_anti = _row_samples(anti, m // 4)
     c0 = c[kmax].real
     integ, _ = _row_horner(taylor / np.arange(1, order + 2)[:, None], s)
     parts = np.array([
         np.concatenate(([-np.pi], ti - np.pi, [np.pi])) * c0,
-        np.concatenate(([p_vals[0]], p_vals[idx], [p_vals[0]])),
+        np.concatenate(([p_vals[0]], p_vals[node], [p_vals[0]])),
         _polyval(ipoly, np.concatenate(([0.0], ti, [2 * np.pi]))),
-        np.concatenate(([0.0], h * s * integ, [0.0])),
+        np.concatenate(([0.0], ht * s * integ, [0.0])),
     ])
     value = math.fsum(np.abs(np.diff(np.sum(parts, axis=0))))
     scale = np.sum(np.abs(parts), axis=0) + np.concatenate(
-        ([0.0], h * abs_taylor, [0.0]))
-    point_err = (err_anti + h * (err_data + err_poly) + err_ipoly
+        ([0.0], ht * abs_taylor, [0.0]))
+    point_err = (err_anti + ht * (err_data + err_poly) + err_ipoly
                  + (2 * order + 8) * u * scale)
     rounding = 2.0 * float(np.sum(point_err)) + 2.0 * u * value
-    return value, mislocation + 2.0 * idx.size * h * taylor_rem + rounding
+    return value, mislocation + 2.0 * idx.size * ht * taylor_rem + rounding
 
 
 class TestLebesgueConstant:
@@ -231,6 +233,16 @@ class TestLebesgueConstant:
         assert abs(s.value - want) <= s.quad_error + slack
         s = lb.lebesgue_constant(fejer(), 1)
         assert abs(s.value - 1.0) <= s.quad_error
+        # cos x - a, a = cos(pi - i pi/32), has its zeros at the scan nodes
+        # i and 64 - i of M = 64, none of them a node of the Taylor grid
+        # M/4; the closed form 2(2 sin x0 + a(pi - 2 x0)), x0 = arccos a, is
+        # flat in x0 and carries a few u
+        for i in (1, 2, 3):
+            a = math.cos(math.pi - i * math.pi / 32)
+            value, err = lb.trig_poly_l1(np.array([0.5, -a, 0.5]))
+            x0 = math.acos(a)
+            want = 2.0 * (2.0 * math.sin(x0) + a * (math.pi - 2.0 * x0))
+            assert abs(value - want) <= err + 8.0 * UNIT_ROUNDOFF * want
 
     def test_fejer_is_one(self):
         for n in (0, 1, 7, 40):
@@ -303,9 +315,10 @@ class TestOraclesAtScale:
         # the whole Hermitian array, covers the real inverse FFT's error
         rng = np.random.default_rng(m)
         half = rng.standard_normal(m // 2 - 1) + 1j * rng.standard_normal(m // 2 - 1)
-        n = m // 32 - 1                     # the engine's grid for degree n
-        rows = [np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half]),
-                dirichlet().weights(n), bernstein().weights(n)]
+        rows = [np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half])]
+        # the engine's scan grid for degree m/32 - 1, its Taylor grid for m/8 - 1
+        for n in (m // 32 - 1, m // 8 - 1):
+            rows += [dirichlet().weights(n), bernstein().weights(n)]
         for c in rows:
             got = trig.synthesize(c, m, real=True).values
             want, want_err = exact_real_dft(c, m)
@@ -345,6 +358,20 @@ class TestStackedEngine:
     def test_every_method_at_n_0_to_130(self, method):
         ws = [method.weights(n) for n in range(131)]
         assert lb._piecewise_l1(ws, 16) == [one_row_l1(w) for w in ws]
+
+    def test_one_scan_synthesis_then_the_taylor_grid(self, monkeypatch):
+        # a Dirichlet row at n = 1018 samples its M = 32768 scan grid once;
+        # its Taylor orders and antiderivative come from the grid M/4
+        sizes = []
+
+        def record(c, m, real=False):
+            sizes.append(m)
+            return trig.synthesize(c, m, real)
+
+        monkeypatch.setattr(lb, "synthesize", record)
+        lb.trig_poly_l1(dirichlet().weights(1018))
+        assert sizes[0] == 32768 and sizes.count(32768) == 1
+        assert len(sizes) > 1 and set(sizes[1:]) == {8192}
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_kolmogorov_poly_path(self, r):
@@ -400,8 +427,10 @@ class TestStackedEngine:
                 last = {m: n for n, m in grids.items()}
                 want = lb.ROW_SECONDS * len(grids)
                 for n, m in grids.items():
-                    order = lb._taylor_order(method.band(last[m]), 2 * np.pi / m)[0]
-                    want += (order + 2) * lb.ENGINE_SECONDS * m * math.log2(m)
+                    # one synthesis on the M-grid, J + 1 on the Taylor grid M/4
+                    order = lb._taylor_order(method.band(last[m]), 2 * np.pi / (m // 4))[0]
+                    want += lb.ENGINE_SECONDS * (m * math.log2(m)
+                                                 + (order + 1) * m // 4 * math.log2(m // 4))
                 assert lb.table_seconds(method, nmin, nmax) == pytest.approx(want)
 
     def test_memory_estimate_bounds_traced_peak(self):

@@ -68,7 +68,7 @@ def _exp_lebesgue_table(p, seed):
     ns = range(p["nmin"], p["nmax"] + 1)
     # one stacked engine pass per unit of the pool
     batches = [[ns[i] for i in chunk] for chunk in lebesgue.stacks(
-        [lebesgue.grid_size(method.band(n)) for n in ns])]
+        [lebesgue.grid_size(b) for b in method.band(ns).tolist()])]
     samples, _ = _map(lambda b: (lebesgue.lebesgue_constant(method, b, p["tol"]), None),
                       batches)
     by_n = dict(zip(itertools.chain(*batches), itertools.chain(*samples)))

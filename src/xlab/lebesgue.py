@@ -376,9 +376,12 @@ def lebesgue_constant(method, n, tol=1e-9):
     if min(ns, default=0) < 0 or not tol > 0:
         raise InvalidArgument("need index n >= 0 and tolerance tol > 0")
     # the weights of one stack at a time: table_bytes bounds the peak
-    out = [None] * len(ns)
-    for chunk in stacks([grid_size(method.band(k)) for k in ns]):
-        for i, (value, err) in zip(chunk, trig_poly_l1([method.weights(ns[i]) for i in chunk])):
+    out, bands = [None] * len(ns), method.band(ns).tolist()
+    for chunk in stacks([grid_size(b) for b in bands]):
+        w = method.weights([ns[i] for i in chunk])
+        kmax = w.shape[1] // 2
+        rows = [row[kmax - bands[i]:kmax + bands[i] + 1] for i, row in zip(chunk, w)]
+        for i, (value, err) in zip(chunk, trig_poly_l1(rows)):
             if err / TWO_PI > tol:
                 out[i] = ConvergenceFailure("requested tolerance not certified",
                                             best_estimate=value / TWO_PI,

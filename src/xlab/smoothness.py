@@ -8,8 +8,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgument
-from .trig import (SYNTHESIS_ENTRIES, TWO_PI, apply_means, approximation_error,
-                   bernstein, compute_coefficients, grid_norm, synthesize, vallee_poussin)
+from .trig import (SYNTHESIS_ENTRIES, TWO_PI, approximation_error, bernstein,
+                   compute_coefficients, grid_norm, synthesize, vallee_poussin)
 
 
 def _difference_stack(values, r, jlo, jhi):
@@ -134,9 +134,9 @@ def jackson_two_sided(f, r, n):
 
 
 def spectral_derivative(c, order):
-    """Coefficients of the order-th derivative: c_k -> (ik)^order c_k."""
+    """Coefficients of the order-th derivative: c_k -> (ik)^order c_k (last axis)."""
     c = np.asarray(c, dtype=complex)
-    degree = (c.size - 1) // 2
+    degree = (c.shape[-1] - 1) // 2
     return c * (1j * np.arange(-degree, degree + 1)) ** order
 
 
@@ -153,26 +153,16 @@ def k_functional(f, t, r):
     degree = m // 2 - 1
     c = compute_coefficients(f, degree)
     vp = vallee_poussin()
-
-    candidates = []
-    j = 0
-    while 2 ** j <= 4.0 / t:
-        candidates.append(2 ** j)
-        j += 1
-
-    best = grid_norm(f)  # competitor g = 0
-    for n in candidates:
-        if vp.band(n) > degree:
-            break
-        g = apply_means(vp, n, c)
-        err = grid_norm(np.asarray(synthesize(c, m).values)
-                        - np.asarray(synthesize(g, m).values))
-        deriv = grid_norm(synthesize(spectral_derivative(g, r), m))
-        best = min(best, err + (t ** r) * deriv)
-    # competitor g = f (its trigonometric interpolant)
-    deriv = grid_norm(synthesize(spectral_derivative(c, r), m))
-    best = min(best, (t ** r) * deriv)
-    return best
+    ns, n = [], 1
+    while n <= 4.0 / t and vp.band(n) <= degree:
+        ns.append(n)
+        n *= 2
+    g = vp.weights(ns, kmax=degree) * c
+    err = grid_norm(synthesize(c, m).values - synthesize(g, m).values)
+    deriv = grid_norm(synthesize(spectral_derivative(g, r), m))
+    # competitors g = 0 and g = f (its trigonometric interpolant)
+    best = min(grid_norm(f), (t ** r) * grid_norm(synthesize(spectral_derivative(c, r), m)))
+    return float(np.min(err + (t ** r) * deriv, initial=best))
 
 
 def sine_integral(x):

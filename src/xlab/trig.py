@@ -14,7 +14,10 @@ Conventions used throughout the package:
   of them along leading axes and makes one FFT call for the stack, at most
   SYNTHESIS_ENTRIES samples at a time in the callers that loop over n,
 * a summability method is a rule k -> lambda_{n,k} multiplying the
-  coefficients, zero beyond a band proportional to n.
+  coefficients, zero beyond a band proportional to n; the rule takes n as
+  a column, rule(n[:, None], k[None, :]), so that `weights` forms the
+  rows of a whole sequence of n in one array operation, each row equal
+  bit for bit to the rule at its own n.
 """
 
 from dataclasses import dataclass
@@ -126,7 +129,8 @@ class SummabilityMethod:
     """A multiplier rule lambda_{n,k}, zero for |k| > band(n).
 
     rule    : callable (n, integer array k) -> weights, lambda_{n,0} = 1
-              for regular methods.
+              for regular methods; n is an int or a column n[:, None] against
+              k[None, :], each entry the same floating-point expression.
     support : band of the method in units of n (1.0 for classical means,
               2.0 for de la Vallee Poussin, inf for Abel-Poisson).
     """
@@ -136,39 +140,44 @@ class SummabilityMethod:
     support: float = 1.0
 
     def band(self, n):
-        """Largest |k| carrying a (non-negligible) weight at index n."""
-        if n == 0:
-            return 0
+        """Largest |k| carrying a (non-negligible) weight at index n: an int,
+        or an int array for an array of n."""
+        n = np.asarray(n)
         if math.isinf(self.support):
             # geometric decay cutoff for Abel-Poisson type rules
-            r = float(np.abs(self.rule(n, np.array([1]))[0]))
-            if r <= 0.0:
-                return 0
-            if r >= 1.0:
-                raise InvalidArgument(f"{self.name} weights do not decay at n={n}")
-            return max(1, int(math.ceil(math.log(1e-17) / math.log(r))))
-        return int(math.ceil(self.support * n))
+            r = np.broadcast_to(np.abs(self.rule(n[..., None], np.array([1]))[..., 0]),
+                                n.shape)
+            stuck = (r >= 1.0) & (n > 0)
+            if np.any(stuck):
+                raise InvalidArgument(f"{self.name} weights do not decay at n={n[stuck][0]}")
+            with np.errstate(divide="ignore"):
+                out = np.where((r > 0.0) & (n > 0),
+                               np.maximum(1, np.ceil(math.log(1e-17) / np.log(r))), 0)
+        else:
+            out = np.ceil(self.support * n.astype(float))
+        return int(out) if out.ndim == 0 else out.astype(int)
 
     def weights(self, n, kmax=None):
-        """Array of lambda_{n,k} for k = -kmax..kmax (kmax defaults to band)."""
-        band = self.band(n)
-        return self._weights(n, band if kmax is None else kmax, band)
-
-    def _weights(self, n, kmax, band):
-        """weights(n, kmax) given band = self.band(n)."""
+        """lambda_{n,k} for k = -kmax..kmax, kmax defaulting to the band (the
+        widest one for a sequence of n): a row for an int n, an array of
+        shape (len(n), 2*kmax+1) for a sequence, from one call of the rule."""
+        ns = np.atleast_1d(np.asarray(n, dtype=int))
+        band = self.band(ns)
+        kmax = int(np.max(band, initial=0)) if kmax is None else kmax
         k = np.arange(-kmax, kmax + 1)
-        if n == 0:
-            return np.where(k == 0, 1.0, 0.0).astype(complex)
-        w = np.asarray(self.rule(n, k), dtype=complex)
-        w[np.abs(k) > band] = 0.0
-        return w
+        w = np.zeros((ns.size, k.size), dtype=complex)
+        w[:, kmax] = 1.0                      # the unit row of n = 0
+        w[ns > 0] = self.rule(ns[ns > 0, None], k)
+        w[np.abs(k) > band[:, None]] = 0.0
+        return w[0] if np.ndim(n) == 0 else w
 
 
-def cesaro_numbers(alpha, n):
-    """A_j^alpha = binom(j+alpha, j) for j = 0..n, by the stable recursion."""
+def cesaro_numbers(alpha, n, head=(1.0,)):
+    """A_j^alpha = binom(j+alpha, j) for j = 0..n by the stable recursion,
+    continued from the head A_0^alpha, A_1^alpha, ... when one is given."""
     a = np.empty(n + 1)
-    a[0] = 1.0
-    for j in range(1, n + 1):
+    a[:len(head)] = head
+    for j in range(len(head), n + 1):
         a[j] = a[j - 1] * (j + alpha) / j
     return a
 
@@ -186,13 +195,16 @@ def cesaro(alpha):
     if not -1 < alpha < math.inf:
         raise InvalidArgument("Cesaro order must be finite and > -1")
 
+    # one table of A_j for all calls, extended locally and rebound: threads share methods
+    table = cesaro_numbers(alpha, 0)
+
     def w(n, k):
-        a = cesaro_numbers(alpha, n)
+        nonlocal table
+        a, top = table, int(np.max(n, initial=0))
+        if top >= a.size:
+            a = table = cesaro_numbers(alpha, top, a)
         idx = n - np.abs(k)
-        out = np.zeros(len(k))
-        inside = idx >= 0
-        out[inside] = a[idx[inside]] / a[n]
-        return out
+        return np.where(idx >= 0, a[np.maximum(idx, 0)] / a[n], 0.0)
 
     return SummabilityMethod(f"cesaro({alpha:g})", w)
 
@@ -205,7 +217,7 @@ def abel_poisson(r=None):
     """
     if r is None:
         def w(n, k):
-            rn = 1.0 - 1.0 / max(n, 1)
+            rn = 1.0 - 1.0 / np.maximum(n, 1)
             return rn ** np.abs(k).astype(float)
 
         return SummabilityMethod("abel-poisson", w, support=math.inf)
@@ -292,28 +304,20 @@ def get_method(name):
     return factory(*args)
 
 
-def apply_means(method, n, c):
-    """Coefficient-wise product lambda_{n,k} * c_k, truncated to the band."""
-    c = np.asarray(c, dtype=complex)
-    degree, band = (c.size - 1) // 2, method.band(n)
-    deg = min(degree, band)
-    return method._weights(n, deg, band) * c[degree - deg:degree + deg + 1]
-
-
 def approximation_error(method, n, c, m):
     """Grid sup norm of f - Lambda_n f for f given by coefficients c: a float
     for an int n, an array for a sequence of n, whose differences are
     synthesized as stacks of at most SYNTHESIS_ENTRIES samples."""
     c = np.asarray(c, dtype=complex)
-    ns, degree = np.atleast_1d(n).tolist(), (c.size - 1) // 2
+    ns, degree = np.atleast_1d(n), (c.size - 1) // 2
     out, rows = np.empty(len(ns)), max(1, SYNTHESIS_ENTRIES // m)
     for start in range(0, len(ns), rows):
         chunk = ns[start:start + rows]
+        # the rule only within the widest band: at large M it is most of c
+        deg = min(degree, int(np.max(method.band(chunk))))
+        inner = slice(degree - deg, degree + deg + 1)
         diff = np.tile(c, (len(chunk), 1))
-        for row, index in zip(diff, chunk):
-            lam = apply_means(method, index, c)
-            deg = (lam.size - 1) // 2
-            row[degree - deg:degree + deg + 1] -= lam
+        diff[:, inner] -= method.weights(chunk, kmax=deg) * c[inner]
         out[start:start + rows] = grid_norm(synthesize(diff, m))
     return float(out[0]) if np.ndim(n) == 0 else out
 
@@ -344,12 +348,13 @@ def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
     return float(band), table
 
 
-# comparison_ratio's cost on a 2-vCPU host (M = 2^6..2^20, nmax up to 32768):
-# up to 3e-5 s plus 6e-9 s per grid point and level log2 M for each function,
-# method and n, and a traced peak of up to 100 bytes per grid point besides
-# the samples, 420 per n and 4 MB for the stacked syntheses.
+# comparison_ratio's cost on a 2-vCPU host (M = 2^6..2^20, nmax up to 32768,
+# five methods): per function, method and n up to 3.4e-6 s at M = 64 and
+# 6.5e-9 s per grid point and level log2 M, charged 1e-5 s plus 1e-8 s for
+# drift; a traced peak of up to 100 bytes per grid point besides the samples,
+# 420 per n and 4 MB for the stacked syntheses.
 def comparison_cost(functions, nmax, m):
     """Estimated (peak bytes, seconds) of comparison_ratio over `functions`
     functions sampled on the m-grid, n = 1..nmax."""
     return ((8 * functions + 100) * m + 420 * nmax + 2 ** 22,
-            functions * (2 * nmax + 2) * (3e-5 + 6e-9 * m * math.log2(m)))
+            functions * (2 * nmax + 2) * (1e-5 + 1e-8 * m * math.log2(m)))

@@ -291,7 +291,9 @@ class TestExitCodes:
         ("two-sided-report", ["m=16384"]),
         ("two-sided-report", ["r=3", "m=4096", "nmax=16"]),
         ("duality-fuzz", ["maxlen=4"]), ("duality-fuzz", ["maxlen=7"]),
-        ("schoenberg", ["trials=2000"]), ("posdef-report", ["trials=400"])])
+        ("schoenberg", ["trials=2000"]), ("posdef-report", ["trials=400"]),
+        ("comparison-ratio", ["m=64", "nmax=4096"]),
+        ("comparison-ratio", ["a=cesaro(1)", "m=64", "nmax=4096"])])
     def test_bytes_estimate_bounds_traced_peak(self, name, tokens):
         config = cli.build_config(name, tokens)
         tracemalloc.start()

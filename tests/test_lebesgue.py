@@ -9,28 +9,13 @@ from xlab import lebesgue as lb
 from xlab import trig
 from xlab.errors import ConvergenceFailure, InvalidArgument
 from xlab.lebesgue import _full_series_poly, _polyval
-from xlab.trig import (abel_poisson, bernstein, bochner_riesz, cesaro,
-                       dirichlet, fejer, riesz, rogosinski, vallee_poussin)
+from xlab.trig import (abel_poisson, bernstein, dirichlet, fejer, rogosinski,
+                       vallee_poussin)
 
 # pytest puts tests/ on sys.path
-from test_trig import row_real_synthesize
+from test_trig import method_catalog, row_real_synthesize
 
 UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def method_catalog():
-    """Representatives of every supported summability family."""
-    return [
-        dirichlet(),
-        fejer(),
-        cesaro(0.5),
-        abel_poisson(0.5),
-        riesz(2.0, 1.0),
-        bochner_riesz(1.0),
-        rogosinski(),
-        bernstein(),
-        vallee_poussin(),
-    ]
 
 
 def tail_kernel(r, n, t):

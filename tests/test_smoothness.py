@@ -10,6 +10,9 @@ from scipy import special
 from xlab import corpus, smoothness as sm, trig
 from xlab.errors import InvalidArgument
 
+# pytest puts tests/ on sys.path
+from test_trig import row_band, row_weights
+
 SAWTOOTH = ["abs_sin", "triangle", "zigzag", "cusp_pair",
             "shifted_triangle", "sqrt_kink"]
 
@@ -225,7 +228,34 @@ class TestJackson:
                 assert 1.0 / 40.0 <= ratio <= 40.0
 
 
+def loop_k_functional(f, t, r):
+    """k_functional one candidate at a time: the weights within the band
+    times c, a synthesis of c for each candidate."""
+    m, degree = f.size, f.size // 2 - 1
+    c = trig.compute_coefficients(f, degree)
+    vp, best, n = trig.vallee_poussin(), trig.grid_norm(f), 1
+    while n <= 4.0 / t and row_band(vp, n) <= degree:
+        band = row_band(vp, n)
+        g = row_weights(vp, n, band) * c[degree - band:degree + band + 1]
+        err = trig.grid_norm(trig.synthesize(c, m).values - trig.synthesize(g, m).values)
+        deriv = trig.grid_norm(trig.synthesize(sm.spectral_derivative(g, r), m))
+        best = min(best, err + (t ** r) * deriv)
+        n *= 2
+    deriv = trig.grid_norm(trig.synthesize(sm.spectral_derivative(c, r), m))
+    return min(best, (t ** r) * deriv)
+
+
 class TestKFunctional:
+    def test_equals_the_per_candidate_loop(self):
+        rng = np.random.default_rng(21)
+        fs = [corpus.sampled(name, m) for name in ("exp_cos", "abs_sin", "zigzag")
+              for m in (4, 64, 1024)]
+        fs += [trig.SampledFunction(rng.standard_normal(m)) for m in (8, 256)]
+        for f in fs:
+            for t in (1.0, 0.5, 1.0 / 16, 0.01):
+                for r in (1, 2, 3):
+                    assert sm.k_functional(f, t, r) == loop_k_functional(f, t, r)
+
     def test_competitor_zero(self):
         f = corpus.sampled("exp_cos", 256)
         k = sm.k_functional(f, 0.5, 2)

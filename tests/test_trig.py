@@ -1,4 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -71,18 +73,15 @@ class TestKernels:
 
 
 class TestApplyMeans:
-    def test_dirichlet_identity(self):
-        c = np.array([2j, 1.0, -2j])
-        out = trig.apply_means(trig.dirichlet(), 5, c)
-        assert np.allclose(out, c)
-
-    def test_fejer_halving(self):
-        out = trig.apply_means(trig.fejer(), 1, [1.0, 2.0, 3.0])
-        assert np.allclose(out, [0.5, 2.0, 1.5])
-
-    def test_abel_poisson_factor(self):
-        out = trig.apply_means(trig.abel_poisson(0.5), 8, [0.0, 0.0, 0.0, 0.0, 1.0])
-        assert abs(out[2 + 2] - 0.25) < 1e-15
+    # lambda_{n,k} c_k as weights(n, kmax=K) * c for coefficients of degree K
+    @pytest.mark.parametrize("method,n,c,want", [
+        (trig.dirichlet(), 5, [2j, 1.0, -2j], [2j, 1.0, -2j]),
+        (trig.fejer(), 1, [1.0, 2.0, 3.0], [0.5, 2.0, 1.5]),
+        (trig.abel_poisson(0.5), 8, [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.25])],
+        ids=["dirichlet-identity", "fejer-halving", "abel-poisson-factor"])
+    def test_weights_times_coefficients(self, method, n, c, want):
+        out = method.weights(n, kmax=(len(c) - 1) // 2) * np.asarray(c)
+        assert np.allclose(out, want, rtol=0.0, atol=1e-15)
 
     def test_near_identity_on_polynomials(self):
         # regular methods reproduce low-degree polynomials as n grows
@@ -254,12 +253,36 @@ def row_real_synthesize(c, m):
     return np.fft.irfft(a, m) * m
 
 
+def row_band(method, n):
+    """The band at one n in scalar arithmetic: for Abel-Poisson the cutoff
+    by math.log from the rule at k = 1."""
+    if n == 0:
+        return 0
+    if math.isinf(method.support):
+        r = float(np.abs(method.rule(n, np.array([1]))[0]))
+        return 0 if r <= 0.0 else max(1, int(math.ceil(math.log(1e-17) / math.log(r))))
+    return int(math.ceil(method.support * n))
+
+
+def row_weights(method, n, kmax):
+    """lambda_{n,k}, k = -kmax..kmax, from the rule at the one n, zero past
+    row_band."""
+    k = np.arange(-kmax, kmax + 1)
+    if n == 0:
+        return np.where(k == 0, 1.0, 0.0).astype(complex)
+    w = np.asarray(method.rule(n, k), dtype=complex)
+    w[np.abs(k) > row_band(method, n)] = 0.0
+    return w
+
+
 def row_approximation_error(method, n, c, m):
-    """Grid sup norm of f - Lambda_n f for one n, as before the stacks."""
+    """Grid sup norm of f - Lambda_n f for one n, as before the stacks: the
+    weights within the band times c, subtracted from c."""
     diff = np.array(c, dtype=complex)
-    lam = trig.apply_means(method, n, diff)
-    degree, deg = (diff.size - 1) // 2, (lam.size - 1) // 2
-    diff[degree - deg:degree + deg + 1] -= lam
+    degree = (diff.size - 1) // 2
+    deg = min(degree, row_band(method, n))
+    inner = slice(degree - deg, degree + deg + 1)
+    diff[inner] -= row_weights(method, n, deg) * diff[inner]
     return float(np.max(np.abs(row_synthesize(diff, m))))
 
 
@@ -274,6 +297,18 @@ def row_comparison_table(method_a, method_b, fset, nmax, m):
             ratio = (1.0 if ea == 0.0 else math.inf) if eb == 0.0 else ea / eb
             table[i, n - 1] = ea, eb, ratio
     return table
+
+
+def method_catalog():
+    """Representatives of every supported summability family."""
+    return [trig.dirichlet(), trig.fejer(), trig.cesaro(0.5), trig.abel_poisson(0.5),
+            trig.riesz(2.0, 1.0), trig.bochner_riesz(1.0), trig.rogosinski(),
+            trig.bernstein(), trig.vallee_poussin()]
+
+
+def hexes(a):
+    """float.hex of the real and the imaginary part of each entry."""
+    return [x.hex() for x in np.asarray(a, dtype=complex).view(float).ravel().tolist()]
 
 
 def bits(a):
@@ -350,3 +385,50 @@ class TestStackedSynthesis:
             assert np.array_equal(table, want)
             with np.errstate(divide="ignore"):
                 assert band == np.max(np.maximum(want[..., 2], 1 / want[..., 2]))
+
+
+class TestWeightStacks:
+    """weights over a sequence of n against the rule at one n at a time; the
+    reference takes a fresh method per n, so Cesaro's table there runs from
+    A_0 to that n alone."""
+
+    @pytest.mark.parametrize("method", method_catalog(), ids=lambda m: m.name)
+    def test_rows_equal_the_per_n_rule(self, method):
+        for ns in (range(301), [4096, 16384]):
+            w = method.weights(ns)
+            kmax = (w.shape[1] - 1) // 2
+            for n, row in zip(ns, w):
+                band = row_band(method, n)
+                want = row_weights(trig.get_method(method.name), n, band)
+                assert hexes(row[kmax - band:kmax + band + 1]) == hexes(want), n
+                assert not np.any(row[:kmax - band]) and not np.any(row[kmax + band + 1:])
+            assert hexes(method.weights(n)) == hexes(want)
+
+    @pytest.mark.parametrize("method", method_catalog() + [trig.abel_poisson(), trig.cesaro(1.0)],
+                             ids=lambda m: m.name)
+    def test_rows_at_a_fixed_kmax(self, method):
+        ns = [*range(301), 4096, 16384]
+        want = [row_weights(trig.get_method(method.name), n, 40) for n in ns]
+        assert hexes(method.weights(ns, kmax=40)) == hexes(want)
+
+    def test_abel_poisson_band_equals_the_math_log_cutoff(self):
+        method, ns = trig.abel_poisson(), range(10 ** 5 + 1)
+        assert method.band(ns).tolist() == [row_band(method, n) for n in ns]
+
+    def test_threads_share_one_cesaro_table(self):
+        # lebesgue-table's pool shares one method: sixteen tasks of rising n
+        # extend and rebind its table in turn, and every row still equals
+        # the row of a method that one thread alone has extended
+        method, serial = trig.cesaro(0.5), trig.cesaro(0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda first: [method.weights(n, kmax=6) for n in
+                                                   range(first, 1024, 16)],
+                                    range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for first, rows in zip(range(16), got):
+            assert hexes(rows) == hexes([serial.weights(n, kmax=6)
+                                         for n in range(first, 1024, 16)])

@@ -255,10 +255,11 @@ def _exp_euler_maclaurin(p, seed):
     for fam, par in families:
         fn = ftlab.exponential_decay(par) if fam == "exp" \
             else ftlab.inverse_power(par)
-        for x in (np.pi / 2, -np.pi / 2, 1.0, -1.0, 3.0, -3.0):
-            for r in range(p["rmax"] + 1):
+        for ax in (np.pi / 2, 1.0, 3.0):
+            integral = ftlab.oscillatory_integral(fn, p["n"], ax)
+            for x, r in itertools.product((ax, -ax), range(p["rmax"] + 1)):
                 try:
-                    res = ftlab.euler_maclaurin_sum(fn, p["n"], r, x)
+                    res = ftlab.euler_maclaurin_sum(fn, p["n"], r, x, integral)
                     rows.append({"family": fam, "param": float(par), "x": x,
                                  "r": r, "abs_theta": abs(res["theta"]),
                                  "variation": res["variation"]})
@@ -456,7 +457,10 @@ REGISTRY = {
         (lambda p: 2 * (p["p"] + 1) * np.pi / _narrowest_width(p)
          <= ftlab.INDICATOR_FT_UMAX,
          f"need 2(p+1)pi/width <= {ftlab.INDICATOR_FT_UMAX:g}, the transform's "
-         "|u| cap, for width 2*radius, or 2*min(a, b) for an ellipse")),
+         "|u| cap, for width 2*radius, or 2*min(a, b) for an ellipse"),
+        cost=(("phis",), lambda p: (
+            ftlab.SCIPY_IMPORT_BYTES + ftlab.ZERO_CURVE_BYTES * p["phis"],
+            ftlab.ZERO_CURVE_S * p["phis"]))),
     "comparison-ratio": Experiment(
         _exp_comparison_ratio, "worst error ratio of two summability methods",
         "2.14", {"a": ("fejer", _METHOD), "b": ("abel-poisson", _METHOD),

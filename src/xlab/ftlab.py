@@ -14,6 +14,12 @@ from .trig import TWO_PI
 
 EULER_MACLAURIN_RMAX = 4
 INDICATOR_FT_UMAX = 1e3          # largest |u| at which indicator_ft evaluates
+# zero_curve's cost per ray on a 2-vCPU host, one thread: 80-150 us for the
+# disc and the ellipse and 270-280 us for the square (p = 1..20, row and
+# CSV line included), charged 5e-4 s for drift; a traced peak of 480-500
+# bytes per row, charged 800 with a failure line, besides the 25 MB that
+# the first run of a process traces importing scipy.special and optimize
+ZERO_CURVE_S, ZERO_CURVE_BYTES, SCIPY_IMPORT_BYTES = 5e-4, 800, 2 ** 25
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,23 @@ def _oscillatory_series(f, n, x, target):
     return head + tail, abs(d) / abs(one_q) ** 2 + rounding
 
 
-def euler_maclaurin_sum(f, n, r, x):
+def oscillatory_integral(f, n, x):
+    """The parts (c, s) of int_n^inf f(u) e^{iu|x|} du = c + is, and quad's
+    error estimate of the two, from one QAWF call each.  The integral at x
+    is c + is for x > 0 and c - is for x < 0: QUADPACK returns the cosine
+    part at -x unchanged and the sine part negated, error estimates
+    included."""
+    from scipy import integrate
+
+    def f0(u):
+        return f.deriv(u, 0)
+
+    re, re_err = integrate.quad(f0, n, np.inf, weight="cos", wvar=abs(x), limit=400)
+    im, im_err = integrate.quad(f0, n, np.inf, weight="sin", wvar=abs(x), limit=400)
+    return re, im, re_err + im_err
+
+
+def euler_maclaurin_sum(f, n, r, x, integral=None):
     """Compare the oscillatory sum sum_{k>=n} f(k)e^{ikx} with its
     integral-plus-corrections discretization.
 
@@ -141,8 +163,11 @@ def euler_maclaurin_sum(f, n, r, x):
     int_n^inf f e^{iux} du + f(n)e^{inx}/2
     + e^{inx} sum_{p<r} ((-i)^{p+1}/p!) h^(p)(x) f^(p)(n),
     the normalized residual theta = (lhs - rhs) * pi^r / V, and the
-    variation bound V of f^(r) on [n, inf).  numeric_error is quad's error
-    estimate for the integral plus the tail bound and head rounding of
+    variation bound V of f^(r) on [n, inf).  The integral's parts at |x|
+    depend on neither r nor the sign of x: a caller looping over them passes
+    oscillatory_integral(f, n, |x|) as `integral`, computed here otherwise.
+    numeric_error is quad's error estimate for the integral plus the tail
+    bound and head rounding of
     _oscillatory_series (a head of 64 to OSCILLATORY_TERMS + 1 terms, doubled
     until the tail bound is <= EULER_MACLAURIN_TOL / 10 * min(1, V / pi^r),
     so below the cap the truncation moves theta by at most
@@ -163,20 +188,14 @@ def euler_maclaurin_sum(f, n, r, x):
     v = float(f.variation(n, r))
     lhs, series_err = _oscillatory_series(
         f, n, x, EULER_MACLAURIN_TOL / 10 * min(1.0, v / np.pi ** r))
-
-    def f0(u):
-        return f.deriv(u, 0)
-
-    from scipy import integrate
-    re, re_err = integrate.quad(f0, n, np.inf, weight="cos", wvar=x, limit=400)
-    im, im_err = integrate.quad(f0, n, np.inf, weight="sin", wvar=x, limit=400)
-    rhs = re + 1j * im + 0.5 * f.deriv(n, 0) * np.exp(1j * n * x)
+    re, im, integral_err = oscillatory_integral(f, n, x) if integral is None else integral
+    rhs = re + 1j * (im if x > 0 else -im) + 0.5 * f.deriv(n, 0) * np.exp(1j * n * x)
     phase = np.exp(1j * n * x)
     for p in range(r):
         rhs += phase * ((-1j) ** (p + 1) / math.factorial(p)) \
             * h_function(x, p) * f.deriv(n, p)
 
-    err = re_err + im_err + series_err
+    err = integral_err + series_err
     if err > EULER_MACLAURIN_TOL * max(1.0, abs(lhs)):
         raise ConvergenceFailure("sum/integral tolerance not met",
                                  best_estimate=lhs, error_estimate=err)
@@ -200,7 +219,10 @@ class ConvexBody2D:
     """A centrally symmetric convex planar body given by two closed forms:
     support(phi), its support function in the direction (cos phi, sin phi),
     and transform(u), the indicator transform int_K e^{i(u,x)} dx at u != 0,
-    which is real by the symmetry."""
+    which is real by the symmetry.  transform takes one frequency u of
+    shape (2,) or an array of them of shape (..., 2), and returns u's shape
+    without the last axis, each entry the same floating-point expression as
+    for a single frequency."""
 
     support: object
     transform: object
@@ -213,7 +235,7 @@ class ConvexBody2D:
         from scipy import special
 
         def transform(u):
-            nu = float(np.hypot(u[0], u[1]))
+            nu = np.hypot(u[..., 0], u[..., 1])
             return TWO_PI * radius * special.j1(radius * nu) / nu
 
         return cls(lambda phi: radius, transform)
@@ -227,7 +249,7 @@ class ConvexBody2D:
         from scipy import special
 
         def transform(u):
-            rho = float(np.hypot(a * u[0], b * u[1]))
+            rho = np.hypot(a * u[..., 0], b * u[..., 1])
             return TWO_PI * a * b * special.j1(rho) / rho
 
         return cls(lambda phi: float(np.hypot(a * np.cos(phi), b * np.sin(phi))),
@@ -239,28 +261,34 @@ class ConvexBody2D:
         if s <= 0:
             raise InvalidArgument("square half-side must be positive")
         return cls(lambda phi: s * (abs(np.cos(phi)) + abs(np.sin(phi))),
-                   lambda u: 4.0 * s * s * np.sinc(s * u[0] / np.pi)
-                   * np.sinc(s * u[1] / np.pi))
+                   lambda u: 4.0 * s * s * np.sinc(s * u[..., 0] / np.pi)
+                   * np.sinc(s * u[..., 1] / np.pi))
 
     def width(self, phi):
         return self.support(phi) + self.support(phi + np.pi)
 
 
-def indicator_ft(body, u):
-    """int_K e^{i(u,x)} dx for 0 < |u| <= INDICATOR_FT_UMAX."""
+def _frequencies(u):
+    """u as a float array of frequencies (..., 2), each 0 < |u| <= INDICATOR_FT_UMAX."""
     u = np.asarray(u, dtype=float)
-    nu = float(np.hypot(u[0], u[1]))
-    if not 0 < nu <= INDICATOR_FT_UMAX + 1e-9:
+    nu = np.hypot(u[..., 0], u[..., 1])
+    if not np.all((0 < nu) & (nu <= INDICATOR_FT_UMAX + 1e-9)):
         raise InvalidArgument(f"need 0 < |u| <= {INDICATOR_FT_UMAX:g}")
-    return complex(body.transform(u))
+    return u
+
+
+def indicator_ft(body, u):
+    """int_K e^{i(u,x)} dx for 0 < |u| <= INDICATOR_FT_UMAX, at one u."""
+    return complex(body.transform(_frequencies(u)))
 
 
 def zero_curve(body, p, phi):
     """p-th positive zero r_p(phi) of t -> indicator_ft(body, t e(phi)).
 
     The search interval is (2p*pi/d, 2(p+1)*pi/d) with d the width in the
-    direction phi, scanned at 96 points; a missing sign change inside it and
-    a zero at one of its ends (the claim's bound attained) are reported.
+    direction phi, scanned at 96 points by one transform call; a missing
+    sign change inside it and a zero at one of its ends (the claim's bound
+    attained) are reported.
     """
     if p < 1:
         raise InvalidArgument("zero index starts at 1")
@@ -272,7 +300,7 @@ def zero_curve(body, p, phi):
 
     lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
     ts = np.linspace(lo, hi, 96)
-    vals = np.array([f(t) for t in ts])
+    vals = np.real(body.transform(_frequencies(ts[:, None] * e)))
     # a zero at an end, to rounding (a double one shows no sign change)
     tiny = 1e-12 * np.max(np.abs(vals))
     for v, name, k in ((vals[0], "lower", p), (vals[-1], "upper", p + 1)):

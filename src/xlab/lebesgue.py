@@ -495,16 +495,30 @@ def _factors(h, const, lo, hi):
     """Rows const + 2 sum_{k=lo}^{hi} cos kx (no sum if hi < lo) on x_i = pi i/h,
     i = 0..h, by the Dirichlet closed form (sin((hi+1/2)x) - sin((lo-1/2)x))
     / sin(x/2) = 2 cos((lo+hi)x/2) sin((hi-lo+1)x/2) / sin(x/2), each angle an
-    integer multiple of pi/2h reduced exactly; 2(hi - lo + 1) at x = 0."""
-    const, lo, hi = (np.reshape(v, (-1, 1)) for v in (const, lo, hi))
-    i = np.arange(h + 1)
+    integer multiple of pi/2h reduced exactly; 2(hi - lo + 1) at x = 0.  The
+    angle indices are gathered SYNTHESIS_ENTRIES at a time, so that they
+    stay in cache, and formed in int32, where the integer modulo is 3-4 times
+    faster than in int64, while |lo + hi| h and |hi - lo + 1| h stay below
+    2^31 (at most 2.7e8 under HYPERBOLIC_NMAX and the rhombic guards)."""
+    const, lo, hi = np.broadcast_arrays(*(np.reshape(v, (-1, 1)) for v in (const, lo, hi)))
+    turns, span = lo + hi, hi - lo + 1
+    wide = max(np.max(np.abs(turns), initial=0), np.max(np.abs(span), initial=0)) * h >= 2 ** 31
+    turns, span = (v.astype(np.int64 if wide else np.int32) for v in (turns, span))
+    i = np.arange(h + 1, dtype=turns.dtype)
     angle = np.pi / (2 * h) * np.arange(4 * h)      # every angle, taken once
     cos, sin = np.cos(angle), np.sin(angle)
-    out = cos[(lo + hi) * i % (4 * h)]
-    out *= sin[(hi - lo + 1) * i % (4 * h)]
-    out[:, 1:] *= 2.0 / sin[1:h + 1]
-    out[:, :1] = 2.0 * (hi - lo + 1)
-    out += const
+    inv = 2.0 / sin[1:h + 1]
+    step = max(1, SYNTHESIS_ENTRIES // (h + 1))
+    out, buf = np.empty((len(turns), h + 1)), np.empty((step, h + 1))
+    for start in range(0, len(turns), step):
+        rows = slice(start, start + step)
+        block = out[rows]
+        np.take(cos, turns[rows] * i % (4 * h), out=block)
+        np.take(sin, span[rows] * i % (4 * h), out=buf[:len(block)])
+        block *= buf[:len(block)]
+        block[:, 1:] *= inv
+        block[:, :1] = 2.0 * span[rows]
+        block += const[rows]
     return out
 
 

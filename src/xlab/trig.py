@@ -307,19 +307,27 @@ def get_method(name):
 def approximation_error(method, n, c, m):
     """Grid sup norm of f - Lambda_n f for f given by coefficients c: a float
     for an int n, an array for a sequence of n, whose differences are
-    synthesized as stacks of at most SYNTHESIS_ENTRIES samples."""
+    synthesized as stacks of at most SYNTHESIS_ENTRIES samples.  A stack of
+    coefficient rows c, shape (F, 2K+1), gives F times that: the weights
+    of each stack of n are formed once for all rows, and each row is
+    synthesized as it is on its own."""
     c = np.asarray(c, dtype=complex)
-    ns, degree = np.atleast_1d(n), (c.size - 1) // 2
-    out, rows = np.empty(len(ns)), max(1, SYNTHESIS_ENTRIES // m)
+    ns, degree = np.atleast_1d(n), (c.shape[-1] - 1) // 2
+    rows = max(1, SYNTHESIS_ENTRIES // m)
+    out = np.empty(c.shape[:-1] + (len(ns),))
     for start in range(0, len(ns), rows):
         chunk = ns[start:start + rows]
         # the rule only within the widest band: at large M it is most of c
         deg = min(degree, int(np.max(method.band(chunk))))
         inner = slice(degree - deg, degree + deg + 1)
-        diff = np.tile(c, (len(chunk), 1))
-        diff[:, inner] -= method.weights(chunk, kmax=deg) * c[inner]
-        out[start:start + rows] = grid_norm(synthesize(diff, m))
-    return float(out[0]) if np.ndim(n) == 0 else out
+        w = method.weights(chunk, kmax=deg)
+        for ci, oi in zip(c.reshape(-1, c.shape[-1]), out.reshape(-1, len(ns))):
+            diff = np.tile(ci, (len(chunk), 1))
+            diff[:, inner] -= w * ci[inner]
+            oi[start:start + rows] = grid_norm(synthesize(diff, m))
+    if np.ndim(n) == 0:
+        out = out[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
@@ -334,14 +342,14 @@ def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
         if abs(lam0 - 1.0) > 1e-12:
             raise InvalidArgument(f"{method.name} is not regular "
                                   "(weight at k=0 differs from 1)")
-    table = np.empty((len(fset), max(nmax, 0), 3))
-    ns = range(1, nmax + 1)
-    for i, f in enumerate(fset):
-        c = compute_coefficients(f, m // 2 - 1)
-        ea, eb = (approximation_error(method, ns, c, m) for method in (method_a, method_b))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table[i] = np.column_stack((ea, eb, np.where(
-                eb == 0.0, np.where(ea == 0.0, 1.0, math.inf), ea / eb)))
+    c = np.empty((len(fset), m - 1), dtype=complex)
+    for ci, f in zip(c, fset):
+        ci[:] = compute_coefficients(f, m // 2 - 1)
+    ea, eb = (approximation_error(method, range(1, nmax + 1), c, m)
+              for method in (method_a, method_b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.stack((ea, eb, np.where(
+            eb == 0.0, np.where(ea == 0.0, 1.0, math.inf), ea / eb)), axis=-1)
     with np.errstate(divide="ignore"):
         ratios = table[..., 2]
         band = np.max(np.maximum(ratios, 1.0 / ratios), initial=0.0)
@@ -351,10 +359,11 @@ def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
 # comparison_ratio's cost on a 2-vCPU host (M = 2^6..2^20, nmax up to 32768,
 # five methods): per function, method and n up to 3.4e-6 s at M = 64 and
 # 6.5e-9 s per grid point and level log2 M, charged 1e-5 s plus 1e-8 s for
-# drift; a traced peak of up to 100 bytes per grid point besides the samples,
-# 420 per n and 4 MB for the stacked syntheses.
+# drift; a traced peak of up to 100 bytes per grid point besides the samples
+# and the coefficients of every function (8 + 16 bytes per grid point and
+# function), 420 per n and 4 MB for the stacked syntheses.
 def comparison_cost(functions, nmax, m):
     """Estimated (peak bytes, seconds) of comparison_ratio over `functions`
     functions sampled on the m-grid, n = 1..nmax."""
-    return ((8 * functions + 100) * m + 420 * nmax + 2 ** 22,
+    return ((24 * functions + 100) * m + 420 * nmax + 2 ** 22,
             functions * (2 * nmax + 2) * (1e-5 + 1e-8 * m * math.log2(m)))

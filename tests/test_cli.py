@@ -293,7 +293,8 @@ class TestExitCodes:
         ("duality-fuzz", ["maxlen=4"]), ("duality-fuzz", ["maxlen=7"]),
         ("schoenberg", ["trials=2000"]), ("posdef-report", ["trials=400"]),
         ("comparison-ratio", ["m=64", "nmax=4096"]),
-        ("comparison-ratio", ["a=cesaro(1)", "m=64", "nmax=4096"])])
+        ("comparison-ratio", ["a=cesaro(1)", "m=64", "nmax=4096"]),
+        ("indicator-zeros", ["phis=64"]), ("indicator-zeros", ["body=square", "phis=256"])])
     def test_bytes_estimate_bounds_traced_peak(self, name, tokens):
         config = cli.build_config(name, tokens)
         tracemalloc.start()

@@ -42,11 +42,15 @@ def polygon(vertices):
         raise InvalidArgument("origin must be interior")
 
     def transform(u):
-        u = np.asarray(u, dtype=float)
-        nu = float(np.hypot(u[0], u[1]))
-        cross = u[0] * d[:, 1] - u[1] * d[:, 0]
-        total = np.sum(cross * np.exp(1j * (v @ u)) * _phi1(d @ u))
-        return complex(total / (1j * nu ** 2))
+        # one frequency (2,) or an array (..., 2), the edges on a new last axis
+        u0, u1 = (np.asarray(u, dtype=float)[..., j, None] for j in (0, 1))
+        nu = np.hypot(u0[..., 0], u1[..., 0])
+        cross = u0 * d[:, 1] - u1 * d[:, 0]
+        vu, du = (u0 * w[:, 0] + u1 * w[:, 1] for w in (v, d))
+        total = np.sum(cross * np.exp(1j * vu) * _phi1(du), axis=-1)
+        # nu * nu, not nu ** 2: numpy's pow on an array can differ from that
+        # on one value in the last bit, and the scan must match indicator_ft
+        return total / (1j * (nu * nu))
 
     return ft.ConvexBody2D(
         lambda phi: float(np.max(v @ np.array([np.cos(phi), np.sin(phi)]))),
@@ -173,6 +177,37 @@ class TestEulerMaclaurin:
         with pytest.raises(InvalidArgument):
             ft.euler_maclaurin_sum(ft.exponential_decay(1.0), 0, 0, 0.0)
 
+    def test_qawf_is_symmetric_in_x(self):
+        # the runner's grid of functions and |x|: QUADPACK gives the cosine
+        # part at -x unchanged and the sine part negated, error estimates
+        # included, so one integral at |x| serves both signs bit for bit
+        from scipy import integrate
+        fns = [ft.exponential_decay(a) for a in np.linspace(0.2, 2.0, 5)] \
+            + [ft.inverse_power(b) for b in np.linspace(1.5, 4.0, 5)]
+        for f in fns:
+            for n in (0, 1, 2, 3, 50):
+                for ax in (np.pi / 2, 1.0, 3.0):
+                    parts = [integrate.quad(lambda u: f.deriv(u, 0), n, np.inf,
+                                            weight=w, wvar=x, limit=400)
+                             for x in (ax, -ax) for w in ("cos", "sin")]
+                    (c, c_err), (s, s_err), (c2, c2_err), (s2, s2_err) = parts
+                    assert [v.hex() for v in (c2, -s2, c2_err, s2_err)] \
+                        == [v.hex() for v in (c, s, c_err, s_err)]
+                    assert ft.oscillatory_integral(f, n, -ax) \
+                        == ft.oscillatory_integral(f, n, ax) == (c, s, c_err + s_err)
+
+    @pytest.mark.parametrize("rmax", [0, 2])
+    def test_one_integral_per_function_and_abs_x(self, rmax, monkeypatch):
+        # 10 functions x 3 |x|, a cosine and a sine part each, whatever rmax
+        from scipy import integrate
+        from xlab import cli
+        calls = []
+        quad = integrate.quad
+        monkeypatch.setattr(integrate, "quad",
+                            lambda *a, **k: calls.append(k["wvar"]) or quad(*a, **k))
+        cli.run(cli.build_config("euler-maclaurin-check", [f"rmax={rmax}"]))
+        assert len(calls) == 60 and min(calls) > 0
+
 
 class TestIndicatorFT:
     def test_mean_value(self):
@@ -253,6 +288,38 @@ class TestZeroCurve:
             d = ell.width(phi)
             r = ft.zero_curve(ell, 1, phi)
             assert 2 * np.pi < d * r < 4 * np.pi
+
+    def test_scan_equals_the_scalar_loop(self):
+        # the 96-point scan is one transform call on a (96, 2) array, each
+        # value the bits of indicator_ft at that point
+        hexagon = symmetric_polygon([[1, 0], [0.5, 0.8], [-0.5, 0.8], [-1, 0],
+                                     [-0.5, -0.8], [0.5, -0.8]])
+        bodies = [ft.ConvexBody2D.disc(1.0), ft.ConvexBody2D.disc(0.37),
+                  ft.ConvexBody2D.ellipse(1.0, 0.5), ft.ConvexBody2D.ellipse(3.0, 0.1),
+                  ft.ConvexBody2D.square(0.7), hexagon]
+        for body in bodies:
+            scans = []
+            spy = ft.ConvexBody2D(body.support, lambda u: scans.append(
+                (np.array(u), np.array(body.transform(u)))) or scans[-1][1])
+            for p in (1, 2, 3):
+                for phi in np.linspace(0, np.pi, 16, endpoint=False):
+                    scans.clear()
+                    try:
+                        ft.zero_curve(spy, p, phi)
+                    except NotFound:
+                        pass
+                    u, vals = scans[0]
+                    e = np.array([np.cos(phi), np.sin(phi)])
+                    d = body.width(phi)
+                    ts = np.linspace(2 * p * np.pi / d, 2 * (p + 1) * np.pi / d, 96)
+                    want = [ft.indicator_ft(body, t * e).real for t in ts]
+                    assert u.shape == (96, 2)
+                    assert [v.hex() for v in np.real(vals)] == [v.hex() for v in want]
+
+    def test_scan_keeps_the_frequency_cap(self):
+        # a body narrow enough that its bracket passes |u| = INDICATOR_FT_UMAX
+        with pytest.raises(InvalidArgument, match="need 0 < |u|"):
+            ft.zero_curve(ft.ConvexBody2D.disc(1e-3), 1, 0.0)
 
     def test_asymmetric_rejected(self):
         # the oracle for zero_curve refuses a polygon without central symmetry

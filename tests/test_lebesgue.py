@@ -605,6 +605,12 @@ class TestTwoDimensionalPass:
         (4 * 4097, "x2", lb._hyperbolic_groups(2.0, 4096)),
         (8 * 4, "x1", lb._rhombic_groups(3, 9)),
         (8 * 10, "x2", lb._rhombic_groups(3, 9)),
+        (8 * 509, "x1", lb._hyperbolic_groups(1.0, 508)),
+        (8 * 509, "x2", lb._hyperbolic_groups(1.0, 508)),
+        (4 * 46, "x1", lb._hyperbolic_groups(2.0, 2068)),
+        (4 * 2069, "x2", lb._hyperbolic_groups(2.0, 2068)),
+        # angle indices past 2^31 take int64
+        (8, "x1", [(2 ** 28, 2 ** 28 + 5, 0.0, 1, 0.0), (1, 3, 1.0, 1, 0.0)]),
     ])
     def test_factor_table_equals_direct_angles(self, h, kind, args):
         # the table of cos and sin over every multiple of pi/2h must give

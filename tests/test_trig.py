@@ -369,6 +369,27 @@ class TestStackedSynthesis:
             assert np.array_equal(got, [row_approximation_error(method, n, c, 64)
                                         for n in ns])
             assert trig.approximation_error(method, 5, c, 64) == got[2]
+            # a stack of coefficient rows: each row as on its own
+            stack = np.stack((c, 2.0 * c - 1.0, c[::-1]))
+            assert np.array_equal(trig.approximation_error(method, ns, stack, 64),
+                                  [trig.approximation_error(method, ns, row, 64)
+                                   for row in stack])
+            assert np.array_equal(trig.approximation_error(method, 5, stack, 64),
+                                  [trig.approximation_error(method, 5, row, 64)
+                                   for row in stack])
+
+    def test_comparison_weights_once_per_stack_of_n(self, monkeypatch):
+        # the weights depend on n alone: one call per method and stack of n
+        # (after the regularity check), however many functions
+        from xlab import corpus
+        calls = []
+        weights = trig.SummabilityMethod.weights
+        monkeypatch.setattr(trig.SummabilityMethod, "weights",
+                            lambda self, *a, **k: calls.append(1) or weights(self, *a, **k))
+        monkeypatch.setattr(trig, "SYNTHESIS_ENTRIES", 8 * 64)
+        fset = [f for _, f in corpus.comparison_corpus(64)]
+        trig.comparison_ratio(trig.fejer(), trig.abel_poisson(), fset, 20, 64)
+        assert len(fset) == 10 and len(calls) == 2 + 2 * 3
 
     @pytest.mark.parametrize("a,b,nmax,m", [
         ("fejer", "abel-poisson", 61, 512), ("rogosinski", "vallee-poussin", 64, 512),

@@ -10,10 +10,11 @@ periodic Chebfun of Wright, Javed, Montanari and Trefethen (SIAM J. Sci.
 Comput. 2015): a real inverse FFT of c_0..c_K samples the kernel on the
 M-grid, where sign changes are bracketed, and real inverse FFTs on the
 Taylor grid M/4 sample its scaled derivatives and its antiderivative; each
-zero is polished by safeguarded Newton on its Taylor polynomial, and |K| is
-integrated piecewise from the antiderivative's Taylor data at the zeros.
-The error bound has three terms: zero mislocation, the Taylor remainder
-(from Bernstein's inequality) and rounding.  A table of n runs as one pass
+zero is polished by safeguarded Newton on its Taylor polynomial, started
+from its scan cell's ends and secant point, and |K| is integrated piecewise
+from the antiderivative's Taylor data at the zeros.  The error bound has
+three terms: zero mislocation, the Taylor remainder (from Bernstein's
+inequality) and rounding.  A table of n runs as one pass
 per grid size: stacked syntheses of at most SYNTHESIS_ENTRIES samples and
 one polish over the cells of every kernel, each result bit for bit that of
 its kernel alone.  The deviation over W^r runs
@@ -62,32 +63,42 @@ STRIDE = 4               # scan cells per Taylor cell: 8 Taylor nodes a period o
 
 
 def _horner(taylor, s):
-    """(p(s), p'(s)) columnwise for p(s) = sum_j taylor[j] s^j."""
-    p, dp = taylor[-1], np.zeros_like(s)
+    """(p(s), p'(s)) columnwise for p(s) = sum_j taylor[j] s^j; s may stack
+    several points per column along a leading axis."""
+    p, dp = np.broadcast_to(taylor[-1], s.shape), np.zeros_like(s)
     for row in taylor[-2::-1]:
         dp = dp * s + p
         p = p * s + row
     return p, dp
 
 
-def _polish(taylor, floor, owner, lo, plo):
+def _polish(taylor, floor, owner, lo, plo, phi):
     """Safeguarded Newton on the cell polynomials p(s) = sum_j taylor[j] s^j,
-    each with a sign change on [lo, lo + 1/STRIDE] in the scan, whose value
-    at lo, not p(lo), is plo; cell i belongs to polynomial owner[i].  Keeps
+    each with a sign change on [lo, hi], hi = lo + 1/STRIDE, in the scan,
+    whose values at lo and hi, not p(lo) and p(hi), are plo and phi; cell i
+    belongs to polynomial owner[i].  The first pass evaluates p at both ends,
+    so that a zero on a scan node is taken where it lies, and at the secant
+    point of the two scan values, O(h^2) from a simple zero, where Newton
+    starts (the midpoint where that point is not strictly inside).  Keeps
     the best point seen per cell (a converged iterate on a bracket end must
     not be lost to the safeguard), and freezes the cells of a polynomial
     once all of its |p| are below `floor`, the accuracy of p as a stand-in
     for the function, so each polynomial stops where it would alone.
     Returns (s, |p(s)|, |p'(s)|, bracket width)."""
     hi = lo + 1.0 / STRIDE
-    s = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = lo + plo / (plo - phi) / STRIDE
+    s = np.where((lo < s) & (s < hi), s, 0.5 * (lo + hi))
     best_s, best_p, best_dp = s, np.full_like(lo, np.inf), np.ones_like(lo)
+    points = np.stack((lo, hi, s))
     for _ in range(POLISH_STEPS):
-        p, dp = _horner(taylor, s)
-        better = np.abs(p) < best_p
-        best_s = np.where(better, s, best_s)
-        best_p = np.where(better, np.abs(p), best_p)
-        best_dp = np.where(better, np.abs(dp), best_dp)
+        p, dp = _horner(taylor, points)
+        for t, pt, dpt in zip(points, p, dp):
+            better = np.abs(pt) < best_p
+            best_s = np.where(better, t, best_s)
+            best_p = np.where(better, np.abs(pt), best_p)
+            best_dp = np.where(better, np.abs(dpt), best_dp)
+        p, dp = p[-1], dp[-1]
         live = np.bincount(owner, best_p > floor)[owner] > 0
         if not live.any():
             break
@@ -100,6 +111,7 @@ def _polish(taylor, floor, owner, lo, plo):
             sn = s - p / dp
         bad = ~np.isfinite(sn) | (sn < lo) | (sn > hi)
         s = np.where(live, np.where(bad, 0.5 * (lo + hi), sn), s)
+        points = s[None]
     return best_s, best_p, best_dp, hi - lo
 
 
@@ -177,10 +189,18 @@ def _stack_l1(cs, m, poly):
     * Taylor remainder: |f(x_c + s h_T) - p(s)| <= R on 0 <= s <= 1
       (Lagrange; Bernstein's |f^(J+1)| <= K^(J+1) sum|c_k|); integrated to
       a zero it moves F there by h_T R, and each F(zero) enters two terms.
-    * Polish: Horner on 0 <= s <= 1 errs by (2J + 2) u sum_j |d_j|, and
-      sum_j |d_j| <= e^{K h_T} sum|c_k| <= e^{pi/4} sum|c_k|; with R, e_D
-      and poly's error it floors |f| at the polished point (rho), and the
-      distance to the zero is delta = h_T min(bracket, rho/|p'|).
+    * Polish: from the ends of the scan cell and the secant point of its
+      two scan samples (`_polish`).  Horner on 0 <= s <= 1 errs by
+      (2J + 2) u sum_j |d_j|, and sum_j |d_j| <= e^{K h_T} sum|c_k| <=
+      e^{pi/4} sum|c_k|; with R, e_D and poly's error it floors |f| at the
+      polished point (rho), and the distance to the zero is delta = h_T
+      min(bracket, rho/|p'|).  A cell whose best |p| stays above that floor
+      after POLISH_STEPS passes has no such distance.  Its zero z and its
+      polished point z' both lie in the scan cell, of width h_T/STRIDE,
+      where |f| <= sum_j |d_j| + floor; F(z) enters two terms of the sum,
+      each of which moves by at most |F(z') - F(z)|, the integral of |f|
+      between z and z' at most, so the cell is charged
+      2 (h_T/STRIDE)(sum_j |d_j| + floor).
     * Sum: F(zero) = c_0 x_c + P(x_c) + Q(x_c + pi) + h_T s int(s),
       int(s) = sum_j d_j s^j / (j+1), errs by P's sample error, h_T (e_D +
       poly's error), Q's and (2J + 8) u (sum of the parts' magnitudes +
@@ -214,6 +234,7 @@ def _stack_l1(cs, m, poly):
     owner, idx = np.nonzero(np.diff(np.signbit(vals), axis=1))
     node = idx // STRIDE                              # Taylor node of each cell
     cell_vals, scanned = trig_vals[owner, STRIDE * node], vals[owner, idx]
+    scanned_hi = vals[owner, idx + 1]
     del trig_vals, vals
     count = np.bincount(owner, minlength=len(cs))
     first = np.concatenate(([0], np.cumsum(count)))   # cells of i: first[i]..first[i+1]
@@ -249,11 +270,12 @@ def _stack_l1(cs, m, poly):
     abs_taylor = np.sum(np.abs(taylor), axis=0)
     noise = np.array([tr + ed + err_poly for tr, ed in zip(taylor_rem, err_data)])[owner] \
         + (2 * order + 2) * u * abs_taylor
-    s, resid, slope, bracket = _polish(taylor, noise, owner, idx % STRIDE / STRIDE, scanned)
+    s, resid, slope, bracket = _polish(taylor, noise, owner, idx % STRIDE / STRIDE,
+                                       scanned, scanned_hi)
     rho = resid + noise
     with np.errstate(divide="ignore"):
         delta = ht * np.minimum(bracket, rho / slope)
-    misplaced = rho * delta
+    misplaced = np.where(resid > noise, 2.0 * ht / STRIDE * (abs_taylor + noise), rho * delta)
 
     # F at -pi, at each zero, and at pi; the points of array i run from
     # ends[i] (-pi) to ends[i] + count[i] + 1 (pi)

@@ -110,16 +110,27 @@ def _row_horner(taylor, s):
     return p, dp
 
 
-def _row_polish(taylor, floor, lo, plo):
+def _row_polish(taylor, floor, lo, plo, phi):
     hi = lo + 0.25
-    s = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = lo + plo / (plo - phi) / 4
+    s = np.where((secant > lo) & (secant < hi), secant, 0.5 * (lo + hi))
     best_s, best_p, best_dp = s, np.full_like(lo, np.inf), np.ones_like(lo)
-    for _ in range(lb.POLISH_STEPS):
-        p, dp = _row_horner(taylor, s)
+
+    def keep(t):
+        nonlocal best_s, best_p, best_dp
+        p, dp = _row_horner(taylor, t)
         better = np.abs(p) < best_p
-        best_s = np.where(better, s, best_s)
+        best_s = np.where(better, t, best_s)
         best_p = np.where(better, np.abs(p), best_p)
         best_dp = np.where(better, np.abs(dp), best_dp)
+        return p, dp
+
+    # both ends of the scan cell, then Newton from the secant point
+    keep(lo)
+    keep(hi)
+    for _ in range(lb.POLISH_STEPS):
+        p, dp = keep(s)
         if np.all(best_p <= floor):
             break
         same = np.signbit(p) == np.signbit(plo)
@@ -172,11 +183,13 @@ def one_row_l1(c, oversample=16, poly=(0.0,)):
         dpoly = dpoly[1:] * np.arange(1, dpoly.size) / (j + 1)
     abs_taylor = np.sum(np.abs(taylor), axis=0)
     noise = taylor_rem + err_data + err_poly + (2 * order + 2) * u * abs_taylor
-    s, resid, slope, width = _row_polish(taylor, noise, idx % 4 / 4, vals[idx])
+    s, resid, slope, width = _row_polish(taylor, noise, idx % 4 / 4, vals[idx], vals[idx + 1])
     rho = resid + noise
     with np.errstate(divide="ignore"):
         delta = ht * np.minimum(width, rho / slope)
-    mislocation = float(np.sum(rho * delta))
+    # an unconverged cell: twice its scan cell h_T/4 at |f| <= sum_j|d_j| + noise
+    mislocation = float(np.sum(np.where(resid > noise, 2.0 * ht / 4 * (abs_taylor + noise),
+                                        rho * delta)))
 
     anti = np.divide(c, 1j * k, out=np.zeros_like(c), where=k != 0)
     p_vals, err_anti = _row_samples(anti, m // 4)
@@ -211,23 +224,45 @@ class TestLebesgueConstant:
     def test_zeros_on_scan_nodes(self):
         # Rogosinski n = 2: 1 + sqrt(2) cos x has its zeros at +-3pi/4, nodes
         # of the M = 128 grid; its weight cos(pi/2) = 6e-17 at k = +-2 adds
-        # at most 2|c_2| to the norm, and the closed form carries 2u.
-        # Fejer n = 1: 1 + cos x has a double zero at the node pi
+        # at most 2|c_2| to the norm, and the closed form carries 2u.  The
+        # polish takes the zero at the end of its cell, to a few u
         s, want = lb.lebesgue_constant(rogosinski(), 2), 0.5 + 2.0 / math.pi
         slack = 2.0 * abs(rogosinski().weights(2)[0]) + 2.0 * UNIT_ROUNDOFF * want
         assert abs(s.value - want) <= s.quad_error + slack
+        assert abs(s.value - want) <= 4.0 * UNIT_ROUNDOFF * want
+        assert s.quad_error <= 5e-14
+        # Fejer n = 1: 1 + cos x has a double zero at the node pi
         s = lb.lebesgue_constant(fejer(), 1)
         assert abs(s.value - 1.0) <= s.quad_error
         # cos x - a, a = cos(pi - i pi/32), has its zeros at the scan nodes
-        # i and 64 - i of M = 64, none of them a node of the Taylor grid
-        # M/4; the closed form 2(2 sin x0 + a(pi - 2 x0)), x0 = arccos a, is
-        # flat in x0 and carries a few u
-        for i in (1, 2, 3):
+        # i and 64 - i of M = 64, at i = 4, 8, 12 nodes of the Taylor grid
+        # M/4 too; the closed form 2(2 sin x0 + a(pi - 2 x0)), x0 = arccos a,
+        # is flat in x0 and carries a few u
+        for i in (1, 2, 3, 4, 8, 12):
             a = math.cos(math.pi - i * math.pi / 32)
             value, err = lb.trig_poly_l1(np.array([0.5, -a, 0.5]))
             x0 = math.acos(a)
             want = 2.0 * (2.0 * math.sin(x0) + a * (math.pi - 2.0 * x0))
             assert abs(value - want) <= err + 8.0 * UNIT_ROUNDOFF * want
+            assert abs(value - want) <= 16.0 * UNIT_ROUNDOFF * want
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_bound_holds_when_the_polish_is_cut_short(self, steps, monkeypatch):
+        # cells still above their floor after the last pass are charged their
+        # whole scan cell, not the bracket the polish left
+        monkeypatch.setattr(lb, "POLISH_STEPS", steps)
+        for n in (5, 17, 40, 100):
+            value, err = lb.trig_poly_l1(dirichlet().weights(n))
+            ref, rounding = fejer_dirichlet(n)
+            assert abs(value / (2 * np.pi) - ref) <= err / (2 * np.pi) + rounding
+        # cos x - a with its zeros at 1/4, 1/2 and 3/4 of a scan cell of M = 64
+        for i in range(32):
+            for frac in (0.25, 0.5, 0.75):
+                a = math.cos(math.pi - (i + frac) * math.pi / 32)
+                value, err = lb.trig_poly_l1(np.array([0.5, -a, 0.5]))
+                x0 = math.acos(a)
+                want = 2.0 * (2.0 * math.sin(x0) + a * (math.pi - 2.0 * x0))
+                assert abs(value - want) <= err + 8.0 * UNIT_ROUNDOFF * want
 
     def test_fejer_is_one(self):
         for n in (0, 1, 7, 40):
@@ -343,6 +378,35 @@ class TestStackedEngine:
     def test_every_method_at_n_0_to_130(self, method):
         ws = [method.weights(n) for n in range(131)]
         assert lb._piecewise_l1(ws, 16) == [one_row_l1(w) for w in ws]
+
+    def test_polish_takes_at_most_five_passes(self, monkeypatch):
+        # one Horner call a pass; started at the ends and the scan's secant,
+        # the count does not depend on where the zeros fall
+        passes, inside, horner, polish = [], [], lb._horner, lb._polish
+
+        def counted_horner(taylor, s):
+            if inside:
+                passes[-1] += 1
+            return horner(taylor, s)
+
+        def counted_polish(*args):
+            passes.append(0)
+            inside.append(True)
+            try:
+                return polish(*args)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(lb, "_horner", counted_horner)
+        monkeypatch.setattr(lb, "_polish", counted_polish)
+        for method in method_catalog():
+            lb._piecewise_l1([method.weights(n) for n in range(131)], 16)
+        for r in (1, 2, 3):
+            for n in (63, 126, 252, 504):
+                lb.kolmogorov_deviation(r, n)
+        lb._piecewise_l1([dirichlet().weights(1018), rogosinski().weights(510),
+                          bernstein().weights(34), rogosinski().weights(34)], 16)
+        assert passes and max(passes) <= 5
 
     def test_one_scan_synthesis_then_the_taylor_grid(self, monkeypatch):
         # a Dirichlet row at n = 1018 samples its M = 32768 scan grid once;

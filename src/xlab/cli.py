@@ -257,14 +257,16 @@ def _exp_euler_maclaurin(p, seed):
             else ftlab.inverse_power(par)
         for ax in (np.pi / 2, 1.0, 3.0):
             integral = ftlab.oscillatory_integral(fn, p["n"], ax)
-            for x, r in itertools.product((ax, -ax), range(p["rmax"] + 1)):
-                try:
-                    res = ftlab.euler_maclaurin_sum(fn, p["n"], r, x, integral)
-                    rows.append({"family": fam, "param": float(par), "x": x,
-                                 "r": r, "abs_theta": abs(res["theta"]),
-                                 "variation": res["variation"]})
-                except ConvergenceFailure as e:
-                    failures.append(f"{fam}({par:g}) x={x} r={r}: {e}")
+            for x in (ax, -ax):
+                series = ftlab.oscillatory_sum(fn, p["n"], x, p["rmax"])
+                for r in range(p["rmax"] + 1):
+                    try:
+                        res = ftlab.euler_maclaurin_sum(fn, p["n"], r, x, integral, series)
+                        rows.append({"family": fam, "param": float(par), "x": x,
+                                     "r": r, "abs_theta": abs(res["theta"]),
+                                     "variation": res["variation"]})
+                    except ConvergenceFailure as e:
+                        failures.append(f"{fam}({par:g}) x={x} r={r}: {e}")
     return rows, failures
 
 
@@ -459,7 +461,7 @@ REGISTRY = {
          f"need 2(p+1)pi/width <= {ftlab.INDICATOR_FT_UMAX:g}, the transform's "
          "|u| cap, for width 2*radius, or 2*min(a, b) for an ellipse"),
         cost=(("phis",), lambda p: (
-            ftlab.SCIPY_IMPORT_BYTES + ftlab.ZERO_CURVE_BYTES * p["phis"],
+            ftlab.SPECIAL_IMPORT_BYTES + ftlab.ZERO_CURVE_BYTES * p["phis"],
             ftlab.ZERO_CURVE_S * p["phis"]))),
     "comparison-ratio": Experiment(
         _exp_comparison_ratio, "worst error ratio of two summability methods",

@@ -1,8 +1,9 @@
 """Oscillatory-sum discretization with certified residual (the correction
-function h in closed form on 1/2 <= |x| <= pi), indicator transforms of the
-disc, the ellipse and the square in closed form with zero-curve tracing, and
-the 1-D cosine transform of radial profiles with its exact boundary
-expansion for polynomials."""
+function h in closed form on 1/2 <= |x| <= pi, the oscillatory integral in
+closed form or on a rotated contour with an error bound), indicator
+transforms of the disc, the ellipse and the square in closed form with
+zero-curve tracing by Brent's method, and the 1-D cosine transform of
+radial profiles with its exact boundary expansion for polynomials."""
 
 from dataclasses import dataclass
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidArgument, NotFound
+from .lebesgue import UNIT_ROUNDOFF
 from .trig import TWO_PI
 
 EULER_MACLAURIN_RMAX = 4
@@ -17,9 +19,12 @@ INDICATOR_FT_UMAX = 1e3          # largest |u| at which indicator_ft evaluates
 # zero_curve's cost per ray on a 2-vCPU host, one thread: 80-150 us for the
 # disc and the ellipse and 270-280 us for the square (p = 1..20, row and
 # CSV line included), charged 5e-4 s for drift; a traced peak of 480-500
-# bytes per row, charged 800 with a failure line, besides the 25 MB that
-# the first run of a process traces importing scipy.special and optimize
-ZERO_CURVE_S, ZERO_CURVE_BYTES, SCIPY_IMPORT_BYTES = 5e-4, 800, 2 ** 25
+# bytes per row, charged 800 with a failure line, besides the 13.4 MB that
+# the first run of a process traces importing scipy.special, its only
+# scipy module
+ZERO_CURVE_S, ZERO_CURVE_BYTES, SPECIAL_IMPORT_BYTES = 5e-4, 800, 2 ** 24
+# Brent's iteration cap, scipy.optimize.brentq's default
+BRENT_MAXITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +60,18 @@ def h_function(x, p=0):
 
 @dataclass(frozen=True)
 class DecayingFunction:
-    """A function on [n, inf) with derivatives and a variation bound.
+    """A function on [n, inf) with derivatives, a variation bound and its
+    oscillatory integral.
 
     deriv(u, p) evaluates f^(p)(u) (vectorized in u); variation(a, p)
-    returns the total variation of f^(p) on [a, inf) in closed form.
+    returns the total variation of f^(p) on [a, inf) in closed form;
+    integral(n, w) returns int_n^inf f(u) e^{iuw} du at w > 0 as a complex
+    value and a bound on its error.
     """
 
     deriv: object
     variation: object
+    integral: object
 
 
 def exponential_decay(a):
@@ -76,13 +85,31 @@ def exponential_decay(a):
     def variation(n, p):
         return a ** p * math.exp(-a * n)
 
-    return DecayingFunction(deriv, variation)
+    def integral(n, w):
+        """e^{(iw - a)n} / (a - iw) in closed form.  Rounding a n and w n
+        moves the modulus and the phase by up to (a n + w n) u, exp, cos, sin
+        and the division by a few u more; an e^{-an} below the normal range
+        keeps only an absolute accuracy of a few subnormal units."""
+        den = complex(a, -w)
+        value = math.exp(-a * n) * complex(math.cos(w * n), math.sin(w * n)) / den
+        bound = (a * n + w * n + 8) * UNIT_ROUNDOFF * abs(value) \
+            + 4 * math.ulp(0.0) / abs(den)
+        return value, bound
+
+    return DecayingFunction(deriv, variation, integral)
+
+
+# inverse_power's integral on the rotated contour: CONTOUR_NODES-point
+# Gauss-Legendre panels out to t = CONTOUR_END, each bounded on its
+# Bernstein ellipse of parameter CONTOUR_RHO
+CONTOUR_NODES, CONTOUR_END, CONTOUR_RHO = 24, 45.0, 3.0
 
 
 def inverse_power(b):
     """f(u) = (1 + u)^{-b}, b > 1."""
     if b <= 1:
         raise InvalidArgument("need b > 1 for a convergent sum")
+    gx, gw = np.polynomial.legendre.leggauss(CONTOUR_NODES)
 
     def deriv(u, p):
         coef = 1.0
@@ -96,7 +123,58 @@ def inverse_power(b):
             coef *= b + i
         return coef * (1.0 + n) ** (-b - p)
 
-    return DecayingFunction(deriv, variation)
+    def integral(n, w):
+        """The ray u = n + it/w, on which e^{iuw} = e^{iwn} e^{-t}:
+
+            int_n^inf f(u) e^{iuw} du = (i/w) e^{iwn} (n+1)^{-b} J,
+            J = int_0^inf (1 + it/D)^{-b} e^{-t} dt,   D = (n+1)w,
+
+        J's integrand being analytic off the branch cut t in i[D, inf).
+        Gauss-Legendre panels [0, d], [d, 2d], [2d, 4d], ... up to
+        CONTOUR_END, d = min(1, D), keep each panel's distance to t = iD at
+        least its half-width h.  The bound adds four terms:
+
+        * per panel, Trefethen's bound (ATAP Thm 19.3)
+          (64/15) M rho^{-2N} / (rho^2 - 1) h for an integrand bounded by M
+          inside the Bernstein ellipse E_rho, rho = CONTOUR_RHO: on E_rho
+          Re t >= c - h k and Im t <= h s, k, s = (rho +- 1/rho)/2, so
+          |t - iD| >= max(D - h s, c - h k) > 0;
+        * the truncation, int_T^inf |.| <= |1 + iT/D|^{-b} e^{-T};
+        * the rounding of the nodes, the integrand exp(E), E = -b log(1 +
+          it/D) - t, and the sum of N terms, (N + b + 16 + 2 max|E|) u
+          sum|h w g|;
+        * the phase and the products: w n is rounded by up to w n u, so
+          e^{iwn} and with it the value move by up to (w n + 2) u |I|, the
+          largest term at large n; (w n + 8) u sum|h w g| (n+1)^{-b} / w
+          covers it and the products' rounding.
+        """
+        big_d = (n + 1) * w
+        edges = [0.0, min(1.0, big_d)]
+        while edges[-1] < CONTOUR_END:
+            edges.append(min(2 * edges[-1], CONTOUR_END))
+        lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        c, h = (hi + lo) / 2, (hi - lo) / 2
+        t = c[:, None] + h[:, None] * gx
+        tau = t / big_d
+        expo = -0.5 * b * np.log1p(tau * tau) - t - 1j * b * np.arctan(tau)
+        hwg = (h[:, None] * gw) * np.exp(expo)
+        j = np.sum(hwg)
+
+        rho = CONTOUR_RHO
+        k, s = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+        dist = np.maximum(big_d - h * s, c - h * k)
+        m = np.exp(h * k - c) * (dist / big_d) ** -b
+        ellipse = 64 / 15 * rho ** (-2 * gx.size) / (rho * rho - 1) * np.sum(m * h)
+        tail = math.hypot(1.0, CONTOUR_END / big_d) ** -b * math.exp(-CONTOUR_END)
+        abs_sum = float(np.sum(np.abs(hwg)))
+        rounding = (gx.size * lo.size + b + 16 + 2 * float(np.max(np.abs(expo)))) \
+            * UNIT_ROUNDOFF * abs_sum
+        scale = (n + 1.0) ** -b / w
+        value = 1j * scale * complex(math.cos(w * n), math.sin(w * n)) * complex(j)
+        bound = scale * (ellipse + tail + rounding + (w * n + 8) * UNIT_ROUNDOFF * abs_sum)
+        return value, bound
+
+    return DecayingFunction(deriv, variation, integral)
 
 
 OSCILLATORY_TERMS = 200000
@@ -135,27 +213,30 @@ def _oscillatory_series(f, n, x, target):
     fk = f.deriv(k, 0)
     head = np.sum(fk * q ** k)
     tail = f_m * q ** m / one_q + d * q ** (m + 1) / one_q ** 2
-    rounding = (m * (1.0 + abs(x)) + math.log2(m)) * 2.0 ** -53 * np.sum(np.abs(fk))
+    rounding = (m * (1.0 + abs(x)) + math.log2(m)) * UNIT_ROUNDOFF * np.sum(np.abs(fk))
     return head + tail, abs(d) / abs(one_q) ** 2 + rounding
 
 
 def oscillatory_integral(f, n, x):
-    """The parts (c, s) of int_n^inf f(u) e^{iu|x|} du = c + is, and quad's
-    error estimate of the two, from one QAWF call each.  The integral at x
-    is c + is for x > 0 and c - is for x < 0: QUADPACK returns the cosine
-    part at -x unchanged and the sine part negated, error estimates
-    included."""
-    from scipy import integrate
-
-    def f0(u):
-        return f.deriv(u, 0)
-
-    re, re_err = integrate.quad(f0, n, np.inf, weight="cos", wvar=abs(x), limit=400)
-    im, im_err = integrate.quad(f0, n, np.inf, weight="sin", wvar=abs(x), limit=400)
-    return re, im, re_err + im_err
+    """The parts (c, s) of int_n^inf f(u) e^{iu|x|} du = c + is and a bound
+    on the error of c + is, from f's own integral.  The integral at x is
+    c + is for x > 0 and c - is for x < 0, f being real."""
+    value, bound = f.integral(n, abs(x))
+    return value.real, value.imag, bound
 
 
-def euler_maclaurin_sum(f, n, r, x, integral=None):
+def oscillatory_sum(f, n, x, rmax):
+    """sum_{k>=n} f(k) e^{ikx} and its error bound from _oscillatory_series,
+    summed to the smallest target EULER_MACLAURIN_TOL / 10 * min(1, V_r /
+    pi^r) over r = 0..rmax, V_r the variation of f^(r) on [n, inf): one sum
+    serves every order r <= rmax, and below the head's cap its truncation
+    moves each theta by at most EULER_MACLAURIN_TOL / 10."""
+    target = min(EULER_MACLAURIN_TOL / 10 * min(1.0, float(f.variation(n, r)) / np.pi ** r)
+                 for r in range(rmax + 1))
+    return _oscillatory_series(f, n, x, target)
+
+
+def euler_maclaurin_sum(f, n, r, x, integral=None, series=None):
     """Compare the oscillatory sum sum_{k>=n} f(k)e^{ikx} with its
     integral-plus-corrections discretization.
 
@@ -164,16 +245,14 @@ def euler_maclaurin_sum(f, n, r, x, integral=None):
     + e^{inx} sum_{p<r} ((-i)^{p+1}/p!) h^(p)(x) f^(p)(n),
     the normalized residual theta = (lhs - rhs) * pi^r / V, and the
     variation bound V of f^(r) on [n, inf).  The integral's parts at |x|
-    depend on neither r nor the sign of x: a caller looping over them passes
-    oscillatory_integral(f, n, |x|) as `integral`, computed here otherwise.
-    numeric_error is quad's error estimate for the integral plus the tail
-    bound and head rounding of
-    _oscillatory_series (a head of 64 to OSCILLATORY_TERMS + 1 terms, doubled
-    until the tail bound is <= EULER_MACLAURIN_TOL / 10 * min(1, V / pi^r),
-    so below the cap the truncation moves theta by at most
-    EULER_MACLAURIN_TOL / 10); it must stay within
-    EULER_MACLAURIN_TOL * max(1, |lhs|), and theta's share of it,
-    numeric_error * pi^r / V, within EULER_MACLAURIN_THETA_TOL.  The
+    depend on neither r nor the sign of x, and the sum does not depend on r:
+    a caller looping over them passes oscillatory_integral(f, n, |x|) as
+    `integral` and oscillatory_sum(f, n, x, rmax) as `series`, each computed
+    here otherwise (the sum with rmax = r).  numeric_error is the integral's
+    error bound plus the sum's (the tail bound and head rounding of
+    _oscillatory_series, a head of 64 to OSCILLATORY_TERMS + 1 terms); it
+    must stay within EULER_MACLAURIN_TOL * max(1, |lhs|), and theta's share
+    of it, numeric_error * pi^r / V, within EULER_MACLAURIN_THETA_TOL.  The
     corrections r >= 1 need h, so 1/2 <= |x| there.
     """
     if x == 0 or abs(x) > np.pi:
@@ -186,8 +265,7 @@ def euler_maclaurin_sum(f, n, r, x, integral=None):
         raise ConvergenceFailure("derivatives do not decay at the truncation point")
 
     v = float(f.variation(n, r))
-    lhs, series_err = _oscillatory_series(
-        f, n, x, EULER_MACLAURIN_TOL / 10 * min(1.0, v / np.pi ** r))
+    lhs, series_err = oscillatory_sum(f, n, x, r) if series is None else series
     re, im, integral_err = oscillatory_integral(f, n, x) if integral is None else integral
     rhs = re + 1j * (im if x > 0 else -im) + 0.5 * f.deriv(n, 0) * np.exp(1j * n * x)
     phase = np.exp(1j * n * x)
@@ -312,8 +390,55 @@ def zero_curve(body, p, phi):
     if not idx.size:
         raise NotFound(f"no sign change in ({lo:g}, {hi:g}) for p={p}")
     i = idx[0]
-    from scipy import optimize
-    return float(optimize.brentq(f, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16))
+    return _brentq(f, float(ts[i]), float(ts[i + 1]), 1e-13, 8.9e-16, BRENT_MAXITER)
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter):
+    """A zero of f in [xa, xb], where f(xa) and f(xb) differ in sign, by
+    Brent's method (Brent 1973, ch. 4): scipy.optimize.brentq's iteration
+    step for step, so its zeros are the same bits.  Each step keeps a
+    bracket [xcur, xblk] with |f(xcur)| <= |f(xblk)| and takes the secant
+    or inverse quadratic step when it is short, bisection otherwise;
+    converged when the bracket's half is below (xtol + rtol|xcur|)/2.
+    NotFound after maxiter steps."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise InvalidArgument("f(xa) and f(xb) must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NotFound(f"Brent's method did not converge in {maxiter} steps on "
+                   f"({xa:g}, {xb:g})")
 
 
 # ---------------------------------------------------------------------------

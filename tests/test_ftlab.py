@@ -128,7 +128,7 @@ class TestEulerMaclaurin:
             sizes = []
             g = ft.DecayingFunction(
                 lambda u, p: sizes.append(np.size(u)) or f.deriv(u, p),
-                f.variation)
+                f.variation, f.integral)
             for x in (np.pi / 2, -np.pi / 2, 1.0, -1.0, 3.0, -3.0, 0.01):
                 q = mpmath.expj(x)
                 if family is ft.exponential_decay:
@@ -168,45 +168,67 @@ class TestEulerMaclaurin:
                     (b, x, gap)
 
     def test_theta_error_guard(self):
-        # at n = 50, r = 4 quad's error alone, scaled by pi^r / V ~ 1e12,
-        # would move theta by ~40: the row fails instead of reporting it
+        # at n = 50, r = 4 pi^r / V ~ 2e10 for b = 2.125, and the series,
+        # capped at OSCILLATORY_TERMS + 1 terms, keeps a tail bound that
+        # moves theta by ~1e-2: the row fails instead of reporting it
         with pytest.raises(ConvergenceFailure, match="numerical error of theta"):
-            ft.euler_maclaurin_sum(ft.inverse_power(3.375), 50, 4, 1.0)
+            ft.euler_maclaurin_sum(ft.inverse_power(2.125), 50, 4, 1.0)
+
+    def test_integral_sized_for_theta(self):
+        # pi^r / V ~ 8e11 here: an integral good to quad's default epsabs
+        # moved theta by ~40, the contour rule's bound leaves it certified
+        res = ft.euler_maclaurin_sum(ft.inverse_power(3.375), 50, 4, 1.0)
+        assert abs(res["theta"]) <= 3.0
+        assert res["numeric_error"] * np.pi ** 4 / res["variation"] \
+            <= ft.EULER_MACLAURIN_THETA_TOL
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(InvalidArgument):
             ft.euler_maclaurin_sum(ft.exponential_decay(1.0), 0, 0, 0.0)
 
-    def test_qawf_is_symmetric_in_x(self):
-        # the runner's grid of functions and |x|: QUADPACK gives the cosine
-        # part at -x unchanged and the sine part negated, error estimates
-        # included, so one integral at |x| serves both signs bit for bit
-        from scipy import integrate
-        fns = [ft.exponential_decay(a) for a in np.linspace(0.2, 2.0, 5)] \
-            + [ft.inverse_power(b) for b in np.linspace(1.5, 4.0, 5)]
-        for f in fns:
-            for n in (0, 1, 2, 3, 50):
-                for ax in (np.pi / 2, 1.0, 3.0):
-                    parts = [integrate.quad(lambda u: f.deriv(u, 0), n, np.inf,
-                                            weight=w, wvar=x, limit=400)
-                             for x in (ax, -ax) for w in ("cos", "sin")]
-                    (c, c_err), (s, s_err), (c2, c2_err), (s2, s2_err) = parts
-                    assert [v.hex() for v in (c2, -s2, c2_err, s2_err)] \
-                        == [v.hex() for v in (c, s, c_err, s_err)]
-                    assert ft.oscillatory_integral(f, n, -ax) \
-                        == ft.oscillatory_integral(f, n, ax) == (c, s, c_err + s_err)
+    def test_integral_against_closed_forms(self, monkeypatch):
+        # int_n^inf f(u) e^{iux} du against e^{(ix-a)n}/(a-ix) for e^{-au}
+        # and e^{-ix}(-ix)^{b-1} Gamma(1-b, -ix(n+1)) for (1+u)^{-b}, in 40
+        # digits, at both signs of x: one evaluation at |x| serves -x by its
+        # negated sine part.  At n = 10^8 the rounding of x n in the phase
+        # is the largest error, and the bound must carry it
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(mpmath.mp, "dps", 40)
+        cases = [(ft.exponential_decay, a) for a in np.linspace(0.2, 2.0, 5)] \
+            + [(ft.inverse_power, b) for b in np.linspace(1.5, 4.0, 5)]
+        for family, par in cases:
+            f = family(par)
+            p = mpmath.mpf(par)
+            for n in (0, 1, 3, 50, 10 ** 8):
+                for ax in (1e-3, 0.1, 1.0, np.pi / 2, 3.0):
+                    c, s, bound = ft.oscillatory_integral(f, n, ax)
+                    assert ft.oscillatory_integral(f, n, -ax) == (c, s, bound)
+                    for x in (ax, -ax):
+                        ix = 1j * mpmath.mpf(x)
+                        if family is ft.exponential_decay:
+                            exact = mpmath.exp((ix - p) * n) / (p - ix)
+                        else:
+                            exact = mpmath.exp(-ix) * (-ix) ** (p - 1) \
+                                * mpmath.gammainc(1 - p, -ix * (n + 1))
+                        value = mpmath.mpc(c, s if x > 0 else -s)
+                        gap = abs(value - exact)
+                        assert gap <= bound, (family.__name__, par, n, x, gap, bound)
 
     @pytest.mark.parametrize("rmax", [0, 2])
     def test_one_integral_per_function_and_abs_x(self, rmax, monkeypatch):
-        # 10 functions x 3 |x|, a cosine and a sine part each, whatever rmax
-        from scipy import integrate
+        # 10 functions x 3 |x| integrals and 10 x 6 signed x sums, whatever
+        # rmax: -x reads the integral at |x|, and every r the sum at x
         from xlab import cli
-        calls = []
-        quad = integrate.quad
-        monkeypatch.setattr(integrate, "quad",
-                            lambda *a, **k: calls.append(k["wvar"]) or quad(*a, **k))
+        integrals, sums = [], []
+        integral, series = ft.oscillatory_integral, ft._oscillatory_series
+        monkeypatch.setattr(ft, "oscillatory_integral", lambda f, n, x: integrals.append(
+            (f, x)) or integral(f, n, x))
+        monkeypatch.setattr(ft, "_oscillatory_series", lambda f, n, x, target: sums.append(
+            (f, x)) or series(f, n, x, target))
         cli.run(cli.build_config("euler-maclaurin-check", [f"rmax={rmax}"]))
-        assert len(calls) == 60 and min(calls) > 0
+        assert len(integrals) == len(set(integrals)) == 30
+        assert min(x for _, x in integrals) > 0
+        assert len(sums) == len(set(sums)) == 60
 
 
 class TestIndicatorFT:
@@ -341,6 +363,40 @@ class TestZeroCurve:
                 lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
                 want = zeros[(lo < zeros) & (zeros < hi)].min()
                 assert abs(ft.zero_curve(sq, p, phi) - want) < 1e-9, (phi, p)
+
+    def test_brent_matches_scipy_brentq(self, monkeypatch):
+        # the port against scipy.optimize.brentq on the same brackets, bit
+        # for bit: 64 rays each of the disc, the ellipse and the square
+        optimize = pytest.importorskip("scipy.optimize")
+        brentq, calls = ft._brentq, []
+
+        def both(f, xa, xb, xtol, rtol, maxiter):
+            want = optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
+            got = brentq(f, xa, xb, xtol, rtol, maxiter)
+            calls.append((got.hex(), float(want).hex()))
+            return got
+
+        monkeypatch.setattr(ft, "_brentq", both)
+        for body in (ft.ConvexBody2D.disc(1.0), ft.ConvexBody2D.ellipse(1.0, 0.5),
+                     ft.ConvexBody2D.square(0.7)):
+            for p in (1, 2, 3):
+                for phi in np.pi * (np.arange(64) + 0.5) / 64:
+                    ft.zero_curve(body, p, phi)
+        assert len(calls) == 3 * 3 * 64
+        assert all(got == want for got, want in calls)
+
+    def test_brent_cap_is_a_failure_line(self, monkeypatch, tmp_path):
+        # Brent's method stopped after 2 steps: each ray is a recorded
+        # failure, not a traceback
+        from xlab import cli
+        monkeypatch.setattr(ft, "BRENT_MAXITER", 2)
+        with pytest.raises(NotFound, match="did not converge in 2 steps"):
+            ft.zero_curve(ft.ConvexBody2D.disc(1.0), 1, 0.3)
+        out = tmp_path / "t.csv"
+        assert cli.main(["indicator-zeros", "phis=4", "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 + 4 + 4
+        assert all("did not converge" in line for line in lines[6:])
 
     def test_square_symmetry_rays_attain_the_bounds(self):
         # on the axes a simple zero sits at d r = 2p pi, the bracket's lower

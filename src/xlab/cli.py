@@ -7,8 +7,8 @@ Parameters are plain key=value tokens; a config file may supply defaults
 (one `key = value` per line, '#' comments); each token goes through the
 parser its experiment declares for the key before any work starts.  Reruns
 with identical config and seed produce byte-identical output up to the
-timestamp header line; XLAB_THREADS sets the worker pool size, capped at
-the CPU count.
+timestamp header line; XLAB_THREADS sets the size of the worker pool that
+lebesgue-table maps its engine stacks over, capped at the CPU count.
 """
 
 import argparse
@@ -48,17 +48,6 @@ def _pool_size():
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _map(fn, items):
-    """fn: item -> (row, failure or None); (rows, failures) in item order."""
-    workers = _pool_size()
-    if workers == 1:
-        out = [fn(it) for it in items]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(fn, items))
-    return [row for row, _ in out], [f for _, f in out if f]
-
-
 # ---------------------------------------------------------------------------
 # experiment implementations: params dict + seed -> (rows, failures)
 # ---------------------------------------------------------------------------
@@ -69,8 +58,16 @@ def _exp_lebesgue_table(p, seed):
     # one stacked engine pass per unit of the pool
     batches = [[ns[i] for i in chunk] for chunk in lebesgue.stacks(
         [lebesgue.grid_size(b) for b in method.band(ns).tolist()])]
-    samples, _ = _map(lambda b: (lebesgue.lebesgue_constant(method, b, p["tol"]), None),
-                      batches)
+
+    def table(batch):
+        return lebesgue.lebesgue_constant(method, batch, p["tol"])
+
+    workers = _pool_size()
+    if workers == 1:
+        samples = list(map(table, batches))
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            samples = list(pool.map(table, batches))
     by_n = dict(zip(itertools.chain(*batches), itertools.chain(*samples)))
     rows, failures = [], []
     for n in ns:
@@ -284,21 +281,18 @@ def _narrowest_width(p):
 
 def _exp_indicator_zeros(p, seed):
     body = _body_from_params(p)
-
-    def one(i):
+    rows, failures = [], []
+    for i in range(p["phis"]):
         phi = np.pi * i / p["phis"]
         d = body.width(phi)
         try:
             r = ftlab.zero_curve(body, p["p"], phi)
         except NotFound as e:
-            return {"phi": phi, "r_p": math.nan, "d_phi": d,
-                    "product": math.nan, "lower": 2 * p["p"] * np.pi,
-                    "upper": 2 * (p["p"] + 1) * np.pi}, f"phi={phi:g}: {e}"
-        return {"phi": phi, "r_p": r, "d_phi": d, "product": d * r,
-                "lower": 2 * p["p"] * np.pi,
-                "upper": 2 * (p["p"] + 1) * np.pi}, None
-
-    return _map(one, range(p["phis"]))
+            r = math.nan
+            failures.append(f"phi={phi:g}: {e}")
+        rows.append({"phi": phi, "r_p": r, "d_phi": d, "product": d * r,
+                     "lower": 2 * p["p"] * np.pi, "upper": 2 * (p["p"] + 1) * np.pi})
+    return rows, failures
 
 
 def _exp_comparison_ratio(p, seed):
@@ -371,9 +365,8 @@ REGISTRY = {
          "nmax": (64, _COUNT), "tol": (1e-9, _POSITIVE)},
         ["method", "n", "value", "quad_error"],
         (lambda p: p["nmin"] <= p["nmax"], "need nmin <= nmax"),
-        cost=(("nmax", "nmin", "method"), lambda p: [
-            est(trig.get_method(p["method"]), p["nmin"], p["nmax"])
-            for est in (lebesgue.table_bytes, lebesgue.table_seconds)])),
+        cost=(("nmax", "nmin", "method"), lambda p: lebesgue.table_cost(
+            trig.get_method(p["method"]), p["nmin"], p["nmax"]))),
     "kolmogorov-fit": Experiment(
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
         "4.1", {"r": (1, _INDEX), "nmin": (64, _INDEX), "nmax": (1024, _INDEX)},

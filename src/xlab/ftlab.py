@@ -252,8 +252,9 @@ def euler_maclaurin_sum(f, n, r, x, integral=None, series=None):
     error bound plus the sum's (the tail bound and head rounding of
     _oscillatory_series, a head of 64 to OSCILLATORY_TERMS + 1 terms); it
     must stay within EULER_MACLAURIN_TOL * max(1, |lhs|), and theta's share
-    of it, numeric_error * pi^r / V, within EULER_MACLAURIN_THETA_TOL.  The
-    corrections r >= 1 need h, so 1/2 <= |x| there.
+    of it, numeric_error * pi^r / V, within EULER_MACLAURIN_THETA_TOL.  V = 0
+    (f^(r) underflows on [n, inf)) leaves theta undefined and is a failure.
+    The corrections r >= 1 need h, so 1/2 <= |x| there.
     """
     if x == 0 or abs(x) > np.pi:
         raise InvalidArgument("need 0 < |x| <= pi")
@@ -265,6 +266,9 @@ def euler_maclaurin_sum(f, n, r, x, integral=None, series=None):
         raise ConvergenceFailure("derivatives do not decay at the truncation point")
 
     v = float(f.variation(n, r))
+    if v == 0:
+        raise ConvergenceFailure(f"variation of f^({r}) on [{n}, inf) underflows to 0: "
+                                 "theta is undefined")
     lhs, series_err = oscillatory_sum(f, n, x, r) if series is None else series
     re, im, integral_err = oscillatory_integral(f, n, x) if integral is None else integral
     rhs = re + 1j * (im if x > 0 else -im) + 0.5 * f.deriv(n, 0) * np.exp(1j * n * x)
@@ -277,8 +281,8 @@ def euler_maclaurin_sum(f, n, r, x, integral=None, series=None):
     if err > EULER_MACLAURIN_TOL * max(1.0, abs(lhs)):
         raise ConvergenceFailure("sum/integral tolerance not met",
                                  best_estimate=lhs, error_estimate=err)
-    theta = (lhs - rhs) * np.pi ** r / v if v > 0 else 0.0
-    theta_err = err * np.pi ** r / v if v > 0 else 0.0
+    theta = (lhs - rhs) * np.pi ** r / v
+    theta_err = err * np.pi ** r / v
     if theta_err > EULER_MACLAURIN_THETA_TOL:
         raise ConvergenceFailure(
             f"numerical error of theta {theta_err:.2e} exceeds "

@@ -3,8 +3,9 @@ deviations over the bounded-derivative classes, two-dimensional rhombic and
 hyperbolic kernels, and asymptotic-law fitting.
 
 The operator norm of a polynomial mean on continuous periodic functions is
-(1/2pi) times the L1 norm of its kernel.  For real kernels (Hermitian
-weights) that integral is computed exactly by one engine in O(M log M) time
+(1/2pi) times the L1 norm of its kernel.  For real kernels (exactly
+Hermitian weights, c_{-k} == conj c_k; anything else is refused) that
+integral is computed exactly by one engine in O(M log M) time
 and O(M) memory, M a power of two >= 32(K+1) for degree K, after the
 periodic Chebfun of Wright, Javed, Montanari and Trefethen (SIAM J. Sci.
 Comput. 2015): a real inverse FFT of c_0..c_K samples the kernel on the
@@ -14,11 +15,11 @@ zero is polished by safeguarded Newton on its Taylor polynomial, started
 from its scan cell's ends and secant point, and |K| is integrated piecewise
 from the antiderivative's Taylor data at the zeros.  The error bound has
 three terms: zero mislocation, the Taylor remainder (from Bernstein's
-inequality) and rounding.  A table of n runs as one pass
-per grid size: stacked syntheses of at most SYNTHESIS_ENTRIES samples and
-one polish over the cells of every kernel, each result bit for bit that of
-its kernel alone.  The deviation over W^r runs
-the same engine on the tail kernel, a polynomial minus a cosine sum.  The 2-D
+inequality) and rounding.  `trig_poly_l1` is the engine's one planner: a
+table of n runs as one pass per grid size, stacked syntheses of at most
+SYNTHESIS_ENTRIES samples and one polish over the cells of every kernel,
+each result bit for bit that of its kernel alone.  The deviation over W^r
+runs one such pass on the tail kernel, a polynomial minus a cosine sum.  The 2-D
 norms sum |K| over the quarter torus in one pass of square tiles of
 2 SYNTHESIS_ENTRIES entries, each formed, taken in absolute value and
 reduced while it sits in cache, with closed-form Dirichlet factors and the
@@ -134,33 +135,10 @@ def _taylor_order(kmax, h):
     return order, rem
 
 
-def grid_size(kmax, oversample=OVERSAMPLE):
-    """Scan grid M = 2^m >= max(64, 2 * oversample * (K+1)) of the 1-D
+def grid_size(kmax):
+    """Scan grid M = 2^m >= max(64, 2 * OVERSAMPLE * (K+1)) of the 1-D
     engine for degree K."""
-    return 1 << max(6, int(math.ceil(math.log2(oversample * 2 * (kmax + 1)))))
-
-
-def _piecewise_l1(cs, oversample, poly=(0.0,)):
-    """[(int_{-pi}^{pi} |f(x)| dx, certified error bound)] for the real
-    functions f(x) = sum_k c_k e^{ikx} + poly(x + pi), one per Hermitian
-    array c in cs (any degrees K), poly in ascending powers.  Sign changes
-    are scanned on x_i = -pi + ih, h = 2pi/M, M = grid_size(K, oversample),
-    closed at x_M = pi by the limit from the left (the periodic wrap when
-    poly = 0); a bracketing cell i takes the Taylor data d_j = f^(j)(x_c)
-    h_T^j / j!, j <= J, and the antiderivative F(x) = c_0 x + P(x) +
-    Q(x + pi), P periodic, Q' = poly, at its node x_c, c = i // STRIDE, of
-    the Taylor grid of step h_T = STRIDE h.  The bound (see `_stack_l1`)
-    sums mislocation, rounding and the Taylor remainder, at most
-    R = (Kh_T)^{J+1}/(J+1)! sum|c_k| <= u sum|c_k| on a Taylor cell.  The
-    arrays of one grid size run as stacks of SYNTHESIS_ENTRIES samples;
-    each result equals that of its array alone."""
-    poly = np.asarray(poly, dtype=float)
-    grids = [grid_size((c.size - 1) // 2, oversample) for c in cs]
-    out = [None] * len(cs)
-    for chunk in stacks(grids):
-        for i, result in zip(chunk, _stack_l1([cs[i] for i in chunk], grids[chunk[0]], poly)):
-            out[i] = result
-    return out
+    return 1 << max(6, int(math.ceil(math.log2(OVERSAMPLE * 2 * (kmax + 1)))))
 
 
 def stacks(grids):
@@ -176,15 +154,25 @@ def stacks(grids):
 
 
 def _stack_l1(cs, m, poly):
-    """_piecewise_l1 for arrays that share the grid size M: one stacked
-    synthesis of the samples on the M-grid, the only one that needs 32
-    points a period of e^{iKx}, then stacked syntheses on the Taylor grid
-    M_T = M/STRIDE (8 points a period, at least 2K+1) of the Taylor orders
-    1..J of the arrays with sign changes (as many orders per call as
-    SYNTHESIS_ENTRIES allows) and of the antiderivatives, then one polish
-    over every cell.  The stack is zero-padded to the widest degree and the
-    Taylor data to the highest order; the scalars of each array (K, J,
-    sum|c_k|, the rounding sums) are formed from the array alone.
+    """[(int_{-pi}^{pi} |f(x)| dx, certified error bound)] for the real
+    functions f(x) = sum_k c_k e^{ikx} + poly(x + pi), one per Hermitian
+    array c in cs (any degrees K of grid size M = m), poly an array of
+    ascending powers.  Sign changes are scanned on x_i = -pi + ih, h =
+    2pi/M, closed at x_M = pi by the limit from the left (the periodic wrap
+    when poly = 0); a bracketing cell i takes the Taylor data d_j =
+    f^(j)(x_c) h_T^j / j!, j <= J, and the antiderivative F(x) = c_0 x +
+    P(x) + Q(x + pi), P periodic, Q' = poly, at its node x_c, c = i //
+    STRIDE, of the Taylor grid of step h_T = STRIDE h.
+
+    One stacked synthesis of the samples on the M-grid, the only one that
+    needs 32 points a period of e^{iKx}, then stacked syntheses on the
+    Taylor grid M_T = M/STRIDE (8 points a period, at least 2K+1) of the
+    Taylor orders 1..J of the arrays with sign changes (as many orders per
+    call as SYNTHESIS_ENTRIES allows) and of the antiderivatives, then one
+    polish over every cell.  The stack is zero-padded to the widest degree
+    and the Taylor data to the highest order; the scalars of each array (K,
+    J, sum|c_k|, the rounding sums) are formed from the array alone, so each
+    result equals that of its array alone.
 
     The bound, u the unit roundoff and eta = FFT_STAGE_ERROR:
     * FFT: a real sample of sum a_k e^{ikx}, a Hermitian, errs by at most
@@ -196,8 +184,9 @@ def _stack_l1(cs, m, poly):
       levels of eta sum|a_k| (a radix-4 pass is two, its factors +-1, +-i
       exact) and two forming the a_k.  Checked against an exactly reduced
       DFT at M = 2^6..2^12.  The data d_j of a cell err by e_D in all.
-    * Taylor remainder: |f(x_c + s h_T) - p(s)| <= R on 0 <= s <= 1
-      (Lagrange; Bernstein's |f^(J+1)| <= K^(J+1) sum|c_k|); integrated to
+    * Taylor remainder: |f(x_c + s h_T) - p(s)| <= R = (K h_T)^{J+1}/(J+1)!
+      sum|c_k| <= u sum|c_k| on 0 <= s <= 1 (Lagrange; Bernstein's
+      |f^(J+1)| <= K^(J+1) sum|c_k|); integrated to
       a zero it moves F there by h_T R, and each F(zero) enters two terms.
     * Polish: from the ends of the scan cell and the secant point of its
       two scan samples (`_polish`).  Horner on 0 <= s <= 1 errs by
@@ -327,32 +316,28 @@ def _stack_l1(cs, m, poly):
     return out
 
 
-def trig_poly_l1(coeffs, oversample=OVERSAMPLE):
+def trig_poly_l1(coeffs):
     """(L1 norm over one period, certified error bound) for a real-valued
-    trigonometric polynomial given by Hermitian coefficients c_{-K}..c_K
-    (c_{-k} = conj c_k); for a sequence of such arrays (any degrees), a list
-    of the pairs from one engine pass per grid size.  See `_piecewise_l1`
-    for the method and the bound."""
+    trigonometric polynomial given by exactly Hermitian coefficients
+    c_{-K}..c_K (c_{-k} == conj c_k); for a sequence of such arrays (any
+    degrees), a list of the pairs in input order.  The engine's one
+    planner: each array takes the grid grid_size(K), and the arrays of one
+    grid run through `_stack_l1` (the method and the bound) in the stacks
+    of `stacks`."""
     single = len(coeffs) == 0 or np.ndim(coeffs[0]) == 0
-    # the engine integrates |Re f|, Re f having the coefficients
-    # (c_k + conj c_{-k}) / 2, which |f| exceeds by at most
-    # |Im f| <= sum|c_k - conj c_{-k}| / 2; forming them is exact where
-    # c_k = conj c_{-k} and off by u|.| elsewhere, 2pi u|.| in the integral
     cs = [np.asarray(c, dtype=complex) for c in ([coeffs] if single else coeffs)]
     if any(c.ndim != 1 or c.size % 2 == 0 for c in cs):
         raise InvalidArgument("coefficient array must have odd length 2K+1")
-    # one check and one difference for the whole stack, rows end to end
+    # one comparison for the whole stack, rows end to end
     flat, mirror = np.concatenate(cs), np.conj(np.concatenate([c[::-1] for c in cs]))
-    if not np.all(np.isclose(flat, mirror, atol=1e-12)):
+    if not np.array_equal(flat, mirror):
         raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
-    d, starts = flat - mirror, np.cumsum([0] + [c.size for c in cs[:-1]])
-    real, extra = list(cs), [0.0] * len(cs)
-    for i in np.flatnonzero(np.logical_or.reduceat(d != 0, starts)):
-        di = d[starts[i]:starts[i] + cs[i].size]
-        real[i] = 0.5 * (cs[i] + np.conj(cs[i][::-1]))
-        extra[i] = (np.pi * float(np.sum(np.abs(di)))
-                    + TWO_PI * UNIT_ROUNDOFF * float(np.sum(np.abs(real[i][di != 0]))))
-    out = [(value, err + e) for e, (value, err) in zip(extra, _piecewise_l1(real, oversample))]
+    grids = [grid_size((c.size - 1) // 2) for c in cs]
+    out = [None] * len(cs)
+    for chunk in stacks(grids):
+        for i, result in zip(chunk, _stack_l1([cs[i] for i in chunk], grids[chunk[0]],
+                                              np.zeros(1))):
+            out[i] = result
     return out[0] if single else out
 
 
@@ -373,18 +358,12 @@ ROW_BYTES = 600
 ROW_SECONDS = 1.5e-4
 
 
-def table_bytes(method, nmin, nmax):
-    """Estimated peak bytes of `lebesgue-table` over nmin..nmax: the engine's
-    largest call and the rows."""
-    return (ENGINE_BYTES * max(grid_size(method.band(nmax)), SYNTHESIS_ENTRIES)
-            + ROW_BYTES * (nmax - nmin + 1) + 2 ** 20)
-
-
-def table_seconds(method, nmin, nmax):
-    """Estimated seconds of `lebesgue-table` over nmin..nmax: the syntheses,
-    summed over the runs of n on one grid (the band does not decrease in n,
-    so bisection finds the last n of each run, charged the run's top order),
-    and the rows."""
+def table_cost(method, nmin, nmax):
+    """Estimated (peak bytes, seconds) of `lebesgue-table` over nmin..nmax.
+    The bytes: the engine's largest call and the rows.  The seconds: the
+    syntheses, summed over the runs of n on one grid (the band does not
+    decrease in n, so bisection finds the last n of each run, charged the
+    run's top order), and the rows."""
     seconds, n = ROW_SECONDS * (nmax - nmin + 1), nmin
     while n <= nmax:
         m, last, hi = grid_size(method.band(n)), n, nmax
@@ -396,7 +375,8 @@ def table_seconds(method, nmin, nmax):
         seconds += (last - n + 1) * ENGINE_SECONDS * (
             m * math.log2(m) + (order + 1) * mt * math.log2(mt))
         n = last + 1
-    return seconds
+    return (ENGINE_BYTES * max(grid_size(method.band(nmax)), SYNTHESIS_ENTRIES)
+            + ROW_BYTES * (nmax - nmin + 1) + 2 ** 20), seconds
 
 
 def lebesgue_constant(method, n, tol=1e-9):
@@ -407,7 +387,7 @@ def lebesgue_constant(method, n, tol=1e-9):
     ns = np.atleast_1d(n).tolist()
     if min(ns, default=0) < 0 or not tol > 0:
         raise InvalidArgument("need index n >= 0 and tolerance tol > 0")
-    # the weights of one stack at a time: table_bytes bounds the peak
+    # the weights of one stack at a time: table_cost bounds the peak
     out, bands = [None] * len(ns), method.band(ns).tolist()
     for chunk in stacks([grid_size(b) for b in bands]):
         w = method.weights([ns[i] for i in chunk])
@@ -508,7 +488,7 @@ def kolmogorov_deviation(r, n):
     k = np.arange(1, n + 1)
     half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** float(r))
     c = np.concatenate((np.conj(half[::-1]), [0.0], half))
-    total, err = _piecewise_l1([c], OVERSAMPLE, _full_series_poly(r))[0]
+    total, err = _stack_l1([c], grid_size(n), _full_series_poly(r))[0]
     if err / np.pi > KOLMOGOROV_TOL or not err < total:
         raise ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
                                  error_estimate=err / np.pi)

@@ -227,7 +227,12 @@ class TestExitCodes:
         # the estimates of the stacked engine against the memory budget
         # and the fuzz time budget; an input over either is refused with its
         # estimate before any work
-        nbytes, seconds = lebesgue.table_bytes, lebesgue.table_seconds
+        def nbytes(method, nmin, nmax):
+            return lebesgue.table_cost(method, nmin, nmax)[0]
+
+        def seconds(method, nmin, nmax):
+            return lebesgue.table_cost(method, nmin, nmax)[1]
+
         budget = cli.BUDGET_BYTES
         d, ap = trig.dirichlet(), trig.abel_poisson()
         assert nbytes(d, 1, 1) == 40 * 2 ** 15 + 600 + 2 ** 20
@@ -383,8 +388,9 @@ class TestDeterminism:
             texts.append(out.read_text().splitlines()[1:])
         assert texts[0] == texts[1] and len(texts[0]) == 1 + 141
 
-    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
-        # a stub executor records the pool size and starts no threads
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch, tmp_path):
+        # a stub executor records the pool size and starts no threads;
+        # lebesgue-table is the one experiment that maps over the pool
         sizes = []
 
         class Recorder:
@@ -403,8 +409,14 @@ class TestDeterminism:
         monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         monkeypatch.setenv("XLAB_THREADS", "100000")
-        rows, failures = cli._map(lambda n: ((n,), None), range(8))
-        assert sizes == [3] and rows == [(n,) for n in range(8)] and not failures
+        out = tmp_path / "t.csv"
+        assert run_main(["lebesgue-table", "nmax=8", "--out", str(out)]) == 0
+        assert sizes == [3]
+        assert [int(l.split(",")[1]) for l in out.read_text().splitlines()[2:]] == \
+            list(range(1, 9))
+        # indicator-zeros runs its rays in one loop, without a pool
+        assert run_main(["indicator-zeros", "phis=4", "--out", str(out)]) == 0
+        assert sizes == [3]
 
     def test_seed_changes_rows(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

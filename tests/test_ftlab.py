@@ -182,6 +182,17 @@ class TestEulerMaclaurin:
         assert res["numeric_error"] * np.pi ** 4 / res["variation"] \
             <= ft.EULER_MACLAURIN_THETA_TOL
 
+    def test_underflowing_variation_is_a_failure(self):
+        # e^{-a n} underflows at n = 10^8: V = 0 and theta is undefined, so
+        # the row fails instead of printing theta = 0
+        f = ft.exponential_decay(0.2)
+        assert f.variation(10 ** 8, 0) == 0.0
+        for r in (0, 1, 2):
+            with pytest.raises(ConvergenceFailure, match="underflows to 0"):
+                ft.euler_maclaurin_sum(f, 10 ** 8, r, 1.0)
+        # inverse_power keeps V > 0 there, so the guard does not fire
+        assert ft.inverse_power(1.5).variation(10 ** 8, 0) > 0
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(InvalidArgument):
             ft.euler_maclaurin_sum(ft.exponential_decay(1.0), 0, 0, 0.0)

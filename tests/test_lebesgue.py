@@ -277,12 +277,13 @@ class TestLebesgueConstant:
                 s = lb.lebesgue_constant(method, n)
                 assert s.value >= lam0 - 1e-9
 
-    def test_certification_honesty(self):
+    def test_certification_honesty(self, monkeypatch):
         # doubling the scan resolution moves the value by less than the
         # reported error bound
         w = trig.dirichlet().weights(17)
-        v1, e1 = lb.trig_poly_l1(w, oversample=16)
-        v2, _ = lb.trig_poly_l1(w, oversample=32)
+        v1, e1 = lb.trig_poly_l1(w)
+        monkeypatch.setattr(lb, "OVERSAMPLE", 32)
+        v2, _ = lb.trig_poly_l1(w)
         assert abs(v1 - v2) <= max(e1, 1e-12)
 
     def test_bernstein_matches_rogosinski(self):
@@ -311,15 +312,27 @@ class TestLebesgueConstant:
         with pytest.raises(InvalidArgument):
             lb.trig_poly_l1(np.array([0.0, 1.0, 1j]))
 
-    def test_bound_covers_nearly_hermitian_coefficients(self):
-        # accepted by the reality check, but Im f = 2e-6 cos t is not zero
-        from scipy import integrate
-        c = np.array([1 + 1e-6j, 1.0, 1 + 1e-6j])
-        value, err = lb.trig_poly_l1(c)
-        k = np.arange(-1, 2)
-        ref, ref_err = integrate.quad(lambda t: abs(np.exp(1j * k * t) @ c),
-                                      -np.pi, np.pi, limit=200, epsabs=1e-14)
-        assert abs(value - ref) <= err + ref_err
+    def test_nearly_hermitian_coefficients_rejected(self):
+        # c_{-1} = conj c_1 up to 2e-6 only: Im f = 2e-6 cos t is not zero,
+        # and the engine takes exactly Hermitian input alone
+        with pytest.raises(InvalidArgument):
+            lb.trig_poly_l1(np.array([1 + 1e-6j, 1.0, 1 + 1e-6j]))
+        # one such row refuses the whole list
+        with pytest.raises(InvalidArgument):
+            lb.trig_poly_l1([dirichlet().weights(3), np.array([1 + 1e-6j, 1.0, 1 + 1e-6j])])
+
+    @pytest.mark.parametrize("method", method_catalog(), ids=lambda m: m.name)
+    def test_weights_are_exactly_hermitian(self, method):
+        # every row the tables hand the engine, in the stacks lebesgue_constant
+        # forms them in, passes its exact check
+        ns = np.arange(3001)
+        for chunk in lb.stacks([lb.grid_size(b) for b in method.band(ns).tolist()]):
+            w = method.weights(ns[chunk])
+            assert np.array_equal(w, np.conj(w[:, ::-1]))
+        if method.name in ("bernstein", "rogosinski"):
+            for n in (8192, 65536):
+                w = method.weights(n)
+                assert np.array_equal(w, np.conj(w[::-1]))
 
 
 class TestOraclesAtScale:
@@ -355,11 +368,14 @@ class TestOraclesAtScale:
     @given(st.sampled_from(method_catalog()), st.integers(1, 300),
            st.floats(0.0, 2 * np.pi, exclude_max=True))
     def test_shift_leaves_norm_unchanged(self, method, n, tau):
-        # w_k e^{ik tau} is the kernel translated by tau: same L1 norm
+        # w_k e^{ik tau} is the kernel translated by tau: same L1 norm; the
+        # rows k >= 0 are formed and mirrored by conjugation, exactly Hermitian
         w = method.weights(n)
-        k = np.arange(w.size) - (w.size - 1) // 2
+        band = (w.size - 1) // 2
+        half = w[band:] * np.exp(1j * np.arange(band + 1) * tau)
+        shifted = np.concatenate((np.conj(half[:0:-1]), [half[0].real], half[1:]))
         v0, e0 = lb.trig_poly_l1(w)
-        v1, e1 = lb.trig_poly_l1(w * np.exp(1j * k * tau))
+        v1, e1 = lb.trig_poly_l1(shifted)
         assert abs(v0 - v1) <= e0 + e1
 
 
@@ -377,7 +393,7 @@ class TestStackedEngine:
     @pytest.mark.parametrize("method", method_catalog(), ids=lambda m: m.name)
     def test_every_method_at_n_0_to_130(self, method):
         ws = [method.weights(n) for n in range(131)]
-        assert lb._piecewise_l1(ws, 16) == [one_row_l1(w) for w in ws]
+        assert lb.trig_poly_l1(ws) == [one_row_l1(w) for w in ws]
 
     def test_polish_takes_at_most_five_passes(self, monkeypatch):
         # one Horner call a pass; started at the ends and the scan's secant,
@@ -400,12 +416,12 @@ class TestStackedEngine:
         monkeypatch.setattr(lb, "_horner", counted_horner)
         monkeypatch.setattr(lb, "_polish", counted_polish)
         for method in method_catalog():
-            lb._piecewise_l1([method.weights(n) for n in range(131)], 16)
+            lb.trig_poly_l1([method.weights(n) for n in range(131)])
         for r in (1, 2, 3):
             for n in (63, 126, 252, 504):
                 lb.kolmogorov_deviation(r, n)
-        lb._piecewise_l1([dirichlet().weights(1018), rogosinski().weights(510),
-                          bernstein().weights(34), rogosinski().weights(34)], 16)
+        lb.trig_poly_l1([dirichlet().weights(1018), rogosinski().weights(510),
+                         bernstein().weights(34), rogosinski().weights(34)])
         assert passes and max(passes) <= 5
 
     def test_one_scan_synthesis_then_the_taylor_grid(self, monkeypatch):
@@ -427,7 +443,7 @@ class TestStackedEngine:
         poly = _full_series_poly(r)
         for n in (0, 1, 5, 64, 200):
             c = tail_coefficients(r, n)
-            assert lb._piecewise_l1([c], 16, poly) == [one_row_l1(c, 16, poly)]
+            assert lb._stack_l1([c], lb.grid_size(n), poly) == [one_row_l1(c, 16, poly)]
         assert lb.kolmogorov_deviation(r, 64) == one_row_l1(
             tail_coefficients(r, 64), 16, poly)[0] / np.pi
 
@@ -443,7 +459,7 @@ class TestStackedEngine:
             ws.append(np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half]))
         ws = [ws[i] for i in rng.permutation(len(ws))]
         assert len({lb.grid_size((w.size - 1) // 2) for w in ws}) >= 6
-        assert lb._piecewise_l1(ws, 16) == [one_row_l1(w) for w in ws]
+        assert lb.trig_poly_l1(ws) == [one_row_l1(w) for w in ws]
         assert lb.trig_poly_l1(ws) == [lb.trig_poly_l1(w) for w in ws]
 
     def test_sequence_of_n_records_each_failure(self):
@@ -480,7 +496,7 @@ class TestStackedEngine:
                     order = lb._taylor_order(method.band(last[m]), 2 * np.pi / (m // 4))[0]
                     want += lb.ENGINE_SECONDS * (m * math.log2(m)
                                                  + (order + 1) * m // 4 * math.log2(m // 4))
-                assert lb.table_seconds(method, nmin, nmax) == pytest.approx(want)
+                assert lb.table_cost(method, nmin, nmax)[1] == pytest.approx(want)
 
     def test_memory_estimate_bounds_traced_peak(self):
         # 64 rows of one stack each: the weights are built a stack at a time
@@ -494,7 +510,7 @@ class TestStackedEngine:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= lb.table_bytes(method, min(ns), max(ns))
+            assert peak <= lb.table_cost(method, min(ns), max(ns))[0]
 
 
 class TestFits:

@@ -19,8 +19,6 @@ REACHERS = [ROOT / "tests" / "test_acceptance.py",
 # (function, parameter) pairs set only from outside SOURCES and REACHERS
 EXEMPT = {
     ("main", "argv"): "the console script calls main(); tests pass argv",
-    ("trig_poly_l1", "oversample"):
-        "tests/test_lebesgue.py doubles it as the refinement reference",
     ("radial_ft", "knots"):
         "criterion 15 runs TestBSpline, which passes the B-spline knots",
     ("grid_norm", "p"): "the L_p branch is the Riemann-sum L1 oracle of tests",

@@ -607,6 +607,11 @@ def main(argv=None):
     try:
         report = run(config)
         (write_csv if args.format == "csv" else write_json)(report, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader left: send what Python flushes at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return NUMERIC_ERROR
     finally:
         if out is not sys.stdout:
             out.close()

@@ -227,7 +227,7 @@ def _stack_l1(cs, m, poly):
 
     # the (rows, M) sample arrays are dropped as soon as their cells are
     # read, so that one synthesis at a time sets the peak memory
-    trig_vals = synthesize(stack, m, real=True).values
+    trig_vals = synthesize(stack, m).values
     vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1)
     vals += _polyval(poly, h * np.arange(m + 1))      # at x + pi
     owner, idx = np.nonzero(np.diff(np.signbit(vals), axis=1))
@@ -252,7 +252,7 @@ def _stack_l1(cs, m, poly):
             a = a * (1j * ht / j) * k
             need = orders[has] >= j
             blocks.append((j, has[need], a[need]))
-        sampled = synthesize(np.concatenate([b for _, _, b in blocks]), mt, real=True).values
+        sampled = synthesize(np.concatenate([b for _, _, b in blocks]), mt).values
         for j, rows, b in blocks:
             cells = order >= j
             at = np.cumsum((orders >= j) & (count > 0)) - 1   # array i is b[at[i]]
@@ -279,7 +279,7 @@ def _stack_l1(cs, m, poly):
     # F at -pi, at each zero, and at pi; the points of array i run from
     # ends[i] (-pi) to ends[i] + count[i] + 1 (pi)
     anti = np.divide(stack, 1j * k, out=np.zeros_like(stack), where=k != 0)
-    p_vals = synthesize(anti, mt, real=True).values
+    p_vals = synthesize(anti, mt).values
     p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, node]
     del p_vals
     err_anti = [lg_t * float(np.add.reduce(row[sl])) for row, sl in zip(np.abs(anti), own)]
@@ -621,9 +621,14 @@ def rhombic_lebesgue(n1, n2):
 
 def _hyperbolic_groups(alpha, n):
     """Group {k1 >= 1, k2 >= 1, k1^alpha * k2 <= n} by the k2 degree."""
-    return _degree_groups(
-        itertools.takewhile(lambda k1: k1 ** alpha <= n, itertools.count(1)),
-        lambda k1: int(math.floor(n / k1 ** alpha + 1e-12)), 0.0)
+    def inside(k1):
+        try:
+            return k1 ** alpha <= n
+        except OverflowError:           # past the float range: above n
+            return False
+
+    return _degree_groups(itertools.takewhile(inside, itertools.count(1)),
+                          lambda k1: int(math.floor(n / k1 ** alpha + 1e-12)), 0.0)
 
 
 def hyperbolic_l1(alpha, n):

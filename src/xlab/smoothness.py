@@ -14,9 +14,9 @@ from .trig import (SYNTHESIS_ENTRIES, TWO_PI, approximation_error, bernstein,
 
 def _difference_stack(values, r, jlo, jhi):
     """Rows Delta_{j delta}^r f = sum_nu (-1)^nu C(r,nu) f(x + nu*j*delta) for
-    the grid shifts j = jlo..jhi-1 (0 <= jlo < jhi <= M/2 + 1), r >= 1, in the
-    dtype of values.  Each subtraction reads f(x + j*delta) from a window of
-    the doubled row, so each row equals the one-shift np.roll result."""
+    the grid shifts j = jlo..jhi-1 (0 <= jlo < jhi <= M/2 + 1), r >= 1.  Each
+    subtraction reads f(x + j*delta) from a window of the doubled row, so
+    each row equals the one-shift np.roll result."""
     if r < 1:
         raise InvalidArgument("difference order must be >= 1")
     m = values.size
@@ -45,12 +45,10 @@ def modulus(f, r, h):
     ||Delta_delta^r f||_inf.  A float for a scalar h, h's shape for an array:
     one running maximum over the steps up to the largest h serves them all."""
     jmax = _steps_within(f, h)
-    # real samples stay real: the differences are the real parts of the
-    # complex ones, and |x + 0i| = |x|; chunks of SYNTHESIS_ENTRIES stay in cache
-    v = np.asarray(f.values, dtype=np.result_type(f.values, float))
+    # chunks of SYNTHESIS_ENTRIES stay in cache
     top, rows = jmax.max() + 1, max(1, SYNTHESIS_ENTRIES // f.size)
     sups = np.concatenate([
-        np.max(np.abs(_difference_stack(v, r, j, min(j + rows, top))), axis=1)
+        np.max(np.abs(_difference_stack(f.values, r, j, min(j + rows, top))), axis=1)
         for j in range(1, top, rows)])
     out = np.maximum.accumulate(sups)[jmax - 1]
     return float(out) if out.ndim == 0 else out
@@ -68,10 +66,7 @@ def linearized_modulus(f, r, h):
     jmax = _steps_within(f, h)
     if r < 1:
         raise InvalidArgument("difference order must be >= 1")
-    v, m = np.asarray(f.values), f.size
-    # real samples have a Hermitian spectrum: half of it serves
-    fft, ifft = (np.fft.fft, np.fft.ifft) if np.iscomplexobj(v) else (np.fft.rfft, np.fft.irfft)
-    hat = fft(v)
+    m, hat = f.size, np.fft.rfft(f.values)
     k, j = np.arange(hat.size), jmax.reshape(-1, 1)
     acc, binom = 0.0, 1.0
     for nu in range(1, r + 1):
@@ -80,7 +75,7 @@ def linearized_modulus(f, r, h):
         cot = np.cos(np.pi * q / m) / np.where(q, np.sin(np.pi * q / m), 1.0)
         phi = np.pi * (j * q % m) / m
         acc = acc + binom * np.where(q, cot * np.sin(phi) * np.exp(1j * phi), j)
-    out = np.max(np.abs(ifft(hat * (1.0 + acc / j), m)), axis=-1).reshape(jmax.shape)
+    out = np.max(np.abs(np.fft.irfft(hat * (1.0 + acc / j), m)), axis=-1).reshape(jmax.shape)
     return float(out) if out.ndim == 0 else out
 
 

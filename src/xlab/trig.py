@@ -3,16 +3,17 @@ summability means and their kernels.
 
 Conventions used throughout the package:
 
-* a 2*pi-periodic function is held as M uniform samples on the grid
+* a 2*pi-periodic function is real, held as M float samples on the grid
   x_j = -pi + 2*pi*j/M with M a power of two, on the last axis of an
   array; leading axes stack several functions on one grid,
 * Fourier coefficients are c_k = (1/2pi) int f(x) e^{-ikx} dx, realized
   discretely as c_k = (1/M) sum_j f(x_j) e^{-ik x_j} (exact for
-  trigonometric polynomials of degree < M/2),
-* coefficients of degree K are a centred complex array of length 2K+1:
-  index K + k holds c_k, so index K holds c_0; `synthesize` takes a stack
-  of them along leading axes and makes one FFT call for the stack, at most
-  SYNTHESIS_ENTRIES samples at a time in the callers that loop over n,
+  trigonometric polynomials of degree < M/2); those of degree K are a
+  centred Hermitian array of length 2K+1, index K + k holding c_k and
+  c_{-k} = conj c_k; the only transforms are real FFTs, one rfft in
+  `compute_coefficients` and one irfft of c_0..c_K in `synthesize` for a
+  stack along leading axes, at most SYNTHESIS_ENTRIES samples at a time
+  in the callers that loop over n,
 * a summability method is a rule k -> lambda_{n,k} multiplying the
   coefficients, zero beyond a band proportional to n; the rule takes n as
   a column, rule(n[:, None], k[None, :]), so that `weights` forms the
@@ -30,8 +31,8 @@ from .errors import InvalidArgument, NotFound
 TWO_PI = 2.0 * np.pi
 GRID_MIN = 4
 # entries per stacked synthesis of a caller that stacks over n or over steps
-# (512 KB, cache-sized: 2^17 ran no faster and raised small-kernels' peak
-# RSS by 8 MB); from M = 2^15 on that is one row per call
+# (cache-sized: 2^17 ran no faster and raised small-kernels' peak RSS by
+# 8 MB); from M = 2^15 on that is one row per call
 SYNTHESIS_ENTRIES = 1 << 15
 
 
@@ -43,8 +44,9 @@ def _is_power_of_two(m):
 class SampledFunction:
     """Uniform samples of a 2*pi-periodic function, or of a stack of them.
 
-    values : array of shape (..., M) (M a power of two >= 4), finite
-    entries; the last axis is the grid x_j = -pi + 2*pi*j/M.
+    values : array of shape (..., M) (M a power of two >= 4), finite real
+    entries, stored as float; the last axis is the grid x_j = -pi +
+    2*pi*j/M.
     """
 
     values: np.ndarray
@@ -55,9 +57,9 @@ class SampledFunction:
             raise InvalidArgument("values need a grid axis")
         if v.shape[-1] < GRID_MIN or not _is_power_of_two(v.shape[-1]):
             raise InvalidArgument(f"grid size must be a power of two >= {GRID_MIN}")
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgument("values must be finite")
-        object.__setattr__(self, "values", v)
+        if v.dtype.kind == "c" or not np.all(np.isfinite(v)):
+            raise InvalidArgument("values must be real and finite")
+        object.__setattr__(self, "values", v.astype(float, copy=False))
 
     @property
     def size(self):
@@ -72,41 +74,32 @@ class SampledFunction:
 
 def compute_coefficients(f, n):
     """Discrete Fourier coefficients of a SampledFunction up to degree n,
-    shape (..., 2n+1) for a stack.
+    shape (..., 2n+1) for a stack, exactly Hermitian.
 
-    c_k = (1/M) sum_j f(x_j) e^{-ik x_j}; exact for trigonometric
-    polynomials of degree < M/2.
+    c_k = (1/M) sum_j f(x_j) e^{-ik x_j}, exact for trigonometric
+    polynomials of degree < M/2: one rfft gives k >= 0, c_{-k} = conj c_k.
     """
     m = f.size
     if 2 * n + 1 > m:
         raise InvalidArgument(f"degree {n} too large for grid of size {m}")
-    hat = np.fft.fft(np.asarray(f.values, dtype=complex)) / m
-    k = np.arange(-n, n + 1)
     # grid starts at -pi, hence the alternating phase
-    return ((-1.0) ** k) * hat[..., np.mod(k, m)]
+    half = ((-1.0) ** np.arange(n + 1)) * (np.fft.rfft(f.values)[..., :n + 1] / m)
+    return np.concatenate((np.conj(half[..., :0:-1]), half), axis=-1)
 
 
-def synthesize(c, m, real=False):
-    """Evaluate the trigonometric polynomials with coefficients c, shape
-    (..., 2K+1), on the M-grid: samples of shape (..., M), one FFT call.
-    Each row's samples equal those of its own call bit for bit.  With
-    real=True c is taken as Hermitian: the real samples of
-    Re c_0 + 2 Re sum_{k=1..K} c_k e^{ikx} come from c_0..c_K alone, by one
-    real inverse FFT in half the time and memory."""
+def synthesize(c, m):
+    """Evaluate the real trigonometric polynomials with Hermitian
+    coefficients c, shape (..., 2K+1), on the M-grid: the samples of
+    Re c_0 + 2 Re sum_{k=1..K} c_k e^{ikx}, shape (..., M), come from
+    c_0..c_K alone by one real inverse FFT for the stack.  Each row's
+    samples equal those of its own call bit for bit."""
     c = np.asarray(c, dtype=complex)
     if c.shape[-1] > m:
         raise InvalidArgument("grid too coarse for this degree")
     degree = (c.shape[-1] - 1) // 2
-    if real:
-        a = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
-        a[..., :degree + 1] = ((-1.0) ** np.arange(degree + 1)) * c[..., degree:]
-        return SampledFunction(np.fft.irfft(a, m, norm="forward"))
-    signed = ((-1.0) ** np.arange(-degree, degree + 1)) * c
-    a = np.zeros(c.shape[:-1] + (m,), dtype=complex)
-    a[..., :degree + 1] = signed[..., degree:]            # k = 0..K
-    a[..., m - degree:] = signed[..., :degree]            # k = -K..-1, mod M
-    # unscaled inverse FFT: the same bits as ifft(a) * m, one pass less
-    return SampledFunction(np.fft.ifft(a, norm="forward"))
+    # irfft pads c_0..c_K with zeros to c_0..c_{M/2}
+    a = ((-1.0) ** np.arange(degree + 1)) * c[..., degree:]
+    return SampledFunction(np.fft.irfft(a, m, norm="forward"))
 
 
 def grid_norm(f, p=math.inf):

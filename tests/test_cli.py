@@ -530,6 +530,30 @@ class TestExperimentOutputs:
         ns = [int(l.split(",")[1]) for l in lines[2:]]
         assert ns == sorted(ns)
 
+    def test_hyperbolic_fit_overflowing_alpha(self, tmp_path):
+        # k1^alpha past the float range counts as above n: as at alpha = 64,
+        # only k1 = 1 is in the index set, so every column but alpha agrees
+        def columns(alpha):
+            out = tmp_path / "t.csv"
+            assert run_main(["hyperbolic-fit", f"alpha={alpha}", "--out", str(out)]) == 0
+            return [line.split(",")[1:] for line in out.read_text().splitlines()[2:]]
+
+        want = columns("64")
+        assert len(want) == 5
+        assert columns("1e10") == columns("1e300") == want
+
+    def test_reader_closing_early_is_no_traceback(self):
+        # as `xlab walsh-regularity | head -1`: 1.2 MB of rows, far past a
+        # pipe's buffer, to a reader that leaves after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "xlab.cli", "walsh-regularity", "nmax=65536"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"# generated ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1 and err == b""
+
     def test_import_leaves_scipy_unimported(self):
         # scipy is imported by the functions that use it, not at start-up
         proc = subprocess.run(
@@ -587,7 +611,7 @@ GOLDEN_ROWS = [
     ("moduli", ["m=256"],
      "9004b074ed8c6a28367a0e999d640310bf9741d341bbbde4c7d87044303fb6cf"),
     ("two-sided-report", ["nmin=16", "nmax=64", "m=512"],
-     "1db5e62c113791038f19a0f2d4d074e9c56334eeb5116bd0e4390abc0a83505a"),
+     "c119eba05272d10effc48a956d69f0bdc512259f6df9c07f7fde02a40a66b610"),
     ("posdef-report", ["trials=100"],
      "92907952f5390bf6de416699afc73c510086ee24df6e08d2b330c012e0ba381e"),
     ("aspline", ["n=2"],
@@ -605,7 +629,7 @@ GOLDEN_ROWS = [
     ("indicator-zeros", ["body=square", "phis=16"],
      "1feb0f51a1265f29ccf2f3acd0007025c0d126ee59873805e8459a50dd3a333c"),
     ("comparison-ratio", ["a=rogosinski", "nmax=16", "m=128"],
-     "dd00bf82438c3e9b95fe1a66bfadd943601894096e5bcb4216d0862c76056248"),
+     "75388e3f8873fa5ec60e1ea4ab8bf564453afe8b4ff82829660f4b7d4e7676d1"),
     ("euler-maclaurin-check", ["rmax=1"],
      "c4ce04b98d900167b6ad160b2f7820fbf60cc1e28fce97107b2a9ba668b30823"),
 ]

@@ -13,7 +13,7 @@ from xlab.trig import (abel_poisson, bernstein, dirichlet, fejer, rogosinski,
                        vallee_poussin)
 
 # pytest puts tests/ on sys.path
-from test_trig import method_catalog, row_real_synthesize
+from test_trig import method_catalog, row_synthesize
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -98,7 +98,7 @@ def exact_real_dft(c, m):
 # ---------------------------------------------------------------------------
 
 def _row_samples(a, m):
-    vals = row_real_synthesize(a, m)
+    vals = row_synthesize(a, m)
     return vals, (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * float(np.sum(np.abs(a)))
 
 
@@ -353,7 +353,7 @@ class TestOraclesAtScale:
         for n in (m // 32 - 1, m // 8 - 1):
             rows += [dirichlet().weights(n), bernstein().weights(n)]
         for c in rows:
-            got = trig.synthesize(c, m, real=True).values
+            got = trig.synthesize(c, m).values
             want, want_err = exact_real_dft(c, m)
             bound = (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * float(np.sum(np.abs(c)))
             assert np.max(np.abs(got - want) + want_err) <= bound
@@ -429,9 +429,9 @@ class TestStackedEngine:
         # its Taylor orders and antiderivative come from the grid M/4
         sizes = []
 
-        def record(c, m, real=False):
+        def record(c, m):
             sizes.append(m)
-            return trig.synthesize(c, m, real)
+            return trig.synthesize(c, m)
 
         monkeypatch.setattr(lb, "synthesize", record)
         lb.trig_poly_l1(dirichlet().weights(1018))

@@ -3,8 +3,9 @@ than its own unit tests: the library itself, an acceptance criterion or a
 benchmark workload.  A name that occurs nowhere else is an orphan; delete it
 or give it a caller.  Likewise every defaulted parameter is set by some
 caller: one that nobody passes is a constant in disguise.  No object
-carries state its class does not declare.  And one budget governs every
-cost estimate: no module but cli declares one."""
+carries state its class does not declare.  One budget governs every cost
+estimate: no module but cli declares one.  And every function the library
+samples is real, so its only transforms are rfft and irfft."""
 
 import ast
 import collections
@@ -152,3 +153,23 @@ def test_chunk_constants_declared_once():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                 and node.id.endswith(("_ENTRIES", "_CHUNK"))}
     assert declared == set(CHUNK_CONSTANTS)
+
+
+REAL_FFTS = {"rfft", "irfft"}
+
+
+def test_only_real_ffts():
+    # no complex transform (fft, ifft, fft2, ifft2, fftn, ifftn): not as an
+    # attribute of an fft module, nor imported from one
+    used = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and _name(node.value) == "fft":
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            used += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name not in REAL_FFTS]
+    assert not used, "complex or other FFTs: " + ", ".join(used)

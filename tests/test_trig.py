@@ -21,10 +21,18 @@ class TestCoefficients:
         assert abs(c[1]) < 1e-14
 
     def test_single_harmonic(self):
-        c = trig.compute_coefficients(sampled(lambda x: np.exp(3j * x)), 4)
-        assert abs(c[4 + 3] - 1.0) < 1e-14
-        for k in (-4, -3, -2, -1, 0, 1, 2, 4):
+        c = trig.compute_coefficients(sampled(lambda x: np.cos(3 * x)), 4)
+        assert abs(c[4 + 3] - 0.5) < 1e-14 and abs(c[4 - 3] - 0.5) < 1e-14
+        for k in (-4, -2, -1, 0, 1, 2, 4):
             assert abs(c[4 + k]) < 1e-13
+
+    def test_exactly_hermitian(self):
+        # c_{-k} is conj c_k bit for bit, for one function and for a stack
+        rng = np.random.default_rng(6)
+        for shape, n in (((64,), 31), ((3, 2, 16), 5), ((8,), 0)):
+            c = trig.compute_coefficients(trig.SampledFunction(rng.standard_normal(shape)), n)
+            assert c.shape == shape[:-1] + (2 * n + 1,)
+            assert np.array_equal(c, np.conj(c[..., ::-1]))
 
     def test_sawtooth_aliasing(self):
         m = 256
@@ -40,7 +48,8 @@ class TestCoefficients:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(3)
         for n in (0, 3, 7):
-            c = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+            half = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            c = np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half])
             back = trig.compute_coefficients(trig.synthesize(c, 64), n)
             assert np.max(np.abs(back - c)) < 1e-12
 
@@ -212,6 +221,12 @@ class TestEdgeCases:
             trig.SampledFunction(np.ones(12))       # not a power of two
         with pytest.raises(InvalidArgument):
             trig.SampledFunction(np.array([1.0, np.nan, 0.0, 2.0]))
+        with pytest.raises(InvalidArgument):        # every function is real
+            trig.SampledFunction(np.ones(4, dtype=complex))
+        with pytest.raises(InvalidArgument):
+            trig.SampledFunction.from_callable(lambda x: np.exp(3j * x), 64)
+        # integer samples are stored as float
+        assert trig.SampledFunction(np.arange(4)).values.dtype == float
 
     def test_doubling_on_random_polynomials(self):
         # grid-exact doubling of the difference sup, random inputs
@@ -233,17 +248,6 @@ class TestEdgeCases:
 # ---------------------------------------------------------------------------
 
 def row_synthesize(c, m):
-    """One row on the M-grid by the scatter and scaled inverse FFT that
-    synthesize used before it took stacks."""
-    c = np.asarray(c, dtype=complex)
-    degree = (c.size - 1) // 2
-    a = np.zeros(m, dtype=complex)
-    k = np.arange(-degree, degree + 1)
-    a[np.mod(k, m)] = ((-1.0) ** k) * c
-    return np.fft.ifft(a) * m
-
-
-def row_real_synthesize(c, m):
     """One Hermitian row on the M-grid by the scaled real inverse FFT of its
     coefficients c_0..c_K alone."""
     c = np.asarray(c, dtype=complex)
@@ -323,14 +327,11 @@ class TestStackedSynthesis:
         rng = np.random.default_rng(sum(shape) + m)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         c[..., ::3] = 0.0                   # exact zeros keep their sign too
+        # each row's c_0..c_K is read as a Hermitian half
         got = trig.synthesize(c, m)
         assert got.values.shape == shape[:-1] + (m,) and got.size == m
+        assert got.values.dtype == float
         want = np.array([row_synthesize(row, m) for row in c.reshape(-1, shape[-1])])
-        assert np.array_equal(bits(got.values), bits(want.reshape(got.values.shape)))
-        # the real path reads c_0..c_K of each row as a Hermitian half
-        got = trig.synthesize(c, m, real=True)
-        assert got.values.shape == shape[:-1] + (m,) and got.values.dtype == float
-        want = np.array([row_real_synthesize(row, m) for row in c.reshape(-1, shape[-1])])
         assert np.array_equal(bits(got.values), bits(want.reshape(got.values.shape)))
 
     def test_grid_norm_reduces_the_grid_axis(self):

@@ -334,6 +334,18 @@ def _one_of(valid):
     return parse
 
 
+def _with_weights(need, names, n):
+    """The estimate `need`; where it is within the budgets, the weights of
+    each named method at n are formed first, so that a rule that overflows
+    is refused before any work (weights raise InvalidArgument unless finite).
+    The row at the largest n is enough: Cesaro's A_n^alpha, alpha > 0,
+    increases in n."""
+    if need[0] <= BUDGET_BYTES and need[1] <= BUDGET_SECONDS:
+        for name in names:
+            trig.get_method(name).weights(n, kmax=0)
+    return need
+
+
 def _moduli_cost(p):
     denoms = [int(d) for d in p["hdenoms"].split(";")]
     need, seconds = smoothness.moduli_cost(p["m"], p["r"], p["m"] // (2 * min(denoms)),
@@ -365,8 +377,8 @@ REGISTRY = {
          "nmax": (64, _COUNT), "tol": (1e-9, _POSITIVE)},
         ["method", "n", "value", "quad_error"],
         (lambda p: p["nmin"] <= p["nmax"], "need nmin <= nmax"),
-        cost=(("nmax", "nmin", "method"), lambda p: lebesgue.table_cost(
-            trig.get_method(p["method"]), p["nmin"], p["nmax"]))),
+        cost=(("nmax", "nmin", "method"), lambda p: _with_weights(lebesgue.table_cost(
+            trig.get_method(p["method"]), p["nmin"], p["nmax"]), [p["method"]], p["nmax"]))),
     "kolmogorov-fit": Experiment(
         _exp_kolmogorov_fit, "bounded-derivative class deviation and log fit",
         "4.1", {"r": (1, _INDEX), "nmin": (64, _INDEX), "nmax": (1024, _INDEX)},
@@ -374,7 +386,8 @@ REGISTRY = {
         (lambda p: 2 * p["nmin"] <= p["nmax"]
          and p["r"] * math.log2(p["nmax"]) < 53,
          "need 2*nmin <= nmax and r*log2(nmax) < 53: a deviation of order "
-         "nmax**-r below the unit roundoff cannot be certified")),
+         "nmax**-r below the unit roundoff cannot be certified"),
+        cost=(("nmax", "nmin"), lambda p: lebesgue.kolmogorov_cost(p["nmin"], p["nmax"]))),
     "hyperbolic-fit": Experiment(
         _exp_hyperbolic_fit, "hyperbolic-cross kernel norm exponent", "4.4a",
         {"alpha": (1.0, _number(float, 1)), "nmin": (256, _INDEX), "nmax": (4096, _INDEX)},
@@ -461,8 +474,8 @@ REGISTRY = {
         "2.14", {"a": ("fejer", _METHOD), "b": ("abel-poisson", _METHOD),
                  "nmax": (256, _INDEX), "m": (1024, _grid_size)},
         ["f_id", "n", "err_a", "err_b", "ratio", "band_constant"],
-        cost=(("nmax", "m"), lambda p: trig.comparison_cost(
-            len(corpus.COMPARE), p["nmax"], p["m"]))),
+        cost=(("nmax", "m"), lambda p: _with_weights(trig.comparison_cost(
+            len(corpus.COMPARE), p["nmax"], p["m"]), [p["a"], p["b"]], p["nmax"]))),
 }
 
 

@@ -3,8 +3,8 @@ deviations over the bounded-derivative classes, two-dimensional rhombic and
 hyperbolic kernels, and asymptotic-law fitting.
 
 The operator norm of a polynomial mean on continuous periodic functions is
-(1/2pi) times the L1 norm of its kernel.  For real kernels (exactly
-Hermitian weights, c_{-k} == conj c_k; anything else is refused) that
+(1/2pi) times the L1 norm of its kernel.  The kernels are real, given by
+their coefficients c_0..c_K (c_{-k} = conj c_k, c_0 real), and that
 integral is computed exactly by one engine in O(M log M) time
 and O(M) memory, M a power of two >= 32(K+1) for degree K, after the
 periodic Chebfun of Wright, Javed, Montanari and Trefethen (SIAM J. Sci.
@@ -126,6 +126,11 @@ def _polish(taylor, floor, owner, lo, plo, phi):
     return best_s, best_p, best_dp, hi - lo
 
 
+def _two_sided_sum(a):
+    """sum_{k=-K..K} |a_k| from |a_0|..|a_K|, a_{-k} = conj a_k."""
+    return float(a[0]) + 2.0 * float(np.add.reduce(a[1:]))
+
+
 def _taylor_order(kmax, h):
     """(J, (Kh)^{J+1}/(J+1)!) for the least J with that factor <= u."""
     order, rem = 0, kmax * h
@@ -155,8 +160,8 @@ def stacks(grids):
 
 def _stack_l1(cs, m, poly):
     """[(int_{-pi}^{pi} |f(x)| dx, certified error bound)] for the real
-    functions f(x) = sum_k c_k e^{ikx} + poly(x + pi), one per Hermitian
-    array c in cs (any degrees K of grid size M = m), poly an array of
+    functions f(x) = sum_{|k|<=K} c_k e^{ikx} + poly(x + pi), one per array
+    c_0..c_K in cs (any degrees K of grid size M = m), poly an array of
     ascending powers.  Sign changes are scanned on x_i = -pi + ih, h =
     2pi/M, closed at x_M = pi by the limit from the left (the periodic wrap
     when poly = 0); a bracketing cell i takes the Taylor data d_j =
@@ -174,9 +179,10 @@ def _stack_l1(cs, m, poly):
     J, sum|c_k|, the rounding sums) are formed from the array alone, so each
     result equals that of its array alone.
 
-    The bound, u the unit roundoff and eta = FFT_STAGE_ERROR:
-    * FFT: a real sample of sum a_k e^{ikx}, a Hermitian, errs by at most
-      lg sum_{k=-K..K} |a_k|, lg = (log2 M + 2) eta, 2 eta less on M_T.
+    The bound, u the unit roundoff, eta = FFT_STAGE_ERROR and each sum|a_k|
+    over k = -K..K, formed from the half as |a_0| + 2 sum_{k>=1} |a_k|:
+    * FFT: a real sample of sum a_k e^{ikx}, a_{-k} = conj a_k, errs by at
+      most lg sum|a_k|, lg = (log2 M + 2) eta, 2 eta less on M_T.
       pocketfft's real inverse passes (M = 2^p) are radix-4 and radix-2
       butterflies with unit-modulus twiddles and the half-complex inputs
       enter with exact factors 2, so each output reaches a_k and conj a_k
@@ -206,17 +212,15 @@ def _stack_l1(cs, m, poly):
       h_T sum_j |d_j|); each point enters two terms; fsum adds 2u."""
     u, h, ht, mt = UNIT_ROUNDOFF, TWO_PI / m, STRIDE * TWO_PI / m, m // STRIDE
     lg, lg_t = ((math.log2(g) + 2) * FFT_STAGE_ERROR for g in (m, mt))
-    kmax = [(c.size - 1) // 2 for c in cs]
-    width = max(kmax)
-    own = [slice(width - kk, width + kk + 1) for kk in kmax]
-    k = np.arange(-width, width + 1)
-    stack = np.zeros((len(cs), 2 * width + 1), dtype=complex)
+    kmax = [c.size - 1 for c in cs]
+    k = np.arange(max(kmax) + 1)
+    stack = np.zeros((len(cs), k.size), dtype=complex)
     orders, taylor_rem, err_data = [], [], []
     for i, (c, kk) in enumerate(zip(cs, kmax)):
-        stack[i, own[i]] = c
+        stack[i, :kk + 1] = c
         order, rem = _taylor_order(kk, ht)
         orders.append(max(order, poly.size - 1))
-        total = float(np.sum(np.abs(c)))
+        total = _two_sided_sum(np.abs(c))
         taylor_rem.append(rem * total)
         err_data.append(lg * total)
     orders = np.array(orders)
@@ -259,7 +263,7 @@ def _stack_l1(cs, m, poly):
             taylor[j, cells] = sampled[at[owner[cells]], node[cells]]
             sampled = sampled[rows.size:]
             for i, row in zip(rows, np.abs(b)):
-                err_data[i] += lg_t * float(np.add.reduce(row[own[i]]))
+                err_data[i] += lg_t * _two_sided_sum(row[:kmax[i] + 1])
         del sampled
     dpoly = poly                                      # dpoly = poly^(j) / j!
     for j in range(top + 1):
@@ -282,7 +286,7 @@ def _stack_l1(cs, m, poly):
     p_vals = synthesize(anti, mt).values
     p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, node]
     del p_vals
-    err_anti = [lg_t * float(np.add.reduce(row[sl])) for row, sl in zip(np.abs(anti), own)]
+    err_anti = [lg_t * _two_sided_sum(row[:kk + 1]) for row, kk in zip(np.abs(anti), kmax)]
     ends = first[:-1] + 2 * np.arange(len(cs))
     inner = np.ones(idx.size + 2 * len(cs), dtype=bool)
     inner[ends] = inner[ends + count + 1] = False
@@ -295,7 +299,7 @@ def _stack_l1(cs, m, poly):
         return out
 
     parts = np.array([
-        spread(-np.pi, ti - np.pi, np.pi) * stack[point, width].real,
+        spread(-np.pi, ti - np.pi, np.pi) * stack[point, 0].real,
         spread(p_ends, p_cells, p_ends),
         _polyval(ipoly, spread(0.0, ti, TWO_PI)),
         spread(0.0, ht * s * integ, 0.0),
@@ -318,21 +322,16 @@ def _stack_l1(cs, m, poly):
 
 def trig_poly_l1(coeffs):
     """(L1 norm over one period, certified error bound) for a real-valued
-    trigonometric polynomial given by exactly Hermitian coefficients
-    c_{-K}..c_K (c_{-k} == conj c_k); for a sequence of such arrays (any
-    degrees), a list of the pairs in input order.  The engine's one
-    planner: each array takes the grid grid_size(K), and the arrays of one
-    grid run through `_stack_l1` (the method and the bound) in the stacks
-    of `stacks`."""
+    trigonometric polynomial given by its coefficients c_0..c_K, c_0 real;
+    for a sequence of such arrays (any degrees), a list of the pairs in
+    input order.  The engine's one planner: each array takes the grid
+    grid_size(K), and the arrays of one grid run through `_stack_l1` (the
+    method and the bound) in the stacks of `stacks`."""
     single = len(coeffs) == 0 or np.ndim(coeffs[0]) == 0
     cs = [np.asarray(c, dtype=complex) for c in ([coeffs] if single else coeffs)]
-    if any(c.ndim != 1 or c.size % 2 == 0 for c in cs):
-        raise InvalidArgument("coefficient array must have odd length 2K+1")
-    # one comparison for the whole stack, rows end to end
-    flat, mirror = np.concatenate(cs), np.conj(np.concatenate([c[::-1] for c in cs]))
-    if not np.array_equal(flat, mirror):
-        raise InvalidArgument("coefficients are not Hermitian (kernel not real)")
-    grids = [grid_size((c.size - 1) // 2) for c in cs]
+    if any(c.ndim != 1 or c.size == 0 or c[0].imag != 0 for c in cs):
+        raise InvalidArgument("coefficients must be 1-D arrays c_0..c_K, c_0 real")
+    grids = [grid_size(c.size - 1) for c in cs]
     out = [None] * len(cs)
     for chunk in stacks(grids):
         for i, result in zip(chunk, _stack_l1([cs[i] for i in chunk], grids[chunk[0]],
@@ -358,6 +357,15 @@ ROW_BYTES = 600
 ROW_SECONDS = 1.5e-4
 
 
+def _synthesis_points(kmax):
+    """Grid points times levels log2 of one row's syntheses at degree K: one
+    on the M-grid and J + 1 on the Taylor grid M/STRIDE."""
+    m = grid_size(kmax)
+    mt = m // STRIDE
+    order = _taylor_order(kmax, TWO_PI / mt)[0]
+    return m * math.log2(m) + (order + 1) * mt * math.log2(mt)
+
+
 def table_cost(method, nmin, nmax):
     """Estimated (peak bytes, seconds) of `lebesgue-table` over nmin..nmax.
     The bytes: the engine's largest call and the rows.  The seconds: the
@@ -370,10 +378,7 @@ def table_cost(method, nmin, nmax):
         while last < hi:
             mid = (last + hi + 1) // 2
             last, hi = (mid, hi) if grid_size(method.band(mid)) == m else (last, mid - 1)
-        mt = m // STRIDE
-        order = _taylor_order(method.band(last), TWO_PI / mt)[0]
-        seconds += (last - n + 1) * ENGINE_SECONDS * (
-            m * math.log2(m) + (order + 1) * mt * math.log2(mt))
+        seconds += (last - n + 1) * ENGINE_SECONDS * _synthesis_points(method.band(last))
         n = last + 1
     return (ENGINE_BYTES * max(grid_size(method.band(nmax)), SYNTHESIS_ENTRIES)
             + ROW_BYTES * (nmax - nmin + 1) + 2 ** 20), seconds
@@ -391,8 +396,7 @@ def lebesgue_constant(method, n, tol=1e-9):
     out, bands = [None] * len(ns), method.band(ns).tolist()
     for chunk in stacks([grid_size(b) for b in bands]):
         w = method.weights([ns[i] for i in chunk])
-        kmax = w.shape[1] // 2
-        rows = [row[kmax - bands[i]:kmax + bands[i] + 1] for i, row in zip(chunk, w)]
+        rows = [row[:bands[i] + 1] for i, row in zip(chunk, w)]
         for i, (value, err) in zip(chunk, trig_poly_l1(rows)):
             if err / TWO_PI > tol:
                 out[i] = ConvergenceFailure("requested tolerance not certified",
@@ -477,6 +481,20 @@ def _polyval(coeffs, t):
 KOLMOGOROV_TOL = 1e-9
 
 
+# kolmogorov_deviation's cost on a 2-vCPU host (r = 1..26, n = 4..262143,
+# tracemalloc and best of 2): the tail kernel's pass peaks at up to 71 bytes
+# per grid point (r = 3, n = 131072, where rounding noise adds sign changes;
+# 33 at r = 1 and 2) and 1 MB whatever M is, and takes up to 4.4e-9 s per
+# grid point and level of its syntheses (as in table_cost) plus 2 ms a row;
+# charged 80 bytes and 1 MB, 6e-9 s and 2 ms.
+def kolmogorov_cost(nmin, nmax):
+    """Estimated (peak bytes, seconds) of `kolmogorov-fit` over the geometric
+    grid from nmin to nmax: the largest row's pass, and every row's."""
+    ns = geometric_grid(nmin, nmax)
+    return (80 * grid_size(ns[-1]) + 2 ** 20,
+            sum(2e-3 + 6e-9 * _synthesis_points(n) for n in ns))
+
+
 def kolmogorov_deviation(r, n):
     """sup over the unit W^r class of ||f - S_n f||_inf, via (1/pi) times
     the L1 norm of the conjugate-tail kernel over a period, certified to
@@ -484,10 +502,10 @@ def kolmogorov_deviation(r, n):
     if r < 1 or n < 0:
         raise InvalidArgument("need r >= 1 and n >= 0")
     # on (0, 2pi) the tail kernel is poly(t) - sum_{k<=n} cos(kt - r pi/2)/k^r;
-    # in x = t - pi the cosine sum has c_{+-k} = (-1)^k e^{-+i r pi/2} / 2k^r
+    # in x = t - pi the cosine sum has c_k = (-1)^k e^{-i r pi/2} / 2k^r, k >= 1
     k = np.arange(1, n + 1)
-    half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** float(r))
-    c = np.concatenate((np.conj(half[::-1]), [0.0], half))
+    c = np.concatenate(([0.0], -((-1.0) ** k) * np.exp(-0.5j * np.pi * r)
+                        / (2.0 * k ** float(r))))
     total, err = _stack_l1([c], grid_size(n), _full_series_poly(r))[0]
     if err / np.pi > KOLMOGOROV_TOL or not err < total:
         raise ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,

@@ -131,8 +131,7 @@ def jackson_two_sided(f, r, n):
 def spectral_derivative(c, order):
     """Coefficients of the order-th derivative: c_k -> (ik)^order c_k (last axis)."""
     c = np.asarray(c, dtype=complex)
-    degree = (c.shape[-1] - 1) // 2
-    return c * (1j * np.arange(-degree, degree + 1)) ** order
+    return c * (1j * np.arange(c.shape[-1])) ** order
 
 
 def k_functional(f, t, r):

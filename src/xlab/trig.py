@@ -8,16 +8,17 @@ Conventions used throughout the package:
   array; leading axes stack several functions on one grid,
 * Fourier coefficients are c_k = (1/2pi) int f(x) e^{-ikx} dx, realized
   discretely as c_k = (1/M) sum_j f(x_j) e^{-ik x_j} (exact for
-  trigonometric polynomials of degree < M/2); those of degree K are a
-  centred Hermitian array of length 2K+1, index K + k holding c_k and
-  c_{-k} = conj c_k; the only transforms are real FFTs, one rfft in
-  `compute_coefficients` and one irfft of c_0..c_K in `synthesize` for a
-  stack along leading axes, at most SYNTHESIS_ENTRIES samples at a time
-  in the callers that loop over n,
+  trigonometric polynomials of degree < M/2); f being real, c_{-k} =
+  conj c_k, so those of degree K are the half c_0..c_K, shape (..., K+1),
+  index k holding c_k, with c_0 real: numpy's rfft layout; the only
+  transforms are real FFTs, one rfft in `compute_coefficients` and one
+  irfft in `synthesize` for a stack along leading axes, at most
+  SYNTHESIS_ENTRIES samples at a time in the callers that loop over n,
 * a summability method is a rule k -> lambda_{n,k} multiplying the
-  coefficients, zero beyond a band proportional to n; the rule takes n as
-  a column, rule(n[:, None], k[None, :]), so that `weights` forms the
-  rows of a whole sequence of n in one array operation, each row equal
+  coefficients, zero beyond a band proportional to n, lambda_{n,-k} =
+  conj lambda_{n,k} keeping the mean real; the rule takes n as a column,
+  rule(n[:, None], k[None, :]), so that `weights` forms the rows k =
+  0..kmax of a whole sequence of n in one array operation, each row equal
   bit for bit to the rule at its own n.
 """
 
@@ -73,32 +74,30 @@ class SampledFunction:
 
 
 def compute_coefficients(f, n):
-    """Discrete Fourier coefficients of a SampledFunction up to degree n,
-    shape (..., 2n+1) for a stack, exactly Hermitian.
+    """Discrete Fourier coefficients c_0..c_n of a SampledFunction, shape
+    (..., n+1) for a stack.
 
     c_k = (1/M) sum_j f(x_j) e^{-ik x_j}, exact for trigonometric
-    polynomials of degree < M/2: one rfft gives k >= 0, c_{-k} = conj c_k.
+    polynomials of degree < M/2, from one rfft.
     """
     m = f.size
     if 2 * n + 1 > m:
         raise InvalidArgument(f"degree {n} too large for grid of size {m}")
     # grid starts at -pi, hence the alternating phase
-    half = ((-1.0) ** np.arange(n + 1)) * (np.fft.rfft(f.values)[..., :n + 1] / m)
-    return np.concatenate((np.conj(half[..., :0:-1]), half), axis=-1)
+    return ((-1.0) ** np.arange(n + 1)) * (np.fft.rfft(f.values)[..., :n + 1] / m)
 
 
 def synthesize(c, m):
-    """Evaluate the real trigonometric polynomials with Hermitian
-    coefficients c, shape (..., 2K+1), on the M-grid: the samples of
-    Re c_0 + 2 Re sum_{k=1..K} c_k e^{ikx}, shape (..., M), come from
-    c_0..c_K alone by one real inverse FFT for the stack.  Each row's
-    samples equal those of its own call bit for bit."""
+    """Evaluate the real trigonometric polynomials with coefficients
+    c_0..c_K, shape (..., K+1), on the M-grid: the samples of Re c_0 +
+    2 Re sum_{k=1..K} c_k e^{ikx}, shape (..., M), by one real inverse FFT
+    for the stack.  Each row's samples equal those of its own call bit for
+    bit."""
     c = np.asarray(c, dtype=complex)
-    if c.shape[-1] > m:
+    if 2 * c.shape[-1] - 1 > m:
         raise InvalidArgument("grid too coarse for this degree")
-    degree = (c.shape[-1] - 1) // 2
     # irfft pads c_0..c_K with zeros to c_0..c_{M/2}
-    a = ((-1.0) ** np.arange(degree + 1)) * c[..., degree:]
+    a = ((-1.0) ** np.arange(c.shape[-1])) * c
     return SampledFunction(np.fft.irfft(a, m, norm="forward"))
 
 
@@ -151,17 +150,23 @@ class SummabilityMethod:
         return int(out) if out.ndim == 0 else out.astype(int)
 
     def weights(self, n, kmax=None):
-        """lambda_{n,k} for k = -kmax..kmax, kmax defaulting to the band (the
+        """lambda_{n,k} for k = 0..kmax, kmax defaulting to the band (the
         widest one for a sequence of n): a row for an int n, an array of
-        shape (len(n), 2*kmax+1) for a sequence, from one call of the rule."""
+        shape (len(n), kmax+1) for a sequence, from one call of the rule.
+        Raises InvalidArgument where a weight is not finite (an overflowing
+        rule, such as Cesaro's A_n^alpha at a large order)."""
         ns = np.atleast_1d(np.asarray(n, dtype=int))
         band = self.band(ns)
         kmax = int(np.max(band, initial=0)) if kmax is None else kmax
-        k = np.arange(-kmax, kmax + 1)
+        k = np.arange(kmax + 1)
         w = np.zeros((ns.size, k.size), dtype=complex)
-        w[:, kmax] = 1.0                      # the unit row of n = 0
-        w[ns > 0] = self.rule(ns[ns > 0, None], k)
-        w[np.abs(k) > band[:, None]] = 0.0
+        w[:, 0] = 1.0                         # the unit row of n = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[ns > 0] = self.rule(ns[ns > 0, None], k)
+        w[k > band[:, None]] = 0.0
+        bad = ~np.all(np.isfinite(w), axis=1)
+        if np.any(bad):
+            raise InvalidArgument(f"{self.name} weights are not finite at n={ns[bad][0]}")
         return w[0] if np.ndim(n) == 0 else w
 
 
@@ -247,8 +252,8 @@ def rogosinski():
 
 
 def bernstein():
-    # 0.5*(S_n(.) + S_n(.+pi/n)): complex but Hermitian multipliers, so the
-    # kernel is real (the Rogosinski kernel shifted by pi/2n)
+    # 0.5*(S_n(.) + S_n(.+pi/n)): complex multipliers, lambda_{-k} = conj
+    # lambda_k, so the kernel is real (the Rogosinski kernel shifted by pi/2n)
     return SummabilityMethod(
         "bernstein", lambda n, k: 0.5 * (1.0 + np.exp(1j * k * np.pi / n)))
 
@@ -301,22 +306,21 @@ def approximation_error(method, n, c, m):
     """Grid sup norm of f - Lambda_n f for f given by coefficients c: a float
     for an int n, an array for a sequence of n, whose differences are
     synthesized as stacks of at most SYNTHESIS_ENTRIES samples.  A stack of
-    coefficient rows c, shape (F, 2K+1), gives F times that: the weights
+    coefficient rows c, shape (F, K+1), gives F times that: the weights
     of each stack of n are formed once for all rows, and each row is
     synthesized as it is on its own."""
     c = np.asarray(c, dtype=complex)
-    ns, degree = np.atleast_1d(n), (c.shape[-1] - 1) // 2
+    ns = np.atleast_1d(n)
     rows = max(1, SYNTHESIS_ENTRIES // m)
     out = np.empty(c.shape[:-1] + (len(ns),))
     for start in range(0, len(ns), rows):
         chunk = ns[start:start + rows]
         # the rule only within the widest band: at large M it is most of c
-        deg = min(degree, int(np.max(method.band(chunk))))
-        inner = slice(degree - deg, degree + deg + 1)
+        deg = min(c.shape[-1] - 1, int(np.max(method.band(chunk))))
         w = method.weights(chunk, kmax=deg)
         for ci, oi in zip(c.reshape(-1, c.shape[-1]), out.reshape(-1, len(ns))):
             diff = np.tile(ci, (len(chunk), 1))
-            diff[:, inner] -= w * ci[inner]
+            diff[:, :deg + 1] -= w * ci[:deg + 1]
             oi[start:start + rows] = grid_norm(synthesize(diff, m))
     if np.ndim(n) == 0:
         out = out[..., 0]
@@ -335,7 +339,7 @@ def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
         if abs(lam0 - 1.0) > 1e-12:
             raise InvalidArgument(f"{method.name} is not regular "
                                   "(weight at k=0 differs from 1)")
-    c = np.empty((len(fset), m - 1), dtype=complex)
+    c = np.empty((len(fset), m // 2), dtype=complex)
     for ci, f in zip(c, fset):
         ci[:] = compute_coefficients(f, m // 2 - 1)
     ea, eb = (approximation_error(method, range(1, nmax + 1), c, m)
@@ -350,13 +354,14 @@ def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
 
 
 # comparison_ratio's cost on a 2-vCPU host (M = 2^6..2^20, nmax up to 32768,
-# five methods): per function, method and n up to 3.4e-6 s at M = 64 and
-# 6.5e-9 s per grid point and level log2 M, charged 1e-5 s plus 1e-8 s for
-# drift; a traced peak of up to 100 bytes per grid point besides the samples
-# and the coefficients of every function (8 + 16 bytes per grid point and
-# function), 420 per n and 4 MB for the stacked syntheses.
+# four method pairs): per function, method and n up to 8.1e-7 s at M = 64 and
+# 2.0e-9 s per grid point and level log2 M at M = 2^20, charged 1.5e-6 s and
+# 3.5e-9 s; a traced peak of up to 25 bytes per grid point besides the
+# samples and the coefficients of every function (8 + 8 bytes per grid point
+# and function), charged 64, up to 57 bytes per function and n, charged 64,
+# and 4 MB for the stacked syntheses.
 def comparison_cost(functions, nmax, m):
     """Estimated (peak bytes, seconds) of comparison_ratio over `functions`
     functions sampled on the m-grid, n = 1..nmax."""
-    return ((24 * functions + 100) * m + 420 * nmax + 2 ** 22,
-            functions * (2 * nmax + 2) * (1e-5 + 1e-8 * m * math.log2(m)))
+    return ((16 * functions + 64) * m + 64 * functions * nmax + 2 ** 22,
+            functions * (2 * nmax + 2) * (1.5e-6 + 3.5e-9 * m * math.log2(m)))

@@ -63,7 +63,7 @@ def fejer_dirichlet(n):
 
 
 def exact_real_dft(c, m):
-    """(samples, error bound) of the Hermitian row c on the M-grid by the
+    """(samples, error bound) of the row c_0..c_K on the M-grid by the
     direct sum a_0 + 2 sum_{k>=1} Re(a_k e^{2pi ijk/M}), a_k = (-1)^k c_k,
     each angle jk mod M reduced exactly to at most pi and looked up in a
     cos/sin table (as lebesgue._factors does), each sum by math.fsum.
@@ -73,8 +73,8 @@ def exact_real_dft(c, m):
     term 2(Re a cos - Im a sin) then errs by 2 sqrt(2) |a_k| (e + 2u), and
     the correctly rounded sum adds u |sum|."""
     u = UNIT_ROUNDOFF
-    degree = (c.size - 1) // 2
-    a = ((-1.0) ** np.arange(degree + 1)) * np.asarray(c, dtype=complex)[degree:]
+    degree = c.size - 1
+    a = ((-1.0) ** np.arange(degree + 1)) * np.asarray(c, dtype=complex)
     angle = np.pi / (m // 2) * np.arange(m // 2 + 1)
     cos, sin = np.cos(angle), np.sin(angle)
     k = np.arange(1, degree + 1)
@@ -97,9 +97,14 @@ def exact_real_dft(c, m):
 # polish and sums
 # ---------------------------------------------------------------------------
 
+def two_sided_sum(a):
+    """sum_{k=-K..K} |a_k| of the half a_0..a_K, a_{-k} = conj a_k."""
+    return float(abs(a[0]) + 2.0 * np.sum(np.abs(a[1:])))
+
+
 def _row_samples(a, m):
     vals = row_synthesize(a, m)
-    return vals, (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * float(np.sum(np.abs(a)))
+    return vals, (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * two_sided_sum(a)
 
 
 def _row_horner(taylor, s):
@@ -145,11 +150,11 @@ def _row_polish(taylor, floor, lo, plo, phi):
 
 
 def one_row_l1(c, oversample=16, poly=(0.0,)):
-    """(int |f|, bound) for one Hermitian array c by the one-row engine."""
+    """(int |f|, bound) for one array c_0..c_K by the one-row engine."""
     c = np.asarray(c, dtype=complex)
     u = UNIT_ROUNDOFF
-    kmax = (c.size - 1) // 2
-    k = np.arange(-kmax, kmax + 1)
+    kmax = c.size - 1
+    k = np.arange(kmax + 1)
     m = 1 << max(6, int(math.ceil(math.log2(oversample * 2 * (kmax + 1)))))
     h = 2 * np.pi / m
     ht = 4 * h                              # the Taylor grid M/4
@@ -157,7 +162,7 @@ def one_row_l1(c, oversample=16, poly=(0.0,)):
     while rem > u:
         order += 1
         rem *= kmax * ht / (order + 1)
-    taylor_rem = rem * float(np.sum(np.abs(c)))
+    taylor_rem = rem * two_sided_sum(c)
     poly = np.asarray(poly, dtype=float)
     ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1)))
     order = max(order, poly.size - 1)
@@ -193,7 +198,7 @@ def one_row_l1(c, oversample=16, poly=(0.0,)):
 
     anti = np.divide(c, 1j * k, out=np.zeros_like(c), where=k != 0)
     p_vals, err_anti = _row_samples(anti, m // 4)
-    c0 = c[kmax].real
+    c0 = c[0].real
     integ, _ = _row_horner(taylor / np.arange(1, order + 2)[:, None], s)
     parts = np.array([
         np.concatenate(([-np.pi], ti - np.pi, [np.pi])) * c0,
@@ -227,7 +232,7 @@ class TestLebesgueConstant:
         # at most 2|c_2| to the norm, and the closed form carries 2u.  The
         # polish takes the zero at the end of its cell, to a few u
         s, want = lb.lebesgue_constant(rogosinski(), 2), 0.5 + 2.0 / math.pi
-        slack = 2.0 * abs(rogosinski().weights(2)[0]) + 2.0 * UNIT_ROUNDOFF * want
+        slack = 2.0 * abs(rogosinski().weights(2)[2]) + 2.0 * UNIT_ROUNDOFF * want
         assert abs(s.value - want) <= s.quad_error + slack
         assert abs(s.value - want) <= 4.0 * UNIT_ROUNDOFF * want
         assert s.quad_error <= 5e-14
@@ -240,7 +245,7 @@ class TestLebesgueConstant:
         # is flat in x0 and carries a few u
         for i in (1, 2, 3, 4, 8, 12):
             a = math.cos(math.pi - i * math.pi / 32)
-            value, err = lb.trig_poly_l1(np.array([0.5, -a, 0.5]))
+            value, err = lb.trig_poly_l1(np.array([-a, 0.5]))
             x0 = math.acos(a)
             want = 2.0 * (2.0 * math.sin(x0) + a * (math.pi - 2.0 * x0))
             assert abs(value - want) <= err + 8.0 * UNIT_ROUNDOFF * want
@@ -259,7 +264,7 @@ class TestLebesgueConstant:
         for i in range(32):
             for frac in (0.25, 0.5, 0.75):
                 a = math.cos(math.pi - (i + frac) * math.pi / 32)
-                value, err = lb.trig_poly_l1(np.array([0.5, -a, 0.5]))
+                value, err = lb.trig_poly_l1(np.array([-a, 0.5]))
                 x0 = math.acos(a)
                 want = 2.0 * (2.0 * math.sin(x0) + a * (math.pi - 2.0 * x0))
                 assert abs(value - want) <= err + 8.0 * UNIT_ROUNDOFF * want
@@ -273,7 +278,7 @@ class TestLebesgueConstant:
         # operator norm dominates the weight of the constant term
         for method in method_catalog():
             for n in (0, 1, 4, 9):
-                lam0 = abs(method.weights(n)[method.band(n)])
+                lam0 = abs(method.weights(n)[0])
                 s = lb.lebesgue_constant(method, n)
                 assert s.value >= lam0 - 1e-9
 
@@ -288,7 +293,7 @@ class TestLebesgueConstant:
 
     def test_bernstein_matches_rogosinski(self):
         # the half-shift average is the symmetric average's kernel shifted,
-        # so their norms agree; exercises complex Hermitian weights
+        # so their norms agree; exercises complex weights
         for n in (4, 9):
             b = lb.lebesgue_constant(trig.bernstein(), n).value
             r = lb.lebesgue_constant(trig.rogosinski(), n).value
@@ -309,30 +314,39 @@ class TestLebesgueConstant:
             assert abs(riemann - exact) < 1e-6
 
     def test_non_hermitian_coefficients_rejected(self):
+        # a half c_0..c_K stands for a Hermitian array unless c_0 is not
+        # real: c_0 != conj c_0
         with pytest.raises(InvalidArgument):
-            lb.trig_poly_l1(np.array([0.0, 1.0, 1j]))
+            lb.trig_poly_l1(np.array([1j, 1.0]))
 
     def test_nearly_hermitian_coefficients_rejected(self):
-        # c_{-1} = conj c_1 up to 2e-6 only: Im f = 2e-6 cos t is not zero,
-        # and the engine takes exactly Hermitian input alone
+        # Im c_0 = 1e-6 only: Im f = 1e-6 is not zero, and the engine takes
+        # real kernels alone
         with pytest.raises(InvalidArgument):
-            lb.trig_poly_l1(np.array([1 + 1e-6j, 1.0, 1 + 1e-6j]))
+            lb.trig_poly_l1(np.array([1 + 1e-6j, 1.0]))
         # one such row refuses the whole list
         with pytest.raises(InvalidArgument):
-            lb.trig_poly_l1([dirichlet().weights(3), np.array([1 + 1e-6j, 1.0, 1 + 1e-6j])])
+            lb.trig_poly_l1([dirichlet().weights(3), np.array([1 + 1e-6j, 1.0])])
 
     @pytest.mark.parametrize("method", method_catalog(), ids=lambda m: m.name)
     def test_weights_are_exactly_hermitian(self, method):
-        # every row the tables hand the engine, in the stacks lebesgue_constant
-        # forms them in, passes its exact check
+        # the half layout holds the means because each rule gives
+        # lambda_{n,-k} = conj lambda_{n,k} bit for bit; and every row the
+        # tables hand the engine, in the stacks lebesgue_constant forms them
+        # in, passes its check: lambda_{n,0} real
         ns = np.arange(3001)
         for chunk in lb.stacks([lb.grid_size(b) for b in method.band(ns).tolist()]):
             w = method.weights(ns[chunk])
-            assert np.array_equal(w, np.conj(w[:, ::-1]))
+            assert not np.any(w[:, 0].imag)
+        k = np.arange(1, 4097)
+        for n in (1, 2, 7, 64, 1000, 3000):
+            w = np.asarray(method.rule(n, k), dtype=complex)
+            assert np.array_equal(np.asarray(method.rule(n, -k), dtype=complex), np.conj(w))
         if method.name in ("bernstein", "rogosinski"):
             for n in (8192, 65536):
-                w = method.weights(n)
-                assert np.array_equal(w, np.conj(w[::-1]))
+                k = np.arange(1, n + 1)
+                assert np.array_equal(np.asarray(method.rule(n, -k), dtype=complex),
+                                      np.conj(np.asarray(method.rule(n, k), dtype=complex)))
 
 
 class TestOraclesAtScale:
@@ -345,17 +359,17 @@ class TestOraclesAtScale:
     @pytest.mark.parametrize("m", [2 ** p for p in range(6, 13)])
     def test_real_synthesis_within_rounding_bound(self, m):
         # the engine's charge per real sample, (log2 M + 2) eta sum|a_k| over
-        # the whole Hermitian array, covers the real inverse FFT's error
+        # k = -K..K, covers the real inverse FFT's error
         rng = np.random.default_rng(m)
         half = rng.standard_normal(m // 2 - 1) + 1j * rng.standard_normal(m // 2 - 1)
-        rows = [np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half])]
+        rows = [np.concatenate([rng.standard_normal(1), half])]
         # the engine's scan grid for degree m/32 - 1, its Taylor grid for m/8 - 1
         for n in (m // 32 - 1, m // 8 - 1):
             rows += [dirichlet().weights(n), bernstein().weights(n)]
         for c in rows:
             got = trig.synthesize(c, m).values
             want, want_err = exact_real_dft(c, m)
-            bound = (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * float(np.sum(np.abs(c)))
+            bound = (math.log2(m) + 2) * lb.FFT_STAGE_ERROR * two_sided_sum(c)
             assert np.max(np.abs(got - want) + want_err) <= bound
 
     @pytest.mark.parametrize("n", [256, 4096])
@@ -368,22 +382,19 @@ class TestOraclesAtScale:
     @given(st.sampled_from(method_catalog()), st.integers(1, 300),
            st.floats(0.0, 2 * np.pi, exclude_max=True))
     def test_shift_leaves_norm_unchanged(self, method, n, tau):
-        # w_k e^{ik tau} is the kernel translated by tau: same L1 norm; the
-        # rows k >= 0 are formed and mirrored by conjugation, exactly Hermitian
+        # w_k e^{ik tau} is the kernel translated by tau: same L1 norm
         w = method.weights(n)
-        band = (w.size - 1) // 2
-        half = w[band:] * np.exp(1j * np.arange(band + 1) * tau)
-        shifted = np.concatenate((np.conj(half[:0:-1]), [half[0].real], half[1:]))
+        shifted = w * np.exp(1j * np.arange(w.size) * tau)
         v0, e0 = lb.trig_poly_l1(w)
         v1, e1 = lb.trig_poly_l1(shifted)
         assert abs(v0 - v1) <= e0 + e1
 
 
 def tail_coefficients(r, n):
-    """kolmogorov_deviation's cosine-sum coefficients c_{-n}..c_n."""
+    """kolmogorov_deviation's cosine-sum coefficients c_0..c_n."""
     k = np.arange(1, n + 1)
-    half = -((-1.0) ** k) * np.exp(-0.5j * np.pi * r) / (2.0 * k ** float(r))
-    return np.concatenate((np.conj(half[::-1]), [0.0], half))
+    return np.concatenate(([0.0], -((-1.0) ** k) * np.exp(-0.5j * np.pi * r)
+                           / (2.0 * k ** float(r))))
 
 
 class TestStackedEngine:
@@ -449,16 +460,16 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("entries", [1 << 17, 1 << 12, 1 << 9])
     def test_list_across_grid_sizes(self, entries, monkeypatch):
-        # shuffled degrees on grids 64..8192, random Hermitian arrays among
+        # shuffled degrees on grids 64..8192, random arrays among
         # them; small stacks split the rows and the Taylor orders of a grid
         monkeypatch.setattr(lb, "SYNTHESIS_ENTRIES", entries)
         rng = np.random.default_rng(entries)
         ws = [m.weights(n) for m in method_catalog() for n in (0, 1, 3, 9, 40, 130, 250)]
         for band in rng.integers(1, 60, 12):
             half = rng.standard_normal(band) + 1j * rng.standard_normal(band)
-            ws.append(np.concatenate([np.conj(half[::-1]), rng.standard_normal(1), half]))
+            ws.append(np.concatenate([rng.standard_normal(1), half]))
         ws = [ws[i] for i in rng.permutation(len(ws))]
-        assert len({lb.grid_size((w.size - 1) // 2) for w in ws}) >= 6
+        assert len({lb.grid_size(w.size - 1) for w in ws}) >= 6
         assert lb.trig_poly_l1(ws) == [one_row_l1(w) for w in ws]
         assert lb.trig_poly_l1(ws) == [lb.trig_poly_l1(w) for w in ws]
 
@@ -866,12 +877,11 @@ class TestIndependentQuadratureOracle:
         for method, n in ((trig.dirichlet(), 7), (trig.rogosinski(), 5),
                           (trig.cesaro(0.5), 6), (trig.riesz(1, 2), 9)):
             w = method.weights(n)
-            band = (w.size - 1) // 2
             value, err = lb.trig_poly_l1(w)
 
             def absk(t):
-                k = np.arange(-band, band + 1)
-                return abs(np.exp(1j * k * t) @ w)
+                k = np.arange(1, w.size)
+                return abs(w[0].real + 2.0 * (np.exp(1j * k * t) @ w[1:]).real)
 
             ref, ref_err = integrate.quad(absk, -np.pi, np.pi, limit=400)
             assert abs(value - ref) < 1e-8 + 10 * ref_err
@@ -892,8 +902,7 @@ class TestIndependentQuadratureOracle:
         for _ in range(10):
             band = int(rng.integers(1, 12))
             half = rng.standard_normal(band) + 1j * rng.standard_normal(band)
-            w = np.concatenate([np.conj(half[::-1]),
-                                rng.standard_normal(1), half])
+            w = np.concatenate([rng.standard_normal(1), half])
             value, err = lb.trig_poly_l1(w)
             m = 1 << 18
             k = trig.synthesize(w, m)

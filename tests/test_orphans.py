@@ -4,7 +4,8 @@ benchmark workload.  A name that occurs nowhere else is an orphan; delete it
 or give it a caller.  Likewise every defaulted parameter is set by some
 caller: one that nobody passes is a constant in disguise.  No object
 carries state its class does not declare.  One budget governs every cost
-estimate: no module but cli declares one.  And every function the library
+estimate: no module but cli declares one, and the experiments without a
+cost are a closed list.  And every function the library
 samples is real, so its only transforms are rfft and irfft."""
 
 import ast
@@ -153,6 +154,17 @@ def test_chunk_constants_declared_once():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                 and node.id.endswith(("_ENTRIES", "_CHUNK"))}
     assert declared == set(CHUNK_CONSTANTS)
+
+
+# the experiments without a cost estimate: the list only shrinks, and a new
+# experiment declares a cost
+COSTLESS = {"hyperbolic-fit", "aspline", "walsh-regularity", "walsh-moduli",
+            "euler-maclaurin-check"}
+
+
+def test_costless_experiments_are_a_closed_list():
+    from xlab import cli
+    assert {name for name, e in cli.REGISTRY.items() if e.cost is None} == COSTLESS
 
 
 REAL_FFTS = {"rfft", "irfft"}

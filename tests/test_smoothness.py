@@ -234,7 +234,7 @@ def loop_k_functional(f, t, r):
     vp, best, n = trig.vallee_poussin(), trig.grid_norm(f), 1
     while n <= 4.0 / t and row_band(vp, n) <= degree:
         band = row_band(vp, n)
-        g = row_weights(vp, n, band) * c[degree - band:degree + band + 1]
+        g = row_weights(vp, n, band) * c[:band + 1]
         err = trig.grid_norm(trig.synthesize(c, m).values - trig.synthesize(g, m).values)
         deriv = trig.grid_norm(trig.synthesize(sm.spectral_derivative(g, r), m))
         best = min(best, err + (t ** r) * deriv)
@@ -253,6 +253,13 @@ class TestKFunctional:
             for t in (1.0, 0.5, 1.0 / 16, 0.01):
                 for r in (1, 2, 3):
                     assert sm.k_functional(f, t, r) == loop_k_functional(f, t, r)
+
+    def test_spectral_derivative_keeps_the_half(self):
+        # c_0..c_K to (ik)^r c_k, k = 0..K: the last axis unchanged
+        c = np.array([[2.0, 1.0 + 1.0j, -0.5j], [1.0, 0.0, 3.0]])
+        d = sm.spectral_derivative(c, 2)
+        assert d.shape == c.shape
+        assert np.array_equal(d, c * np.array([0.0, -1.0, -4.0]))
 
     def test_competitor_zero(self):
         f = corpus.sampled("exp_cos", 256)

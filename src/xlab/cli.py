@@ -275,21 +275,23 @@ def _body_from_params(p):
     return ftlab.ConvexBody2D.square(p["radius"])
 
 
-def _narrowest_width(p):
-    return 2 * (min(p["a"], p["b"]) if p["body"] == "ellipse" else p["radius"])
+def _extent(p):
+    """The body's narrowest width and its area, the transform at u = 0,
+    which bounds |transform|."""
+    if p["body"] == "ellipse":
+        return 2 * min(p["a"], p["b"]), np.pi * p["a"] * p["b"]
+    return 2 * p["radius"], (np.pi if p["body"] == "disc" else 4.0) * p["radius"] * p["radius"]
 
 
 def _exp_indicator_zeros(p, seed):
     body = _body_from_params(p)
+    phis = [np.pi * i / p["phis"] for i in range(p["phis"])]
     rows, failures = [], []
-    for i in range(p["phis"]):
-        phi = np.pi * i / p["phis"]
-        d = body.width(phi)
-        try:
-            r = ftlab.zero_curve(body, p["p"], phi)
-        except NotFound as e:
+    for phi, r in zip(phis, ftlab.zero_curve(body, p["p"], phis)):
+        if isinstance(r, NotFound):
+            failures.append(f"phi={phi:g}: {r}")
             r = math.nan
-            failures.append(f"phi={phi:g}: {e}")
+        d = body.width(phi)
         rows.append({"phi": phi, "r_p": r, "d_phi": d, "product": d * r,
                      "lower": 2 * p["p"] * np.pi, "upper": 2 * (p["p"] + 1) * np.pi})
     return rows, failures
@@ -462,10 +464,11 @@ REGISTRY = {
                  "radius": (1.0, _POSITIVE), "a": (1.0, _POSITIVE),
                  "b": (0.5, _POSITIVE), "p": (1, _INDEX), "phis": (64, _INDEX)},
         ["phi", "r_p", "d_phi", "product", "lower", "upper"],
-        (lambda p: 2 * (p["p"] + 1) * np.pi / _narrowest_width(p)
-         <= ftlab.INDICATOR_FT_UMAX,
+        (lambda p: 2 * (p["p"] + 1) * np.pi / _extent(p)[0] <= ftlab.INDICATOR_FT_UMAX
+         and _extent(p)[1] <= 1e300,
          f"need 2(p+1)pi/width <= {ftlab.INDICATOR_FT_UMAX:g}, the transform's "
-         "|u| cap, for width 2*radius, or 2*min(a, b) for an ellipse"),
+         "|u| cap, for width 2*radius, or 2*min(a, b) for an ellipse, and an area "
+         "pi*radius^2, pi*a*b or 4*radius^2 <= 1e300, which bounds |transform|"),
         cost=(("phis",), lambda p: (
             ftlab.SPECIAL_IMPORT_BYTES + ftlab.ZERO_CURVE_BYTES * p["phis"],
             ftlab.ZERO_CURVE_S * p["phis"]))),

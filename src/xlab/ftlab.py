@@ -1,9 +1,9 @@
 """Oscillatory-sum discretization with certified residual (the correction
 function h in closed form on 1/2 <= |x| <= pi, the oscillatory integral in
-closed form or on a rotated contour with an error bound), indicator
-transforms of the disc, the ellipse and the square in closed form with
-zero-curve tracing by Brent's method, and the 1-D cosine transform of
-radial profiles with its exact boundary expansion for polynomials."""
+closed form or on a rotated contour with an error bound), closed-form
+indicator transforms of the disc, the ellipse and the square with zero
+curves bisected on all rays at once, and the 1-D cosine transform of radial
+profiles with its exact boundary expansion for polynomials."""
 
 from dataclasses import dataclass
 import math
@@ -12,19 +12,17 @@ import numpy as np
 
 from .errors import ConvergenceFailure, InvalidArgument, NotFound
 from .lebesgue import UNIT_ROUNDOFF
-from .trig import TWO_PI
+from .trig import SYNTHESIS_ENTRIES, TWO_PI
 
 EULER_MACLAURIN_RMAX = 4
 INDICATOR_FT_UMAX = 1e3          # largest |u| at which indicator_ft evaluates
-# zero_curve's cost per ray on a 2-vCPU host, one thread: 80-150 us for the
-# disc and the ellipse and 270-280 us for the square (p = 1..20, row and
-# CSV line included), charged 5e-4 s for drift; a traced peak of 480-500
-# bytes per row, charged 800 with a failure line, besides the 13.4 MB that
-# the first run of a process traces importing scipy.special, its only
-# scipy module
+# indicator-zeros on a 2-vCPU host, one thread: 17-24 us a ray at 2,000
+# rays, 30-40 us at 64 (p = 1..20, row and CSV line included) and 1-3 ms a
+# run for the bisection's calls, charged 5e-4 s a ray; a traced peak of
+# 580-600 bytes a row with its CSV line, charged 800, and a ray chunk's
+# working set, at most 2.7 MB, which fits in 2^24 with the 14 MB that a
+# process traces importing scipy.special, its only scipy module
 ZERO_CURVE_S, ZERO_CURVE_BYTES, SPECIAL_IMPORT_BYTES = 5e-4, 800, 2 ** 24
-# Brent's iteration cap, scipy.optimize.brentq's default
-BRENT_MAXITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -185,36 +183,38 @@ EULER_MACLAURIN_THETA_TOL = 1e-3
 
 
 def _oscillatory_series(f, n, x, target):
-    """sum_{k>=n} f(k) e^{ikx} for convex decreasing f: the head k in [n, m)
-    summed directly, the rest by two exact summation-by-parts steps,
+    """sum_{k>=n} f(k) e^{ikx} for convex decreasing f, as e^{inx} S, q =
+    e^{ix}: S's head of h terms summed directly, the rest by two exact
+    summation-by-parts steps,
 
-        tail = f(m) q^m / (1-q) + D q^(m+1) / (1-q)^2 + R,   D = f(m+1) - f(m),
+        S = sum_{j<h} f(n+j) q^j + f(n+h) q^h / (1-q) + D q^(h+1) / (1-q)^2 + R,
 
-    where the second differences of f telescope to |R| <= |D| / |1-q|^2.
-    The head starts at 64 terms and doubles until that bound is at most
-    target, capped at OSCILLATORY_TERMS + 1 terms.
+    D = f(n+h+1) - f(n+h), where the second differences of f telescope to
+    |R| <= |D| / |1-q|^2.  h starts at 64 and doubles until that bound is at
+    most target, capped at OSCILLATORY_TERMS + 1.
 
-    Returns (value, error bound); the bound is |D| / |1-q|^2 plus the
-    head's rounding (m(1 + |x|) + log2 m) u sum|f(k)|, u = 2^-53: q**k
-    drifts by up to k|x|u in phase and k u in modulus, and the pairwise sum
-    adds about log2(m) u.
+    Returns (value, error bound): |D| / |1-q|^2 plus the rounding.  q**j
+    drifts by up to j|x|u in phase and j u in modulus, u = 2^-53, so the
+    head and the tail carry (h+1)(1 + |x|)u times their terms' moduli, the
+    head log2(h) u more for the pairwise sum; e^{inx}, its phase n x
+    rounded, moves the value by up to (n|x| + 4) u |S|.
     """
     q = np.exp(1j * x)
     one_q = 1.0 - q
-    cap = n + OSCILLATORY_TERMS + 1
-    m = n + 64
+    h = 64
     while True:
-        f_m = f.deriv(m, 0)
-        d = f.deriv(m + 1, 0) - f_m
-        if m == cap or abs(d) <= target * abs(one_q) ** 2:
+        f_h = f.deriv(n + h, 0)
+        d = f.deriv(n + h + 1, 0) - f_h
+        if h == OSCILLATORY_TERMS + 1 or abs(d) <= target * abs(one_q) ** 2:
             break
-        m = min(2 * m - n, cap)
-    k = np.arange(n, m)
-    fk = f.deriv(k, 0)
-    head = np.sum(fk * q ** k)
-    tail = f_m * q ** m / one_q + d * q ** (m + 1) / one_q ** 2
-    rounding = (m * (1.0 + abs(x)) + math.log2(m)) * UNIT_ROUNDOFF * np.sum(np.abs(fk))
-    return head + tail, abs(d) / abs(one_q) ** 2 + rounding
+        h = min(2 * h, OSCILLATORY_TERMS + 1)
+    fj = f.deriv(n + np.arange(h), 0)
+    s = np.sum(fj * q ** np.arange(h)) + f_h * q ** h / one_q + d * q ** (h + 1) / one_q ** 2
+    drift = (h + 1) * (1.0 + abs(x)) * UNIT_ROUNDOFF
+    rounding = (drift + math.log2(h) * UNIT_ROUNDOFF) * np.sum(np.abs(fj)) \
+        + drift * (abs(f_h) / abs(one_q) + abs(d) / abs(one_q) ** 2) \
+        + (n * abs(x) + 4) * UNIT_ROUNDOFF * abs(s)
+    return np.exp(1j * n * x) * s, abs(d) / abs(one_q) ** 2 + rounding
 
 
 def oscillatory_integral(f, n, x):
@@ -350,99 +350,71 @@ class ConvexBody2D:
         return self.support(phi) + self.support(phi + np.pi)
 
 
-def _frequencies(u):
-    """u as a float array of frequencies (..., 2), each 0 < |u| <= INDICATOR_FT_UMAX."""
+def indicator_ft(body, u):
+    """int_K e^{i(u,x)} dx for 0 < |u| <= INDICATOR_FT_UMAX, at u of shape
+    (2,) or (..., 2): a complex for one u, a complex array of u's shape
+    without the last axis otherwise."""
     u = np.asarray(u, dtype=float)
     nu = np.hypot(u[..., 0], u[..., 1])
     if not np.all((0 < nu) & (nu <= INDICATOR_FT_UMAX + 1e-9)):
         raise InvalidArgument(f"need 0 < |u| <= {INDICATOR_FT_UMAX:g}")
-    return u
-
-
-def indicator_ft(body, u):
-    """int_K e^{i(u,x)} dx for 0 < |u| <= INDICATOR_FT_UMAX, at one u."""
-    return complex(body.transform(_frequencies(u)))
+    value = np.asarray(body.transform(u), dtype=complex)
+    return complex(value) if u.ndim == 1 else value
 
 
 def zero_curve(body, p, phi):
-    """p-th positive zero r_p(phi) of t -> indicator_ft(body, t e(phi)).
+    """p-th positive zero r_p(phi) of t -> indicator_ft(body, t e(phi)): a
+    float, or NotFound raised, at one angle; at a sequence of angles one
+    entry each, the float or the NotFound (returned, not raised).
 
     The search interval is (2p*pi/d, 2(p+1)*pi/d) with d the width in the
-    direction phi, scanned at 96 points by one transform call; a missing
-    sign change inside it and a zero at one of its ends (the claim's bound
-    attained) are reported.
+    direction phi, scanned at 96 points; a missing sign change inside it
+    and a zero at one of its ends (the claim's bound attained) are NotFound.
+    The first sign change of every ray is bisected at once until the
+    midpoint equals an end, the bracket two adjacent doubles, and r_p is the
+    end of smaller |transform|: no tolerance, so r_p does not depend on the
+    body's scale.  The rays run SYNTHESIS_ENTRIES // 96 at a time, one
+    indicator_ft call for the scan and one per bisection step.
     """
     if p < 1:
         raise InvalidArgument("zero index starts at 1")
-    e = np.array([np.cos(phi), np.sin(phi)])
-    d = body.width(phi)
-
-    def f(t):
-        return indicator_ft(body, t * e).real
-
-    lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
-    ts = np.linspace(lo, hi, 96)
-    vals = np.real(body.transform(_frequencies(ts[:, None] * e)))
-    # a zero at an end, to rounding (a double one shows no sign change)
-    tiny = 1e-12 * np.max(np.abs(vals))
-    for v, name, k in ((vals[0], "lower", p), (vals[-1], "upper", p + 1)):
-        if abs(v) <= tiny:
-            raise NotFound(f"zero at the bracket's {name} end d*r = {2 * k}*pi: "
-                           "the claim's bound is attained")
-    # the first sign change of the scan, refined by Brent's method
-    idx = np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]
-    if not idx.size:
-        raise NotFound(f"no sign change in ({lo:g}, {hi:g}) for p={p}")
-    i = idx[0]
-    return _brentq(f, float(ts[i]), float(ts[i + 1]), 1e-13, 8.9e-16, BRENT_MAXITER)
-
-
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
-    """A zero of f in [xa, xb], where f(xa) and f(xb) differ in sign, by
-    Brent's method (Brent 1973, ch. 4): scipy.optimize.brentq's iteration
-    step for step, so its zeros are the same bits.  Each step keeps a
-    bracket [xcur, xblk] with |f(xcur)| <= |f(xblk)| and takes the secant
-    or inverse quadratic step when it is short, bisection otherwise;
-    converged when the bracket's half is below (xtol + rtol|xcur|)/2.
-    NotFound after maxiter steps."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise InvalidArgument("f(xa) and f(xb) must differ in sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+    phis, out = np.atleast_1d(np.asarray(phi, dtype=float)), []
+    rays = max(1, SYNTHESIS_ENTRIES // 96)
+    for phi_c in (phis[start:start + rays] for start in range(0, phis.size, rays)):
+        d = np.array([body.width(f) for f in phi_c])
+        e = np.stack((np.cos(phi_c), np.sin(phi_c)), axis=-1)
+        lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
+        ts = np.linspace(lo, hi, 96, axis=-1)
+        vals = indicator_ft(body, ts[..., None] * e[:, None]).real
+        # a zero at an end, to rounding (a double one shows no sign change)
+        ends = np.abs(vals[:, [0, -1]]) <= 1e-12 * np.max(np.abs(vals), axis=-1)[:, None]
+        # signbit keeps values of exactly 0.0 on the positive side
+        change = np.signbit(vals[:, :-1]) != np.signbit(vals[:, 1:])
+        i, ray = np.argmax(change, axis=-1), np.arange(phi_c.size)
+        x, fx = ts[ray, [i, i + 1]], vals[ray, [i, i + 1]]      # the brackets' two ends
+        live = ray[change.any(axis=-1) & ~ends.any(axis=-1)]
+        while True:
+            mid = 0.5 * (x[0, live] + x[1, live])
+            inside = (mid != x[0, live]) & (mid != x[1, live])
+            live, mid = live[inside], mid[inside]
+            if not live.size:
+                break
+            fm = indicator_ft(body, mid[:, None] * e[live]).real
+            side = (np.signbit(fm) != np.signbit(fx[0, live])).astype(int)
+            x[side, live], fx[side, live] = mid, fm
+        r = x[np.argmin(np.abs(fx), axis=0), ray]
+        for k in ray:
+            if ends[k].any():
+                name, end = ("lower", p) if ends[k, 0] else ("upper", p + 1)
+                out.append(NotFound(f"zero at the bracket's {name} end d*r = {2 * end}*pi: "
+                                    "the claim's bound is attained"))
+            elif not change[k].any():
+                out.append(NotFound(f"no sign change in ({lo[k]:g}, {hi[k]:g}) for p={p}"))
             else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise NotFound(f"Brent's method did not converge in {maxiter} steps on "
-                   f"({xa:g}, {xb:g})")
+                out.append(float(r[k]))
+    if np.ndim(phi) == 0 and isinstance(out[0], NotFound):
+        raise out[0]
+    return out if np.ndim(phi) else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,11 @@ STRIDE = 4               # scan cells per Taylor cell: 8 Taylor nodes a period o
 
 
 def _horner(taylor, s):
-    """(p(s), p'(s[-1])) columnwise for p(s) = sum_j taylor[j] s^j, s
-    stacking one or more points per column along a leading axis: p at each
-    point and p' at the last one."""
-    last = s[-1]
-    p, dp = np.broadcast_to(taylor[-1], s.shape), np.zeros_like(last)
+    """(p(s), p'(s)) columnwise for p(s) = sum_j taylor[j] s^j, s stacking
+    one or more points per column along a leading axis."""
+    p, dp = np.broadcast_to(taylor[-1], s.shape), np.zeros_like(s)
     for row in taylor[-2::-1]:
-        dp = dp * last + p[-1]
+        dp = dp * s + p
         p = p * s + row
     return p, dp
 
@@ -79,35 +77,29 @@ def _polish(taylor, floor, owner, lo, plo, phi):
     """Safeguarded Newton on the cell polynomials p(s) = sum_j taylor[j] s^j,
     each with a sign change on [lo, hi], hi = lo + 1/STRIDE, in the scan,
     whose values at lo and hi, not p(lo) and p(hi), are plo and phi; cell i
-    belongs to polynomial owner[i].  The first pass evaluates p at both ends,
-    so that a zero on a scan node is taken where it lies, and p and p' at
+    belongs to polynomial owner[i].  The first pass evaluates p and p' at
+    both ends, so that a zero on a scan node is taken where it lies, and at
     the secant point of the two scan values, O(h^2) from a simple zero,
     where Newton starts (the midpoint where that point is not strictly
-    inside); p' at an end is taken only where the end stays the best point.
-    Keeps the best point seen per cell (a converged iterate on a bracket end
-    must not be lost to the safeguard), and freezes the cells of a polynomial
-    once all of its |p| are below `floor`, the accuracy of p as a stand-in
-    for the function, so each polynomial stops where it would alone.
-    Returns (s, |p(s)|, |p'(s)|, bracket width)."""
+    inside).  Keeps the best point seen per cell (a converged iterate on a
+    bracket end must not be lost to the safeguard), and freezes the cells of
+    a polynomial once all of its |p| are below `floor`, the accuracy of p as
+    a stand-in for the function, so each polynomial stops where it would
+    alone.  Returns (s, |p(s)|, |p'(s)|, bracket width)."""
     hi = lo + 1.0 / STRIDE
     with np.errstate(divide="ignore", invalid="ignore"):
         s = lo + plo / (plo - phi) / STRIDE
     s = np.where((lo < s) & (s < hi), s, 0.5 * (lo + hi))
     best_s, best_p, best_dp = s, np.full_like(lo, np.inf), np.ones_like(lo)
-    at_end = np.zeros(lo.shape, dtype=bool)
     points = np.stack((lo, hi, s))
     for _ in range(POLISH_STEPS):
         p, dp = _horner(taylor, points)
-        for t, pt in zip(points[:-1], np.abs(p[:-1])):     # the ends, first pass
-            better = pt < best_p
-            best_s, best_p = np.where(better, t, best_s), np.where(better, pt, best_p)
-            at_end |= better
-        p = p[-1]
-        better = np.abs(p) < best_p
-        at_end &= ~better
-        best_s = np.where(better, s, best_s)
-        best_p = np.where(better, np.abs(p), best_p)
-        best_dp = np.where(better, np.abs(dp), best_dp)
+        for t, pt, dpt in zip(points, p, dp):     # the ends in the first pass, then s
+            better = np.abs(pt) < best_p
+            best_s = np.where(better, t, best_s)
+            best_p = np.where(better, np.abs(pt), best_p)
+            best_dp = np.where(better, np.abs(dpt), best_dp)
+        p, dp = p[-1], dp[-1]
         live = np.bincount(owner, best_p > floor)[owner] > 0
         if not live.any():
             break
@@ -121,8 +113,6 @@ def _polish(taylor, floor, owner, lo, plo, phi):
         bad = ~np.isfinite(sn) | (sn < lo) | (sn > hi)
         s = np.where(live, np.where(bad, 0.5 * (lo + hi), sn), s)
         points = s[None]
-    if at_end.any():
-        best_dp[at_end] = np.abs(_horner(taylor[:, at_end], best_s[None, at_end])[1])
     return best_s, best_p, best_dp, hi - lo
 
 

@@ -117,6 +117,21 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert any(key in err for key in keys)
 
+    # a body whose transform overflows, its area past 1e300, exits 2 with one
+    # line before any ray runs; radius 1e100 still runs
+    @pytest.mark.parametrize("bad", [
+        ["radius=1e308"], ["radius=1e155"], ["body=ellipse", "a=1e154", "b=1e154"],
+        ["body=square", "radius=1e154"], ["body=ellipse", "a=1e200", "b=1e150"]])
+    def test_overflowing_body_refused(self, bad, capsys, monkeypatch):
+        monkeypatch.setitem(cli.REGISTRY, "indicator-zeros", cli.REGISTRY[
+            "indicator-zeros"]._replace(fn=lambda p, seed: pytest.fail("ran")))
+        assert run_main(["indicator-zeros", *bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "1e300" in err
+        monkeypatch.undo()
+        assert run_main(["indicator-zeros", "radius=1e100", "phis=4"]) == 0
+
     # a missing config file, a config file that is not UTF-8 text or an
     # output path in a missing directory exits 2 with one error line before
     # the experiment runs
@@ -330,7 +345,8 @@ class TestExitCodes:
         ("comparison-ratio", ["m=64", "nmax=4096"]),
         ("comparison-ratio", ["a=cesaro(1)", "m=64", "nmax=4096"]),
         ("indicator-zeros", ["phis=64"]), ("indicator-zeros", ["body=square", "phis=256"]),
-        ("kolmogorov-fit", []), ("kolmogorov-fit", ["r=3", "nmin=16", "nmax=8192"])])
+        ("kolmogorov-fit", []), ("kolmogorov-fit", ["r=3", "nmin=16", "nmax=8192"]),
+        ("indicator-zeros", ["phis=2000"])])
     def test_bytes_estimate_bounds_traced_peak(self, name, tokens):
         config = cli.build_config(name, tokens)
         tracemalloc.start()
@@ -445,7 +461,7 @@ class TestDeterminism:
         assert sizes == [3]
         assert [int(l.split(",")[1]) for l in out.read_text().splitlines()[2:]] == \
             list(range(1, 9))
-        # indicator-zeros runs its rays in one loop, without a pool
+        # indicator-zeros runs its rays in one call, without a pool
         assert run_main(["indicator-zeros", "phis=4", "--out", str(out)]) == 0
         assert sizes == [3]
 
@@ -542,6 +558,21 @@ class TestExperimentOutputs:
         assert len(lines) == 2 + 4 + 4
         assert all(",nan," in line for line in lines[2:6])
         assert all(line.startswith("# failure: phi=") for line in lines[6:])
+
+    def test_indicator_products_are_scale_free(self, tmp_path):
+        # the zeros are bisected to adjacent doubles with no absolute
+        # tolerance: each d*r_p of a disc of radius 1e6, 1e12 or 1e100 is
+        # within 4 ulps of radius 1's on the same ray
+        def products(radius):
+            out = tmp_path / "t.csv"
+            assert run_main(["indicator-zeros", f"radius={radius}", "--out", str(out)]) == 0
+            return np.array([float(line.split(",")[3])
+                             for line in out.read_text().splitlines()[2:]])
+
+        want = products(1)
+        assert want.size == 64
+        for radius in ("1e6", "1e12", "1e100"):
+            assert np.all(np.abs(products(radius) - want) <= 4 * np.spacing(want)), radius
 
     def test_duality_fuzz_small(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -656,13 +687,13 @@ GOLDEN_ROWS = [
     ("walsh-moduli", ["bits=6"],
      "02423c902eff997a203b8f678faa5dbd1660b6721759d63363cff1a1269d2069"),
     ("indicator-zeros", ["body=ellipse", "phis=8"],
-     "fa386cb2ed0253dc16b68f8fd6d47d031e37815c3afc30cbd21a35e9c4cc123d"),
+     "1fc41e6b8c80f6ec88c213bcf281bff5f2f2d8c6424b255ff92bfecbb56a5cf7"),
     ("indicator-zeros", ["body=square", "phis=16"],
-     "1feb0f51a1265f29ccf2f3acd0007025c0d126ee59873805e8459a50dd3a333c"),
+     "d83da76966ba907e63c408c43d880617aa67d113fe2204c355c9b2121c45d640"),
     ("comparison-ratio", ["a=rogosinski", "nmax=16", "m=128"],
      "75388e3f8873fa5ec60e1ea4ab8bf564453afe8b4ff82829660f4b7d4e7676d1"),
     ("euler-maclaurin-check", ["rmax=1"],
-     "c4ce04b98d900167b6ad160b2f7820fbf60cc1e28fce97107b2a9ba668b30823"),
+     "7c25ccf4e22e7ac8d4b8591363a334c6650617698350c56e8a75be4d1ea694cc"),
 ]
 
 

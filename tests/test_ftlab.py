@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ class TestEulerMaclaurin:
                 assert gap * np.pi ** r / v <= ft.EULER_MACLAURIN_TOL, \
                     (b, x, gap)
 
+    def test_series_at_large_n_against_lerchphi(self, monkeypatch):
+        # at n = 10^8 the sum is taken relative to n: its bound must cover
+        # the gap to q^n Phi(q, b, n+1) in 40 digits, the phase rounding of
+        # e^{inx} included, and the inverse_power rows at r = 0 certify
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(mpmath.mp, "dps", 40)
+        n = 10 ** 8
+        for b in np.linspace(1.5, 4.0, 5):
+            f = ft.inverse_power(b)
+            for x in (np.pi / 2, -np.pi / 2, 1.0, -1.0, 3.0, -3.0):
+                series = ft.oscillatory_sum(f, n, x, 2)
+                q = mpmath.expj(x)
+                exact = q ** n * mpmath.lerchphi(q, b, n + 1)
+                gap = abs(mpmath.mpc(series[0].real, series[0].imag) - exact)
+                assert gap <= series[1], (b, x, gap, series[1])
+                res = ft.euler_maclaurin_sum(f, n, 0, x, series=series)
+                assert abs(res["theta"]) <= 3.0
+
     def test_theta_error_guard(self):
         # at n = 50, r = 4 pi^r / V ~ 2e10 for b = 2.125, and the series,
         # capped at OSCILLATORY_TERMS + 1 terms, keeps a tail bound that
@@ -250,6 +269,17 @@ class TestIndicatorFT:
             with pytest.raises(InvalidArgument):
                 ft.indicator_ft(body, [0.0, 0.0])
 
+    def test_frequency_array_keeps_its_shape(self):
+        # one u gives a complex, an array (..., 2) the transform in u's
+        # shape without the last axis, each entry the bits of its own call
+        u = np.random.default_rng(3).uniform(-5, 5, (3, 4, 2))
+        for body in (ft.ConvexBody2D.disc(1.3), ft.ConvexBody2D.ellipse(2.0, 0.5),
+                     ft.ConvexBody2D.square(0.5)):
+            assert isinstance(ft.indicator_ft(body, u[0, 0]), complex)
+            got = ft.indicator_ft(body, u)
+            assert got.shape == (3, 4) and got.dtype == complex
+            assert got.tolist() == [[ft.indicator_ft(body, v) for v in row] for row in u]
+
     def test_disc_first_bessel_zero(self):
         disc = ft.ConvexBody2D.disc(1.0)
         j11 = special.jn_zeros(1, 1)[0]
@@ -323,31 +353,79 @@ class TestZeroCurve:
             assert 2 * np.pi < d * r < 4 * np.pi
 
     def test_scan_equals_the_scalar_loop(self):
-        # the 96-point scan is one transform call on a (96, 2) array, each
-        # value the bits of indicator_ft at that point
+        # the 96-point scans of all rays are one transform call on a
+        # (rays, 96, 2) array, each value the bits of indicator_ft at that
+        # point, on the bracket of its own ray
         hexagon = symmetric_polygon([[1, 0], [0.5, 0.8], [-0.5, 0.8], [-1, 0],
                                      [-0.5, -0.8], [0.5, -0.8]])
         bodies = [ft.ConvexBody2D.disc(1.0), ft.ConvexBody2D.disc(0.37),
                   ft.ConvexBody2D.ellipse(1.0, 0.5), ft.ConvexBody2D.ellipse(3.0, 0.1),
                   ft.ConvexBody2D.square(0.7), hexagon]
+        phis = np.linspace(0, np.pi, 16, endpoint=False)
         for body in bodies:
             scans = []
             spy = ft.ConvexBody2D(body.support, lambda u: scans.append(
                 (np.array(u), np.array(body.transform(u)))) or scans[-1][1])
             for p in (1, 2, 3):
-                for phi in np.linspace(0, np.pi, 16, endpoint=False):
-                    scans.clear()
-                    try:
-                        ft.zero_curve(spy, p, phi)
-                    except NotFound:
-                        pass
-                    u, vals = scans[0]
-                    e = np.array([np.cos(phi), np.sin(phi)])
+                scans.clear()
+                ft.zero_curve(spy, p, phis)
+                u, vals = scans[0]
+                assert u.shape == (16, 96, 2)
+                want = [[ft.indicator_ft(body, v).real for v in ray] for ray in u]
+                assert [[v.hex() for v in ray] for ray in np.real(vals)] \
+                    == [[v.hex() for v in ray] for ray in want]
+                for ray, phi in zip(u, phis):
                     d = body.width(phi)
-                    ts = np.linspace(2 * p * np.pi / d, 2 * (p + 1) * np.pi / d, 96)
-                    want = [ft.indicator_ft(body, t * e).real for t in ts]
-                    assert u.shape == (96, 2)
-                    assert [v.hex() for v in np.real(vals)] == [v.hex() for v in want]
+                    t = np.hypot(ray[:, 0], ray[:, 1])
+                    assert np.allclose(t, np.linspace(2 * p * np.pi / d,
+                                                      2 * (p + 1) * np.pi / d, 96),
+                                       rtol=1e-15, atol=0)
+
+    def test_angles_at_once_equal_one_at_a_time(self):
+        # a sequence of angles gives one entry per angle, each the bits of
+        # the call at that angle alone; failures are returned, not raised
+        phis = np.pi * np.arange(64) / 64
+        for body in (ft.ConvexBody2D.disc(1.0), ft.ConvexBody2D.ellipse(1.0, 0.5),
+                     ft.ConvexBody2D.square(0.7)):
+            for p in (1, 2, 5, 20):
+                got = ft.zero_curve(body, p, phis)
+                assert len(got) == 64
+                for phi, r in zip(phis, got):
+                    if isinstance(r, NotFound):
+                        with pytest.raises(NotFound, match=re.escape(str(r))):
+                            ft.zero_curve(body, p, phi)
+                    else:
+                        assert isinstance(r, float)
+                        assert r.hex() == ft.zero_curve(body, p, phi).hex()
+
+    def test_ray_chunks_leave_the_zeros_alone(self, monkeypatch):
+        # SYNTHESIS_ENTRIES // 96 rays a chunk: chunks of 1 and 3 rays give
+        # the bits of one chunk of all
+        phis = np.pi * np.arange(20) / 20
+        for body in (ft.ConvexBody2D.disc(1.0), ft.ConvexBody2D.square(0.7)):
+            want = ft.zero_curve(body, 2, phis)
+            for entries in (96, 3 * 96 + 5):
+                monkeypatch.setattr(ft, "SYNTHESIS_ENTRIES", entries)
+                got = ft.zero_curve(body, 2, phis)
+                assert [str(r) for r in got] == [str(r) for r in want]
+            monkeypatch.undo()
+
+    def test_zero_brackets_a_sign_change(self):
+        # the bisection stops at adjacent doubles: at r_p and at one of its
+        # neighbouring doubles the transform has opposite signs, or r_p is
+        # a zero; r_p is the end of the smaller |transform|
+        phis = np.pi * (np.arange(64) + 0.5) / 64
+        e = np.stack((np.cos(phis), np.sin(phis)), axis=-1)
+        for body in (ft.ConvexBody2D.disc(1.0), ft.ConvexBody2D.disc(1e100),
+                     ft.ConvexBody2D.ellipse(1.0, 0.5), ft.ConvexBody2D.square(0.7)):
+            for p in (1, 2, 5, 20):
+                r = np.array(ft.zero_curve(body, p, phis))
+                down, up = np.nextafter(r, 0), np.nextafter(r, np.inf)
+                f, fd, fu = (ft.indicator_ft(body, t[:, None] * e).real
+                             for t in (r, down, up))
+                across = (np.signbit(f) != np.signbit(fd)) & (np.abs(f) <= np.abs(fd)) \
+                    | (np.signbit(f) != np.signbit(fu)) & (np.abs(f) <= np.abs(fu))
+                assert np.all((f == 0) | across), (body, p)
 
     def test_scan_keeps_the_frequency_cap(self):
         # a body narrow enough that its bracket passes |u| = INDICATOR_FT_UMAX
@@ -375,40 +453,6 @@ class TestZeroCurve:
                 want = zeros[(lo < zeros) & (zeros < hi)].min()
                 assert abs(ft.zero_curve(sq, p, phi) - want) < 1e-9, (phi, p)
 
-    def test_brent_matches_scipy_brentq(self, monkeypatch):
-        # the port against scipy.optimize.brentq on the same brackets, bit
-        # for bit: 64 rays each of the disc, the ellipse and the square
-        optimize = pytest.importorskip("scipy.optimize")
-        brentq, calls = ft._brentq, []
-
-        def both(f, xa, xb, xtol, rtol, maxiter):
-            want = optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
-            got = brentq(f, xa, xb, xtol, rtol, maxiter)
-            calls.append((got.hex(), float(want).hex()))
-            return got
-
-        monkeypatch.setattr(ft, "_brentq", both)
-        for body in (ft.ConvexBody2D.disc(1.0), ft.ConvexBody2D.ellipse(1.0, 0.5),
-                     ft.ConvexBody2D.square(0.7)):
-            for p in (1, 2, 3):
-                for phi in np.pi * (np.arange(64) + 0.5) / 64:
-                    ft.zero_curve(body, p, phi)
-        assert len(calls) == 3 * 3 * 64
-        assert all(got == want for got, want in calls)
-
-    def test_brent_cap_is_a_failure_line(self, monkeypatch, tmp_path):
-        # Brent's method stopped after 2 steps: each ray is a recorded
-        # failure, not a traceback
-        from xlab import cli
-        monkeypatch.setattr(ft, "BRENT_MAXITER", 2)
-        with pytest.raises(NotFound, match="did not converge in 2 steps"):
-            ft.zero_curve(ft.ConvexBody2D.disc(1.0), 1, 0.3)
-        out = tmp_path / "t.csv"
-        assert cli.main(["indicator-zeros", "phis=4", "--out", str(out)]) == 1
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2 + 4 + 4
-        assert all("did not converge" in line for line in lines[6:])
-
     def test_square_symmetry_rays_attain_the_bounds(self):
         # on the axes a simple zero sits at d r = 2p pi, the bracket's lower
         # end; on the diagonals both factors vanish at d r = 4 pi, its upper
@@ -424,6 +468,20 @@ class TestZeroCurve:
             which = "lower" if i % 2 == 0 else "upper"
             with pytest.raises(NotFound, match=f"{which} end .*bound is attained"):
                 ft.zero_curve(sq, 1, phi)
+
+    def test_square_symmetry_failures_are_returned(self, tmp_path):
+        # four angles at once: four NotFound entries, lower and upper ends
+        # in turn, and the same four failure lines from the CLI
+        from xlab import cli
+        phis = [np.pi * i / 4 for i in range(4)]
+        got = ft.zero_curve(ft.ConvexBody2D.square(1.0), 1, phis)
+        assert all(isinstance(r, NotFound) for r in got)
+        assert [str(r).split("'s ")[1].split(" end")[0] for r in got] \
+            == ["lower", "upper", "lower", "upper"]
+        out = tmp_path / "t.csv"
+        assert cli.main(["indicator-zeros", "body=square", "phis=4", "--out", str(out)]) == 1
+        assert out.read_text().splitlines()[6:] == [
+            f"# failure: phi={phi:g}: {r}" for phi, r in zip(phis, got)]
 
 
 class TestRadialFT:

@@ -471,7 +471,7 @@ REGISTRY = {
          "pi*radius^2, pi*a*b or 4*radius^2 <= 1e300, which bounds |transform|"),
         cost=(("phis",), lambda p: (
             ftlab.SPECIAL_IMPORT_BYTES + ftlab.ZERO_CURVE_BYTES * p["phis"],
-            ftlab.ZERO_CURVE_S * p["phis"]))),
+            ftlab.ZERO_CURVE_RUN_S + ftlab.ZERO_CURVE_S * p["phis"]))),
     "comparison-ratio": Experiment(
         _exp_comparison_ratio, "worst error ratio of two summability methods",
         "2.14", {"a": ("fejer", _METHOD), "b": ("abel-poisson", _METHOD),

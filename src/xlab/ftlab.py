@@ -16,13 +16,15 @@ from .trig import SYNTHESIS_ENTRIES, TWO_PI
 
 EULER_MACLAURIN_RMAX = 4
 INDICATOR_FT_UMAX = 1e3          # largest |u| at which indicator_ft evaluates
-# indicator-zeros on a 2-vCPU host, one thread: 17-24 us a ray at 2,000
-# rays, 30-40 us at 64 (p = 1..20, row and CSV line included) and 1-3 ms a
-# run for the bisection's calls, charged 5e-4 s a ray; a traced peak of
-# 580-600 bytes a row with its CSV line, charged 800, and a ray chunk's
-# working set, at most 2.7 MB, which fits in 2^24 with the 14 MB that a
-# process traces importing scipy.special, its only scipy module
-ZERO_CURVE_S, ZERO_CURVE_BYTES, SPECIAL_IMPORT_BYTES = 5e-4, 800, 2 ** 24
+# indicator-zeros on a 2-vCPU host, one thread (in-process, best of 3-5, p
+# = 1 and 20, disc and ellipse, CSV included): 1.2-2.7 ms a run at phis = 1
+# for the bisection's ~45 indicator_ft calls, charged 3e-3 s a run, and
+# 23-40 us a ray at 2,000 rays, charged 5e-5 s; a traced peak of 580-600
+# bytes a row with its CSV line, charged 800, and a ray chunk's working set,
+# at most 2.7 MB, which fits in 2^24 with the 14 MB that a process traces
+# importing scipy.special, its only scipy module
+ZERO_CURVE_RUN_S, ZERO_CURVE_S, ZERO_CURVE_BYTES = 3e-3, 5e-5, 800
+SPECIAL_IMPORT_BYTES = 2 ** 24
 
 
 # ---------------------------------------------------------------------------

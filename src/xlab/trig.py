@@ -97,7 +97,7 @@ def synthesize(c, m):
     if 2 * c.shape[-1] - 1 > m:
         raise InvalidArgument("grid too coarse for this degree")
     # irfft pads c_0..c_K with zeros to c_0..c_{M/2}
-    a = ((-1.0) ** np.arange(c.shape[-1])) * c
+    a = np.where(np.arange(c.shape[-1]) % 2, -1.0, 1.0) * c
     return SampledFunction(np.fft.irfft(a, m, norm="forward"))
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xlab import cli, corpus, lebesgue, posdef_splines, seqspaces, smoothness, trig
+from xlab import cli, corpus, ftlab, lebesgue, posdef_splines, seqspaces, smoothness, trig
 from xlab.errors import InvalidArgument
 
 
@@ -321,6 +321,19 @@ class TestExitCodes:
         # the top grid the budget admits is M = 2^23, n <= 262143
         assert cli.build_config("kolmogorov-fit", ["r=2", "nmin=131071", "nmax=262142"])
         assert run_main(["kolmogorov-fit", "r=2", "nmin=131072", "nmax=262144"]) == 2
+
+    def test_indicator_zeros_seconds_are_a_run_term_plus_a_term_a_ray(self):
+        # the bisection's indicator_ft calls cost a run the same whatever its
+        # ray count: one ray pays the whole run term, and each ray adds the
+        # same; the run term is worth many rays
+        def seconds(phis):
+            config = cli.build_config("indicator-zeros", [f"phis={phis}"])
+            return cli.REGISTRY["indicator-zeros"].cost[1](config["params"])[1]
+
+        assert seconds(1) == ftlab.ZERO_CURVE_RUN_S + ftlab.ZERO_CURVE_S
+        assert ftlab.ZERO_CURVE_RUN_S >= 20 * ftlab.ZERO_CURVE_S
+        for phis in (2, 64, 2000):
+            assert seconds(phis) - seconds(1) == pytest.approx((phis - 1) * ftlab.ZERO_CURVE_S)
 
     @pytest.mark.parametrize("name", [n for n, e in cli.REGISTRY.items() if e.cost])
     def test_every_cost_refuses_over_budget(self, name, capsys, monkeypatch):

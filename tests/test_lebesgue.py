@@ -458,6 +458,38 @@ class TestStackedEngine:
         assert lb.kolmogorov_deviation(r, 64) == one_row_l1(
             tail_coefficients(r, 64), 16, poly)[0] / np.pi
 
+    def test_zero_polynomial_costs_no_pass(self, monkeypatch):
+        # the trigonometric rows evaluate no polynomial, on the scan grid,
+        # per Taylor order or in the sum; the W^r tail kernel still does
+        calls = []
+
+        def counted(coeffs, t):
+            calls.append(np.size(t))
+            return _polyval(coeffs, t)
+
+        monkeypatch.setattr(lb, "_polyval", counted)
+        lb.trig_poly_l1([m.weights(n) for m in method_catalog() for n in (0, 1, 9, 130)])
+        assert calls == []
+        lb.kolmogorov_deviation(2, 64)
+        assert max(calls) == lb.grid_size(64) + 1
+
+    def test_negative_zero_scan_sample_counts_as_positive(self, monkeypatch):
+        # Fejer's kernel at n = 8 is positive near x = 0; a -0.0 sample there
+        # is no sign change, as +0.0 is
+        def run(zero):
+            def record(c, m):
+                f = trig.synthesize(c, m)
+                if m == lb.grid_size(8):
+                    i = m // 2 + 3
+                    assert (f.values[0, i - 1:i + 2] > 0).all()
+                    f.values[0, i] = zero
+                return f
+
+            monkeypatch.setattr(lb, "synthesize", record)
+            return lb.trig_poly_l1(fejer().weights(8))
+
+        assert run(-0.0) == run(0.0)
+
     @pytest.mark.parametrize("entries", [1 << 17, 1 << 12, 1 << 9])
     def test_list_across_grid_sizes(self, entries, monkeypatch):
         # shuffled degrees on grids 64..8192, random arrays among

@@ -234,10 +234,10 @@ def _exp_walsh_regularity(p, seed):
 def _exp_walsh_moduli(p, seed):
     rows = []
     for name, values in corpus.dyadic_corpus(p["bits"]):
-        sig = walsh.DyadicSignal(values, p["bits"])
+        sig = walsh.DyadicSignal(values)
         caps = [1 << (n + 1) for n in range(p["bits"] - 1)]
         for n, (cap, mean) in enumerate(zip(caps, walsh.cesaro_means(sig, caps, p["alpha"]))):
-            err = float(np.max(np.abs(sig.values - mean.values)))
+            err = float(np.max(np.abs(sig.values - mean)))
             rows.append({"f_id": name, "n": n, "N": cap,
                          "Omega_n": walsh.averaged_block_modulus(sig, n),
                          "omega_n": walsh.dyadic_shift_modulus(sig, n),
@@ -253,7 +253,7 @@ def _exp_euler_maclaurin(p, seed):
         fn = ftlab.exponential_decay(par) if fam == "exp" \
             else ftlab.inverse_power(par)
         for ax in (np.pi / 2, 1.0, 3.0):
-            integral = ftlab.oscillatory_integral(fn, p["n"], ax)
+            integral = fn.integral(p["n"], ax)
             for x in (ax, -ax):
                 series = ftlab.oscillatory_sum(fn, p["n"], x, p["rmax"])
                 for r in range(p["rmax"] + 1):

@@ -58,11 +58,11 @@ def periodic(name):
         raise NotFound(f"unknown corpus function {name!r}") from None
 
 
-def sampled(name, m=1024):
+def sampled(name, m):
     return SampledFunction.from_callable(periodic(name), m)
 
 
-def continuity_corpus(m=2048):
+def continuity_corpus(m):
     """The 20-function corpus for modulus-of-continuity experiments."""
     return [(name, SampledFunction.from_callable(fn, m))
             for name, fn in _PERIODIC.items()]
@@ -72,7 +72,7 @@ COMPARE = ["sin", "cos3", "trigpoly", "exp_cos", "abs_sin", "abs_sin2",
            "triangle", "zigzag", "lacunary", "sharp_smooth"]
 
 
-def comparison_corpus(m=1024):
+def comparison_corpus(m):
     """Ten functions (smooth through barely-Hoelder) for method comparison."""
     return [(name, SampledFunction.from_callable(_PERIODIC[name], m))
             for name in COMPARE]
@@ -82,7 +82,7 @@ JACKSON = ["abs_sin", "triangle", "zigzag", "cusp_pair", "shifted_triangle",
            "abs_sin_15", "lacunary", "sqrt_kink"]
 
 
-def jackson_corpus(m=2048):
+def jackson_corpus(m):
     """Sawtooth-like functions for direct/inverse band experiments."""
     return [(name, SampledFunction.from_callable(_PERIODIC[name], m))
             for name in JACKSON]
@@ -114,7 +114,7 @@ _DYADIC = {
 }
 
 
-def dyadic_corpus(bits=10):
+def dyadic_corpus(bits):
     """Ten functions on [0,1) sampled at the dyadic nodes j/2^bits."""
     x = np.arange(2 ** bits) / 2.0 ** bits
     return [(name, fn(x).astype(float)) for name, fn in _DYADIC.items()]

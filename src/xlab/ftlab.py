@@ -31,7 +31,7 @@ SPECIAL_IMPORT_BYTES = 2 ** 24
 # the correction function h(x) = 1/x - cot(x/2)/2 and its derivatives
 # ---------------------------------------------------------------------------
 
-def h_function(x, p=0):
+def h_function(x, p):
     """p-th derivative of h(x) = 1/x - (1/2)cot(x/2) on 1/2 <= |x| <= pi, in
     closed form; the experiments evaluate it at |x| in {pi/2, 1, 3}."""
     if not 0.5 <= abs(x) <= np.pi + 1e-12:
@@ -219,14 +219,6 @@ def _oscillatory_series(f, n, x, target):
     return np.exp(1j * n * x) * s, abs(d) / abs(one_q) ** 2 + rounding
 
 
-def oscillatory_integral(f, n, x):
-    """The parts (c, s) of int_n^inf f(u) e^{iu|x|} du = c + is and a bound
-    on the error of c + is, from f's own integral.  The integral at x is
-    c + is for x > 0 and c - is for x < 0, f being real."""
-    value, bound = f.integral(n, abs(x))
-    return value.real, value.imag, bound
-
-
 def oscillatory_sum(f, n, x, rmax):
     """sum_{k>=n} f(k) e^{ikx} and its error bound from _oscillatory_series,
     summed to the smallest target EULER_MACLAURIN_TOL / 10 * min(1, V_r /
@@ -246,13 +238,13 @@ def euler_maclaurin_sum(f, n, r, x, integral=None, series=None):
     int_n^inf f e^{iux} du + f(n)e^{inx}/2
     + e^{inx} sum_{p<r} ((-i)^{p+1}/p!) h^(p)(x) f^(p)(n),
     the normalized residual theta = (lhs - rhs) * pi^r / V, and the
-    variation bound V of f^(r) on [n, inf).  The integral's parts at |x|
-    depend on neither r nor the sign of x, and the sum does not depend on r:
-    a caller looping over them passes oscillatory_integral(f, n, |x|) as
-    `integral` and oscillatory_sum(f, n, x, rmax) as `series`, each computed
-    here otherwise (the sum with rmax = r).  numeric_error is the integral's
-    error bound plus the sum's (the tail bound and head rounding of
-    _oscillatory_series, a head of 64 to OSCILLATORY_TERMS + 1 terms); it
+    variation bound V of f^(r) on [n, inf).  f.integral(n, |x|), (value,
+    bound), depends on neither r nor the sign of x (conjugated for x < 0, f
+    being real), and the sum not on r: a caller looping over them passes it
+    as `integral` and oscillatory_sum(f, n, x, rmax) as `series`, each
+    computed here otherwise (the sum with rmax = r).  numeric_error is the
+    integral's error bound plus the sum's (the tail bound and head rounding
+    of _oscillatory_series, a head of 64 to OSCILLATORY_TERMS + 1 terms); it
     must stay within EULER_MACLAURIN_TOL * max(1, |lhs|), and theta's share
     of it, numeric_error * pi^r / V, within EULER_MACLAURIN_THETA_TOL.  V = 0
     (f^(r) underflows on [n, inf)) leaves theta undefined and is a failure.
@@ -262,19 +254,14 @@ def euler_maclaurin_sum(f, n, r, x, integral=None, series=None):
         raise InvalidArgument("need 0 < |x| <= pi")
     if not 0 <= r <= EULER_MACLAURIN_RMAX:
         raise InvalidArgument(f"correction order supported up to {EULER_MACLAURIN_RMAX}")
-    big = n + 1e6
-    decay = np.max([abs(f.deriv(np.array([big]), p)[0]) for p in range(r + 1)])
-    if not decay < 1e-6:
-        raise ConvergenceFailure("derivatives do not decay at the truncation point")
-
     v = float(f.variation(n, r))
     if v == 0:
         raise ConvergenceFailure(f"variation of f^({r}) on [{n}, inf) underflows to 0: "
                                  "theta is undefined")
     lhs, series_err = oscillatory_sum(f, n, x, r) if series is None else series
-    re, im, integral_err = oscillatory_integral(f, n, x) if integral is None else integral
-    rhs = re + 1j * (im if x > 0 else -im) + 0.5 * f.deriv(n, 0) * np.exp(1j * n * x)
+    value, integral_err = f.integral(n, abs(x)) if integral is None else integral
     phase = np.exp(1j * n * x)
+    rhs = (value if x > 0 else value.conjugate()) + 0.5 * f.deriv(n, 0) * phase
     for p in range(r):
         rhs += phase * ((-1j) ** (p + 1) / math.factorial(p)) \
             * h_function(x, p) * f.deriv(n, p)

@@ -214,13 +214,16 @@ def _stack_l1(cs, m, poly):
     k = np.arange(max(kmax) + 1)
     stack = np.zeros((len(cs), k.size), dtype=complex)
     orders, taylor_rem, err_data = [], [], []
-    for i, (c, kk) in enumerate(zip(cs, kmax)):
-        stack[i, :kk + 1] = c
-        order, rem = _taylor_order(kk, ht)
-        orders.append(max(order, poly.size - 1))
-        total = float(_two_sided_sum(np.abs(c)))
-        taylor_rem.append(rem * total)
-        err_data.append(lg * total)
+    with np.errstate(over="ignore"):
+        for i, (c, kk) in enumerate(zip(cs, kmax)):
+            stack[i, :kk + 1] = c
+            order, rem = _taylor_order(kk, ht)
+            orders.append(max(order, poly.size - 1))
+            total = float(_two_sided_sum(np.abs(c)))
+            if not math.isfinite(total):        # it bounds every sample
+                raise InvalidArgument("coefficients need a finite sum of moduli")
+            taylor_rem.append(rem * total)
+            err_data.append(lg * total)
     orders = np.array(orders)
     ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1)))
     # |p|(2pi + h_T) bounds sum_j |p^(j)(t)| h_T^j / j! for 0 <= t <= 2pi
@@ -229,7 +232,7 @@ def _stack_l1(cs, m, poly):
 
     # the (rows, M) sample arrays are dropped as soon as their cells are
     # read, so that one synthesis at a time sets the peak memory
-    trig_vals = synthesize(stack, m).values
+    trig_vals = synthesize(stack, m)
     vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1)
     # at x + pi; adding 0.0 turns a -0.0 sample +0.0, as poly = 0 would
     vals += _polyval(poly, h * np.arange(m + 1)) if poly.any() else 0.0
@@ -259,7 +262,7 @@ def _stack_l1(cs, m, poly):
             a = blocks[t] = a * (1j * ht / (j0 + t)) * k
         need = orders[has] >= js[:, None]
         row = np.cumsum(need).reshape(need.shape) - 1
-        sampled = synthesize(blocks[need], mt).values
+        sampled = synthesize(blocks[need], mt)
         taylor[js] = np.where(need[:, slot], sampled[row[:, slot], node], 0.0)
         del sampled
         for q, i in enumerate(has):                   # sum|a_k| of each order, in order
@@ -286,7 +289,7 @@ def _stack_l1(cs, m, poly):
     # F at -pi, at each zero, and at pi; the points of array i run from
     # ends[i] (-pi) to ends[i] + count[i] + 1 (pi)
     anti = np.divide(stack, 1j * k, out=np.zeros_like(stack), where=k != 0)
-    p_vals = synthesize(anti, mt).values
+    p_vals = synthesize(anti, mt)
     p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, node]
     del p_vals
     err_anti = [lg_t * _two_sided_sum(row[:kk + 1]) for row, kk in zip(np.abs(anti), kmax)]

@@ -386,7 +386,7 @@ def lp_norm(points, p):
     return (np.abs(pts) ** p).sum(axis=-1) ** (1.0 / p)
 
 
-def schoenberg_check(m, p, alpha, trials=10000, seed=0):
+def schoenberg_check(m, p, alpha, trials, seed):
     """Randomized Gram search for exp(-||x||_p^alpha) on R^m.
 
     Point sets of 3 to 12 points with coordinates in [-3, 3] are

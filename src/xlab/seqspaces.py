@@ -147,7 +147,7 @@ def fuzz_seconds(maxlen):
 PAIRING_MAXLEN = 64
 
 
-def empirical_pairing_constants(p, samples, seed=0):
+def empirical_pairing_constants(p, samples, seed):
     """Empirical constants of the three pairing inequalities between the
     averaged-tail and Cesaro-sup norms, from random sequences of lengths
     uniform in 1..PAIRING_MAXLEN.

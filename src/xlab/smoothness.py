@@ -152,10 +152,10 @@ def k_functional(f, t, r):
         ns.append(n)
         n *= 2
     g = vp.weights(ns, kmax=degree) * c
-    err = grid_norm(synthesize(c, m).values - synthesize(g, m).values)
+    err = grid_norm(synthesize(c, m) - synthesize(g, m))
     deriv = grid_norm(synthesize(spectral_derivative(g, r), m))
     # competitors g = 0 and g = f (its trigonometric interpolant)
-    best = min(grid_norm(f), (t ** r) * grid_norm(synthesize(spectral_derivative(c, r), m)))
+    best = min(grid_norm(f.values), (t ** r) * grid_norm(synthesize(spectral_derivative(c, r), m)))
     return float(np.min(err + (t ** r) * deriv, initial=best))
 
 

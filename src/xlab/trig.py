@@ -11,9 +11,9 @@ Conventions used throughout the package:
   trigonometric polynomials of degree < M/2); f being real, c_{-k} =
   conj c_k, so those of degree K are the half c_0..c_K, shape (..., K+1),
   index k holding c_k, with c_0 real: numpy's rfft layout; the only
-  transforms are real FFTs, one rfft in `compute_coefficients` and one
-  irfft in `synthesize` for a stack along leading axes, at most
-  SYNTHESIS_ENTRIES samples at a time in the callers that loop over n,
+  transforms are real FFTs, one rfft of a checked SampledFunction and one
+  irfft in `synthesize`, a plain array for a stack along leading axes, at
+  most SYNTHESIS_ENTRIES samples at a time in the callers that loop over n,
 * a summability method is a rule k -> lambda_{n,k} multiplying the
   coefficients, zero beyond a band proportional to n, lambda_{n,-k} =
   conj lambda_{n,k} keeping the mean real; the rule takes n as a column,
@@ -88,23 +88,28 @@ def compute_coefficients(f, n):
 
 
 def synthesize(c, m):
-    """Evaluate the real trigonometric polynomials with coefficients
-    c_0..c_K, shape (..., K+1), on the M-grid: the samples of Re c_0 +
-    2 Re sum_{k=1..K} c_k e^{ikx}, shape (..., M), by one real inverse FFT
-    for the stack.  Each row's samples equal those of its own call bit for
-    bit."""
+    """The samples of Re c_0 + 2 Re sum_{k=1..K} c_k e^{ikx}, coefficients
+    c_0..c_K of shape (..., K+1), on the M-grid: a float array (..., M) from
+    one real inverse FFT for the stack, each row bit for bit its own call's.
+    Refuses coefficients that are not finite or whose samples overflow."""
     c = np.asarray(c, dtype=complex)
-    if 2 * c.shape[-1] - 1 > m:
-        raise InvalidArgument("grid too coarse for this degree")
+    if m < max(GRID_MIN, 2 * c.shape[-1] - 1) or not _is_power_of_two(m):
+        raise InvalidArgument(f"grid size must be a power of two >= {GRID_MIN} and 2K+1")
+    if not np.isfinite(c).all():
+        raise InvalidArgument("coefficients must be finite")
     # irfft pads c_0..c_K with zeros to c_0..c_{M/2}
     a = np.where(np.arange(c.shape[-1]) % 2, -1.0, 1.0) * c
-    return SampledFunction(np.fft.irfft(a, m, norm="forward"))
+    try:
+        with np.errstate(over="raise"):
+            return np.fft.irfft(a, m, norm="forward")
+    except FloatingPointError:
+        raise InvalidArgument("samples overflow") from None
 
 
-def grid_norm(f, p=math.inf):
-    """Riemann-sum L_p norm ((2pi/M) sum |f|^p)^(1/p), sup norm for p=inf,
-    over the last axis: a float for one function, an array for a stack."""
-    v = np.abs(np.asarray(f.values if isinstance(f, SampledFunction) else f))
+def grid_norm(v, p=math.inf):
+    """Riemann-sum L_p norm ((2pi/M) sum |v|^p)^(1/p), sup norm for p=inf, of
+    the samples v over the last axis: a float for one row, an array for more."""
+    v = np.abs(np.asarray(v))
     if math.isinf(p):
         out = np.max(v, axis=-1)
     else:
@@ -327,7 +332,7 @@ def approximation_error(method, n, c, m):
     return float(out) if out.ndim == 0 else out
 
 
-def comparison_ratio(method_a, method_b, fset, nmax, m=1024):
+def comparison_ratio(method_a, method_b, fset, nmax, m):
     """Two-sided band constant of two regular methods, and its table.
 
     table[i, n-1] = (||f_i - A_n f_i||, ||f_i - B_n f_i||, ratio) for

@@ -4,7 +4,8 @@ bound, and dyadic moduli of smoothness.
 
 Dyadic rationals are represented exactly as B-bit integers j <-> j/2^B;
 the group operation is bitwise XOR.  The first fractional bit of x is the
-top bit of j, so the Paley pairing reads the sample index bit-reversed."""
+top bit of j, so the Paley pairing reads the sample index bit-reversed.
+Samples enter as a checked DyadicSignal; `ifwt` returns a plain array."""
 
 import functools
 from dataclasses import dataclass
@@ -24,15 +25,16 @@ class DyadicSignal:
     """2^bits real samples of a function on [0,1) at the left endpoints."""
 
     values: np.ndarray
-    bits: int
 
     def __post_init__(self):
-        if not BITS_RANGE[0] <= self.bits <= BITS_RANGE[1]:
-            raise InvalidArgument(f"bits restricted to {list(BITS_RANGE)}")
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (1 << self.bits,):
-            raise InvalidArgument("length must be exactly 2^bits")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if not BITS_RANGE[0] <= self.bits <= BITS_RANGE[1] \
+                or self.values.shape != (1 << self.bits,):
+            raise InvalidArgument(f"length must be 2^bits, bits in {list(BITS_RANGE)}")
+
+    @property
+    def bits(self):
+        return self.values.size.bit_length() - 1
 
 
 @functools.cache
@@ -73,11 +75,13 @@ def fwt(signal):
 
 
 def ifwt(coeffs, bits):
-    """Synthesis sum_n c_n psi_n on the 2^bits dyadic grid (inverse of fwt);
-    coefficients past the given ones are zero."""
+    """The samples of sum_n c_n psi_n on the 2^bits dyadic grid (inverse of
+    fwt), finite coefficients past the given ones being zero."""
+    if not BITS_RANGE[0] <= bits <= BITS_RANGE[1] or not np.isfinite(coeffs).all():
+        raise InvalidArgument(f"need bits in {list(BITS_RANGE)} and finite coefficients")
     c = np.zeros(1 << bits)
     c[: np.size(coeffs)] = coeffs
-    return DyadicSignal(_fwht(c[_paley(bits)]), bits)
+    return _fwht(c[_paley(bits)])
 
 
 def cesaro_multipliers(n, alpha):
@@ -88,8 +92,8 @@ def cesaro_multipliers(n, alpha):
 
 
 def cesaro_means(signal, n, alpha):
-    """sigma_n^alpha of a DyadicSignal, on the same grid; for a sequence of
-    n, the list of them from one transform of the signal."""
+    """The samples of sigma_n^alpha of a DyadicSignal, on the same grid; for
+    a sequence of n, the list of them from one transform of the signal."""
     bits, ns = signal.bits, np.atleast_1d(n).tolist()
     if not all(0 < k < (1 << bits) for k in ns):
         raise InvalidArgument("need 0 < n < 2^bits")
@@ -145,8 +149,7 @@ def sidon_telyakovskii_bound(lam):
     sum_k max_{s>=k} |lambda_s - lambda_{s+1}|."""
     lam = np.asarray(lam, dtype=float)
     bits = max(2, int(np.ceil(np.log2(max(lam.size, 2)))) + 2)
-    vals = ifwt(lam, bits).values
-    l1 = float(np.mean(np.abs(vals)))
+    l1 = float(np.mean(np.abs(ifwt(lam, bits))))
     d = np.abs(np.diff(np.concatenate([lam, [0.0]])))
     bound = float(np.sum(np.maximum.accumulate(d[::-1])[::-1]))
     return {"l1_norm": l1, "bound": bound, "ok": bool(l1 <= bound + 1e-9)}

@@ -218,8 +218,8 @@ def test_criterion_11_walsh():
     chars = all(np.all(rows[n, j ^ l] == rows[n, j] * rows[n, l])
                 for n in range(m) for l in range(m))
     rng = np.random.default_rng(2)
-    f = w.DyadicSignal(rng.standard_normal(1 << 12), 12)
-    round_trip = float(np.max(np.abs(w.ifwt(w.fwt(f), 12).values - f.values)))
+    f = w.DyadicSignal(rng.standard_normal(1 << 12))
+    round_trip = float(np.max(np.abs(w.ifwt(w.fwt(f), 12) - f.values)))
     reg = w.br_means_regularity(0.5, 0.5, 1.0, 1024)
     balanced = reg["bounded"] and float(np.max(reg["lc_values"])) <= 1 + 1e-9
     half = w.br_means_regularity(0.5, 0.5, 0.5, 1024)

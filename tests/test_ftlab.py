@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -70,7 +71,7 @@ def symmetric_polygon(vertices):
 
 class TestHFunction:
     def test_endpoint(self):
-        assert abs(ft.h_function(np.pi) - 1.0 / np.pi) < 1e-14
+        assert abs(ft.h_function(np.pi, 0) - 1.0 / np.pi) < 1e-14
 
     def test_origin_limit(self):
         # the closed form holds on 1/2 <= |x| <= pi only
@@ -81,7 +82,7 @@ class TestHFunction:
 
     def test_odd_function(self):
         for x in (0.7, 2.0):
-            assert abs(ft.h_function(-x) + ft.h_function(x)) < 1e-14
+            assert abs(ft.h_function(-x, 0) + ft.h_function(x, 0)) < 1e-14
 
     def test_order_guard(self):
         with pytest.raises(InvalidArgument):
@@ -212,6 +213,22 @@ class TestEulerMaclaurin:
         # inverse_power keeps V > 0 there, so the guard does not fire
         assert ft.inverse_power(1.5).variation(10 ** 8, 0) > 0
 
+    def test_slow_decay_certified_by_its_bounds(self, monkeypatch):
+        # e^{-au} at a = 1e-7 still weighs about 0.9 at u = n + 10^6: the
+        # integral is closed form and the series' tail bound sizes the sum,
+        # so the row certifies against e^{(ix-a)n} / (1 - e^{ix-a}); at a =
+        # 1e-5 that tail bound misses the tolerance and the row fails by it
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(mpmath.mp, "dps", 40)
+        for x in (np.pi / 2, 3.0):
+            res = ft.euler_maclaurin_sum(ft.exponential_decay(1e-7), 1, 0, x)
+            z = 1j * mpmath.mpf(x) - mpmath.mpf(1e-7)
+            gap = abs(mpmath.mpc(res["lhs"].real, res["lhs"].imag)
+                      - mpmath.exp(z) / (1 - mpmath.exp(z)))
+            assert gap <= 1e-14 and gap <= res["numeric_error"]
+            with pytest.raises(ConvergenceFailure, match="sum/integral tolerance not met"):
+                ft.euler_maclaurin_sum(ft.exponential_decay(1e-5), 1, 0, x)
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(InvalidArgument):
             ft.euler_maclaurin_sum(ft.exponential_decay(1.0), 0, 0, 0.0)
@@ -220,7 +237,7 @@ class TestEulerMaclaurin:
         # int_n^inf f(u) e^{iux} du against e^{(ix-a)n}/(a-ix) for e^{-au}
         # and e^{-ix}(-ix)^{b-1} Gamma(1-b, -ix(n+1)) for (1+u)^{-b}, in 40
         # digits, at both signs of x: one evaluation at |x| serves -x by its
-        # negated sine part.  At n = 10^8 the rounding of x n in the phase
+        # conjugate, f being real.  At n = 10^8 the rounding of x n in the phase
         # is the largest error, and the bound must carry it
         mpmath = pytest.importorskip("mpmath")
         monkeypatch.setattr(mpmath.mp, "dps", 40)
@@ -231,8 +248,7 @@ class TestEulerMaclaurin:
             p = mpmath.mpf(par)
             for n in (0, 1, 3, 50, 10 ** 8):
                 for ax in (1e-3, 0.1, 1.0, np.pi / 2, 3.0):
-                    c, s, bound = ft.oscillatory_integral(f, n, ax)
-                    assert ft.oscillatory_integral(f, n, -ax) == (c, s, bound)
+                    value, bound = f.integral(n, ax)
                     for x in (ax, -ax):
                         ix = 1j * mpmath.mpf(x)
                         if family is ft.exponential_decay:
@@ -240,8 +256,8 @@ class TestEulerMaclaurin:
                         else:
                             exact = mpmath.exp(-ix) * (-ix) ** (p - 1) \
                                 * mpmath.gammainc(1 - p, -ix * (n + 1))
-                        value = mpmath.mpc(c, s if x > 0 else -s)
-                        gap = abs(value - exact)
+                        at_x = value if x > 0 else value.conjugate()
+                        gap = abs(mpmath.mpc(at_x.real, at_x.imag) - exact)
                         assert gap <= bound, (family.__name__, par, n, x, gap, bound)
 
     @pytest.mark.parametrize("rmax", [0, 2])
@@ -250,14 +266,22 @@ class TestEulerMaclaurin:
         # rmax: -x reads the integral at |x|, and every r the sum at x
         from xlab import cli
         integrals, sums = [], []
-        integral, series = ft.oscillatory_integral, ft._oscillatory_series
-        monkeypatch.setattr(ft, "oscillatory_integral", lambda f, n, x: integrals.append(
-            (f, x)) or integral(f, n, x))
+        series = ft._oscillatory_series
+
+        def counting(family):
+            def make(par):
+                f = family(par)
+                return dataclasses.replace(f, integral=lambda n, w: integrals.append(
+                    (family.__name__, par, w)) or f.integral(n, w))
+            return make
+
+        for name in ("exponential_decay", "inverse_power"):
+            monkeypatch.setattr(ft, name, counting(getattr(ft, name)))
         monkeypatch.setattr(ft, "_oscillatory_series", lambda f, n, x, target: sums.append(
             (f, x)) or series(f, n, x, target))
         cli.run(cli.build_config("euler-maclaurin-check", [f"rmax={rmax}"]))
         assert len(integrals) == len(set(integrals)) == 30
-        assert min(x for _, x in integrals) > 0
+        assert min(w for _, _, w in integrals) > 0
         assert len(sums) == len(set(sums)) == 60
 
 

@@ -2,7 +2,8 @@
 than its own unit tests: the library itself, an acceptance criterion or a
 benchmark workload.  A name that occurs nowhere else is an orphan; delete it
 or give it a caller.  Likewise every defaulted parameter is set by some
-caller: one that nobody passes is a constant in disguise.  No object
+caller, one that nobody passes being a constant in disguise, and left out
+by some caller, one that every caller passes copying theirs.  No object
 carries state its class does not declare.  One budget governs every cost
 estimate: no module but cli declares one, and the experiments without a
 cost are a closed list.  And every function the library
@@ -76,9 +77,12 @@ def _name(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
-def test_every_defaulted_parameter_is_set():
-    calls = collections.defaultdict(list)   # name -> [(npos, keywords, starred)]
-    values = set()                          # names used other than by a call
+def _calls_and_values():
+    """The calls in SOURCES and REACHERS by the called name, as (positional
+    count, keyword names, starred), and the names used other than by a
+    call."""
+    calls = collections.defaultdict(list)
+    values = set()
     for path in SOURCES + REACHERS:
         tree = ast.parse(path.read_text())
         called = set()
@@ -93,6 +97,11 @@ def test_every_defaulted_parameter_is_set():
             if isinstance(node, (ast.Name, ast.Attribute)) \
                     and isinstance(node.ctx, ast.Load) and id(node) not in called:
                 values.add(_name(node))
+    return calls, values
+
+
+def test_every_defaulted_parameter_is_set():
+    calls, values = _calls_and_values()
 
     def is_set(func, param, slot):
         return func in values or any(
@@ -105,6 +114,24 @@ def test_every_defaulted_parameter_is_set():
                        ast.parse(path.read_text()))
                    if (func, param) not in EXEMPT and not is_set(func, param, slot))
     assert not unset, "set by no caller: " + ", ".join(unset)
+
+
+def test_every_default_is_used():
+    # the mirror of the test above: a default that every caller overrides
+    # copies the callers' value and belongs to them
+    calls, values = _calls_and_values()
+
+    def is_used(func, param, slot):
+        return func in values or any(
+            not starred and param not in keywords and (slot is None or slot >= npos)
+            for npos, keywords, starred in calls[func])
+
+    unused = sorted(f"{path.stem}.{func}({param})"
+                    for path in SOURCES
+                    for func, param, slot in defaulted_parameters(
+                        ast.parse(path.read_text()))
+                    if not is_used(func, param, slot))
+    assert not unused, "overridden by every caller: " + ", ".join(unused)
 
 
 def _object_setattr_lines(node):

@@ -212,7 +212,7 @@ class TestLinearizedModulus:
 class TestJackson:
     def test_polynomial_reproduction(self):
         rng = np.random.default_rng(11)
-        f = trig.synthesize(rng.standard_normal(17), 512)
+        f = trig.SampledFunction(trig.synthesize(rng.standard_normal(17), 512))
         r = sm.jackson_two_sided(f, 1, 16)
         assert r["approx_error"] <= 1e-9
 
@@ -231,11 +231,11 @@ def loop_k_functional(f, t, r):
     times c, a synthesis of c for each candidate."""
     m, degree = f.size, f.size // 2 - 1
     c = trig.compute_coefficients(f, degree)
-    vp, best, n = trig.vallee_poussin(), trig.grid_norm(f), 1
+    vp, best, n = trig.vallee_poussin(), trig.grid_norm(f.values), 1
     while n <= 4.0 / t and row_band(vp, n) <= degree:
         band = row_band(vp, n)
         g = row_weights(vp, n, band) * c[:band + 1]
-        err = trig.grid_norm(trig.synthesize(c, m).values - trig.synthesize(g, m).values)
+        err = trig.grid_norm(trig.synthesize(c, m) - trig.synthesize(g, m))
         deriv = trig.grid_norm(trig.synthesize(sm.spectral_derivative(g, r), m))
         best = min(best, err + (t ** r) * deriv)
         n *= 2
@@ -264,11 +264,11 @@ class TestKFunctional:
     def test_competitor_zero(self):
         f = corpus.sampled("exp_cos", 256)
         k = sm.k_functional(f, 0.5, 2)
-        assert k <= trig.grid_norm(f) + 1e-12
+        assert k <= trig.grid_norm(f.values) + 1e-12
 
     def test_competitor_self(self):
         rng = np.random.default_rng(13)
-        f = trig.synthesize(rng.standard_normal(9), 256)
+        f = trig.SampledFunction(trig.synthesize(rng.standard_normal(9), 256))
         deriv = trig.grid_norm(trig.synthesize(
             sm.spectral_derivative(trig.compute_coefficients(f, 8), 2), 256))
         k = sm.k_functional(f, 1.0, 2)

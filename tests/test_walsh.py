@@ -18,7 +18,7 @@ def partial_sum(coeffs, n, bits):
     """S_n = sum_{k<n} c_k psi_k as sampled values."""
     c = np.zeros(1 << bits)
     c[:n] = np.asarray(coeffs)[:n]
-    return ifwt(c, bits).values
+    return ifwt(c, bits)
 
 
 class TestSystem:
@@ -80,31 +80,47 @@ class TestTransform:
     def test_delta(self):
         f = np.zeros(256)
         f[0] = 1.0
-        c = w.fwt(w.DyadicSignal(f, 8))
+        c = w.fwt(w.DyadicSignal(f))
         assert np.allclose(c, 1.0 / 256.0)
 
     def test_single_function(self):
-        sig = w.DyadicSignal(w.walsh_row(3, 8), 8)
+        sig = w.DyadicSignal(w.walsh_row(3, 8))
         c = w.fwt(sig)
         assert abs(c[3] - 1.0) < 1e-14
         assert np.max(np.abs(np.delete(c, 3))) < 1e-14
 
+    def test_signal_reads_bits_off_its_length(self):
+        assert w.DyadicSignal(np.zeros(1 << 5)).bits == 5
+        # a length that is not a power of two, or one outside BITS_RANGE
+        for values in (np.zeros(12), np.zeros((4, 4)), np.zeros(2), np.zeros(1 << 17)):
+            with pytest.raises(InvalidArgument):
+                w.DyadicSignal(values)
+
+    def test_synthesis_checks_its_coefficients(self):
+        assert isinstance(w.ifwt([1.0, 0.5], 4), np.ndarray)
+        with pytest.raises(InvalidArgument):
+            w.ifwt([1.0, np.nan], 4)
+        with pytest.raises(InvalidArgument):
+            w.ifwt([1.0], w.BITS_RANGE[1] + 1)
+        with pytest.raises(InvalidArgument):
+            w.sidon_telyakovskii_bound([np.inf, 1.0])
+
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        f = w.DyadicSignal(rng.standard_normal(1 << 10), 10)
+        f = w.DyadicSignal(rng.standard_normal(1 << 10))
         back = w.ifwt(w.fwt(f), 10)
-        assert np.max(np.abs(back.values - f.values)) < 1e-12
+        assert np.max(np.abs(back - f.values)) < 1e-12
 
     def test_parseval(self):
         rng = np.random.default_rng(1)
-        f = w.DyadicSignal(rng.standard_normal(1 << 9), 9)
+        f = w.DyadicSignal(rng.standard_normal(1 << 9))
         c = w.fwt(f)
         assert abs(np.sum(c ** 2) - np.mean(f.values ** 2)) < 1e-13
 
     def test_parseval_at_16_bits(self):
         bits = 16
         rng = np.random.default_rng(6)
-        f = w.DyadicSignal(rng.standard_normal(1 << bits), bits)
+        f = w.DyadicSignal(rng.standard_normal(1 << bits))
         c = w.fwt(f)
         # each of the B butterfly stages and the two sums round by u
         bound = 2 * bits * 2.0 ** -53 * (np.sum(np.abs(c)) * np.mean(np.abs(f.values))
@@ -121,10 +137,10 @@ class TestTransform:
 class TestCesaro:
     def test_alpha_one_is_arithmetic_mean(self):
         rng = np.random.default_rng(3)
-        f = w.DyadicSignal(rng.standard_normal(1 << 9), 9)
+        f = w.DyadicSignal(rng.standard_normal(1 << 9))
         c = w.fwt(f)
         n = 37
-        got = w.cesaro_means(f, n, 1.0).values
+        got = w.cesaro_means(f, n, 1.0)
         want = np.mean([partial_sum(c, k, 9) for k in range(n + 1)], axis=0)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -135,9 +151,9 @@ class TestCesaro:
         rng = np.random.default_rng(4)
         coeffs = np.zeros(1 << bits)
         coeffs[: 1 << (bits - 1)] = rng.standard_normal(1 << (bits - 1))
-        f = w.ifwt(coeffs, bits)
+        f = w.DyadicSignal(w.ifwt(coeffs, bits))
         n = (1 << bits) - 1
-        err = np.max(np.abs(w.cesaro_means(f, n, 1.0).values - f.values))
+        err = np.max(np.abs(w.cesaro_means(f, n, 1.0) - f.values))
         lam_min = w.cesaro_multipliers(n, 1.0)[(1 << (bits - 1)) - 1]
         bound = (1 - lam_min) * np.sum(np.abs(coeffs))
         assert err <= bound + 1e-12
@@ -147,11 +163,11 @@ class TestCesaro:
         # transforms each corpus signal once for all its n
         from xlab import cli
         rng = np.random.default_rng(6)
-        f = w.DyadicSignal(rng.standard_normal(1 << 7), 7)
+        f = w.DyadicSignal(rng.standard_normal(1 << 7))
         ns = [1, 2, 64, 5, 127]
         for alpha in (1.0, 0.5):
             got = w.cesaro_means(f, ns, alpha)
-            assert all(np.array_equal(g.values, w.cesaro_means(f, n, alpha).values)
+            assert all(np.array_equal(g, w.cesaro_means(f, n, alpha))
                        for g, n in zip(got, ns))
         with pytest.raises(InvalidArgument):
             w.cesaro_means(f, [3, 128], 1.0)
@@ -165,12 +181,12 @@ class TestCesaro:
         for alpha in (0.5, 2.0):
             ratios = []
             for name, values in corpus.dyadic_corpus(10):
-                sig = w.DyadicSignal(values, 10)
+                sig = w.DyadicSignal(values)
                 for n in (15, 63, 255):
                     e1 = np.max(np.abs(sig.values
-                                       - w.cesaro_means(sig, n, 1.0).values))
+                                       - w.cesaro_means(sig, n, 1.0)))
                     ea = np.max(np.abs(sig.values
-                                       - w.cesaro_means(sig, n, alpha).values))
+                                       - w.cesaro_means(sig, n, alpha)))
                     if e1 > 1e-13:
                         ratios.append(ea / e1)
             assert 0.2 <= min(ratios) and max(ratios) <= 5.0
@@ -274,18 +290,18 @@ class TestModuli:
     def test_blocks_against_xor_shifts(self):
         for bits in range(2, 11):
             for name, values in corpus.dyadic_corpus(bits):
-                sig = w.DyadicSignal(values, bits)
+                sig = w.DyadicSignal(values)
                 for n in range(bits):
                     assert w.dyadic_shift_modulus(sig, n) == xor_shift_modulus(sig, n), \
                         (bits, name, n)
 
     def test_constant(self):
-        f = w.DyadicSignal(np.ones(256), 8)
+        f = w.DyadicSignal(np.ones(256))
         assert w.averaged_block_modulus(f, 2) == 0.0
         assert w.dyadic_shift_modulus(f, 2) == 0.0
 
     def test_first_walsh_function(self):
-        f = w.DyadicSignal(w.walsh_row(1, 8), 8)
+        f = w.DyadicSignal(w.walsh_row(1, 8))
         assert w.dyadic_shift_modulus(f, 0) == 2.0
         assert w.dyadic_shift_modulus(f, 1) == 0.0
         assert w.dyadic_shift_modulus(f, 2) == 0.0
@@ -294,11 +310,11 @@ class TestModuli:
         # frozen band constants for the two-sided Cesaro estimate
         los, his = [], []
         for name, values in corpus.dyadic_corpus(10):
-            sig = w.DyadicSignal(values, 10)
+            sig = w.DyadicSignal(values)
             for n in (2, 4, 6):
                 cap = 1 << (n + 1)
                 err = np.max(np.abs(sig.values
-                                    - w.cesaro_means(sig, cap, 1.0).values))
+                                    - w.cesaro_means(sig, cap, 1.0)))
                 omega_avg = w.averaged_block_modulus(sig, n)
                 low = omega_avg + w.dyadic_shift_modulus(sig, n + 1)
                 high = omega_avg + w.dyadic_shift_modulus(sig, n)

@@ -9,12 +9,16 @@ parser its experiment declares for the key before any work starts.  Reruns
 with identical config and seed produce byte-identical output up to the
 timestamp header line; XLAB_THREADS sets the size of the worker pool that
 lebesgue-table maps its engine stacks over, capped at the CPU count.
+
+Start-up loads xlab.errors, xlab.trig and xlab.lebesgue; corpus, ftlab,
+posdef_splines, seqspaces, smoothness and walsh load on their first
+attribute access, so a run loads only the modules its experiment reads.
 """
 
 import argparse
 import collections
-import concurrent.futures
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -24,9 +28,29 @@ import time
 
 import numpy as np
 
-from . import corpus, ftlab, lebesgue, posdef_splines, seqspaces, smoothness
-from . import trig, walsh
+from . import lebesgue, trig
 from .errors import ConvergenceFailure, InvalidArgument, NotFound
+
+
+def _lazy(name):
+    """The submodule xlab.<name>, executed on its first attribute access
+    (importlib.util.LazyLoader); it is put in sys.modules and bound on the
+    package as an import would, so every importer shares the one module.
+    Before Python 3.12 the first access takes no lock: lebesgue-table's
+    pool threads run only lebesgue and trig, which load eagerly."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+corpus, ftlab, posdef_splines, seqspaces, smoothness, walsh = map(_lazy, (
+    "corpus", "ftlab", "posdef_splines", "seqspaces", "smoothness", "walsh"))
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 1
@@ -66,6 +90,7 @@ def _exp_lebesgue_table(p, seed):
     if workers == 1:
         samples = list(map(table, batches))
     else:
+        import concurrent.futures
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(table, batches))
     by_n = dict(zip(itertools.chain(*batches), itertools.chain(*samples)))
@@ -348,6 +373,15 @@ def _with_weights(need, names, n):
     return need
 
 
+def _finite_multipliers(p):
+    """Whether walsh-moduli's widest Cesaro mean, at N = 2^(bits-1), has
+    finite multipliers; A_N^alpha, alpha > 0, increases in N, so then every
+    narrower mean's are finite too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(walsh.cesaro_multipliers(1 << (p["bits"] - 1),
+                                                         p["alpha"])).all())
+
+
 def _moduli_cost(p):
     denoms = [int(d) for d in p["hdenoms"].split(";")]
     need, seconds = smoothness.moduli_cost(p["m"], p["r"], p["m"] // (2 * min(denoms)),
@@ -365,8 +399,10 @@ def _grid_size(token):
 _METHOD, _FLOAT = _one_of(trig.get_method), _number(float)
 _COUNT, _INDEX = _number(int, 0), _number(int, 1)
 _POSITIVE = _number(float, 0, strict=True)
-# params: key -> (default, parser); check: (rule on two keys, failure message);
-# cost: (keys to name, params -> estimated (peak bytes, seconds))
+# params: key -> (default, parser); check: (rule on two keys, failure message
+# or a function that returns it); cost: (keys to name, params -> estimated
+# (peak bytes, seconds)).  A bound from a lazily loaded module is read when a
+# token is parsed or checked, not when the registry is built.
 Experiment = collections.namedtuple(
     "Experiment", "fn description claims params columns check cost", defaults=(None, None))
 # posdef-report and schoenberg trace up to 2.6 MB for 400..20000 trials
@@ -432,11 +468,11 @@ REGISTRY = {
                                       2.5 * p["trials"] * posdef_splines.GRAM_TRIAL_S))),
     "aspline": Experiment(
         _exp_aspline, "maximal-smoothness two-piece spline coefficients", "7.6",
-        {"n": (3, _number(int, *posdef_splines.A_SPLINE_N_RANGE))},
+        {"n": (3, lambda t: _number(int, *posdef_splines.A_SPLINE_N_RANGE)(t))},
         ["n", "j", "coeff", "ft_min", "ft_argmin"]),
     "schoenberg": Experiment(
         _exp_schoenberg, "Gram search for exp(-||x||_p^alpha)", "7.14",
-        {"m": (2, _number(int, *posdef_splines.SCHOENBERG_DIMS)),  # consecutive
+        {"m": (2, lambda t: _number(int, *posdef_splines.SCHOENBERG_DIMS)(t)),  # consecutive
          "p": ("3", _one_of(lambda t: t in ("inf", "oo")
                             or _number(float, 2, strict=True)(t))),
          "alpha": (1.0, _number(float, 0)),
@@ -446,17 +482,21 @@ REGISTRY = {
     "walsh-regularity": Experiment(
         _exp_walsh_regularity, "kernel norms of shifted partial-sum averages",
         "8.2", {"alpha": (0.5, _FLOAT), "beta": (0.5, _FLOAT),
-                "nu": (1.0, _number(float, -walsh.SHIFT_MAX, walsh.SHIFT_MAX)),
+                "nu": (1.0, lambda t: _number(float, -walsh.SHIFT_MAX, walsh.SHIFT_MAX)(t)),
                 # two octaves to compare; a 16-bit grid holds D_n to n = 2^16
-                "nmax": (1024, _number(int, 2, 1 << walsh.BITS_RANGE[1]))},
+                "nmax": (1024, lambda t: _number(int, 2, 1 << walsh.BITS_RANGE[1])(t))},
         ["alpha", "beta", "nu", "n", "lc"]),
     "walsh-moduli": Experiment(
         _exp_walsh_moduli, "dyadic moduli against Cesaro approximation", "8.5, 8.6",
-        {"bits": (10, _number(int, *walsh.BITS_RANGE)), "alpha": (1.0, _POSITIVE)},
-        ["f_id", "n", "N", "Omega_n", "omega_n", "cesaro_error"]),
+        {"bits": (10, lambda t: _number(int, *walsh.BITS_RANGE)(t)), "alpha": (1.0, _POSITIVE)},
+        ["f_id", "n", "N", "Omega_n", "omega_n", "cesaro_error"],
+        (_finite_multipliers, "need finite Cesaro multipliers at the widest mean, "
+         "N = 2^(bits-1): A_N^alpha overflows at a large alpha")),
     "euler-maclaurin-check": Experiment(
         _exp_euler_maclaurin, "normalized residual of the oscillatory-sum formula", "1.3",
-        {"n": (1, _COUNT), "rmax": (2, _number(int, 0, ftlab.EULER_MACLAURIN_RMAX))},
+        # the closed forms read n as a float, exact up to 2^53
+        {"n": (1, _number(int, 0, 2 ** 53)),
+         "rmax": (2, lambda t: _number(int, 0, ftlab.EULER_MACLAURIN_RMAX)(t))},
         ["family", "param", "x", "r", "abs_theta", "variation"]),
     "indicator-zeros": Experiment(
         _exp_indicator_zeros, "zero curve of a convex-body indicator transform",
@@ -466,7 +506,7 @@ REGISTRY = {
         ["phi", "r_p", "d_phi", "product", "lower", "upper"],
         (lambda p: 2 * (p["p"] + 1) * np.pi / _extent(p)[0] <= ftlab.INDICATOR_FT_UMAX
          and _extent(p)[1] <= 1e300,
-         f"need 2(p+1)pi/width <= {ftlab.INDICATOR_FT_UMAX:g}, the transform's "
+         lambda: f"need 2(p+1)pi/width <= {ftlab.INDICATOR_FT_UMAX:g}, the transform's "
          "|u| cap, for width 2*radius, or 2*min(a, b) for an ellipse, and an area "
          "pi*radius^2, pi*a*b or 4*radius^2 <= 1e300, which bounds |transform|"),
         cost=(("phis",), lambda p: (
@@ -528,7 +568,8 @@ def build_config(experiment, tokens, file_params=None, seed=0):
         except (InvalidArgument, NotFound) as e:
             raise InvalidArgument(f"{key}={token}: {e}") from None
     if spec.check and not spec.check[0](params):
-        raise InvalidArgument(spec.check[1])
+        message = spec.check[1]
+        raise InvalidArgument(message() if callable(message) else message)
     if spec.cost:
         keys, estimate = spec.cost
         named = " ".join(f"{key}={params[key]}" for key in keys)

@@ -31,6 +31,8 @@ class DyadicSignal:
         if not BITS_RANGE[0] <= self.bits <= BITS_RANGE[1] \
                 or self.values.shape != (1 << self.bits,):
             raise InvalidArgument(f"length must be 2^bits, bits in {list(BITS_RANGE)}")
+        if not np.all(np.isfinite(self.values)):
+            raise InvalidArgument("values must be finite")
 
     @property
     def bits(self):
@@ -54,15 +56,20 @@ def walsh_row(n, bits):
 
 
 def _fwht(a):
-    """In-place style fast Walsh-Hadamard butterfly (natural AND-pairing)."""
+    """In-place style fast Walsh-Hadamard butterfly (natural AND-pairing);
+    refuses a transform whose sums overflow."""
     a = np.array(a, dtype=float)
     n = a.size
     h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        a = np.concatenate([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]],
-                           axis=1).reshape(n)
-        h *= 2
+    try:
+        with np.errstate(over="raise"):
+            while h < n:
+                a = a.reshape(-1, 2, h)
+                a = np.concatenate([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]],
+                                   axis=1).reshape(n)
+                h *= 2
+    except FloatingPointError:
+        raise InvalidArgument("transform overflows") from None
     return a
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -131,6 +132,46 @@ class TestExitCodes:
         assert err.startswith("error: ") and "1e300" in err
         monkeypatch.undo()
         assert run_main(["indicator-zeros", "radius=1e100", "phis=4"]) == 0
+
+    # bounds from a module that loads on first use are read when the token
+    # is parsed or the rule checked; each line is pinned byte for byte
+    @pytest.mark.parametrize("case", [
+        (["walsh-regularity", "nu=1e301"], "nu=1e301: not in [-1e+300, 1e+300]"),
+        (["walsh-moduli", "bits=17"], "bits=17: not in [2, 16]"),
+        (["aspline", "n=7"], "n=7: not in [2, 6]"),
+        (["schoenberg", "m=4"], "m=4: not in [2, 3]"),
+        (["euler-maclaurin-check", "rmax=99"], "rmax=99: not in [0, 4]"),
+        (["indicator-zeros", "p=400"],
+         "need 2(p+1)pi/width <= 1000, the transform's |u| cap, for width 2*radius, "
+         "or 2*min(a, b) for an ellipse, and an area pi*radius^2, pi*a*b or "
+         "4*radius^2 <= 1e300, which bounds |transform|"),
+    ], ids=lambda case: case[0][0])
+    def test_deferred_bound_error_lines(self, case, capsys):
+        args, line = case
+        assert run_main(args) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
+    def test_walsh_moduli_overflowing_multipliers_refused(self, capsys, monkeypatch):
+        # A_N^alpha at N = 2^(bits-1) overflows at alpha = 1000: the check
+        # forms the widest mean's multipliers and exits 2 with one line
+        monkeypatch.setitem(cli.REGISTRY, "walsh-moduli", cli.REGISTRY[
+            "walsh-moduli"]._replace(fn=lambda p, seed: pytest.fail("ran")))
+        for tokens in (["alpha=1000"], ["alpha=300", "bits=16"], ["alpha=1e300"]):
+            assert run_main(["walsh-moduli", *tokens]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith("error: need finite Cesaro multipliers")
+        assert cli.build_config("walsh-moduli", ["alpha=300"])
+
+    def test_euler_maclaurin_n_bounded(self, capsys, monkeypatch):
+        # n is read as a float by the closed forms: past 2^53 it is refused
+        # with one line (n = 10^19 would overflow int64 inside the series)
+        monkeypatch.setitem(cli.REGISTRY, "euler-maclaurin-check", cli.REGISTRY[
+            "euler-maclaurin-check"]._replace(fn=lambda p, seed: pytest.fail("ran")))
+        assert run_main(["euler-maclaurin-check", f"n={10 ** 19}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: n={10 ** 19}: not in [0, {2 ** 53}]\n")
+        assert cli.build_config("euler-maclaurin-check", [f"n={2 ** 53}"])
 
     # a missing config file, a config file that is not UTF-8 text or an
     # output path in a missing directory exits 2 with one error line before
@@ -466,7 +507,7 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         monkeypatch.setenv("XLAB_THREADS", "100000")
         out = tmp_path / "t.csv"
@@ -637,6 +678,24 @@ class TestExperimentOutputs:
             capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "[]\n"
 
+    def test_import_loads_only_the_registry_modules(self):
+        # building the registry runs errors, trig and lebesgue; the other
+        # six are registered and bound on the package, and run on first use
+        lazy = ["corpus", "ftlab", "posdef_splines", "seqspaces", "smoothness", "walsh"]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, types, xlab.cli\n"
+             "print(sorted(n for n, m in sys.modules.items() if n.split('.')[0] == 'xlab'"
+             " and type(m) is types.ModuleType))\n"
+             f"print([n for n in {lazy} if getattr(sys.modules['xlab'], n)"
+             " is not sys.modules['xlab.' + n]])\n"
+             "print('concurrent.futures' in sys.modules)\n"
+             "import xlab.walsh\n"
+             "print(type(sys.modules['xlab.walsh']) is types.ModuleType)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.splitlines() == [
+            "['xlab', 'xlab.cli', 'xlab.errors', 'xlab.lebesgue', 'xlab.trig']",
+            "[]", "False", "True"]
+
     def test_runs_leave_integrate_and_optimize_unimported(self):
         # claims 1.3 and 1.12 take their integral and their zeros without
         # scipy.integrate or scipy.optimize
@@ -722,3 +781,20 @@ def test_golden_row_digest(experiment, tokens, digest):
     cli.write_csv(cli.run(cli.build_config(experiment, tokens)), buf)
     rows = buf.getvalue().split("\n", 1)[1]
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("experiment", sorted({c[0] for c in GOLDEN_ROWS}))
+def test_golden_row_digest_in_a_fresh_process(experiment):
+    # each experiment from a fresh interpreter, where the modules it reads
+    # load on first use, gives the same rows
+    cases = [(tokens, digest) for name, tokens, digest in GOLDEN_ROWS if name == experiment]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hashlib, io, sys\nfrom xlab import cli\n"
+         "for tokens in sys.argv[2:]:\n"
+         "    buf = io.StringIO()\n"
+         "    cli.write_csv(cli.run(cli.build_config(sys.argv[1], tokens.split())), buf)\n"
+         "    print(hashlib.sha256(buf.getvalue().split('\\n', 1)[1].encode()).hexdigest())",
+         experiment, *(" ".join(tokens) for tokens, _ in cases)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [digest for _, digest in cases]

@@ -96,6 +96,11 @@ class TestTransform:
             with pytest.raises(InvalidArgument):
                 w.DyadicSignal(values)
 
+    def test_signal_refuses_non_finite_values(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidArgument, match="finite"):
+                w.DyadicSignal([1.0, bad, 0.0, 2.0])
+
     def test_synthesis_checks_its_coefficients(self):
         assert isinstance(w.ifwt([1.0, 0.5], 4), np.ndarray)
         with pytest.raises(InvalidArgument):
@@ -104,6 +109,15 @@ class TestTransform:
             w.ifwt([1.0], w.BITS_RANGE[1] + 1)
         with pytest.raises(InvalidArgument):
             w.sidon_telyakovskii_bound([np.inf, 1.0])
+
+    def test_overflowing_transform_refused(self):
+        # finite coefficients whose sums pass the float range are refused,
+        # not returned as inf samples
+        with pytest.raises(InvalidArgument, match="overflows"):
+            w.ifwt([1e308, 1e308], 2)
+        with pytest.raises(InvalidArgument, match="overflows"):
+            w.fwt(w.DyadicSignal(np.full(4, 1e308)))
+        assert np.array_equal(w.ifwt([1e307, 1e307], 2), [2e307, 2e307, 0.0, 0.0])
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)

@@ -7,8 +7,9 @@ Parameters are plain key=value tokens; a config file may supply defaults
 (one `key = value` per line, '#' comments); each token goes through the
 parser its experiment declares for the key before any work starts.  Reruns
 with identical config and seed produce byte-identical output up to the
-timestamp header line; XLAB_THREADS sets the size of the worker pool that
-lebesgue-table maps its engine stacks over, capped at the CPU count.
+timestamp header line; XLAB_THREADS (capped at the CPU count) sets the
+size of lebesgue-table's worker pool, which deals the table's engine stacks
+round-robin into one engine call per worker.
 
 Start-up loads xlab.errors, xlab.trig and xlab.lebesgue; corpus, ftlab,
 posdef_splines, seqspaces, smoothness and walsh load on their first
@@ -79,21 +80,23 @@ def _pool_size():
 def _exp_lebesgue_table(p, seed):
     method = trig.get_method(p["method"])
     ns = range(p["nmin"], p["nmax"] + 1)
-    # one stacked engine pass per unit of the pool
-    batches = [[ns[i] for i in chunk] for chunk in lebesgue.stacks(
-        [lebesgue.grid_size(b) for b in method.band(ns).tolist()])]
-
-    def table(batch):
-        return lebesgue.lebesgue_constant(method, batch, p["tol"])
-
+    # the table's engine stacks dealt round-robin, one engine call per unit
+    # of the pool: one call for the whole table in one thread
+    chunks = lebesgue.stacks([lebesgue.grid_size(b) for b in method.band(ns).tolist()])
     workers = _pool_size()
+    units = [[ns[i] for chunk in chunks[w::workers] for i in chunk]
+             for w in range(min(workers, len(chunks)))]
+
+    def table(unit):
+        return lebesgue.lebesgue_constant(method, unit, p["tol"])
+
     if workers == 1:
-        samples = list(map(table, batches))
+        samples = list(map(table, units))
     else:
         import concurrent.futures
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(table, batches))
-    by_n = dict(zip(itertools.chain(*batches), itertools.chain(*samples)))
+            samples = list(pool.map(table, units))
+    by_n = dict(zip(itertools.chain(*units), itertools.chain(*samples)))
     rows, failures = [], []
     for n in ns:
         s = by_n[n]
@@ -111,12 +114,11 @@ def _exp_lebesgue_table(p, seed):
 def _exp_kolmogorov_fit(p, seed):
     ns = lebesgue.geometric_grid(p["nmin"], p["nmax"])
     vals, failures = [], []
-    for n in ns:
-        try:
-            vals.append(lebesgue.kolmogorov_deviation(p["r"], n))
-        except ConvergenceFailure as e:
-            vals.append(e.best_estimate)
-            failures.append(f"n={n}: {e}")
+    for n, v in zip(ns, lebesgue.kolmogorov_deviation(p["r"], ns)):
+        if isinstance(v, ConvergenceFailure):
+            failures.append(f"n={n}: {v}")
+            v = v.best_estimate
+        vals.append(v)
     scaled = [v * n ** p["r"] for v, n in zip(vals, ns)]
     c, d, resid = lebesgue.fit_log_model(ns, scaled)
     rows = [{"r": p["r"], "n": n, "value": v, "slope": c, "intercept": d,

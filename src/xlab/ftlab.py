@@ -299,7 +299,7 @@ class ConvexBody2D:
     transform: object
 
     @classmethod
-    def disc(cls, radius=1.0):
+    def disc(cls, radius):
         """2*pi*R*J_1(R|u|)/|u|."""
         if radius <= 0:
             raise InvalidArgument("disc radius must be positive")

@@ -15,17 +15,18 @@ zero is polished by safeguarded Newton on its Taylor polynomial, started
 from its scan cell's ends and secant point, and |K| is integrated piecewise
 from the antiderivative's Taylor data at the zeros.  The error bound has
 three terms: zero mislocation, the Taylor remainder (from Bernstein's
-inequality) and rounding.  `trig_poly_l1` is the engine's one planner: a
-table of n runs as one pass per grid size, stacked syntheses of at most
-SYNTHESIS_ENTRIES samples and one polish over the cells of every kernel,
-each result bit for bit that of its kernel alone.  The deviation over W^r
-runs one such pass on the tail kernel, a polynomial minus a cosine sum.  The 2-D
-norms sum |K| over the quarter torus in one pass of square tiles of
-2 SYNTHESIS_ENTRIES entries, each formed, taken in absolute value and
-reduced while it sits in cache, with closed-form Dirichlet factors and the
-coarse estimate read off the even sub-grid; a symmetric index set is summed
-over one triangle and doubled."""
+inequality) and rounding.  `_l1` runs the engine: it synthesizes per
+stack of at most SYNTHESIS_ENTRIES samples on one grid and polishes and
+sums per batch of consecutive stacks, so a small table makes one polish,
+each result bit for bit that of its kernel alone.  The
+deviation over W^r runs it on tail kernels, a polynomial minus a cosine
+sum.  The 2-D norms sum |K| over the quarter torus in one pass of square
+tiles of 2 SYNTHESIS_ENTRIES entries, each formed, taken in absolute value
+and reduced while it sits in cache, with closed-form Dirichlet factors and
+the coarse estimate read off the even sub-grid; a symmetric index set is
+summed over one triangle and doubled."""
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 import itertools
 import math
@@ -150,32 +151,172 @@ def stacks(grids):
     return out
 
 
-def _stack_l1(cs, m, poly):
+def _stack_cells(cs, m, poly, ipoly):
+    """`_l1`'s stages for one stack cs of grid size M = m: the scan, the
+    Taylor data and P; a dict of what `_batch_l1` reads, per array and per
+    cell (the Taylor data (orders, cells)), every other array dropped."""
+    u, h, ht, mt = UNIT_ROUNDOFF, TWO_PI / m, STRIDE * TWO_PI / m, m // STRIDE
+    lg, lg_t = ((math.log2(g) + 2) * FFT_STAGE_ERROR for g in (m, mt))
+    has_poly = ipoly is not None
+    kmax = [c.size - 1 for c in cs]
+    k = np.arange(max(kmax) + 1)
+    stack = np.zeros((len(cs), k.size), dtype=complex)
+    orders, taylor_rem, err_data = [], [], []
+    with np.errstate(over="ignore"):
+        for i, (c, kk) in enumerate(zip(cs, kmax)):
+            stack[i, :kk + 1] = c
+            order, rem = _taylor_order(kk, ht)
+            orders.append(max(order, poly.size - 1))
+            total = float(_two_sided_sum(np.abs(c)))
+            if c[0].imag or not math.isfinite(total):     # total bounds every sample
+                raise InvalidArgument("coefficients need c_0 real and a finite sum of moduli")
+            taylor_rem.append(rem * total)
+            err_data.append(lg * total)
+    orders = np.array(orders)
+    # |p|(2pi + h_T) bounds sum_j |p^(j)(t)| h_T^j / j! for 0 <= t <= 2pi
+    err_poly, err_ipoly = ((2 * q.size + 2) * u * float(_polyval(np.abs(q), TWO_PI + ht))
+                           if has_poly else 0.0 for q in (poly, ipoly))
+
+    # the (rows, M) sample arrays are dropped as soon as their cells are
+    # read, so that one synthesis at a time sets the peak memory
+    trig_vals = synthesize(stack, m)
+    vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1)
+    # at x + pi; adding 0.0 turns a -0.0 sample +0.0, as poly = 0 would
+    vals += _polyval(poly, h * np.arange(m + 1)) if has_poly else 0.0
+    owner, idx = np.nonzero(np.diff(np.signbit(vals), axis=1))
+    node = idx // STRIDE                              # Taylor node of each cell
+    cell_vals, scanned = trig_vals[owner, STRIDE * node], vals[owner, idx]
+    scanned_hi = vals[owner, idx + 1]
+    del trig_vals, vals
+    count = np.bincount(owner, minlength=len(cs))
+    ti = ht * node
+    top = int(orders[owner].max(initial=0))
+
+    # Taylor data, orders 1..J of the arrays with cells, `per` orders a
+    # call: the call synthesizes array has[q] at order js[t] where need[t,
+    # q], as its row row[t, q], and one gather reads every cell's orders
+    taylor = np.zeros((top + 1, idx.size))
+    taylor[0] = cell_vals
+    has = np.flatnonzero(count)
+    slot = np.searchsorted(has, owner)                # owner[i] is has[slot[i]]
+    a, per = stack[has], max(1, SYNTHESIS_ENTRIES // mt // max(has.size, 1))
+    for j0 in range(1, top + 1, per):
+        js = np.arange(j0, min(j0 + per, top + 1))
+        blocks = np.empty((js.size, *a.shape), dtype=complex)
+        for t in range(js.size):
+            a = blocks[t] = a * (1j * ht / (j0 + t)) * k
+        need = orders[has] >= js[:, None]
+        row = np.cumsum(need).reshape(need.shape) - 1
+        sampled = synthesize(blocks[need], mt)
+        taylor[js] = np.where(need[:, slot], sampled[row[:, slot], node], 0.0)
+        del sampled
+        moduli = np.abs(blocks)
+        for q, i in enumerate(has):                   # sum|a_k| of each order, in order
+            for total in _two_sided_sum(moduli[need[:, q], q, :kmax[i] + 1]).tolist():
+                err_data[i] += lg_t * total
+    if has_poly:
+        dpoly = poly                                  # dpoly = poly^(j) / j!
+        for j in range(top + 1):
+            taylor[j] += ht ** j * _polyval(dpoly, ti)
+            dpoly = dpoly[1:] * np.arange(1, dpoly.size) / (j + 1)
+    else:
+        taylor += 0.0
+
+    # P at -pi (and pi) and at each cell's node
+    anti = np.divide(stack, 1j * k, out=np.zeros_like(stack), where=k != 0)
+    p_vals = synthesize(anti, mt)
+    p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, node]
+    del p_vals
+    err_anti = [lg_t * _two_sided_sum(row[:kk + 1]) for row, kk in zip(np.abs(anti), kmax)]
+    return {"count": count, "orders": orders, "c0": stack[:, 0].real, "p_ends": p_ends,
+            "noise": np.array([tr + ed + err_poly for tr, ed in zip(taylor_rem, err_data)]),
+            "point_err": np.array([ea + ht * (ed + err_poly) + err_ipoly
+                                   for ea, ed in zip(err_anti, err_data)]),
+            "remainder": np.array([2.0 * c * ht * tr for c, tr in zip(count.tolist(),
+                                                                      taylor_rem)]),
+            "ht": ht, "owner": owner, "lo": idx % STRIDE / STRIDE, "scanned": scanned,
+            "scanned_hi": scanned_hi, "ti": ti, "p_cells": p_cells, "taylor": taylor}
+
+
+def _batch_l1(batch, ipoly):
+    """`_l1`'s stages for the cells of a batch of `_stack_cells`: the noise
+    floor, the polish, the mislocation and the sum.  A batch of one stack is
+    read as it is, without a copy."""
+    u, top, one = UNIT_ROUNDOFF, max(len(s["taylor"]) for s in batch), len(batch) == 1
+    b = batch[0] if one else {key: np.concatenate([s[key] for s in batch], axis=-1)
+                              for key in batch[0] if key not in ("ht", "owner", "taylor")}
+    count, orders, ti = b["count"], b["orders"], b["ti"]
+    taylor = b["taylor"] if one else np.concatenate(
+        [np.pad(s["taylor"], ((0, top - len(s["taylor"])), (0, 0))) for s in batch], axis=1)
+    ht = b["ht"] if one else np.repeat([s["ht"] for s in batch], [s["lo"].size for s in batch])
+    owner = b["owner"] if one else np.repeat(np.arange(count.size), count)
+    first = np.concatenate(([0], np.cumsum(count)))   # cells of i: first[i]..first[i+1]
+    abs_taylor = np.sum(np.abs(taylor), axis=0)
+    noise = b["noise"][owner] + (2 * orders[owner] + 2) * u * abs_taylor
+    s, resid, slope, bracket = _polish(taylor, noise, owner, b["lo"], b["scanned"],
+                                       b["scanned_hi"])
+    rho = resid + noise
+    with np.errstate(divide="ignore"):
+        delta = ht * np.minimum(bracket, rho / slope)
+    misplaced = np.where(resid > noise, 2.0 * ht / STRIDE * (abs_taylor + noise), rho * delta)
+
+    # F at -pi, at each zero, and at pi; the points of array i run from
+    # ends[i] (-pi) to ends[i] + count[i] + 1 (pi)
+    ends = first[:-1] + 2 * np.arange(count.size)
+    inner = np.ones(owner.size + 2 * count.size, dtype=bool)
+    inner[ends] = inner[ends + count + 1] = False
+    point = np.repeat(np.arange(count.size), count + 2)
+    integ = _horner(taylor / np.arange(1, top + 1)[:, None], s[None])[0][0]
+
+    def spread(start, cell, end):
+        out = np.empty(inner.size)
+        out[inner], out[ends], out[ends + count + 1] = cell, start, end
+        return out
+
+    # Q = 0 when poly = 0: a part of +0.0 moves no step and no scale
+    parts = np.array([
+        spread(-np.pi, ti - np.pi, np.pi) * b["c0"][point],
+        spread(b["p_ends"], b["p_cells"], b["p_ends"]),
+        *([_polyval(ipoly, spread(0.0, ti, TWO_PI))] if ipoly is not None else []),
+        spread(0.0, ht * s * integ, 0.0),
+    ])
+    steps = np.abs(np.diff(np.sum(parts, axis=0)))
+    scale = np.sum(np.abs(parts), axis=0) + spread(0.0, ht * abs_taylor, 0.0)
+    point_err = b["point_err"][point] + (2 * orders[point] + 8) * u * scale
+    out = []
+    for i, (cells, remainder) in enumerate(zip(count.tolist(), b["remainder"].tolist())):
+        value = math.fsum(steps[ends[i]:ends[i] + cells + 1])
+        rounding = 2.0 * float(np.sum(point_err[ends[i]:ends[i] + cells + 2])) \
+            + 2.0 * u * value
+        mislocation = float(np.sum(misplaced[first[i]:first[i + 1]]))
+        out.append((value, mislocation + remainder + rounding))
+    return out
+
+
+def _l1(stacked, poly):
     """[(int_{-pi}^{pi} |f(x)| dx, certified error bound)] for the real
     functions f(x) = sum_{|k|<=K} c_k e^{ikx} + poly(x + pi), one per array
-    c_0..c_K in cs (any degrees K of grid size M = m), poly an array of
-    ascending powers.  Sign changes are scanned on x_i = -pi + ih, h =
-    2pi/M, closed at x_M = pi by the limit from the left (the periodic wrap
-    when poly = 0); a bracketing cell i takes the Taylor data d_j =
-    f^(j)(x_c) h_T^j / j!, j <= J, and the antiderivative F(x) = c_0 x +
-    P(x) + Q(x + pi), P periodic, Q' = poly, at its node x_c, c = i //
-    STRIDE, of the Taylor grid of step h_T = STRIDE h.
+    c_0..c_K of the stacks (lists of arrays of one grid size M) of the
+    iterable `stacked`, in its order; poly an array of ascending powers.
+    Sign changes are scanned on x_i = -pi + ih, h = 2pi/M, closed at x_M =
+    pi by the limit from the left (the periodic wrap when poly = 0); a
+    bracketing cell i takes the Taylor data d_j = f^(j)(x_c) h_T^j / j!, j
+    <= J, and the antiderivative F(x) = c_0 x + P(x) + Q(x + pi), P
+    periodic, Q' = poly, at its node x_c, c = i // STRIDE, of the Taylor
+    grid of step h_T = STRIDE h.
 
-    One stacked synthesis of the samples on the M-grid, the only one that
-    needs 32 points a period of e^{iKx}, then stacked syntheses on the
-    Taylor grid M_T = M/STRIDE (8 points a period, at least 2K+1) of the
-    Taylor orders 1..J of the arrays with sign changes (as many orders per
-    call as SYNTHESIS_ENTRIES allows) and of the antiderivatives, then one
-    polish over every cell.  The stack is zero-padded to the widest degree
-    and the Taylor data to the highest order; the scalars of each array (K,
-    J, sum|c_k|, the rounding sums) are formed from the array alone, so each
-    result equals that of its array alone.  One gather reads every cell's
-    orders from a Taylor call, and one reduction forms an array's rounding
-    sums there.  A zero poly (every `trig_poly_l1` row) costs no pass: it
-    is evaluated neither on the scan grid nor per order nor in the sum, and
-    `+= 0.0` on the scan and the Taylor data turns a -0.0 sample +0.0, as
-    adding it did.  The FFTs take 37 % of a Dirichlet row at n = 1018 and 9
-    % at n = 34 (30 % and 6 % with that bookkeeping; 2-vCPU host).
+    The engine, in stages.  Per stack (`_stack_cells`), every synthesis:
+    the samples on the M-grid (32 points a period of e^{iKx}), then on the
+    Taylor grid M_T = M/STRIDE (8 points a period, at least 2K+1) the Taylor
+    orders 1..J of the arrays with sign changes, SYNTHESIS_ENTRIES samples a
+    call, and the antiderivatives.  Per batch of consecutive stacks whose
+    Taylor data (cells x orders) fit SYNTHESIS_ENTRIES entries, a larger
+    stack alone (`_batch_l1`): one polish and one sum.  Degrees are padded
+    to the stack's widest and orders to the batch's top with zeros, each
+    cell carries its h_T and each array's scalars (K, J, sum|c_k|, the
+    rounding sums) come from the array alone, so each result equals that of
+    its array alone.  A zero poly costs no pass; `+= 0.0` on the scan and
+    the Taylor data turns a -0.0 sample +0.0, as adding it did.
 
     The bound, u the unit roundoff, eta = FFT_STAGE_ERROR and each sum|a_k|
     over k = -K..K, formed from the half as |a_0| + 2 sum_{k>=1} |a_k|:
@@ -208,142 +349,45 @@ def _stack_l1(cs, m, poly):
       int(s) = sum_j d_j s^j / (j+1), errs by P's sample error, h_T (e_D +
       poly's error), Q's and (2J + 8) u (sum of the parts' magnitudes +
       h_T sum_j |d_j|); each point enters two terms; fsum adds 2u."""
-    u, h, ht, mt = UNIT_ROUNDOFF, TWO_PI / m, STRIDE * TWO_PI / m, m // STRIDE
-    lg, lg_t = ((math.log2(g) + 2) * FFT_STAGE_ERROR for g in (m, mt))
-    kmax = [c.size - 1 for c in cs]
-    k = np.arange(max(kmax) + 1)
-    stack = np.zeros((len(cs), k.size), dtype=complex)
-    orders, taylor_rem, err_data = [], [], []
-    with np.errstate(over="ignore"):
-        for i, (c, kk) in enumerate(zip(cs, kmax)):
-            stack[i, :kk + 1] = c
-            order, rem = _taylor_order(kk, ht)
-            orders.append(max(order, poly.size - 1))
-            total = float(_two_sided_sum(np.abs(c)))
-            if not math.isfinite(total):        # it bounds every sample
-                raise InvalidArgument("coefficients need a finite sum of moduli")
-            taylor_rem.append(rem * total)
-            err_data.append(lg * total)
-    orders = np.array(orders)
-    ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1)))
-    # |p|(2pi + h_T) bounds sum_j |p^(j)(t)| h_T^j / j! for 0 <= t <= 2pi
-    err_poly, err_ipoly = ((2 * q.size + 2) * u * float(_polyval(np.abs(q), TWO_PI + ht))
-                           if poly.any() else 0.0 for q in (poly, ipoly))
+    # Q's coefficients, none for a zero poly
+    ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1))) if poly.any() else None
+    results, batch, cells, top = [], [], 0, 0      # the open batch's cells and orders
+    for cs in stacked:
+        stack = _stack_cells(cs, grid_size(max(c.size for c in cs) - 1), poly, ipoly)
+        cells, top = cells + stack["lo"].size, max(top, len(stack["taylor"]))
+        if batch and cells * top > SYNTHESIS_ENTRIES:
+            results += _batch_l1(batch, ipoly)
+            batch, cells, top = [], stack["lo"].size, len(stack["taylor"])
+        batch.append(stack)
+    return results + (_batch_l1(batch, ipoly) if batch else [])
 
-    # the (rows, M) sample arrays are dropped as soon as their cells are
-    # read, so that one synthesis at a time sets the peak memory
-    trig_vals = synthesize(stack, m)
-    vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1)
-    # at x + pi; adding 0.0 turns a -0.0 sample +0.0, as poly = 0 would
-    vals += _polyval(poly, h * np.arange(m + 1)) if poly.any() else 0.0
-    owner, idx = np.nonzero(np.diff(np.signbit(vals), axis=1))
-    node = idx // STRIDE                              # Taylor node of each cell
-    cell_vals, scanned = trig_vals[owner, STRIDE * node], vals[owner, idx]
-    scanned_hi = vals[owner, idx + 1]
-    del trig_vals, vals
-    count = np.bincount(owner, minlength=len(cs))
-    first = np.concatenate(([0], np.cumsum(count)))   # cells of i: first[i]..first[i+1]
-    ti = ht * node
-    order = orders[owner]
-    top = int(order.max(initial=0))
 
-    # Taylor data, orders 1..J of the arrays with cells, `per` orders a
-    # call: the call synthesizes array has[q] at order js[t] where need[t,
-    # q], as its row row[t, q], and one gather reads every cell's orders
-    taylor = np.zeros((top + 1, idx.size))
-    taylor[0] = cell_vals
-    has = np.flatnonzero(count)
-    slot = np.searchsorted(has, owner)                # owner[i] is has[slot[i]]
-    a, per = stack[has], max(1, SYNTHESIS_ENTRIES // mt // max(has.size, 1))
-    for j0 in range(1, top + 1, per):
-        js = np.arange(j0, min(j0 + per, top + 1))
-        blocks = np.empty((js.size, *a.shape), dtype=complex)
-        for t in range(js.size):
-            a = blocks[t] = a * (1j * ht / (j0 + t)) * k
-        need = orders[has] >= js[:, None]
-        row = np.cumsum(need).reshape(need.shape) - 1
-        sampled = synthesize(blocks[need], mt)
-        taylor[js] = np.where(need[:, slot], sampled[row[:, slot], node], 0.0)
-        del sampled
-        for q, i in enumerate(has):                   # sum|a_k| of each order, in order
-            for total in _two_sided_sum(np.abs(blocks[need[:, q], q, :kmax[i] + 1])):
-                err_data[i] += lg_t * total
-    if poly.any():
-        dpoly = poly                                  # dpoly = poly^(j) / j!
-        for j in range(top + 1):
-            taylor[j] += ht ** j * _polyval(dpoly, ti)
-            dpoly = dpoly[1:] * np.arange(1, dpoly.size) / (j + 1)
-    else:
-        taylor += 0.0
-
-    abs_taylor = np.sum(np.abs(taylor), axis=0)
-    noise = np.array([tr + ed + err_poly for tr, ed in zip(taylor_rem, err_data)])[owner] \
-        + (2 * order + 2) * u * abs_taylor
-    s, resid, slope, bracket = _polish(taylor, noise, owner, idx % STRIDE / STRIDE,
-                                       scanned, scanned_hi)
-    rho = resid + noise
-    with np.errstate(divide="ignore"):
-        delta = ht * np.minimum(bracket, rho / slope)
-    misplaced = np.where(resid > noise, 2.0 * ht / STRIDE * (abs_taylor + noise), rho * delta)
-
-    # F at -pi, at each zero, and at pi; the points of array i run from
-    # ends[i] (-pi) to ends[i] + count[i] + 1 (pi)
-    anti = np.divide(stack, 1j * k, out=np.zeros_like(stack), where=k != 0)
-    p_vals = synthesize(anti, mt)
-    p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, node]
-    del p_vals
-    err_anti = [lg_t * _two_sided_sum(row[:kk + 1]) for row, kk in zip(np.abs(anti), kmax)]
-    ends = first[:-1] + 2 * np.arange(len(cs))
-    inner = np.ones(idx.size + 2 * len(cs), dtype=bool)
-    inner[ends] = inner[ends + count + 1] = False
-    point = np.repeat(np.arange(len(cs)), count + 2)
-    integ = _horner(taylor / np.arange(1, top + 2)[:, None], s[None])[0][0]
-
-    def spread(start, cell, end):
-        out = np.empty(inner.size)
-        out[inner], out[ends], out[ends + count + 1] = cell, start, end
-        return out
-
-    # Q = 0 when poly = 0: a part of +0.0 moves no step and no scale
-    parts = np.array([
-        spread(-np.pi, ti - np.pi, np.pi) * stack[point, 0].real,
-        spread(p_ends, p_cells, p_ends),
-        *([_polyval(ipoly, spread(0.0, ti, TWO_PI))] if poly.any() else []),
-        spread(0.0, ht * s * integ, 0.0),
-    ])
-    steps = np.abs(np.diff(np.sum(parts, axis=0)))
-    scale = np.sum(np.abs(parts), axis=0) + spread(0.0, ht * abs_taylor, 0.0)
-    point_err = np.array([ea + ht * (ed + err_poly) + err_ipoly for ea, ed in
-                          zip(err_anti, err_data)])[point] \
-        + (2 * orders[point] + 8) * u * scale
-    out = []
-    for i in range(len(cs)):
-        value = math.fsum(steps[ends[i]:ends[i] + count[i] + 1])
-        rounding = 2.0 * float(np.sum(point_err[ends[i]:ends[i] + count[i] + 2])) \
-            + 2.0 * u * value
-        mislocation = float(np.sum(misplaced[first[i]:first[i + 1]]))
-        out.append((value, mislocation + 2.0 * int(count[i]) * ht * taylor_rem[i]
-                    + rounding))
+def _in_order(chunks, results):
+    """results, given stack by stack for the index lists chunks, in index order."""
+    out = [None] * len(results)
+    for i, result in zip(itertools.chain(*chunks), results):
+        out[i] = result
     return out
 
 
-def trig_poly_l1(coeffs):
-    """(L1 norm over one period, certified error bound) for a real-valued
-    trigonometric polynomial given by its coefficients c_0..c_K, c_0 real;
-    for a sequence of such arrays (any degrees), a list of the pairs in
-    input order.  The engine's one planner: each array takes the grid
-    grid_size(K), and the arrays of one grid run through `_stack_l1` (the
-    method and the bound) in the stacks of `stacks`."""
+def trig_poly_l1(coeffs, poly=(0.0,)):
+    """(L1 norm over one period, certified error bound) of the real function
+    sum_{|k|<=K} c_k e^{ikx} + poly(x + pi) for coefficients c_0..c_K, c_0
+    real, and ascending powers poly (none by default); for a sequence of
+    such arrays (any degrees), a list of the pairs in input order, each
+    array on the grid grid_size(K), in the stacks of `stacks`; for an
+    iterator of stacks (lists of arrays of one grid size), taken one stack
+    at a time, a list of the pairs in its order.  The engine's one planner:
+    `_l1` runs it and holds the method and the bound."""
+    poly = np.asarray(poly, dtype=float)
+    if isinstance(coeffs, Iterator):
+        return _l1(coeffs, poly)
     single = len(coeffs) == 0 or np.ndim(coeffs[0]) == 0
     cs = [np.asarray(c, dtype=complex) for c in ([coeffs] if single else coeffs)]
-    if any(c.ndim != 1 or c.size == 0 or c[0].imag != 0 for c in cs):
-        raise InvalidArgument("coefficients must be 1-D arrays c_0..c_K, c_0 real")
-    grids = [grid_size(c.size - 1) for c in cs]
-    out = [None] * len(cs)
-    for chunk in stacks(grids):
-        for i, result in zip(chunk, _stack_l1([cs[i] for i in chunk], grids[chunk[0]],
-                                              np.zeros(1))):
-            out[i] = result
+    if any(c.ndim != 1 or c.size == 0 for c in cs):
+        raise InvalidArgument("coefficients must be 1-D arrays c_0..c_K")
+    chunks = stacks([grid_size(c.size - 1) for c in cs])
+    out = _in_order(chunks, _l1(([cs[i] for i in chunk] for chunk in chunks), poly))
     return out[0] if single else out
 
 
@@ -358,7 +402,10 @@ def trig_poly_l1(coeffs):
 # takes one of each, up to four times less.  Each n also costs its weights,
 # checks and result row whatever M is: 0.021-0.023 ms (in-process, three
 # runs) and 0.48 KB in `lebesgue-table method=abel-poisson(0)` (M = 64, no
-# sign changes) up to n = 40000, charged 0.15 ms.
+# sign changes) up to n = 40000, charged 0.15 ms.  Small stacks share one
+# polish and one sum a batch: `method=vallee-poussin nmax=23` takes 4.6-7.5
+# ms against 7.75 ms estimated (7.9-10.1 ms with one polish a stack; best of
+# 30 in-process, two runs), `dirichlet nmax=98` 24-36 ms against 55 ms.
 ENGINE_BYTES = 40
 ENGINE_SECONDS = 3.5e-9
 ROW_BYTES = 600
@@ -392,31 +439,31 @@ def table_cost(method, nmin, nmax):
             + ROW_BYTES * (nmax - nmin + 1) + 2 ** 20), seconds
 
 
+def _one_or_list(n, out):
+    """out for a sequence n; for a scalar n its entry, a failure raised."""
+    if np.ndim(n) == 0 and isinstance(out[0], ConvergenceFailure):
+        raise out[0]
+    return out if np.ndim(n) else out[0]
+
+
 def lebesgue_constant(method, n, tol=1e-9):
     """Operator norm of the mean at index n: (1/2pi) int |K_n(t)| dt.  For a
-    sequence of n, a list with one entry per n from one engine pass: its
+    sequence of n, a list with one entry per n from one engine call: its
     LebesgueSample, or, where the bound misses tol, the ConvergenceFailure,
     returned rather than raised so that every n is recorded."""
     ns = np.atleast_1d(n).tolist()
     if min(ns, default=0) < 0 or not tol > 0:
         raise InvalidArgument("need index n >= 0 and tolerance tol > 0")
+    bands = method.band(ns).tolist()
+    chunks = stacks([grid_size(b) for b in bands])
     # the weights of one stack at a time: table_cost bounds the peak
-    out, bands = [None] * len(ns), method.band(ns).tolist()
-    for chunk in stacks([grid_size(b) for b in bands]):
-        w = method.weights([ns[i] for i in chunk])
-        rows = [row[:bands[i] + 1] for i, row in zip(chunk, w)]
-        for i, (value, err) in zip(chunk, trig_poly_l1(rows)):
-            if err / TWO_PI > tol:
-                out[i] = ConvergenceFailure("requested tolerance not certified",
-                                            best_estimate=value / TWO_PI,
-                                            error_estimate=err / TWO_PI)
-            else:
-                out[i] = LebesgueSample(ns[i], value / TWO_PI, err / TWO_PI)
-    if np.ndim(n):
-        return out
-    if isinstance(out[0], ConvergenceFailure):
-        raise out[0]
-    return out[0]
+    rows = ([row[:bands[i] + 1] for i, row in zip(chunk, method.weights([ns[i] for i in chunk]))]
+            for chunk in chunks)
+    return _one_or_list(n, [
+        ConvergenceFailure("requested tolerance not certified", best_estimate=value / TWO_PI,
+                           error_estimate=err / TWO_PI) if err / TWO_PI > tol
+        else LebesgueSample(k, value / TWO_PI, err / TWO_PI)
+        for k, (value, err) in zip(ns, _in_order(chunks, trig_poly_l1(rows)))])
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +553,27 @@ def kolmogorov_cost(nmin, nmax):
 def kolmogorov_deviation(r, n):
     """sup over the unit W^r class of ||f - S_n f||_inf, via (1/pi) times
     the L1 norm of the conjugate-tail kernel over a period, certified to
-    KOLMOGOROV_TOL."""
-    if r < 1 or n < 0:
+    KOLMOGOROV_TOL.  For a sequence of n, a list with one entry per n from
+    one engine call: the deviation or the ConvergenceFailure, returned
+    rather than raised."""
+    ns = np.atleast_1d(n).tolist()
+    if r < 1 or min(ns, default=0) < 0:
         raise InvalidArgument("need r >= 1 and n >= 0")
+
     # on (0, 2pi) the tail kernel is poly(t) - sum_{k<=n} cos(kt - r pi/2)/k^r;
     # in x = t - pi the cosine sum has c_k = (-1)^k e^{-i r pi/2} / 2k^r, k >= 1
-    k = np.arange(1, n + 1)
-    c = np.concatenate(([0.0], -((-1.0) ** k) * np.exp(-0.5j * np.pi * r)
-                        / (2.0 * k ** float(r))))
-    total, err = _stack_l1([c], grid_size(n), _full_series_poly(r))[0]
-    if err / np.pi > KOLMOGOROV_TOL or not err < total:
-        raise ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
-                                 error_estimate=err / np.pi)
-    return total / np.pi
+    def tail(degree):
+        k = np.arange(1, degree + 1)
+        return np.concatenate(([0.0], -((-1.0) ** k) * np.exp(-0.5j * np.pi * r)
+                               / (2.0 * k ** float(r))))
+
+    chunks = stacks([grid_size(k) for k in ns])
+    rows = ([tail(ns[i]) for i in chunk] for chunk in chunks)
+    return _one_or_list(n, [
+        ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
+                           error_estimate=err / np.pi)
+        if err / np.pi > KOLMOGOROV_TOL or not err < total else total / np.pi
+        for total, err in _in_order(chunks, trig_poly_l1(rows, _full_series_poly(r)))])
 
 
 # ---------------------------------------------------------------------------

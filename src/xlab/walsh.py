@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .trig import cesaro_numbers
+from .trig import SYNTHESIS_ENTRIES, cesaro_numbers
 
 BITS_RANGE = (2, 16)
 _POP8 = sum((np.arange(256) >> k) & 1 for k in range(8)).astype(np.int8)
@@ -56,18 +56,24 @@ def walsh_row(n, bits):
 
 
 def _fwht(a):
-    """In-place style fast Walsh-Hadamard butterfly (natural AND-pairing);
-    refuses a transform whose sums overflow."""
+    """Fast Walsh-Hadamard butterfly (natural AND-pairing) along the last
+    axis, SYNTHESIS_ENTRIES samples (or one row) at a time, in place on a
+    copy; refuses a transform whose sums overflow."""
     a = np.array(a, dtype=float)
-    n = a.size
-    h = 1
+    n = a.shape[-1]
+    rows = a.reshape(-1, n)
+    step = max(1, SYNTHESIS_ENTRIES // n)
     try:
         with np.errstate(over="raise"):
-            while h < n:
-                a = a.reshape(-1, 2, h)
-                a = np.concatenate([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]],
-                                   axis=1).reshape(n)
-                h *= 2
+            for start in range(0, len(rows), step):
+                h = 1
+                while h < n:
+                    pairs = rows[start:start + step].reshape(-1, n // (2 * h), 2, h)
+                    lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+                    total = lo + hi
+                    np.subtract(lo, hi, out=hi)
+                    lo[...] = total
+                    h *= 2
     except FloatingPointError:
         raise InvalidArgument("transform overflows") from None
     return a
@@ -100,14 +106,20 @@ def cesaro_multipliers(n, alpha):
 
 def cesaro_means(signal, n, alpha):
     """The samples of sigma_n^alpha of a DyadicSignal, on the same grid; for
-    a sequence of n, the list of them from one transform of the signal."""
+    a sequence of n, the list of them from one transform each way."""
     bits, ns = signal.bits, np.atleast_1d(n).tolist()
     if not all(0 < k < (1 << bits) for k in ns):
         raise InvalidArgument("need 0 < n < 2^bits")
     if alpha <= 0:
         raise InvalidArgument("alpha must be positive")
-    c = fwt(signal)
-    out = [ifwt(cesaro_multipliers(k, alpha) * c[:k], bits) for k in ns]
+    # each n's A_j^alpha, those of cesaro_multipliers, are a prefix of one table
+    c, a, paley = fwt(signal), cesaro_numbers(alpha, max(ns)), _paley(bits)
+    coeffs = np.zeros((len(ns), 1 << bits))         # in Paley order, as ifwt's
+    for row, k in zip(coeffs, ns):
+        row[paley[:k]] = a[k - 1::-1] / a[k] * c[:k]    # the bit reversal is an involution
+    if not np.isfinite(coeffs).all():
+        raise InvalidArgument("need finite coefficients")
+    out = list(_fwht(coeffs))
     return out if np.ndim(n) else out[0]
 
 

@@ -489,6 +489,27 @@ class TestDeterminism:
             texts.append(out.read_text().splitlines()[1:])
         assert texts[0] == texts[1] and len(texts[0]) == 1 + 141
 
+    @pytest.mark.parametrize("method,nmax,stacks", [("fejer", 96, 12), ("cesaro(1)", 100, 12),
+                                                    ("vallee-poussin", 23, 5)])
+    def test_one_thread_polishes_a_small_table_once(self, method, nmax, stacks, monkeypatch,
+                                                    tmp_path):
+        # the table's stacks run in one engine call, whose cells from every
+        # grid size fit one batch: one polish for the whole table
+        polish, calls = lebesgue._polish, []
+
+        def counted(*args):
+            calls.append(args[0].shape[1])
+            return polish(*args)
+
+        monkeypatch.setattr(lebesgue, "_polish", counted)
+        monkeypatch.setenv("XLAB_THREADS", "1")
+        ns = range(1, nmax + 1)
+        assert len(lebesgue.stacks([lebesgue.grid_size(b) for b in
+                                    trig.get_method(method).band(ns).tolist()])) == stacks
+        assert run_main(["lebesgue-table", f"method={method}", f"nmax={nmax}",
+                         "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == 1
+
     def test_thread_count_capped_at_cpu_count(self, monkeypatch, tmp_path):
         # a stub executor records the pool size and starts no threads;
         # lebesgue-table is the one experiment that maps over the pool

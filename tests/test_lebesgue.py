@@ -468,9 +468,30 @@ class TestStackedEngine:
         poly = _full_series_poly(r)
         for n in (0, 1, 5, 64, 200):
             c = tail_coefficients(r, n)
-            assert lb._stack_l1([c], lb.grid_size(n), poly) == [one_row_l1(c, 16, poly)]
+            assert lb.trig_poly_l1([c], poly) == [one_row_l1(c, 16, poly)]
         assert lb.kolmogorov_deviation(r, 64) == one_row_l1(
             tail_coefficients(r, 64), 16, poly)[0] / np.pi
+
+    def test_kolmogorov_sequence_equals_one_n_at_a_time(self):
+        # one engine call over a sequence of n, its stacks batched, gives
+        # each n's deviation or failure bit for bit; r = 4 fails at the top
+        ns = [0, 1, 16, 63, 64, 126, 252, 504, 1024]
+        for r in (1, 2, 3, 4):
+            got = lb.kolmogorov_deviation(r, ns)
+            assert len(got) == len(ns)
+            for n, value in zip(ns, got):
+                try:
+                    want = lb.kolmogorov_deviation(r, n)
+                except ConvergenceFailure as e:
+                    assert r == 4 and isinstance(value, ConvergenceFailure)
+                    assert (value.best_estimate, value.error_estimate) == (
+                        e.best_estimate, e.error_estimate)
+                else:
+                    assert value == want
+        assert any(isinstance(v, ConvergenceFailure) for v in got)
+        assert lb.kolmogorov_deviation(1, []) == []
+        with pytest.raises(InvalidArgument):
+            lb.kolmogorov_deviation(1, [3, -1])
 
     def test_zero_polynomial_costs_no_pass(self, monkeypatch):
         # the trigonometric rows evaluate no polynomial, on the scan grid,
@@ -558,9 +579,11 @@ class TestStackedEngine:
     def test_memory_estimate_bounds_traced_peak(self):
         # 64 rows of one stack each: the weights are built a stack at a time
         # (all at once they alone take 2 MB)
+        # and 199 rows of many small stacks, batched up to SYNTHESIS_ENTRIES
+        # entries of Taylor data
         for method, ns in ((dirichlet(), range(1, 99)), (dirichlet(), [4096]),
                            (abel_poisson(), range(150, 153)), (dirichlet(), range(960, 1024)),
-                           (bernstein(), range(960, 1024))):
+                           (bernstein(), range(960, 1024)), (vallee_poussin(), range(1, 200))):
             tracemalloc.start()
             try:
                 lb.lebesgue_constant(method, ns, tol=1.0)

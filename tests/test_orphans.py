@@ -77,25 +77,42 @@ def _name(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
+def _local_loads(tree):
+    """The ids of the Name nodes that read a name their function binds, as
+    a parameter or an assignment target: a local, not the module-level
+    function it may share a name with."""
+    local = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            a = func.args
+            bound = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                     + [a.vararg, a.kwarg] if arg is not None}
+            bound |= {n.id for n in ast.walk(func)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            local |= {id(n) for n in ast.walk(func)
+                      if isinstance(n, ast.Name) and n.id in bound}
+    return local
+
+
 def _calls_and_values():
     """The calls in SOURCES and REACHERS by the called name, as (positional
     count, keyword names, starred), and the names used other than by a
-    call."""
+    call, a function's own locals left out."""
     calls = collections.defaultdict(list)
     values = set()
     for path in SOURCES + REACHERS:
         tree = ast.parse(path.read_text())
-        called = set()
+        skipped = _local_loads(tree)       # and, below, every called name
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                called.add(id(node.func))
+                skipped.add(id(node.func))
                 starred = any(isinstance(x, ast.Starred) for x in node.args) \
                     or any(k.arg is None for k in node.keywords)
                 calls[_name(node.func)].append(
                     (len(node.args), {k.arg for k in node.keywords}, starred))
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) \
-                    and isinstance(node.ctx, ast.Load) and id(node) not in called:
+                    and isinstance(node.ctx, ast.Load) and id(node) not in skipped:
                 values.add(_name(node))
     return calls, values
 

@@ -15,16 +15,15 @@ zero is polished by safeguarded Newton on its Taylor polynomial, started
 from its scan cell's ends and secant point, and |K| is integrated piecewise
 from the antiderivative's Taylor data at the zeros.  The error bound has
 three terms: zero mislocation, the Taylor remainder (from Bernstein's
-inequality) and rounding.  `_l1` runs the engine: it synthesizes per
-stack of at most SYNTHESIS_ENTRIES samples on one grid and polishes and
-sums per batch of consecutive stacks, so a small table makes one polish,
-each result bit for bit that of its kernel alone.  The
-deviation over W^r runs it on tail kernels, a polynomial minus a cosine
-sum.  The 2-D norms sum |K| over the quarter torus in one pass of square
-tiles of 2 SYNTHESIS_ENTRIES entries, each formed, taken in absolute value
-and reduced while it sits in cache, with closed-form Dirichlet factors and
-the coarse estimate read off the even sub-grid; a symmetric index set is
-summed over one triangle and doubled."""
+inequality) and rounding.  `trig_poly_l1` runs the engine: syntheses per
+stack of at most SYNTHESIS_ENTRIES samples on one grid, one polish and one
+sum per batch of consecutive stacks, each result bit for bit that of its
+kernel alone.  The deviation over W^r runs it on tail kernels, a
+polynomial minus a cosine sum.  The 2-D norms sum |K| over the quarter
+torus in one pass of square tiles of 2 SYNTHESIS_ENTRIES entries, each
+formed, taken in absolute value and reduced while it sits in cache, with
+closed-form Dirichlet factors and the coarse estimate read off the even
+sub-grid; a symmetric index set is summed over one triangle and doubled."""
 
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -136,7 +135,7 @@ def _taylor_order(kmax, h):
 def grid_size(kmax):
     """Scan grid M = 2^m >= max(64, 2 * OVERSAMPLE * (K+1)) of the 1-D
     engine for degree K."""
-    return 1 << max(6, int(math.ceil(math.log2(OVERSAMPLE * 2 * (kmax + 1)))))
+    return 1 << max(6, (OVERSAMPLE * 2 * (int(kmax) + 1) - 1).bit_length())
 
 
 def stacks(grids):
@@ -151,14 +150,16 @@ def stacks(grids):
     return out
 
 
-def _stack_cells(cs, m, poly, ipoly):
-    """`_l1`'s stages for one stack cs of grid size M = m: the scan, the
-    Taylor data and P; a dict of what `_batch_l1` reads, per array and per
-    cell (the Taylor data (orders, cells)), every other array dropped."""
+def _stack_cells(cs, poly, ipoly):
+    """`trig_poly_l1`'s checks and syntheses for one stack cs of one grid
+    size M: a dict of the per-array and per-cell arrays `_batch_l1` reads."""
+    cs = [np.asarray(c, dtype=complex) for c in cs]
+    if any(c.ndim != 1 or c.size == 0 or c[0].imag for c in cs):
+        raise InvalidArgument("coefficients must be 1-D arrays c_0..c_K, c_0 real")
+    kmax = [c.size - 1 for c in cs]
+    m = grid_size(max(kmax))
     u, h, ht, mt = UNIT_ROUNDOFF, TWO_PI / m, STRIDE * TWO_PI / m, m // STRIDE
     lg, lg_t = ((math.log2(g) + 2) * FFT_STAGE_ERROR for g in (m, mt))
-    has_poly = ipoly is not None
-    kmax = [c.size - 1 for c in cs]
     k = np.arange(max(kmax) + 1)
     stack = np.zeros((len(cs), k.size), dtype=complex)
     orders, taylor_rem, err_data = [], [], []
@@ -168,21 +169,21 @@ def _stack_cells(cs, m, poly, ipoly):
             order, rem = _taylor_order(kk, ht)
             orders.append(max(order, poly.size - 1))
             total = float(_two_sided_sum(np.abs(c)))
-            if c[0].imag or not math.isfinite(total):     # total bounds every sample
-                raise InvalidArgument("coefficients need c_0 real and a finite sum of moduli")
+            if not math.isfinite(total):        # it bounds every sample
+                raise InvalidArgument("coefficients need a finite sum of moduli")
             taylor_rem.append(rem * total)
             err_data.append(lg * total)
     orders = np.array(orders)
     # |p|(2pi + h_T) bounds sum_j |p^(j)(t)| h_T^j / j! for 0 <= t <= 2pi
     err_poly, err_ipoly = ((2 * q.size + 2) * u * float(_polyval(np.abs(q), TWO_PI + ht))
-                           if has_poly else 0.0 for q in (poly, ipoly))
+                           if poly.any() else 0.0 for q in (poly, ipoly))
 
     # the (rows, M) sample arrays are dropped as soon as their cells are
     # read, so that one synthesis at a time sets the peak memory
     trig_vals = synthesize(stack, m)
     vals = np.concatenate((trig_vals, trig_vals[:, :1]), axis=1)
     # at x + pi; adding 0.0 turns a -0.0 sample +0.0, as poly = 0 would
-    vals += _polyval(poly, h * np.arange(m + 1)) if has_poly else 0.0
+    vals += _polyval(poly, h * np.arange(m + 1)) if poly.any() else 0.0
     owner, idx = np.nonzero(np.diff(np.signbit(vals), axis=1))
     node = idx // STRIDE                              # Taylor node of each cell
     cell_vals, scanned = trig_vals[owner, STRIDE * node], vals[owner, idx]
@@ -214,7 +215,7 @@ def _stack_cells(cs, m, poly, ipoly):
         for q, i in enumerate(has):                   # sum|a_k| of each order, in order
             for total in _two_sided_sum(moduli[need[:, q], q, :kmax[i] + 1]).tolist():
                 err_data[i] += lg_t * total
-    if has_poly:
+    if poly.any():
         dpoly = poly                                  # dpoly = poly^(j) / j!
         for j in range(top + 1):
             taylor[j] += ht ** j * _polyval(dpoly, ti)
@@ -227,29 +228,26 @@ def _stack_cells(cs, m, poly, ipoly):
     p_vals = synthesize(anti, mt)
     p_ends, p_cells = p_vals[:, 0].copy(), p_vals[owner, node]
     del p_vals
-    err_anti = [lg_t * _two_sided_sum(row[:kk + 1]) for row, kk in zip(np.abs(anti), kmax)]
-    return {"count": count, "orders": orders, "c0": stack[:, 0].real, "p_ends": p_ends,
-            "noise": np.array([tr + ed + err_poly for tr, ed in zip(taylor_rem, err_data)]),
-            "point_err": np.array([ea + ht * (ed + err_poly) + err_ipoly
-                                   for ea, ed in zip(err_anti, err_data)]),
-            "remainder": np.array([2.0 * c * ht * tr for c, tr in zip(count.tolist(),
-                                                                      taylor_rem)]),
-            "ht": ht, "owner": owner, "lo": idx % STRIDE / STRIDE, "scanned": scanned,
-            "scanned_hi": scanned_hi, "ti": ti, "p_cells": p_cells, "taylor": taylor}
+    err_anti = np.array([lg_t * _two_sided_sum(a[:kk + 1]) for a, kk in zip(np.abs(anti), kmax)])
+    taylor_rem, err_data = np.array(taylor_rem), np.array(err_data)
+    return {"count": count, "orders": orders, "c0": stack[:, 0].real.copy(), "p_ends": p_ends,
+            "noise": taylor_rem + err_data + err_poly, "remainder": 2.0 * count * ht * taylor_rem,
+            "point_err": err_anti + ht * (err_data + err_poly) + err_ipoly,
+            "ht": np.full(idx.size, ht), "mt": mt, "lo": idx % STRIDE / STRIDE, "ti": ti,
+            "scanned": scanned, "scanned_hi": scanned_hi, "p_cells": p_cells, "taylor": taylor}
 
 
 def _batch_l1(batch, ipoly):
-    """`_l1`'s stages for the cells of a batch of `_stack_cells`: the noise
-    floor, the polish, the mislocation and the sum.  A batch of one stack is
-    read as it is, without a copy."""
+    """`trig_poly_l1`'s cell stages for a batch of `_stack_cells`, one stack
+    read without a copy: the noise floor, the polish, the mislocation, the
+    sum."""
     u, top, one = UNIT_ROUNDOFF, max(len(s["taylor"]) for s in batch), len(batch) == 1
     b = batch[0] if one else {key: np.concatenate([s[key] for s in batch], axis=-1)
-                              for key in batch[0] if key not in ("ht", "owner", "taylor")}
-    count, orders, ti = b["count"], b["orders"], b["ti"]
+                              for key in batch[0] if key not in ("mt", "taylor")}
+    count, orders, ti, ht = b["count"], b["orders"], b["ti"], b["ht"]
     taylor = b["taylor"] if one else np.concatenate(
         [np.pad(s["taylor"], ((0, top - len(s["taylor"])), (0, 0))) for s in batch], axis=1)
-    ht = b["ht"] if one else np.repeat([s["ht"] for s in batch], [s["lo"].size for s in batch])
-    owner = b["owner"] if one else np.repeat(np.arange(count.size), count)
+    owner = np.repeat(np.arange(count.size), count)
     first = np.concatenate(([0], np.cumsum(count)))   # cells of i: first[i]..first[i+1]
     abs_taylor = np.sum(np.abs(taylor), axis=0)
     noise = b["noise"][owner] + (2 * orders[owner] + 2) * u * abs_taylor
@@ -293,15 +291,17 @@ def _batch_l1(batch, ipoly):
     return out
 
 
-def _l1(stacked, poly):
-    """[(int_{-pi}^{pi} |f(x)| dx, certified error bound)] for the real
-    functions f(x) = sum_{|k|<=K} c_k e^{ikx} + poly(x + pi), one per array
-    c_0..c_K of the stacks (lists of arrays of one grid size M) of the
-    iterable `stacked`, in its order; poly an array of ascending powers.
-    Sign changes are scanned on x_i = -pi + ih, h = 2pi/M, closed at x_M =
-    pi by the limit from the left (the periodic wrap when poly = 0); a
-    bracketing cell i takes the Taylor data d_j = f^(j)(x_c) h_T^j / j!, j
-    <= J, and the antiderivative F(x) = c_0 x + P(x) + Q(x + pi), P
+def trig_poly_l1(coeffs, poly=(0.0,)):
+    """(L1 norm over one period, certified error bound) of the real function
+    f(x) = sum_{|k|<=K} c_k e^{ikx} + poly(x + pi) for c_0..c_K, c_0 real,
+    poly ascending powers (none by default); for a sequence of arrays (any
+    degrees), a list in input order, each on grid_size(K) in the stacks of
+    `stacks`; for an iterator of (index list, arrays of one grid size M)
+    stacks, taken one at a time, a list in index order.  The engine's one
+    driver.  Sign changes are scanned on x_i = -pi + ih, h = 2pi/M, closed
+    at x_M = pi by the limit from the left (the periodic wrap when poly =
+    0); a bracketing cell i takes the Taylor data d_j = f^(j)(x_c) h_T^j /
+    j!, j <= J, and the antiderivative F(x) = c_0 x + P(x) + Q(x + pi), P
     periodic, Q' = poly, at its node x_c, c = i // STRIDE, of the Taylor
     grid of step h_T = STRIDE h.
 
@@ -310,7 +310,8 @@ def _l1(stacked, poly):
     Taylor grid M_T = M/STRIDE (8 points a period, at least 2K+1) the Taylor
     orders 1..J of the arrays with sign changes, SYNTHESIS_ENTRIES samples a
     call, and the antiderivatives.  Per batch of consecutive stacks whose
-    Taylor data (cells x orders) fit SYNTHESIS_ENTRIES entries, a larger
+    Taylor data (cells x orders) and Taylor grids (M_T each, so that stacks
+    without cells close batches too) fit SYNTHESIS_ENTRIES entries, a larger
     stack alone (`_batch_l1`): one polish and one sum.  Degrees are padded
     to the stack's widest and orders to the batch's top with zeros, each
     cell carries its h_T and each array's scalars (K, J, sum|c_k|, the
@@ -349,45 +350,25 @@ def _l1(stacked, poly):
       int(s) = sum_j d_j s^j / (j+1), errs by P's sample error, h_T (e_D +
       poly's error), Q's and (2J + 8) u (sum of the parts' magnitudes +
       h_T sum_j |d_j|); each point enters two terms; fsum adds 2u."""
+    poly, single = np.asarray(poly, dtype=float), False
+    if not isinstance(coeffs, Iterator):
+        single = len(coeffs) == 0 or np.ndim(coeffs[0]) == 0
+        cs = [coeffs] if single else coeffs
+        coeffs = ((chunk, [cs[i] for i in chunk])
+                  for chunk in stacks([grid_size(np.size(c) - 1) for c in cs]))
     # Q's coefficients, none for a zero poly
     ipoly = np.concatenate(([0.0], poly / np.arange(1, poly.size + 1))) if poly.any() else None
-    results, batch, cells, top = [], [], 0, 0      # the open batch's cells and orders
-    for cs in stacked:
-        stack = _stack_cells(cs, grid_size(max(c.size for c in cs) - 1), poly, ipoly)
-        cells, top = cells + stack["lo"].size, max(top, len(stack["taylor"]))
-        if batch and cells * top > SYNTHESIS_ENTRIES:
-            results += _batch_l1(batch, ipoly)
-            batch, cells, top = [], stack["lo"].size, len(stack["taylor"])
+    results, order, batch, cells, top, grids = [], [], [], 0, 0, 0   # the open batch's entries
+    for chunk, arrays in coeffs:
+        stack = _stack_cells(arrays, poly, ipoly)
+        order += chunk
+        size, depth = stack["lo"].size, len(stack["taylor"])
+        if batch and (cells + size) * max(top, depth) + grids + stack["mt"] > SYNTHESIS_ENTRIES:
+            results, batch, cells, top, grids = results + _batch_l1(batch, ipoly), [], 0, 0, 0
         batch.append(stack)
-    return results + (_batch_l1(batch, ipoly) if batch else [])
-
-
-def _in_order(chunks, results):
-    """results, given stack by stack for the index lists chunks, in index order."""
-    out = [None] * len(results)
-    for i, result in zip(itertools.chain(*chunks), results):
-        out[i] = result
-    return out
-
-
-def trig_poly_l1(coeffs, poly=(0.0,)):
-    """(L1 norm over one period, certified error bound) of the real function
-    sum_{|k|<=K} c_k e^{ikx} + poly(x + pi) for coefficients c_0..c_K, c_0
-    real, and ascending powers poly (none by default); for a sequence of
-    such arrays (any degrees), a list of the pairs in input order, each
-    array on the grid grid_size(K), in the stacks of `stacks`; for an
-    iterator of stacks (lists of arrays of one grid size), taken one stack
-    at a time, a list of the pairs in its order.  The engine's one planner:
-    `_l1` runs it and holds the method and the bound."""
-    poly = np.asarray(poly, dtype=float)
-    if isinstance(coeffs, Iterator):
-        return _l1(coeffs, poly)
-    single = len(coeffs) == 0 or np.ndim(coeffs[0]) == 0
-    cs = [np.asarray(c, dtype=complex) for c in ([coeffs] if single else coeffs)]
-    if any(c.ndim != 1 or c.size == 0 for c in cs):
-        raise InvalidArgument("coefficients must be 1-D arrays c_0..c_K")
-    chunks = stacks([grid_size(c.size - 1) for c in cs])
-    out = _in_order(chunks, _l1(([cs[i] for i in chunk] for chunk in chunks), poly))
+        cells, top, grids = cells + size, max(top, depth), grids + stack["mt"]
+    results += _batch_l1(batch, ipoly) if batch else []
+    out = [result for _, result in sorted(zip(order, results), key=lambda pair: pair[0])]
     return out[0] if single else out
 
 
@@ -402,10 +383,10 @@ def trig_poly_l1(coeffs, poly=(0.0,)):
 # takes one of each, up to four times less.  Each n also costs its weights,
 # checks and result row whatever M is: 0.021-0.023 ms (in-process, three
 # runs) and 0.48 KB in `lebesgue-table method=abel-poisson(0)` (M = 64, no
-# sign changes) up to n = 40000, charged 0.15 ms.  Small stacks share one
-# polish and one sum a batch: `method=vallee-poussin nmax=23` takes 4.6-7.5
-# ms against 7.75 ms estimated (7.9-10.1 ms with one polish a stack; best of
-# 30 in-process, two runs), `dirichlet nmax=98` 24-36 ms against 55 ms.
+# sign changes) up to n = 40000, charged 0.15 ms.  Small stacks share a polish
+# and a sum a batch: `method=vallee-poussin nmax=23` takes 4.4-4.6 ms (6.0-7.9
+# with a polish a stack), `dirichlet nmax=98` 28-36 ms, against 7.75 and 55 ms
+# estimated (best of 30 and 20 in-process, three runs).
 ENGINE_BYTES = 40
 ENGINE_SECONDS = 3.5e-9
 ROW_BYTES = 600
@@ -455,15 +436,14 @@ def lebesgue_constant(method, n, tol=1e-9):
     if min(ns, default=0) < 0 or not tol > 0:
         raise InvalidArgument("need index n >= 0 and tolerance tol > 0")
     bands = method.band(ns).tolist()
-    chunks = stacks([grid_size(b) for b in bands])
     # the weights of one stack at a time: table_cost bounds the peak
-    rows = ([row[:bands[i] + 1] for i, row in zip(chunk, method.weights([ns[i] for i in chunk]))]
-            for chunk in chunks)
+    rows = ((chunk, [row[:bands[i] + 1] for i, row in zip(chunk, method.weights(
+        [ns[i] for i in chunk]))]) for chunk in stacks([grid_size(b) for b in bands]))
     return _one_or_list(n, [
         ConvergenceFailure("requested tolerance not certified", best_estimate=value / TWO_PI,
                            error_estimate=err / TWO_PI) if err / TWO_PI > tol
         else LebesgueSample(k, value / TWO_PI, err / TWO_PI)
-        for k, (value, err) in zip(ns, _in_order(chunks, trig_poly_l1(rows)))])
+        for k, (value, err) in zip(ns, trig_poly_l1(rows))])
 
 
 # ---------------------------------------------------------------------------
@@ -553,27 +533,23 @@ def kolmogorov_cost(nmin, nmax):
 def kolmogorov_deviation(r, n):
     """sup over the unit W^r class of ||f - S_n f||_inf, via (1/pi) times
     the L1 norm of the conjugate-tail kernel over a period, certified to
-    KOLMOGOROV_TOL.  For a sequence of n, a list with one entry per n from
-    one engine call: the deviation or the ConvergenceFailure, returned
-    rather than raised."""
+    KOLMOGOROV_TOL; for a sequence of n, a list from one engine call, each
+    ConvergenceFailure returned, not raised, in its place."""
     ns = np.atleast_1d(n).tolist()
     if r < 1 or min(ns, default=0) < 0:
         raise InvalidArgument("need r >= 1 and n >= 0")
-
     # on (0, 2pi) the tail kernel is poly(t) - sum_{k<=n} cos(kt - r pi/2)/k^r;
-    # in x = t - pi the cosine sum has c_k = (-1)^k e^{-i r pi/2} / 2k^r, k >= 1
-    def tail(degree):
-        k = np.arange(1, degree + 1)
-        return np.concatenate(([0.0], -((-1.0) ** k) * np.exp(-0.5j * np.pi * r)
-                               / (2.0 * k ** float(r))))
-
-    chunks = stacks([grid_size(k) for k in ns])
-    rows = ([tail(ns[i]) for i in chunk] for chunk in chunks)
+    # in x = t - pi the cosine sum has c_k = (-1)^k e^{-i r pi/2} / 2k^r, k >= 1,
+    # each n's coefficients a prefix of the largest n's
+    k = np.arange(1, max(ns, default=0) + 1)
+    c = np.concatenate(([0.0], -((-1.0) ** k) * np.exp(-0.5j * np.pi * r)
+                        / (2.0 * k ** float(r))))
+    pairs = trig_poly_l1([c[:m + 1] for m in ns], _full_series_poly(r)) if ns else []
     return _one_or_list(n, [
         ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
                            error_estimate=err / np.pi)
         if err / np.pi > KOLMOGOROV_TOL or not err < total else total / np.pi
-        for total, err in _in_order(chunks, trig_poly_l1(rows, _full_series_poly(r)))])
+        for total, err in pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -576,14 +576,37 @@ class TestStackedEngine:
                                                  + (order + 1) * m // 4 * math.log2(m // 4))
                 assert lb.table_cost(method, nmin, nmax)[1] == pytest.approx(want)
 
+    def test_batches_stay_within_synthesis_entries(self, monkeypatch):
+        # a batch of several stacks holds at most SYNTHESIS_ENTRIES entries:
+        # its Taylor data, cells x the top order, and each stack's Taylor
+        # grid M/4, so that stacks without sign changes close batches too
+        batch_l1, sizes = lb._batch_l1, []
+
+        def recorded(batch, ipoly):
+            cells = sum(s["lo"].size for s in batch)
+            sizes.append((len(batch), cells * max(len(s["taylor"]) for s in batch)
+                          + sum(s["mt"] for s in batch)))
+            return batch_l1(batch, ipoly)
+
+        monkeypatch.setattr(lb, "_batch_l1", recorded)
+        for method, ns in ((vallee_poussin(), range(1, 200)), (fejer(), range(1100, 1106))):
+            sizes.clear()
+            lb.lebesgue_constant(method, ns, tol=1.0)
+            assert max(stacks for stacks, _ in sizes) > 1
+            assert all(stacks == 1 or entries <= lb.SYNTHESIS_ENTRIES
+                       for stacks, entries in sizes)
+        assert sizes == [(2, lb.SYNTHESIS_ENTRIES)] * 3     # M = 2^16: two stacks a batch
+
     def test_memory_estimate_bounds_traced_peak(self):
         # 64 rows of one stack each: the weights are built a stack at a time
         # (all at once they alone take 2 MB)
         # and 199 rows of many small stacks, batched up to SYNTHESIS_ENTRIES
-        # entries of Taylor data
+        # entries of Taylor data; 149 rows of one M = 2^17 stack each and no
+        # sign change, whose batches must not hold their coefficients
         for method, ns in ((dirichlet(), range(1, 99)), (dirichlet(), [4096]),
                            (abel_poisson(), range(150, 153)), (dirichlet(), range(960, 1024)),
-                           (bernstein(), range(960, 1024)), (vallee_poussin(), range(1, 200))):
+                           (bernstein(), range(960, 1024)), (vallee_poussin(), range(1, 200)),
+                           (abel_poisson(0.99), range(1, 150))):
             tracemalloc.start()
             try:
                 lb.lebesgue_constant(method, ns, tol=1.0)

@@ -259,11 +259,11 @@ def _exp_walsh_regularity(p, seed):
 
 
 def _exp_walsh_moduli(p, seed):
-    rows = []
-    for name, values in corpus.dyadic_corpus(p["bits"]):
-        sig = walsh.DyadicSignal(values)
-        caps = [1 << (n + 1) for n in range(p["bits"] - 1)]
-        for n, (cap, mean) in enumerate(zip(caps, walsh.cesaro_means(sig, caps, p["alpha"]))):
+    rows, (names, values) = [], zip(*corpus.dyadic_corpus(p["bits"]))
+    signals = [walsh.DyadicSignal(v) for v in values]
+    caps = [1 << (n + 1) for n in range(p["bits"] - 1)]
+    for name, sig, means in zip(names, signals, walsh.cesaro_means(signals, caps, p["alpha"])):
+        for n, (cap, mean) in enumerate(zip(caps, means)):
             err = float(np.max(np.abs(sig.values - mean)))
             rows.append({"f_id": name, "n": n, "N": cap,
                          "Omega_n": walsh.averaged_block_modulus(sig, n),
@@ -512,7 +512,7 @@ REGISTRY = {
          "|u| cap, for width 2*radius, or 2*min(a, b) for an ellipse, and an area "
          "pi*radius^2, pi*a*b or 4*radius^2 <= 1e300, which bounds |transform|"),
         cost=(("phis",), lambda p: (
-            ftlab.SPECIAL_IMPORT_BYTES + ftlab.ZERO_CURVE_BYTES * p["phis"],
+            ftlab.ZERO_CURVE_RUN_BYTES + ftlab.ZERO_CURVE_BYTES * p["phis"],
             ftlab.ZERO_CURVE_RUN_S + ftlab.ZERO_CURVE_S * p["phis"]))),
     "comparison-ratio": Experiment(
         _exp_comparison_ratio, "worst error ratio of two summability methods",

@@ -16,15 +16,16 @@ from .trig import SYNTHESIS_ENTRIES, TWO_PI
 
 EULER_MACLAURIN_RMAX = 4
 INDICATOR_FT_UMAX = 1e3          # largest |u| at which indicator_ft evaluates
-# indicator-zeros on a 2-vCPU host, one thread (in-process, best of 3-5, p
-# = 1 and 20, disc and ellipse, CSV included): 1.2-2.7 ms a run at phis = 1
-# for the bisection's ~45 indicator_ft calls, charged 3e-3 s a run, and
-# 23-40 us a ray at 2,000 rays, charged 5e-5 s; a traced peak of 580-600
-# bytes a row with its CSV line, charged 800, and a ray chunk's working set,
-# at most 2.7 MB, which fits in 2^24 with the 14 MB that a process traces
-# importing scipy.special, its only scipy module
-ZERO_CURVE_RUN_S, ZERO_CURVE_S, ZERO_CURVE_BYTES = 3e-3, 5e-5, 800
-SPECIAL_IMPORT_BYTES = 2 ** 24
+# indicator-zeros on a 2-vCPU host, one thread (in-process, best of 9, p
+# = 1, 5, 7 and 20, disc and ellipse, CSV included): 1.6-2.4 ms a run at
+# phis = 1 for the bisection's ~45 transform calls, charged 3e-3 s a run,
+# and 40-55 us a ray at 2,000 rays, charged 7e-5 s (23-39 us with scipy's
+# j1: _j1 takes 8 to 16 sines a point, more as x grows to 25); a traced
+# peak of 580-600 bytes a row with its CSV line, charged 800, and a ray
+# chunk's working set, at most 7.4 MB beyond the rows (2^15 scan points and
+# _j1's table of sines or powers for them), charged 2^23 a run
+ZERO_CURVE_RUN_S, ZERO_CURVE_S, ZERO_CURVE_BYTES = 3e-3, 7e-5, 800
+ZERO_CURVE_RUN_BYTES = 2 ** 23
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,53 @@ def euler_maclaurin_sum(f, n, r, x, integral=None, series=None):
 # indicator-function Fourier transforms of convex planar bodies
 # ---------------------------------------------------------------------------
 
+# _j1's midpoint rules, N = 8, 10, ..., 16: sin t_j and sin t_j / N, and
+# the largest x at which the leading aliasing term (x/2)^(4N-1)/(4N-1)! is
+# at most 1e-18 (6.5, 10.6, 15.2, 20.1 and 25.2, capped at J1_HANKEL_X);
+# Hankel's P and Q at nu = 1 (DLMF 10.17.2) in powers of 1/x^2: (-1)^k a_2k
+# and (-1)^k a_2k+1, k < 12, a_k = prod_{j<=k} (4 - (2j-1)^2) / (k! 8^k)
+J1_HANKEL_X = 25.0
+_J1_RULES = [(s, s / s.size) for s in
+             (np.sin((np.arange(n) + 0.5) * np.pi / (2 * n)) for n in range(8, 17, 2))]
+_J1_TOPS = np.array([min(J1_HANKEL_X, 2 * math.exp((math.lgamma(4 * n) - 18 * math.log(10))
+                                                   / (4 * n - 1))) for n in range(8, 17, 2)])
+_HANKEL_PQ = np.array([[(-1) ** (k // 2) * math.prod(4 - (2 * j - 1) ** 2 for j in range(1, k + 1))
+                        / (math.factorial(k) * 8 ** k) for k in range(r, 24, 2)] for r in (0, 1)])
+
+
+def _j1(x):
+    """J_1(x) at x >= 0, an array of x's shape, each entry a function of its
+    own x alone.  Up to J1_HANKEL_X, the 2N-point midpoint rule on Bessel's
+    integral (1/pi) int_0^pi cos(t - x sin t) dt folded by t <-> pi - t,
+    (1/N) sum_{j<N} sin t_j sin(x sin t_j), t_j = (j + 1/2) pi/2N: the
+    integrand is periodic and entire, so the error is the aliased J_{4N-1}
+    and beyond (Trefethen and Weideman, SIAM Review 56, 2014), at most 2e-18
+    with N the least even N >= 8 whose leading term is at most 1e-18.
+    Above, Hankel's expansion (DLMF 10.17.3), 12 terms each of P and Q, the
+    phase from sin x and cos x: (P (sin x - cos x) + Q (sin x + cos x)) /
+    sqrt(pi x), its remainder at most the first omitted terms (DLMF
+    10.17(iii)), below 4e-20.  The error is that truncation plus at most u
+    (1 + x) of rounding, u = 2^-53 (against mpmath, 180,000 points in (0,
+    2000]: at most 0.76 u (1 + x) in (0, 25], 0.03 beyond); for x <= 1e-3,
+    where every term is positive, at most 4u relative (2.9u measured)."""
+    x = np.asarray(x, dtype=float)
+    out, rule = np.empty(x.shape), np.searchsorted(_J1_TOPS, x)
+    for k in np.flatnonzero(np.bincount(rule.ravel())):
+        at = rule == k
+        xs = x[at]
+        if k < len(_J1_RULES):
+            s, w = _J1_RULES[k]
+            terms = xs[:, None] * s
+            # einsum sums each row in one order whatever the rows beside it
+            out[at] = np.einsum("ij,j->i", np.sin(terms, out=terms), w)
+        else:
+            pw = (1 / xs[:, None] ** 2) ** np.arange(_HANKEL_PQ.shape[1])
+            p, q = (np.einsum("ij,j->i", pw, c) for c in _HANKEL_PQ)
+            sn, cs = np.sin(xs), np.cos(xs)
+            out[at] = (p * (sn - cs) + q / xs * (sn + cs)) / np.sqrt(np.pi * xs)
+    return out
+
+
 @dataclass(frozen=True)
 class ConvexBody2D:
     """A centrally symmetric convex planar body given by two closed forms:
@@ -303,11 +351,10 @@ class ConvexBody2D:
         """2*pi*R*J_1(R|u|)/|u|."""
         if radius <= 0:
             raise InvalidArgument("disc radius must be positive")
-        from scipy import special
 
         def transform(u):
             nu = np.hypot(u[..., 0], u[..., 1])
-            return TWO_PI * radius * special.j1(radius * nu) / nu
+            return TWO_PI * radius * _j1(radius * nu) / nu
 
         return cls(lambda phi: radius, transform)
 
@@ -317,11 +364,10 @@ class ConvexBody2D:
         a, b = float(a), float(b)
         if min(a, b) <= 0:
             raise InvalidArgument("ellipse semi-axes must be positive")
-        from scipy import special
 
         def transform(u):
             rho = np.hypot(a * u[..., 0], b * u[..., 1])
-            return TWO_PI * a * b * special.j1(rho) / rho
+            return TWO_PI * a * b * _j1(rho) / rho
 
         return cls(lambda phi: float(np.hypot(a * np.cos(phi), b * np.sin(phi))),
                    transform)
@@ -363,7 +409,8 @@ def zero_curve(body, p, phi):
     midpoint equals an end, the bracket two adjacent doubles, and r_p is the
     end of smaller |transform|: no tolerance, so r_p does not depend on the
     body's scale.  The rays run SYNTHESIS_ENTRIES // 96 at a time, one
-    indicator_ft call for the scan and one per bisection step.
+    indicator_ft call for the scan, which checks every ray's |u| range, and
+    one body.transform call per bisection step, inside the scanned range.
     """
     if p < 1:
         raise InvalidArgument("zero index starts at 1")
@@ -388,7 +435,7 @@ def zero_curve(body, p, phi):
             live, mid = live[inside], mid[inside]
             if not live.size:
                 break
-            fm = indicator_ft(body, mid[:, None] * e[live]).real
+            fm = np.real(body.transform(mid[:, None] * e[live]))
             side = (np.signbit(fm) != np.signbit(fx[0, live])).astype(int)
             x[side, live], fx[side, live] = mid, fm
         r = x[np.argmin(np.abs(fx), axis=0), ray]

@@ -623,6 +623,19 @@ class TestExperimentOutputs:
             phi, rp, d, product, lower, upper = map(float, line.split(","))
             assert lower < product < upper
 
+    def test_indicator_zeros_at_p_20(self, tmp_path):
+        # x lies in (20 pi, 21 pi), Hankel's branch of J1: every r_p of the
+        # unit disc within 2 ulps of mpmath's j_{1,20}
+        import mpmath
+        out = tmp_path / "t.csv"
+        assert run_main(["indicator-zeros", "p=20", "--out", str(out)]) == 0
+        with mpmath.workdps(40):
+            zero = float(mpmath.besseljzero(1, 20))
+        rows = [list(map(float, line.split(","))) for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 64
+        for phi, rp, d, product, lower, upper in rows:
+            assert abs(rp - zero) <= 2 * np.spacing(zero) and lower < product < upper
+
     def test_square_symmetry_rays_are_recorded_failures(self, tmp_path):
         # phis=4 gives the rays phi = k pi/4, where the square's zero sits on
         # the bracket's end: every row is a recorded failure, not a traceback
@@ -717,18 +730,23 @@ class TestExperimentOutputs:
             "['xlab', 'xlab.cli', 'xlab.errors', 'xlab.lebesgue', 'xlab.trig']",
             "[]", "False", "True"]
 
-    def test_runs_leave_integrate_and_optimize_unimported(self):
-        # claims 1.3 and 1.12 take their integral and their zeros without
-        # scipy.integrate or scipy.optimize
+    def test_runs_leave_scipy_unimported(self):
+        # every experiment runs on numpy alone: one process runs each golden
+        # config and every body, the disc's at p = 20 too (Hankel's branch
+        # of J1), and then holds no scipy module
+        runs = [[name, *tokens] for name, tokens, _ in GOLDEN_ROWS] \
+            + [["indicator-zeros", f"body={body}", "phis=4"] for body in ("disc", "ellipse")] \
+            + [["indicator-zeros", "p=20", "phis=4"]]
+        assert {args[0] for args in runs} == set(cli.REGISTRY)
         proc = subprocess.run(
             [sys.executable, "-c", "import io, sys\nfrom xlab import cli\n"
-             "for args in (['euler-maclaurin-check', 'rmax=0'],"
-             " ['indicator-zeros', 'phis=4']):\n"
+             "for args in sys.argv[1:]:\n"
+             "    args = args.split()\n"
              "    cli.write_csv(cli.run(cli.build_config(args[0], args[1:])), io.StringIO())\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[:2] in"
-             " (['scipy', 'integrate'], ['scipy', 'optimize'])))"],
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+             *(" ".join(args) for args in runs)],
             capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout == "[]\n"
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "xlab.cli", "list"],
@@ -780,7 +798,7 @@ GOLDEN_ROWS = [
     ("walsh-moduli", ["bits=6"],
      "02423c902eff997a203b8f678faa5dbd1660b6721759d63363cff1a1269d2069"),
     ("indicator-zeros", ["body=ellipse", "phis=8"],
-     "1fc41e6b8c80f6ec88c213bcf281bff5f2f2d8c6424b255ff92bfecbb56a5cf7"),
+     "88588cbff31682fa01d83e5ccbf0e63b4067fff0f7ebfb9a275886384f13f3a0"),
     ("indicator-zeros", ["body=square", "phis=16"],
      "d83da76966ba907e63c408c43d880617aa67d113fe2204c355c9b2121c45d640"),
     ("comparison-ratio", ["a=rogosinski", "nmax=16", "m=128"],

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -283,6 +284,66 @@ class TestEulerMaclaurin:
         assert len(integrals) == len(set(integrals)) == 30
         assert min(w for _, _, w in integrals) > 0
         assert len(sums) == len(set(sums)) == 60
+
+
+def _bessel_j1(x):
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.besselj(1, mpmath.mpf(float(v)))) for v in x])
+
+
+def _bracket(p):
+    """The two adjacent doubles on either side of j_{1,p}."""
+    with mpmath.workdps(40):
+        z = mpmath.besseljzero(1, p)
+    lo = float(z)
+    lo = np.nextafter(lo, -np.inf) if mpmath.mpf(lo) > z else lo
+    return lo, np.nextafter(lo, np.inf)
+
+
+class TestJ1:
+    U = 2.0 ** -53
+
+    def test_within_the_stated_bound(self):
+        # _j1's docstring: the truncation (at most 2e-18 by the midpoint
+        # rule up to x = 25, 4e-20 by Hankel's expansion above) plus u (1 +
+        # x) of rounding, against mpmath at about 8,000 points in (0, 2000],
+        # each side of the switch at x = 25 included
+        rng = np.random.default_rng(12)
+        near = 25.0 + np.arange(-200, 201) * 1e-12
+        x = np.concatenate([rng.uniform(0, 25, 4000), rng.uniform(24, 26, 500), near,
+                            rng.uniform(25, 2000, 3000), [ft.J1_HANKEL_X, 2000.0],
+                            ft._J1_TOPS])
+        x = x[x > 0]
+        err = np.abs(ft._j1(x) - _bessel_j1(x))
+        truncation = np.where(x <= ft.J1_HANKEL_X, 2e-18, 4e-20)
+        assert np.all(err <= truncation + self.U * (1 + x))
+        assert np.any(near <= 25) and np.any(near > 25)
+
+    def test_relative_error_at_small_x(self):
+        # for x <= 1e-3 every term of the rule is positive: a relative error
+        # of at most 4u, down to x = 1e-300
+        x = np.geomspace(1e-300, 1e-3, 1200)
+        want = _bessel_j1(x)
+        assert np.all(np.abs(ft._j1(x) - want) <= 4 * self.U * want)
+
+    def test_each_entry_is_its_own_call(self):
+        # the node count follows each x, not the call's largest: any shape,
+        # any company, the same bits
+        x = np.random.default_rng(5).uniform(0, 60, (7, 96))
+        got = ft._j1(x)
+        assert got.shape == (7, 96)
+        assert got.tolist() == [[float(ft._j1(v)) for v in row] for row in x]
+        assert ft._j1(np.array([])).shape == (0,) and ft._j1(0.0) == 0.0
+
+    def test_disc_zeros_on_the_doubles_bracketing_mpmath(self):
+        # on the ray phi = 0 the transform reads x = t exactly, so r_p of the
+        # unit disc is one of the two doubles about j_{1,p}, p = 1..5, and at
+        # p = 1 on every ray of the CLI's default 64
+        disc = ft.ConvexBody2D.disc(1.0)
+        for p in range(1, 6):
+            assert ft.zero_curve(disc, p, 0.0) in _bracket(p)
+        got = ft.zero_curve(disc, 1, [np.pi * i / 64 for i in range(64)])
+        assert set(got) <= set(_bracket(1))
 
 
 class TestIndicatorFT:

@@ -7,7 +7,8 @@ by some caller, one that every caller passes copying theirs.  No object
 carries state its class does not declare.  One budget governs every cost
 estimate: no module but cli declares one, and the experiments without a
 cost are a closed list.  And every function the library
-samples is real, so its only transforms are rfft and irfft."""
+samples is real, so its only transforms are rfft and irfft; the library
+runs on numpy alone, importing no scipy module."""
 
 import ast
 import collections
@@ -229,3 +230,20 @@ def test_only_real_ffts():
             used += [f"{path.name}:{node.lineno} {name}" for name in names
                      if name not in REAL_FFTS]
     assert not used, "complex or other FFTs: " + ", ".join(used)
+
+
+def test_no_scipy_import():
+    # scipy serves the tests and perfbench's checks as an oracle only: no
+    # `import scipy...` nor `from scipy... import`, at any depth of a module
+    used = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            used += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name.split(".")[0] == "scipy"]
+    assert not used, "scipy imports: " + ", ".join(used)

@@ -190,6 +190,30 @@ class TestCesaro:
         rows, _ = cli._exp_walsh_moduli({"bits": 6, "alpha": 1.0}, 0)
         assert len(calls) == len(corpus.dyadic_corpus(6)) and len(rows) == 5 * len(calls)
 
+    def test_sequence_of_signals_shares_one_table(self, monkeypatch):
+        # a list of signals of equal bits gives each signal's list of means,
+        # array_equal to its own call; walsh-moduli forms one Cesaro table
+        # and runs one butterfly over every (signal, cap) mean of a run
+        from xlab import cli
+        rng = np.random.default_rng(8)
+        sigs = [w.DyadicSignal(rng.standard_normal(1 << 7)) for _ in range(3)]
+        for n in ([1, 2, 64, 5, 127], 37):
+            got = w.cesaro_means(sigs, n, 0.5)
+            assert len(got) == 3
+            assert all(np.array_equal(np.array(g), np.array(w.cesaro_means(f, n, 0.5)))
+                       for g, f in zip(got, sigs))
+        with pytest.raises(InvalidArgument, match="equal bits"):
+            w.cesaro_means([sigs[0], w.DyadicSignal(np.zeros(1 << 6))], 3, 1.0)
+        tables, butterflies = [], []
+        numbers, fwht = w.cesaro_numbers, w._fwht
+        monkeypatch.setattr(w, "cesaro_numbers",
+                            lambda *a: tables.append(a) or numbers(*a))
+        monkeypatch.setattr(w, "_fwht",
+                            lambda a, **k: butterflies.append(np.ndim(a)) or fwht(a, **k))
+        rows, _ = cli._exp_walsh_moduli({"bits": 9, "alpha": 2.0}, 0)
+        assert tables == [(2.0, 256)] and butterflies.count(3) == 1
+        assert len(rows) == 8 * len(corpus.dyadic_corpus(9))
+
     def test_equivalence_band_on_corpus(self):
         # frozen corpus band for the alpha versus alpha=1 error ratios
         for alpha in (0.5, 2.0):

@@ -77,6 +77,23 @@ def _pool_size():
 # experiment implementations: params dict + seed -> (rows, failures)
 # ---------------------------------------------------------------------------
 
+def _tabulate(items, results, label, row, failed=None):
+    """(rows, failure lines) of a per-item library call: row(item, result)
+    for each result; for each ConvergenceFailure the line `label(item):
+    message` and, given `failed`, the row failed(item, best, error) of its
+    estimates, nan where one is None."""
+    rows, failures = [], []
+    for item, result in zip(items, results):
+        if not isinstance(result, ConvergenceFailure):
+            rows.append(row(item, result))
+            continue
+        failures.append(f"{label(item)}: {result}")
+        if failed:
+            rows.append(failed(item, *(math.nan if e is None else e
+                                       for e in (result.best_estimate, result.error_estimate))))
+    return rows, failures
+
+
 def _exp_lebesgue_table(p, seed):
     method = trig.get_method(p["method"])
     ns = range(p["nmin"], p["nmax"] + 1)
@@ -97,28 +114,18 @@ def _exp_lebesgue_table(p, seed):
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(table, units))
     by_n = dict(zip(itertools.chain(*units), itertools.chain(*samples)))
-    rows, failures = [], []
-    for n in ns:
-        s = by_n[n]
-        if isinstance(s, ConvergenceFailure):
-            rows.append({"method": method.name, "n": n,
-                         "value": float(s.best_estimate or math.nan),
-                         "quad_error": float(s.error_estimate or math.nan)})
-            failures.append(f"n={n}: {s}")
-        else:
-            rows.append({"method": method.name, "n": n, "value": s.value,
-                         "quad_error": s.quad_error})
-    return rows, failures
+
+    def row(n, value, quad_error):
+        return {"method": method.name, "n": n, "value": value, "quad_error": quad_error}
+
+    return _tabulate(ns, [by_n[n] for n in ns], "n={}".format,
+                     lambda n, s: row(n, s.value, s.quad_error), row)
 
 
 def _exp_kolmogorov_fit(p, seed):
     ns = lebesgue.geometric_grid(p["nmin"], p["nmax"])
-    vals, failures = [], []
-    for n, v in zip(ns, lebesgue.kolmogorov_deviation(p["r"], ns)):
-        if isinstance(v, ConvergenceFailure):
-            failures.append(f"n={n}: {v}")
-            v = v.best_estimate
-        vals.append(v)
+    vals, failures = _tabulate(ns, lebesgue.kolmogorov_deviation(p["r"], ns), "n={}".format,
+                               lambda n, v: v, lambda n, best, err: best)
     scaled = [v * n ** p["r"] for v, n in zip(vals, ns)]
     c, d, resid = lebesgue.fit_log_model(ns, scaled)
     rows = [{"r": p["r"], "n": n, "value": v, "slope": c, "intercept": d,
@@ -273,7 +280,7 @@ def _exp_walsh_moduli(p, seed):
 
 
 def _exp_euler_maclaurin(p, seed):
-    rows, failures = [], []
+    items, results = [], []
     families = [("exp", a) for a in np.linspace(0.2, 2.0, 5)] \
         + [("pow", b) for b in np.linspace(1.5, 4.0, 5)]
     for fam, par in families:
@@ -282,16 +289,12 @@ def _exp_euler_maclaurin(p, seed):
         for ax in (np.pi / 2, 1.0, 3.0):
             integral = fn.integral(p["n"], ax)
             for x in (ax, -ax):
-                series = ftlab.oscillatory_sum(fn, p["n"], x, p["rmax"])
-                for r in range(p["rmax"] + 1):
-                    try:
-                        res = ftlab.euler_maclaurin_sum(fn, p["n"], r, x, integral, series)
-                        rows.append({"family": fam, "param": float(par), "x": x,
-                                     "r": r, "abs_theta": abs(res["theta"]),
-                                     "variation": res["variation"]})
-                    except ConvergenceFailure as e:
-                        failures.append(f"{fam}({par:g}) x={x} r={r}: {e}")
-    return rows, failures
+                items += [(fam, par, x, r) for r in range(p["rmax"] + 1)]
+                results += ftlab.euler_maclaurin_sum(fn, p["n"], p["rmax"], x, integral)
+    return _tabulate(items, results, lambda item: "{}({:g}) x={} r={}".format(*item),
+                     lambda item, res: {"family": item[0], "param": float(item[1]), "x": item[2],
+                                        "r": item[3], "abs_theta": abs(res["theta"]),
+                                        "variation": res["variation"]})
 
 
 def _body_from_params(p):
@@ -313,15 +316,14 @@ def _extent(p):
 def _exp_indicator_zeros(p, seed):
     body = _body_from_params(p)
     phis = [np.pi * i / p["phis"] for i in range(p["phis"])]
-    rows, failures = [], []
-    for phi, r in zip(phis, ftlab.zero_curve(body, p["p"], phis)):
-        if isinstance(r, NotFound):
-            failures.append(f"phi={phi:g}: {r}")
-            r = math.nan
+
+    def row(phi, r):
         d = body.width(phi)
-        rows.append({"phi": phi, "r_p": r, "d_phi": d, "product": d * r,
-                     "lower": 2 * p["p"] * np.pi, "upper": 2 * (p["p"] + 1) * np.pi})
-    return rows, failures
+        return {"phi": phi, "r_p": r, "d_phi": d, "product": d * r,
+                "lower": 2 * p["p"] * np.pi, "upper": 2 * (p["p"] + 1) * np.pi}
+
+    return _tabulate(phis, ftlab.zero_curve(body, p["p"], phis), "phi={:g}".format, row,
+                     lambda phi, best, err: row(phi, best))
 
 
 def _exp_comparison_ratio(p, seed):
@@ -569,7 +571,11 @@ def build_config(experiment, tokens, file_params=None, seed=0):
             params[key] = spec.params[key][1](token)
         except (InvalidArgument, NotFound) as e:
             raise InvalidArgument(f"{key}={token}: {e}") from None
-    if spec.check and not spec.check[0](params):
+    try:
+        met = not spec.check or spec.check[0](params)
+    except OverflowError:       # a huge integer key: past the float range, out of it
+        met = False
+    if not met:
         message = spec.check[1]
         raise InvalidArgument(message() if callable(message) else message)
     if spec.cost:

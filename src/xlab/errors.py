@@ -6,7 +6,7 @@ class InvalidArgument(ValueError):
 
 
 class NotFound(LookupError):
-    """A named object (method, experiment, zero bracket) does not exist."""
+    """A named object (method, experiment, corpus function) does not exist."""
 
 
 class ConvergenceFailure(RuntimeError):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidArgument, NotFound
+from .errors import ConvergenceFailure, InvalidArgument
 from .lebesgue import UNIT_ROUNDOFF
 from .trig import SYNTHESIS_ENTRIES, TWO_PI
 
@@ -231,55 +231,58 @@ def oscillatory_sum(f, n, x, rmax):
     return _oscillatory_series(f, n, x, target)
 
 
-def euler_maclaurin_sum(f, n, r, x, integral=None, series=None):
+def euler_maclaurin_sum(f, n, rmax, x, integral=None):
     """Compare the oscillatory sum sum_{k>=n} f(k)e^{ikx} with its
-    integral-plus-corrections discretization.
+    integral-plus-corrections discretization of each order r = 0..rmax: a
+    list with one entry per r, or a ConvergenceFailure in its place.
 
-    Returns the sum (lhs), the main term
-    int_n^inf f e^{iux} du + f(n)e^{inx}/2
+    Each entry holds the sum (lhs), oscillatory_sum(f, n, x, rmax) for every
+    r, the main term int_n^inf f e^{iux} du + f(n)e^{inx}/2
     + e^{inx} sum_{p<r} ((-i)^{p+1}/p!) h^(p)(x) f^(p)(n),
     the normalized residual theta = (lhs - rhs) * pi^r / V, and the
     variation bound V of f^(r) on [n, inf).  f.integral(n, |x|), (value,
-    bound), depends on neither r nor the sign of x (conjugated for x < 0, f
-    being real), and the sum not on r: a caller looping over them passes it
-    as `integral` and oscillatory_sum(f, n, x, rmax) as `series`, each
-    computed here otherwise (the sum with rmax = r).  numeric_error is the
-    integral's error bound plus the sum's (the tail bound and head rounding
-    of _oscillatory_series, a head of 64 to OSCILLATORY_TERMS + 1 terms); it
-    must stay within EULER_MACLAURIN_TOL * max(1, |lhs|), and theta's share
-    of it, numeric_error * pi^r / V, within EULER_MACLAURIN_THETA_TOL.  V = 0
-    (f^(r) underflows on [n, inf)) leaves theta undefined and is a failure.
-    The corrections r >= 1 need h, so 1/2 <= |x| there.
+    bound), does not depend on the sign of x (conjugated for x < 0, f being
+    real): a caller of both signs passes it as `integral`.  numeric_error is
+    the integral's error bound plus the sum's (the tail bound and head
+    rounding of _oscillatory_series, a head of 64 to OSCILLATORY_TERMS + 1
+    terms); it must stay within EULER_MACLAURIN_TOL * max(1, |lhs|), and
+    theta's share of it, numeric_error * pi^r / V, within
+    EULER_MACLAURIN_THETA_TOL.  V = 0 (f^(r) underflows on [n, inf)) leaves
+    theta undefined and is a failure.  The corrections r >= 1 need h, so 1/2
+    <= |x| there.
     """
     if x == 0 or abs(x) > np.pi:
         raise InvalidArgument("need 0 < |x| <= pi")
-    if not 0 <= r <= EULER_MACLAURIN_RMAX:
-        raise InvalidArgument(f"correction order supported up to {EULER_MACLAURIN_RMAX}")
-    v = float(f.variation(n, r))
-    if v == 0:
-        raise ConvergenceFailure(f"variation of f^({r}) on [{n}, inf) underflows to 0: "
-                                 "theta is undefined")
-    lhs, series_err = oscillatory_sum(f, n, x, r) if series is None else series
+    if not -1 <= rmax <= EULER_MACLAURIN_RMAX:
+        raise InvalidArgument(f"correction orders supported up to {EULER_MACLAURIN_RMAX}")
+    if rmax < 0:
+        return []
+    lhs, series_err = oscillatory_sum(f, n, x, rmax)
     value, integral_err = f.integral(n, abs(x)) if integral is None else integral
     phase = np.exp(1j * n * x)
     rhs = (value if x > 0 else value.conjugate()) + 0.5 * f.deriv(n, 0) * phase
-    for p in range(r):
-        rhs += phase * ((-1j) ** (p + 1) / math.factorial(p)) \
-            * h_function(x, p) * f.deriv(n, p)
-
-    err = integral_err + series_err
-    if err > EULER_MACLAURIN_TOL * max(1.0, abs(lhs)):
-        raise ConvergenceFailure("sum/integral tolerance not met",
-                                 best_estimate=lhs, error_estimate=err)
-    theta = (lhs - rhs) * np.pi ** r / v
-    theta_err = err * np.pi ** r / v
-    if theta_err > EULER_MACLAURIN_THETA_TOL:
-        raise ConvergenceFailure(
-            f"numerical error of theta {theta_err:.2e} exceeds "
-            f"{EULER_MACLAURIN_THETA_TOL:g}",
-            best_estimate=theta, error_estimate=theta_err)
-    return {"lhs": complex(lhs), "rhs_main": complex(rhs),
-            "theta": complex(theta), "variation": v, "numeric_error": err}
+    err, out = integral_err + series_err, []
+    for r in range(rmax + 1):
+        if r:
+            rhs += phase * ((-1j) ** r / math.factorial(r - 1)) \
+                * h_function(x, r - 1) * f.deriv(n, r - 1)
+        v = float(f.variation(n, r))
+        if v == 0:
+            out.append(ConvergenceFailure(f"variation of f^({r}) on [{n}, inf) underflows "
+                                          "to 0: theta is undefined"))
+        elif err > EULER_MACLAURIN_TOL * max(1.0, abs(lhs)):
+            out.append(ConvergenceFailure("sum/integral tolerance not met",
+                                          best_estimate=lhs, error_estimate=err))
+        else:
+            theta, theta_err = (lhs - rhs) * np.pi ** r / v, err * np.pi ** r / v
+            if theta_err > EULER_MACLAURIN_THETA_TOL:
+                out.append(ConvergenceFailure(f"numerical error of theta {theta_err:.2e} exceeds "
+                                              f"{EULER_MACLAURIN_THETA_TOL:g}",
+                                              best_estimate=theta, error_estimate=theta_err))
+            else:
+                out.append({"lhs": complex(lhs), "rhs_main": complex(rhs), "theta": complex(theta),
+                            "variation": v, "numeric_error": err})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +401,13 @@ def indicator_ft(body, u):
 
 
 def zero_curve(body, p, phi):
-    """p-th positive zero r_p(phi) of t -> indicator_ft(body, t e(phi)): a
-    float, or NotFound raised, at one angle; at a sequence of angles one
-    entry each, the float or the NotFound (returned, not raised).
+    """p-th positive zero r_p(phi) of t -> indicator_ft(body, t e(phi)) at
+    each angle of phi: a list with one entry per angle, the float, or a
+    ConvergenceFailure in its place.
 
     The search interval is (2p*pi/d, 2(p+1)*pi/d) with d the width in the
     direction phi, scanned at 96 points; a missing sign change inside it
-    and a zero at one of its ends (the claim's bound attained) are NotFound.
+    and a zero at one of its ends (the claim's bound attained) are failures.
     The first sign change of every ray is bisected at once until the
     midpoint equals an end, the bracket two adjacent doubles, and r_p is the
     end of smaller |transform|: no tolerance, so r_p does not depend on the
@@ -440,17 +443,12 @@ def zero_curve(body, p, phi):
             x[side, live], fx[side, live] = mid, fm
         r = x[np.argmin(np.abs(fx), axis=0), ray]
         for k in ray:
-            if ends[k].any():
-                name, end = ("lower", p) if ends[k, 0] else ("upper", p + 1)
-                out.append(NotFound(f"zero at the bracket's {name} end d*r = {2 * end}*pi: "
-                                    "the claim's bound is attained"))
-            elif not change[k].any():
-                out.append(NotFound(f"no sign change in ({lo[k]:g}, {hi[k]:g}) for p={p}"))
-            else:
-                out.append(float(r[k]))
-    if np.ndim(phi) == 0 and isinstance(out[0], NotFound):
-        raise out[0]
-    return out if np.ndim(phi) else out[0]
+            name, end = ("lower", p) if ends[k, 0] else ("upper", p + 1)
+            out.append(ConvergenceFailure(f"zero at the bracket's {name} end d*r = {2 * end}*pi: "
+                                          "the claim's bound is attained") if ends[k].any() else
+                       float(r[k]) if change[k].any() else
+                       ConvergenceFailure(f"no sign change in ({lo[k]:g}, {hi[k]:g}) for p={p}"))
+    return out
 
 
 # ---------------------------------------------------------------------------

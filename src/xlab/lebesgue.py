@@ -294,16 +294,16 @@ def _batch_l1(batch, ipoly):
 def trig_poly_l1(coeffs, poly=(0.0,)):
     """(L1 norm over one period, certified error bound) of the real function
     f(x) = sum_{|k|<=K} c_k e^{ikx} + poly(x + pi) for c_0..c_K, c_0 real,
-    poly ascending powers (none by default); for a sequence of arrays (any
-    degrees), a list in input order, each on grid_size(K) in the stacks of
-    `stacks`; for an iterator of (index list, arrays of one grid size M)
-    stacks, taken one at a time, a list in index order.  The engine's one
-    driver.  Sign changes are scanned on x_i = -pi + ih, h = 2pi/M, closed
-    at x_M = pi by the limit from the left (the periodic wrap when poly =
-    0); a bracketing cell i takes the Taylor data d_j = f^(j)(x_c) h_T^j /
-    j!, j <= J, and the antiderivative F(x) = c_0 x + P(x) + Q(x + pi), P
-    periodic, Q' = poly, at its node x_c, c = i // STRIDE, of the Taylor
-    grid of step h_T = STRIDE h.
+    poly ascending powers (none by default), one per array: for a list of
+    arrays (any degrees), a list in input order, each on grid_size(K) in the
+    stacks of `stacks`; for an iterator of (index list, arrays of one grid
+    size M) stacks, taken one at a time, a list in index order.  The
+    engine's one driver.  Sign changes are scanned on x_i = -pi + ih, h =
+    2pi/M, closed at x_M = pi by the limit from the left (the periodic wrap
+    when poly = 0); a bracketing cell i takes the Taylor data d_j =
+    f^(j)(x_c) h_T^j / j!, j <= J, and the antiderivative F(x) = c_0 x +
+    P(x) + Q(x + pi), P periodic, Q' = poly, at its node x_c, c = i //
+    STRIDE, of the Taylor grid of step h_T = STRIDE h.
 
     The engine, in stages.  Per stack (`_stack_cells`), every synthesis:
     the samples on the M-grid (32 points a period of e^{iKx}), then on the
@@ -350,10 +350,9 @@ def trig_poly_l1(coeffs, poly=(0.0,)):
       int(s) = sum_j d_j s^j / (j+1), errs by P's sample error, h_T (e_D +
       poly's error), Q's and (2J + 8) u (sum of the parts' magnitudes +
       h_T sum_j |d_j|); each point enters two terms; fsum adds 2u."""
-    poly, single = np.asarray(poly, dtype=float), False
+    poly = np.asarray(poly, dtype=float)
     if not isinstance(coeffs, Iterator):
-        single = len(coeffs) == 0 or np.ndim(coeffs[0]) == 0
-        cs = [coeffs] if single else coeffs
+        cs = coeffs
         coeffs = ((chunk, [cs[i] for i in chunk])
                   for chunk in stacks([grid_size(np.size(c) - 1) for c in cs]))
     # Q's coefficients, none for a zero poly
@@ -368,8 +367,7 @@ def trig_poly_l1(coeffs, poly=(0.0,)):
         batch.append(stack)
         cells, top, grids = cells + size, max(top, depth), grids + stack["mt"]
     results += _batch_l1(batch, ipoly) if batch else []
-    out = [result for _, result in sorted(zip(order, results), key=lambda pair: pair[0])]
-    return out[0] if single else out
+    return [result for _, result in sorted(zip(order, results), key=lambda pair: pair[0])]
 
 
 # Cost of lebesgue_constant over a range of n, measured on a 2-vCPU host:
@@ -420,18 +418,11 @@ def table_cost(method, nmin, nmax):
             + ROW_BYTES * (nmax - nmin + 1) + 2 ** 20), seconds
 
 
-def _one_or_list(n, out):
-    """out for a sequence n; for a scalar n its entry, a failure raised."""
-    if np.ndim(n) == 0 and isinstance(out[0], ConvergenceFailure):
-        raise out[0]
-    return out if np.ndim(n) else out[0]
-
-
 def lebesgue_constant(method, n, tol=1e-9):
-    """Operator norm of the mean at index n: (1/2pi) int |K_n(t)| dt.  For a
-    sequence of n, a list with one entry per n from one engine call: its
-    LebesgueSample, or, where the bound misses tol, the ConvergenceFailure,
-    returned rather than raised so that every n is recorded."""
+    """Operator norms of the mean at each index of n: (1/2pi) int |K_n(t)|
+    dt, a list with one entry per n from one engine call, its
+    LebesgueSample, or, where the bound misses tol, a ConvergenceFailure in
+    its place."""
     ns = np.atleast_1d(n).tolist()
     if min(ns, default=0) < 0 or not tol > 0:
         raise InvalidArgument("need index n >= 0 and tolerance tol > 0")
@@ -439,11 +430,10 @@ def lebesgue_constant(method, n, tol=1e-9):
     # the weights of one stack at a time: table_cost bounds the peak
     rows = ((chunk, [row[:bands[i] + 1] for i, row in zip(chunk, method.weights(
         [ns[i] for i in chunk]))]) for chunk in stacks([grid_size(b) for b in bands]))
-    return _one_or_list(n, [
-        ConvergenceFailure("requested tolerance not certified", best_estimate=value / TWO_PI,
-                           error_estimate=err / TWO_PI) if err / TWO_PI > tol
-        else LebesgueSample(k, value / TWO_PI, err / TWO_PI)
-        for k, (value, err) in zip(ns, trig_poly_l1(rows))])
+    return [ConvergenceFailure("requested tolerance not certified", best_estimate=value / TWO_PI,
+                               error_estimate=err / TWO_PI) if err / TWO_PI > tol
+            else LebesgueSample(k, value / TWO_PI, err / TWO_PI)
+            for k, (value, err) in zip(ns, trig_poly_l1(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +469,15 @@ def geometric_grid(nmin, nmax):
 def classical_lebesgue_fit(nmin, nmax):
     """Fit L_n = c*ln n + d for the partial-sum operator norms over the
     geometric grid nmin, 2nmin, ..., nmax; returns ((c, d, rms residual),
-    grid, norms)."""
+    grid, norms), or the first ConvergenceFailure raised."""
     if not (nmax >= 4 * nmin and 4 * nmin >= 64):
         raise InvalidArgument("need nmax >= 4*nmin >= 64")
     ns = geometric_grid(nmin, nmax)
-    values = [lebesgue_constant(dirichlet(), n).value for n in ns]
+    samples = lebesgue_constant(dirichlet(), ns)
+    for s in samples:
+        if isinstance(s, ConvergenceFailure):
+            raise s
+    values = [s.value for s in samples]
     return fit_log_model(ns, values), ns, values
 
 
@@ -533,8 +527,8 @@ def kolmogorov_cost(nmin, nmax):
 def kolmogorov_deviation(r, n):
     """sup over the unit W^r class of ||f - S_n f||_inf, via (1/pi) times
     the L1 norm of the conjugate-tail kernel over a period, certified to
-    KOLMOGOROV_TOL; for a sequence of n, a list from one engine call, each
-    ConvergenceFailure returned, not raised, in its place."""
+    KOLMOGOROV_TOL: a list with one entry per n of n from one engine call,
+    a ConvergenceFailure in the place of each n that misses it."""
     ns = np.atleast_1d(n).tolist()
     if r < 1 or min(ns, default=0) < 0:
         raise InvalidArgument("need r >= 1 and n >= 0")
@@ -544,12 +538,10 @@ def kolmogorov_deviation(r, n):
     k = np.arange(1, max(ns, default=0) + 1)
     c = np.concatenate(([0.0], -((-1.0) ** k) * np.exp(-0.5j * np.pi * r)
                         / (2.0 * k ** float(r))))
-    pairs = trig_poly_l1([c[:m + 1] for m in ns], _full_series_poly(r)) if ns else []
-    return _one_or_list(n, [
-        ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
-                           error_estimate=err / np.pi)
-        if err / np.pi > KOLMOGOROV_TOL or not err < total else total / np.pi
-        for total, err in pairs])
+    return [ConvergenceFailure("error bound not certified", best_estimate=total / np.pi,
+                               error_estimate=err / np.pi)
+            if err / np.pi > KOLMOGOROV_TOL or not err < total else total / np.pi
+            for total, err in trig_poly_l1([c[:m + 1] for m in ns], _full_series_poly(r))]
 
 
 # ---------------------------------------------------------------------------

@@ -101,19 +101,21 @@ def cesaro_multipliers(n, alpha):
     return a[n - 1::-1] / a[n]
 
 
-def cesaro_means(signal, n, alpha):
-    """The samples of sigma_n^alpha of a DyadicSignal, on the same grid; for
-    a sequence of n, the list of them; for a sequence of signals of equal
-    bits, the list of those, one per signal, from one Cesaro table and one
-    butterfly over every (signal, n) mean."""
-    signals = [signal] if isinstance(signal, DyadicSignal) else list(signal)
-    bits, ns = signals[0].bits, np.atleast_1d(n).tolist()
+def cesaro_means(signals, ns, alpha):
+    """The samples of sigma_n^alpha of each DyadicSignal of `signals`, of
+    equal bits, on the same grid, at each n of ns: a list per signal of one
+    array per n, from one Cesaro table and one butterfly over every (signal,
+    n) mean."""
+    signals, ns = list(signals), np.atleast_1d(ns).tolist()
+    if alpha <= 0:
+        raise InvalidArgument("alpha must be positive")
+    if not (signals and ns):
+        return [[] for _ in signals]
+    bits = signals[0].bits
     if any(s.bits != bits for s in signals):
         raise InvalidArgument("need signals of equal bits")
     if not all(0 < k < (1 << bits) for k in ns):
         raise InvalidArgument("need 0 < n < 2^bits")
-    if alpha <= 0:
-        raise InvalidArgument("alpha must be positive")
     a, paley = cesaro_numbers(alpha, max(ns)), _paley(bits)
     coeffs = np.zeros((len(signals), len(ns), 1 << bits))     # in Paley order, as ifwt's
     for rows, c in zip(coeffs, map(fwt, signals)):
@@ -121,8 +123,7 @@ def cesaro_means(signal, n, alpha):
             row[paley[:k]] = a[k - 1::-1] / a[k] * c[:k]    # the bit reversal is an involution
     if not np.isfinite(coeffs).all():
         raise InvalidArgument("need finite coefficients")
-    out = [list(means) if np.ndim(n) else means[0] for means in _fwht(coeffs, copy=False)]
-    return out[0] if isinstance(signal, DyadicSignal) else out
+    return [list(means) for means in _fwht(coeffs, copy=False)]
 
 
 # br_means_regularity snaps the shift by int(nu * 2^bits / n), finite for |nu|

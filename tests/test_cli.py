@@ -1,15 +1,21 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from xlab import cli, corpus, ftlab, lebesgue, posdef_splines, seqspaces, smoothness, trig
+from xlab import (cli, corpus, ftlab, lebesgue, posdef_splines, seqspaces, smoothness, trig,
+                  walsh)
 from xlab.errors import InvalidArgument
 
 
@@ -805,6 +811,15 @@ GOLDEN_ROWS = [
      "75388e3f8873fa5ec60e1ea4ab8bf564453afe8b4ff82829660f4b7d4e7676d1"),
     ("euler-maclaurin-check", ["rmax=1"],
      "7c25ccf4e22e7ac8d4b8591363a334c6650617698350c56e8a75be4d1ea694cc"),
+    # runs that record failures: their rows and `# failure:` lines are pinned too
+    ("lebesgue-table", ["nmin=8192", "nmax=8192"],
+     "d6a77ebba1536d7bd55d0924576126dba3bab75ecf72d876949d509389c51162"),
+    ("kolmogorov-fit", ["r=4"],
+     "8e1e2e7d3597d404b891a6e9a2b8f51268e394e329dcca95138abc8cd7176533"),
+    ("indicator-zeros", ["body=square", "phis=4"],
+     "5ab0c61a0cd55fffae8e2e0a6644ada92c45dfa089b05543b7b106782efad694"),
+    ("euler-maclaurin-check", ["n=50", "rmax=4"],
+     "c92caf6df1f1736824c18feab88247d777a4ffd6367c94b3e7a90ed9e5565587"),
 ]
 
 
@@ -837,3 +852,105 @@ def test_golden_row_digest_in_a_fresh_process(experiment):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [digest for _, digest in cases]
+
+
+# ---------------------------------------------------------------------------
+# exit codes under hostile input: every experiment function replaced by a
+# recorder, so only parsing, the check rule and the cost guard run
+# ---------------------------------------------------------------------------
+
+# hostile inputs that parsing, a check rule or a cost guard refuses, each
+# with exit 2 before its experiment runs: those of ROADMAP item 5, and three
+# check rules that met an integer past the float range with a traceback
+REFUSED = [
+    ("kolmogorov-fit", ["r=" + "9" * 400]), ("two-sided-report", ["nmax=" + "9" * 400]),
+    ("indicator-zeros", ["p=" + "9" * 400]),
+    ("walsh-moduli", ["alpha=1000"]), ("walsh-moduli", ["alpha=1e20"]),
+    ("walsh-moduli", ["bits=16", "alpha=1e300"]),
+    ("euler-maclaurin-check", [f"n={10 ** 19}"]),
+    ("lebesgue-table", ["method=cesaro(-1)"]),
+    ("lebesgue-table", ["method=abel-poisson", f"nmax={10 ** 17}"]),
+    ("lebesgue-table", ["method=cesaro(1e300)", "nmax=3"]),
+    ("lebesgue-table", ["method=cesaro(1e20)", "nmax=20"]),
+    ("two-sided-report", ["nmax=512"]), ("two-sided-report", [f"m={2 ** 30}"]),
+    ("indicator-zeros", ["p=400"]), ("indicator-zeros", ["radius=0.001"]),
+    ("indicator-zeros", ["radius=1e308"]),
+    ("kolmogorov-fit", ["r=110"]), ("kolmogorov-fit", ["nmax=1000000000"]),
+    ("walsh-regularity", ["nu=1e308"]),
+    ("comparison-ratio", [f"nmax={10 ** 12}"]),
+    ("comparison-ratio", ["a=cesaro(1e300)", "nmax=4", "m=64"]),
+]
+# non-finite numbers and integers past int64 and past the float range
+HUGE_TOKENS = ["nan", "inf", "-inf", "1e309", str(2 ** 63), str(10 ** 19), "9" * 40, "9" * 400]
+# drawn for every key whatever its type: range ends and their neighbours,
+# wrong types, huge numbers, and the names the keys take
+FUZZ_TOKENS = sorted({
+    *HUGE_TOKENS,
+    *(str(v + d) for v in (0, 1, 2, *walsh.BITS_RANGE, *posdef_splines.A_SPLINE_N_RANGE,
+                           *posdef_splines.SCHOENBERG_DIMS, ftlab.EULER_MACLAURIN_RMAX,
+                           trig.GRID_MIN, 2 ** 30, 2 ** 53, 2 ** 63) for d in (-1, 0, 1)),
+    "0.5", "-0.5", "1.5", "1e-300", "5e-324", "1000", "1e10", "1e20",
+    "1e300", "1e308", "-1e308", str(walsh.SHIFT_MAX), "-nan",
+    "", " ", "x", "1,2", "0x10", "1_000", "1e", "all", "sin", "disc", "ellipse", "square", "oo",
+    "dirichlet", "fejer", "cesaro(-1)", "cesaro(1e300)", "cesaro(1e20)", "cesaro(nan)",
+    "riesz(2,1)", "abel-poisson(0.5)", "abel-poisson(2)", "cesaro", "cesaro(1,2)",
+    "16;8;4;2", "32", "0;1", "1;;2"})
+
+
+@st.composite
+def hostile_runs(draw):
+    """(experiment, key=value tokens, config file bytes or None)."""
+    name = draw(st.sampled_from(sorted(cli.REGISTRY)))
+    params = cli.REGISTRY[name].params
+    keys = draw(st.lists(st.sampled_from(sorted(params)), unique=True, max_size=3))
+    tokens = [f"{key}=" + draw(st.one_of(
+        st.sampled_from(FUZZ_TOKENS), st.sampled_from(HUGE_TOKENS), st.just(str(params[key][0])),
+        st.integers(-10, 5000).map(str), st.floats().map(repr))) for key in keys]
+    if draw(st.integers(0, 9)) == 0:
+        tokens.append(draw(st.sampled_from(["nosuch=1", "nmax", "=3"])))
+    config = draw(st.one_of(st.binary(max_size=12), st.sampled_from([
+        b"\xff\xfe\x00bad", b"nmax = 3\n", b"# x\n", f"{sorted(params)[0]} = nan\n".encode()]))) \
+        if draw(st.integers(0, 3)) == 0 else None
+    return name, tokens, config
+
+
+def _stubbed_main(name, tokens, config):
+    """cli.main on the tokens, every experiment a recorder: (exit code,
+    stdout, stderr, the recorded params)."""
+    calls = []
+    stubs = {key: e._replace(fn=lambda p, seed: calls.append(p) or ([], []))
+             for key, e in cli.REGISTRY.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [name, *tokens]
+        if config is not None:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "wb") as fh:
+                fh.write(config)
+            argv += ["--config", path]
+        with mock.patch.dict(cli.REGISTRY, stubs), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), calls
+
+
+def _refused_first(test):
+    """The test with each of REFUSED as an explicit example."""
+    for name, tokens in REFUSED:
+        test = example((name, tokens, None))(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(hostile_runs())
+@_refused_first
+def test_fuzzed_tokens_exit_0_or_2(run):
+    code, out, err, calls = _stubbed_main(*run)
+    # an exception escaping main would be a traceback, and fails the test
+    assert code in (0, 2)
+    if code == 2:
+        assert calls == [] and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert len(calls) == 1
+    assert code == 2 or (run[0], run[1]) not in REFUSED

@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 from xlab import ftlab as ft
-from xlab.errors import ConvergenceFailure, InvalidArgument, NotFound
+from xlab.errors import ConvergenceFailure, InvalidArgument
 
 
 # the general convex-polygon route (Green's theorem), the cross-route oracle
@@ -93,28 +93,26 @@ class TestHFunction:
 class TestEulerMaclaurin:
     def test_geometric_closed_form(self):
         f = ft.exponential_decay(1.0)
-        res = ft.euler_maclaurin_sum(f, 0, 0, np.pi / 2)
+        res, = ft.euler_maclaurin_sum(f, 0, 0, np.pi / 2)
         exact = 1.0 / (1.0 - np.exp(-1.0 + 1j * np.pi / 2))
         assert abs(res["lhs"] - exact) < 1e-10
         assert abs(res["theta"]) <= 3.0
 
     def test_exponential_first_order(self):
         f = ft.exponential_decay(1.0)
-        res = ft.euler_maclaurin_sum(f, 0, 1, np.pi / 2)
+        res = ft.euler_maclaurin_sum(f, 0, 1, np.pi / 2)[1]
         assert abs(res["variation"] - 1.0) < 1e-12
         assert abs(res["theta"]) <= 3.0
 
     def test_inverse_square(self):
         g = ft.inverse_power(2.0)
-        res = ft.euler_maclaurin_sum(g, 1, 0, 1.0)
+        res, = ft.euler_maclaurin_sum(g, 1, 0, 1.0)
         assert abs(res["theta"]) <= 3.0
         assert abs(res["variation"] - g.deriv(1, 0)) < 1e-12
 
     def test_corrections_help(self):
         f = ft.exponential_decay(1.0)
-        errs = [abs(ft.euler_maclaurin_sum(f, 0, r, 1.0)["lhs"]
-                    - ft.euler_maclaurin_sum(f, 0, r, 1.0)["rhs_main"])
-                for r in (0, 1, 2)]
+        errs = [abs(res["lhs"] - res["rhs_main"]) for res in ft.euler_maclaurin_sum(f, 0, 2, 1.0)]
         assert errs[0] > errs[1] > errs[2]
 
     def test_series_against_closed_forms(self, monkeypatch):
@@ -185,20 +183,23 @@ class TestEulerMaclaurin:
                 exact = q ** n * mpmath.lerchphi(q, b, n + 1)
                 gap = abs(mpmath.mpc(series[0].real, series[0].imag) - exact)
                 assert gap <= series[1], (b, x, gap, series[1])
-                res = ft.euler_maclaurin_sum(f, n, 0, x, series=series)
+                # euler_maclaurin_sum sums the series to rmax's target as above
+                res = ft.euler_maclaurin_sum(f, n, 2, x)[0]
+                assert res["lhs"] == series[0]
                 assert abs(res["theta"]) <= 3.0
 
     def test_theta_error_guard(self):
         # at n = 50, r = 4 pi^r / V ~ 2e10 for b = 2.125, and the series,
         # capped at OSCILLATORY_TERMS + 1 terms, keeps a tail bound that
         # moves theta by ~1e-2: the row fails instead of reporting it
-        with pytest.raises(ConvergenceFailure, match="numerical error of theta"):
-            ft.euler_maclaurin_sum(ft.inverse_power(2.125), 50, 4, 1.0)
+        res = ft.euler_maclaurin_sum(ft.inverse_power(2.125), 50, 4, 1.0)[4]
+        assert isinstance(res, ConvergenceFailure)
+        assert re.match("numerical error of theta", str(res))
 
     def test_integral_sized_for_theta(self):
         # pi^r / V ~ 8e11 here: an integral good to quad's default epsabs
         # moved theta by ~40, the contour rule's bound leaves it certified
-        res = ft.euler_maclaurin_sum(ft.inverse_power(3.375), 50, 4, 1.0)
+        res = ft.euler_maclaurin_sum(ft.inverse_power(3.375), 50, 4, 1.0)[4]
         assert abs(res["theta"]) <= 3.0
         assert res["numeric_error"] * np.pi ** 4 / res["variation"] \
             <= ft.EULER_MACLAURIN_THETA_TOL
@@ -208,9 +209,11 @@ class TestEulerMaclaurin:
         # the row fails instead of printing theta = 0
         f = ft.exponential_decay(0.2)
         assert f.variation(10 ** 8, 0) == 0.0
-        for r in (0, 1, 2):
-            with pytest.raises(ConvergenceFailure, match="underflows to 0"):
-                ft.euler_maclaurin_sum(f, 10 ** 8, r, 1.0)
+        got = ft.euler_maclaurin_sum(f, 10 ** 8, 2, 1.0)
+        assert len(got) == 3
+        for res in got:
+            assert isinstance(res, ConvergenceFailure)
+            assert re.search("underflows to 0", str(res))
         # inverse_power keeps V > 0 there, so the guard does not fire
         assert ft.inverse_power(1.5).variation(10 ** 8, 0) > 0
 
@@ -222,13 +225,14 @@ class TestEulerMaclaurin:
         mpmath = pytest.importorskip("mpmath")
         monkeypatch.setattr(mpmath.mp, "dps", 40)
         for x in (np.pi / 2, 3.0):
-            res = ft.euler_maclaurin_sum(ft.exponential_decay(1e-7), 1, 0, x)
+            res, = ft.euler_maclaurin_sum(ft.exponential_decay(1e-7), 1, 0, x)
             z = 1j * mpmath.mpf(x) - mpmath.mpf(1e-7)
             gap = abs(mpmath.mpc(res["lhs"].real, res["lhs"].imag)
                       - mpmath.exp(z) / (1 - mpmath.exp(z)))
             assert gap <= 1e-14 and gap <= res["numeric_error"]
-            with pytest.raises(ConvergenceFailure, match="sum/integral tolerance not met"):
-                ft.euler_maclaurin_sum(ft.exponential_decay(1e-5), 1, 0, x)
+            res, = ft.euler_maclaurin_sum(ft.exponential_decay(1e-5), 1, 0, x)
+            assert isinstance(res, ConvergenceFailure)
+            assert re.match("sum/integral tolerance not met", str(res))
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -341,7 +345,7 @@ class TestJ1:
         # p = 1 on every ray of the CLI's default 64
         disc = ft.ConvexBody2D.disc(1.0)
         for p in range(1, 6):
-            assert ft.zero_curve(disc, p, 0.0) in _bracket(p)
+            assert ft.zero_curve(disc, p, [0.0])[0] in _bracket(p)
         got = ft.zero_curve(disc, 1, [np.pi * i / 64 for i in range(64)])
         assert set(got) <= set(_bracket(1))
 
@@ -426,15 +430,15 @@ class TestZeroCurve:
         disc = ft.ConvexBody2D.disc(1.0)
         for p in (1, 2, 3, 5):
             jp = special.jn_zeros(1, p)[-1]
-            r = ft.zero_curve(disc, p, 0.37)
+            r, = ft.zero_curve(disc, p, [0.37])
             assert abs(r - jp) < 1e-6
             assert p * np.pi < jp < (p + 1) * np.pi
 
     def test_bracket_containment(self):
         ell = ft.ConvexBody2D.ellipse(1.0, 0.5)
-        for phi in np.linspace(0, np.pi, 9):
+        phis = np.linspace(0, np.pi, 9)
+        for phi, r in zip(phis, ft.zero_curve(ell, 1, phis)):
             d = ell.width(phi)
-            r = ft.zero_curve(ell, 1, phi)
             assert 2 * np.pi < d * r < 4 * np.pi
 
     def test_scan_equals_the_scalar_loop(self):
@@ -468,7 +472,7 @@ class TestZeroCurve:
 
     def test_angles_at_once_equal_one_at_a_time(self):
         # a sequence of angles gives one entry per angle, each the bits of
-        # the call at that angle alone; failures are returned, not raised
+        # the call at that angle alone, a failure the same failure
         phis = np.pi * np.arange(64) / 64
         for body in (ft.ConvexBody2D.disc(1.0), ft.ConvexBody2D.ellipse(1.0, 0.5),
                      ft.ConvexBody2D.square(0.7)):
@@ -476,12 +480,12 @@ class TestZeroCurve:
                 got = ft.zero_curve(body, p, phis)
                 assert len(got) == 64
                 for phi, r in zip(phis, got):
-                    if isinstance(r, NotFound):
-                        with pytest.raises(NotFound, match=re.escape(str(r))):
-                            ft.zero_curve(body, p, phi)
+                    one, = ft.zero_curve(body, p, [phi])
+                    if isinstance(r, ConvergenceFailure):
+                        assert isinstance(one, ConvergenceFailure) and str(one) == str(r)
                     else:
                         assert isinstance(r, float)
-                        assert r.hex() == ft.zero_curve(body, p, phi).hex()
+                        assert r.hex() == one.hex()
 
     def test_ray_chunks_leave_the_zeros_alone(self, monkeypatch):
         # SYNTHESIS_ENTRIES // 96 rays a chunk: chunks of 1 and 3 rays give
@@ -515,7 +519,7 @@ class TestZeroCurve:
     def test_scan_keeps_the_frequency_cap(self):
         # a body narrow enough that its bracket passes |u| = INDICATOR_FT_UMAX
         with pytest.raises(InvalidArgument, match="need 0 < |u|"):
-            ft.zero_curve(ft.ConvexBody2D.disc(1e-3), 1, 0.0)
+            ft.zero_curve(ft.ConvexBody2D.disc(1e-3), 1, [0.0])
 
     def test_asymmetric_rejected(self):
         # the oracle for zero_curve refuses a polygon without central symmetry
@@ -536,7 +540,7 @@ class TestZeroCurve:
             for p in (1, 2, 3):
                 lo, hi = 2 * p * np.pi / d, 2 * (p + 1) * np.pi / d
                 want = zeros[(lo < zeros) & (zeros < hi)].min()
-                assert abs(ft.zero_curve(sq, p, phi) - want) < 1e-9, (phi, p)
+                assert abs(ft.zero_curve(sq, p, [phi])[0] - want) < 1e-9, (phi, p)
 
     def test_square_symmetry_rays_attain_the_bounds(self):
         # on the axes a simple zero sits at d r = 2p pi, the bracket's lower
@@ -551,16 +555,17 @@ class TestZeroCurve:
             end = 2 * np.pi / d if i % 2 == 0 else 4 * np.pi / d
             assert abs(ft.indicator_ft(sq, end * e)) < 1e-12
             which = "lower" if i % 2 == 0 else "upper"
-            with pytest.raises(NotFound, match=f"{which} end .*bound is attained"):
-                ft.zero_curve(sq, 1, phi)
+            r, = ft.zero_curve(sq, 1, [phi])
+            assert isinstance(r, ConvergenceFailure)
+            assert re.search(f"{which} end .*bound is attained", str(r))
 
     def test_square_symmetry_failures_are_returned(self, tmp_path):
-        # four angles at once: four NotFound entries, lower and upper ends
+        # four angles at once: four failure entries, lower and upper ends
         # in turn, and the same four failure lines from the CLI
         from xlab import cli
         phis = [np.pi * i / 4 for i in range(4)]
         got = ft.zero_curve(ft.ConvexBody2D.square(1.0), 1, phis)
-        assert all(isinstance(r, NotFound) for r in got)
+        assert all(isinstance(r, ConvergenceFailure) for r in got)
         assert [str(r).split("'s ")[1].split(" end")[0] for r in got] \
             == ["lower", "upper", "lower", "upper"]
         out = tmp_path / "t.csv"
@@ -617,5 +622,5 @@ class TestCrossRouteBodies:
         poly = symmetric_polygon(np.column_stack([np.cos(t), 0.5 * np.sin(t)]))
         ell = ft.ConvexBody2D.ellipse(1.0, 0.5)
         for phi in (0.0, 0.9):
-            assert abs(ft.zero_curve(poly, 1, phi)
-                       - ft.zero_curve(ell, 1, phi)) < 1e-4
+            assert abs(ft.zero_curve(poly, 1, [phi])[0]
+                       - ft.zero_curve(ell, 1, [phi])[0]) < 1e-4

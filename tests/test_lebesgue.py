@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xlab import ftlab, walsh
 from xlab import lebesgue as lb
 from xlab import trig
 from xlab.errors import ConvergenceFailure, InvalidArgument
@@ -218,12 +219,12 @@ def one_row_l1(c, oversample=16, poly=(0.0,)):
 
 class TestLebesgueConstant:
     def test_dirichlet_zero(self):
-        assert abs(lb.lebesgue_constant(trig.dirichlet(), 0).value - 1.0) < 1e-14
+        assert abs(lb.lebesgue_constant(trig.dirichlet(), [0])[0].value - 1.0) < 1e-14
 
     def test_dirichlet_one_closed_form(self):
         # kernel 1 + 2cos t changes sign at 2pi/3
         want = 1.0 / 3.0 + 2.0 * math.sqrt(3) / math.pi
-        s = lb.lebesgue_constant(trig.dirichlet(), 1)
+        s = lb.lebesgue_constant(trig.dirichlet(), [1])[0]
         assert abs(s.value - want) < 1e-13
         assert s.quad_error < 1e-10
 
@@ -232,13 +233,13 @@ class TestLebesgueConstant:
         # of the M = 128 grid; its weight cos(pi/2) = 6e-17 at k = +-2 adds
         # at most 2|c_2| to the norm, and the closed form carries 2u.  The
         # polish takes the zero at the end of its cell, to a few u
-        s, want = lb.lebesgue_constant(rogosinski(), 2), 0.5 + 2.0 / math.pi
+        s, want = lb.lebesgue_constant(rogosinski(), [2])[0], 0.5 + 2.0 / math.pi
         slack = 2.0 * abs(rogosinski().weights(2)[2]) + 2.0 * UNIT_ROUNDOFF * want
         assert abs(s.value - want) <= s.quad_error + slack
         assert abs(s.value - want) <= 4.0 * UNIT_ROUNDOFF * want
         assert s.quad_error <= 5e-14
         # Fejer n = 1: 1 + cos x has a double zero at the node pi
-        s = lb.lebesgue_constant(fejer(), 1)
+        s = lb.lebesgue_constant(fejer(), [1])[0]
         assert abs(s.value - 1.0) <= s.quad_error
         # cos x - a, a = cos(pi - i pi/32), has its zeros at the scan nodes
         # i and 64 - i of M = 64, at i = 4, 8, 12 nodes of the Taylor grid
@@ -246,7 +247,7 @@ class TestLebesgueConstant:
         # is flat in x0 and carries a few u
         for i in (1, 2, 3, 4, 8, 12):
             a = math.cos(math.pi - i * math.pi / 32)
-            value, err = lb.trig_poly_l1(np.array([-a, 0.5]))
+            value, err = lb.trig_poly_l1([np.array([-a, 0.5])])[0]
             x0 = math.acos(a)
             want = 2.0 * (2.0 * math.sin(x0) + a * (math.pi - 2.0 * x0))
             assert abs(value - want) <= err + 8.0 * UNIT_ROUNDOFF * want
@@ -258,21 +259,21 @@ class TestLebesgueConstant:
         # whole scan cell, not the bracket the polish left
         monkeypatch.setattr(lb, "POLISH_STEPS", steps)
         for n in (5, 17, 40, 100):
-            value, err = lb.trig_poly_l1(dirichlet().weights(n))
+            value, err = lb.trig_poly_l1([dirichlet().weights(n)])[0]
             ref, rounding = fejer_dirichlet(n)
             assert abs(value / (2 * np.pi) - ref) <= err / (2 * np.pi) + rounding
         # cos x - a with its zeros at 1/4, 1/2 and 3/4 of a scan cell of M = 64
         for i in range(32):
             for frac in (0.25, 0.5, 0.75):
                 a = math.cos(math.pi - (i + frac) * math.pi / 32)
-                value, err = lb.trig_poly_l1(np.array([-a, 0.5]))
+                value, err = lb.trig_poly_l1([np.array([-a, 0.5])])[0]
                 x0 = math.acos(a)
                 want = 2.0 * (2.0 * math.sin(x0) + a * (math.pi - 2.0 * x0))
                 assert abs(value - want) <= err + 8.0 * UNIT_ROUNDOFF * want
 
     def test_fejer_is_one(self):
         for n in (0, 1, 7, 40):
-            s = lb.lebesgue_constant(trig.fejer(), n)
+            s = lb.lebesgue_constant(trig.fejer(), [n])[0]
             assert abs(s.value - 1.0) < 1e-10
 
     def test_projection_lower_bound(self):
@@ -280,28 +281,28 @@ class TestLebesgueConstant:
         for method in method_catalog():
             for n in (0, 1, 4, 9):
                 lam0 = abs(method.weights(n)[0])
-                s = lb.lebesgue_constant(method, n)
+                s = lb.lebesgue_constant(method, [n])[0]
                 assert s.value >= lam0 - 1e-9
 
     def test_certification_honesty(self, monkeypatch):
         # doubling the scan resolution moves the value by less than the
         # reported error bound
         w = trig.dirichlet().weights(17)
-        v1, e1 = lb.trig_poly_l1(w)
+        v1, e1 = lb.trig_poly_l1([w])[0]
         monkeypatch.setattr(lb, "OVERSAMPLE", 32)
-        v2, _ = lb.trig_poly_l1(w)
+        v2, _ = lb.trig_poly_l1([w])[0]
         assert abs(v1 - v2) <= max(e1, 1e-12)
 
     def test_bernstein_matches_rogosinski(self):
         # the half-shift average is the symmetric average's kernel shifted,
         # so their norms agree; exercises complex weights
         for n in (4, 9):
-            b = lb.lebesgue_constant(trig.bernstein(), n).value
-            r = lb.lebesgue_constant(trig.rogosinski(), n).value
+            b = lb.lebesgue_constant(trig.bernstein(), [n])[0].value
+            r = lb.lebesgue_constant(trig.rogosinski(), [n])[0].value
             assert abs(b - r) < 1e-8
 
     def test_strictly_increasing_in_n(self):
-        vals = [lb.lebesgue_constant(trig.dirichlet(), n).value
+        vals = [lb.lebesgue_constant(trig.dirichlet(), [n])[0].value
                 for n in range(1, 257, 17)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -311,20 +312,20 @@ class TestLebesgueConstant:
         for n in (1, 5, 17, 64):
             k = trig.synthesize(trig.dirichlet().weights(n), m)
             riemann = trig.grid_norm(k, 1) / (2 * np.pi)
-            exact = lb.lebesgue_constant(trig.dirichlet(), n).value
+            exact = lb.lebesgue_constant(trig.dirichlet(), [n])[0].value
             assert abs(riemann - exact) < 1e-6
 
     def test_non_hermitian_coefficients_rejected(self):
         # a half c_0..c_K stands for a Hermitian array unless c_0 is not
         # real: c_0 != conj c_0
         with pytest.raises(InvalidArgument):
-            lb.trig_poly_l1(np.array([1j, 1.0]))
+            lb.trig_poly_l1([np.array([1j, 1.0])])
 
     def test_nearly_hermitian_coefficients_rejected(self):
         # Im c_0 = 1e-6 only: Im f = 1e-6 is not zero, and the engine takes
         # real kernels alone
         with pytest.raises(InvalidArgument):
-            lb.trig_poly_l1(np.array([1 + 1e-6j, 1.0]))
+            lb.trig_poly_l1([np.array([1 + 1e-6j, 1.0])])
         # one such row refuses the whole list
         with pytest.raises(InvalidArgument):
             lb.trig_poly_l1([dirichlet().weights(3), np.array([1 + 1e-6j, 1.0])])
@@ -339,7 +340,7 @@ class TestLebesgueConstant:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgument):
-                lb.trig_poly_l1(c)
+                lb.trig_poly_l1([c])
         assert calls == []
 
     @pytest.mark.parametrize("method", method_catalog(), ids=lambda m: m.name)
@@ -366,7 +367,7 @@ class TestLebesgueConstant:
 class TestOraclesAtScale:
     @pytest.mark.parametrize("n", [1, 17, 1024, 8192, 65536])
     def test_dirichlet_against_fejer_closed_form(self, n):
-        value, err = lb.trig_poly_l1(trig.dirichlet().weights(n))
+        value, err = lb.trig_poly_l1([trig.dirichlet().weights(n)])[0]
         ref, rounding = fejer_dirichlet(n)
         assert abs(value / (2 * np.pi) - ref) <= err / (2 * np.pi) + rounding
 
@@ -388,8 +389,8 @@ class TestOraclesAtScale:
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_bernstein_equals_rogosinski(self, n):
-        b = lb.lebesgue_constant(trig.bernstein(), n)
-        r = lb.lebesgue_constant(trig.rogosinski(), n)
+        b = lb.lebesgue_constant(trig.bernstein(), [n])[0]
+        r = lb.lebesgue_constant(trig.rogosinski(), [n])[0]
         assert abs(b.value - r.value) <= b.quad_error + r.quad_error
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -399,8 +400,8 @@ class TestOraclesAtScale:
         # w_k e^{ik tau} is the kernel translated by tau: same L1 norm
         w = method.weights(n)
         shifted = w * np.exp(1j * np.arange(w.size) * tau)
-        v0, e0 = lb.trig_poly_l1(w)
-        v1, e1 = lb.trig_poly_l1(shifted)
+        v0, e0 = lb.trig_poly_l1([w])[0]
+        v1, e1 = lb.trig_poly_l1([shifted])[0]
         assert abs(v0 - v1) <= e0 + e1
 
 
@@ -444,7 +445,7 @@ class TestStackedEngine:
             lb.trig_poly_l1([method.weights(n) for n in range(131)])
         for r in (1, 2, 3):
             for n in (63, 126, 252, 504):
-                lb.kolmogorov_deviation(r, n)
+                lb.kolmogorov_deviation(r, [n])
         lb.trig_poly_l1([dirichlet().weights(1018), rogosinski().weights(510),
                          bernstein().weights(34), rogosinski().weights(34)])
         assert passes and max(passes) <= 5
@@ -459,7 +460,7 @@ class TestStackedEngine:
             return trig.synthesize(c, m)
 
         monkeypatch.setattr(lb, "synthesize", record)
-        lb.trig_poly_l1(dirichlet().weights(1018))
+        lb.trig_poly_l1([dirichlet().weights(1018)])
         assert sizes[0] == 32768 and sizes.count(32768) == 1
         assert len(sizes) > 1 and set(sizes[1:]) == {8192}
 
@@ -469,7 +470,7 @@ class TestStackedEngine:
         for n in (0, 1, 5, 64, 200):
             c = tail_coefficients(r, n)
             assert lb.trig_poly_l1([c], poly) == [one_row_l1(c, 16, poly)]
-        assert lb.kolmogorov_deviation(r, 64) == one_row_l1(
+        assert lb.kolmogorov_deviation(r, [64])[0] == one_row_l1(
             tail_coefficients(r, 64), 16, poly)[0] / np.pi
 
     def test_kolmogorov_sequence_equals_one_n_at_a_time(self):
@@ -480,12 +481,11 @@ class TestStackedEngine:
             got = lb.kolmogorov_deviation(r, ns)
             assert len(got) == len(ns)
             for n, value in zip(ns, got):
-                try:
-                    want = lb.kolmogorov_deviation(r, n)
-                except ConvergenceFailure as e:
+                want, = lb.kolmogorov_deviation(r, [n])
+                if isinstance(want, ConvergenceFailure):
                     assert r == 4 and isinstance(value, ConvergenceFailure)
                     assert (value.best_estimate, value.error_estimate) == (
-                        e.best_estimate, e.error_estimate)
+                        want.best_estimate, want.error_estimate)
                 else:
                     assert value == want
         assert any(isinstance(v, ConvergenceFailure) for v in got)
@@ -505,7 +505,7 @@ class TestStackedEngine:
         monkeypatch.setattr(lb, "_polyval", counted)
         lb.trig_poly_l1([m.weights(n) for m in method_catalog() for n in (0, 1, 9, 130)])
         assert calls == []
-        lb.kolmogorov_deviation(2, 64)
+        lb.kolmogorov_deviation(2, [64])
         assert max(calls) == lb.grid_size(64) + 1
 
     def test_negative_zero_scan_sample_counts_as_positive(self, monkeypatch):
@@ -521,7 +521,7 @@ class TestStackedEngine:
                 return f
 
             monkeypatch.setattr(lb, "synthesize", record)
-            return lb.trig_poly_l1(fejer().weights(8))
+            return lb.trig_poly_l1([fejer().weights(8)])[0]
 
         assert run(-0.0) == run(0.0)
 
@@ -538,24 +538,26 @@ class TestStackedEngine:
         ws = [ws[i] for i in rng.permutation(len(ws))]
         assert len({lb.grid_size(w.size - 1) for w in ws}) >= 6
         assert lb.trig_poly_l1(ws) == [one_row_l1(w) for w in ws]
-        assert lb.trig_poly_l1(ws) == [lb.trig_poly_l1(w) for w in ws]
+        assert lb.trig_poly_l1(ws) == [lb.trig_poly_l1([w])[0] for w in ws]
 
     def test_sequence_of_n_records_each_failure(self):
-        single = [lb.trig_poly_l1(dirichlet().weights(n))[1] / (2 * np.pi) for n in (1, 40)]
+        single = [lb.trig_poly_l1([dirichlet().weights(n)])[0][1] / (2 * np.pi) for n in (1, 40)]
         tol = math.sqrt(single[0] * single[1])       # between the two bounds
         assert min(single) < tol < max(single)
         got = lb.lebesgue_constant(dirichlet(), range(1, 41), tol=tol)
         assert len(got) == 40
         for n, s in zip(range(1, 41), got):
-            value, err = lb.trig_poly_l1(dirichlet().weights(n))
+            value, err = lb.trig_poly_l1([dirichlet().weights(n)])[0]
             if err / (2 * np.pi) > tol:
                 assert isinstance(s, ConvergenceFailure)
                 assert (s.best_estimate, s.error_estimate) == (value / (2 * np.pi),
                                                               err / (2 * np.pi))
-                with pytest.raises(ConvergenceFailure):
-                    lb.lebesgue_constant(dirichlet(), n, tol=tol)
+                one, = lb.lebesgue_constant(dirichlet(), [n], tol=tol)
+                assert isinstance(one, ConvergenceFailure)
+                assert (one.best_estimate, one.error_estimate) == (s.best_estimate,
+                                                                  s.error_estimate)
             else:
-                assert s == lb.lebesgue_constant(dirichlet(), n, tol=tol)
+                assert s == lb.lebesgue_constant(dirichlet(), [n], tol=tol)[0]
         assert any(isinstance(s, ConvergenceFailure) for s in got)
         assert not all(isinstance(s, ConvergenceFailure) for s in got)
         assert lb.lebesgue_constant(dirichlet(), []) == []
@@ -634,6 +636,12 @@ class TestFits:
         with pytest.raises(InvalidArgument):
             lb.classical_lebesgue_fit(8, 16)
 
+    def test_failed_n_is_raised(self):
+        # one engine call over the grid; the fit has no value at Dirichlet
+        # n = 8192, whose bound misses the default tolerance
+        with pytest.raises(ConvergenceFailure, match="requested tolerance not certified"):
+            lb.classical_lebesgue_fit(2048, 8192)
+
     def test_geometric_grid(self):
         assert lb.geometric_grid(3, 24) == [3, 6, 12, 24]
         for nmin in (0, -1):            # doubling from 0 or below never ends
@@ -644,7 +652,7 @@ class TestFits:
 class TestKolmogorovDeviation:
     def test_no_terms_closed_form(self):
         # r=1, n=0: (1/pi) integral of |(pi-t)/2| over the period
-        assert abs(lb.kolmogorov_deviation(1, 0) - math.pi / 2) < 1e-12
+        assert abs(lb.kolmogorov_deviation(1, [0])[0] - math.pi / 2) < 1e-12
 
     def test_tail_oracle(self):
         for (r, n, t) in ((1, 5, 0.7), (2, 8, 1.1), (3, 3, 2.3)):
@@ -654,7 +662,7 @@ class TestKolmogorovDeviation:
 
     def test_monotone_in_n(self):
         for r in (1, 2):
-            vals = [lb.kolmogorov_deviation(r, n) for n in (16, 32, 64, 128, 256)]
+            vals = [lb.kolmogorov_deviation(r, [n])[0] for n in (16, 32, 64, 128, 256)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
             assert all(v > 0 for v in vals)
 
@@ -662,21 +670,21 @@ class TestKolmogorovDeviation:
         # frozen from direct computation: 0.630, 0.603, 0.581 decreasing
         # toward 4/pi^2 + (const)/ln n
         for n in (128, 256, 512):
-            v = lb.kolmogorov_deviation(1, n) * n / math.log(n)
+            v = lb.kolmogorov_deviation(1, [n])[0] * n / math.log(n)
             assert 0.3 <= v <= 0.65
 
     def test_large_power_fails_on_tolerance(self):
         # 1024^7 >= 2^63: the coefficients must not wrap around in int64;
         # the honest error bound then exceeds the default tolerance
-        with pytest.raises(ConvergenceFailure):
-            lb.kolmogorov_deviation(7, 1024)
+        v, = lb.kolmogorov_deviation(7, [1024])
+        assert isinstance(v, ConvergenceFailure)
 
     @pytest.mark.parametrize("r,n", [(4, 1024), (8, 64)])
     def test_bound_not_below_value_fails(self, r, n):
         # bounds 4.7e-10 and 4.3e-11 pass the absolute tol but exceed the
         # values 3.1e-12 and 7.3e-14 themselves
-        with pytest.raises(ConvergenceFailure):
-            lb.kolmogorov_deviation(r, n)
+        v, = lb.kolmogorov_deviation(r, [n])
+        assert isinstance(v, ConvergenceFailure)
 
 
 class TestRhombic:
@@ -969,7 +977,7 @@ class TestIndependentQuadratureOracle:
         for method, n in ((trig.dirichlet(), 7), (trig.rogosinski(), 5),
                           (trig.cesaro(0.5), 6), (trig.riesz(1, 2), 9)):
             w = method.weights(n)
-            value, err = lb.trig_poly_l1(w)
+            value, err = lb.trig_poly_l1([w])[0]
 
             def absk(t):
                 k = np.arange(1, w.size)
@@ -981,7 +989,7 @@ class TestIndependentQuadratureOracle:
     def test_kolmogorov_deviation_against_scipy(self):
         from scipy import integrate
         for r, n in ((1, 3), (2, 5), (3, 2)):
-            value = lb.kolmogorov_deviation(r, n)
+            value = lb.kolmogorov_deviation(r, [n])[0]
 
             def absg(t):
                 return abs(tail_kernel(r, n, np.array([t]))[0])
@@ -995,8 +1003,28 @@ class TestIndependentQuadratureOracle:
             band = int(rng.integers(1, 12))
             half = rng.standard_normal(band) + 1j * rng.standard_normal(band)
             w = np.concatenate([rng.standard_normal(1), half])
-            value, err = lb.trig_poly_l1(w)
+            value, err = lb.trig_poly_l1([w])[0]
             m = 1 << 18
             k = trig.synthesize(w, m)
             riemann = trig.grid_norm(k, 1)
             assert abs(value - riemann) < 1e-5 * max(1.0, riemann)
+
+
+# every per-item function returns an empty list for an empty sequence of
+# items (cesaro_means a list per signal)
+EMPTY_CALLS = {
+    "trig_poly_l1": (lambda: lb.trig_poly_l1([]), []),
+    "lebesgue_constant": (lambda: lb.lebesgue_constant(dirichlet(), []), []),
+    "kolmogorov_deviation": (lambda: lb.kolmogorov_deviation(1, []), []),
+    "zero_curve": (lambda: ftlab.zero_curve(ftlab.ConvexBody2D.disc(1.0), 1, []), []),
+    "euler_maclaurin_sum": (
+        lambda: ftlab.euler_maclaurin_sum(ftlab.exponential_decay(1.0), 0, -1, 1.0), []),
+    "cesaro_means-signals": (lambda: walsh.cesaro_means([], [3], 1.0), []),
+    "cesaro_means-n": (lambda: walsh.cesaro_means(
+        [walsh.DyadicSignal(np.arange(8.0))], [], 1.0), [[]]),
+}
+
+
+@pytest.mark.parametrize("call,want", EMPTY_CALLS.values(), ids=EMPTY_CALLS.keys())
+def test_empty_sequence_gives_empty_list(call, want):
+    assert call() == want

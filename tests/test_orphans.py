@@ -247,3 +247,27 @@ def test_no_scipy_import():
             used += [f"{path.name}:{node.lineno} {name}" for name in names
                      if name.split(".")[0] == "scipy"]
     assert not used, "scipy imports: " + ", ".join(used)
+
+
+# the raises of the per-item modules that are not InvalidArgument, by
+# (module, function): a numerical failure is returned in its item's place
+RAISE_EXEMPT = {
+    ("lebesgue.py", "classical_lebesgue_fit"):
+        "the fit has no value at a failed n, so it raises that n's failure",
+}
+
+
+def test_per_item_modules_raise_only_invalid_argument():
+    raised = []
+    for name in ("lebesgue.py", "ftlab.py", "walsh.py"):
+        tree = ast.parse((ROOT / "src" / "xlab" / name).read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                exc = getattr(node, "exc", None)
+                invalid = isinstance(exc, ast.Call) and _name(exc.func) == "InvalidArgument"
+                if isinstance(node, ast.Raise) and not invalid \
+                        and (name, func.name) not in RAISE_EXEMPT:
+                    raised.append(f"{name}:{node.lineno} in {func.name}")
+    assert not raised, "raises other than InvalidArgument: " + ", ".join(raised)

@@ -192,21 +192,24 @@ class TestEdgeCases:
         with pytest.raises(InvalidArgument):
             trig.approximation_error(trig.fejer(), 2, c, 64)
 
-    # the L1 engine accepts coefficients c_0..c_2 with c_0 real, of any
-    # length, and rejects an imaginary part in c_0 (a kernel that is not
-    # real), an empty array and arrays that are not 1-D, also in an
-    # iterator of (index list, arrays) stacks
-    @pytest.mark.parametrize("coeffs", [[3.0 + 1j, 0.0, 1 + 1j], [], [np.array([])],
+    # the L1 engine accepts lists of coefficients c_0..c_2 with c_0 real, of
+    # any length, and rejects an imaginary part in c_0 (a kernel that is not
+    # real), an empty array and arrays that are not 1-D, also in an iterator
+    # of (index list, arrays) stacks; a bare 1-D array is a list of scalars,
+    # each refused as not 1-D (the empty list is tested with the other
+    # per-item functions in test_lebesgue)
+    @pytest.mark.parametrize("coeffs", [[[3.0 + 1j, 0.0, 1 + 1j]], [np.array([])],
                                         [[3.0, 0.0, 1 + 1j], np.ones((2, 3))],
                                         np.ones((1, 2, 3)), iter([([0], [np.array([])])]),
-                                        iter([([0, 1], [np.ones(3), np.ones((2, 3))])])],
-                             ids=["non-hermitian", "empty", "empty-in-list", "2-d-in-list",
-                                  "3-d", "empty-in-stack", "2-d-in-stack"])
+                                        iter([([0, 1], [np.ones(3), np.ones((2, 3))])]),
+                                        np.array([3.0, 0.0, 1.0])],
+                             ids=["non-hermitian", "empty-in-list", "2-d-in-list",
+                                  "3-d", "empty-in-stack", "2-d-in-stack", "bare-1-d"])
     def test_l1_coefficient_checks(self, coeffs):
         from xlab import lebesgue
-        lebesgue.trig_poly_l1([3.0, 0.0, 1 + 1j])
+        lebesgue.trig_poly_l1([[3.0, 0.0, 1 + 1j]])
         assert lebesgue.trig_poly_l1(iter([([0], [[3.0, 0.0, 0.0, 1 + 1j]])])) \
-            == [lebesgue.trig_poly_l1([3.0, 0.0, 0.0, 1 + 1j])]
+            == lebesgue.trig_poly_l1([[3.0, 0.0, 0.0, 1 + 1j]])
         with pytest.raises(InvalidArgument):
             lebesgue.trig_poly_l1(coeffs)
 

@@ -154,7 +154,7 @@ class TestCesaro:
         f = w.DyadicSignal(rng.standard_normal(1 << 9))
         c = w.fwt(f)
         n = 37
-        got = w.cesaro_means(f, n, 1.0)
+        got = w.cesaro_means([f], [n], 1.0)[0][0]
         want = np.mean([partial_sum(c, k, 9) for k in range(n + 1)], axis=0)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -167,7 +167,7 @@ class TestCesaro:
         coeffs[: 1 << (bits - 1)] = rng.standard_normal(1 << (bits - 1))
         f = w.DyadicSignal(w.ifwt(coeffs, bits))
         n = (1 << bits) - 1
-        err = np.max(np.abs(w.cesaro_means(f, n, 1.0) - f.values))
+        err = np.max(np.abs(w.cesaro_means([f], [n], 1.0)[0][0] - f.values))
         lam_min = w.cesaro_multipliers(n, 1.0)[(1 << (bits - 1)) - 1]
         bound = (1 - lam_min) * np.sum(np.abs(coeffs))
         assert err <= bound + 1e-12
@@ -180,11 +180,11 @@ class TestCesaro:
         f = w.DyadicSignal(rng.standard_normal(1 << 7))
         ns = [1, 2, 64, 5, 127]
         for alpha in (1.0, 0.5):
-            got = w.cesaro_means(f, ns, alpha)
-            assert all(np.array_equal(g, w.cesaro_means(f, n, alpha))
+            got = w.cesaro_means([f], ns, alpha)[0]
+            assert all(np.array_equal(g, w.cesaro_means([f], [n], alpha)[0][0])
                        for g, n in zip(got, ns))
         with pytest.raises(InvalidArgument):
-            w.cesaro_means(f, [3, 128], 1.0)
+            w.cesaro_means([f], [3, 128], 1.0)
         calls, fwt = [], w.fwt
         monkeypatch.setattr(w, "fwt", lambda sig: calls.append(sig) or fwt(sig))
         rows, _ = cli._exp_walsh_moduli({"bits": 6, "alpha": 1.0}, 0)
@@ -197,13 +197,13 @@ class TestCesaro:
         from xlab import cli
         rng = np.random.default_rng(8)
         sigs = [w.DyadicSignal(rng.standard_normal(1 << 7)) for _ in range(3)]
-        for n in ([1, 2, 64, 5, 127], 37):
+        for n in ([1, 2, 64, 5, 127], [37]):
             got = w.cesaro_means(sigs, n, 0.5)
             assert len(got) == 3
-            assert all(np.array_equal(np.array(g), np.array(w.cesaro_means(f, n, 0.5)))
+            assert all(np.array_equal(np.array(g), np.array(w.cesaro_means([f], n, 0.5)[0]))
                        for g, f in zip(got, sigs))
         with pytest.raises(InvalidArgument, match="equal bits"):
-            w.cesaro_means([sigs[0], w.DyadicSignal(np.zeros(1 << 6))], 3, 1.0)
+            w.cesaro_means([sigs[0], w.DyadicSignal(np.zeros(1 << 6))], [3], 1.0)
         tables, butterflies = [], []
         numbers, fwht = w.cesaro_numbers, w._fwht
         monkeypatch.setattr(w, "cesaro_numbers",
@@ -222,9 +222,9 @@ class TestCesaro:
                 sig = w.DyadicSignal(values)
                 for n in (15, 63, 255):
                     e1 = np.max(np.abs(sig.values
-                                       - w.cesaro_means(sig, n, 1.0)))
+                                       - w.cesaro_means([sig], [n], 1.0)[0][0]))
                     ea = np.max(np.abs(sig.values
-                                       - w.cesaro_means(sig, n, alpha)))
+                                       - w.cesaro_means([sig], [n], alpha)[0][0]))
                     if e1 > 1e-13:
                         ratios.append(ea / e1)
             assert 0.2 <= min(ratios) and max(ratios) <= 5.0
@@ -352,7 +352,7 @@ class TestModuli:
             for n in (2, 4, 6):
                 cap = 1 << (n + 1)
                 err = np.max(np.abs(sig.values
-                                    - w.cesaro_means(sig, cap, 1.0)))
+                                    - w.cesaro_means([sig], [cap], 1.0)[0][0]))
                 omega_avg = w.averaged_block_modulus(sig, n)
                 low = omega_avg + w.dyadic_shift_modulus(sig, n + 1)
                 high = omega_avg + w.dyadic_shift_modulus(sig, n)
